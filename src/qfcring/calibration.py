@@ -21,7 +21,7 @@ import numpy as np
 from .builders import build_constraints, build_device, build_dispersion_model
 from .constants import DB_TO_NEPERS_POWER, TWO_PI
 from .dispersion import U_SCALE_NM
-from .elements import Device, DirectionalCoupler, MziCoupler
+from .elements import Device, DirectionalCoupler, MziCoupler, mode_rates
 from .errors import CalibrationInfeasible, NoFeasibleMatch
 from .matching import MatchResult, find_triple_resonance
 from .noise import FwmChannel, fwm_noise_rate
@@ -241,11 +241,19 @@ def calibrate_config(cfg: dict) -> dict:
     }
 
     # g_chi3 needs the calibrated pump rates: rebuild the primary device with
-    # its fresh coupler and re-derive the matched rates.
+    # its fresh coupler and re-derive the matched rates.  The coupler sets
+    # only kappa_ex, so the bare-ring match keeps its wavelengths and T.
     device = _attach_coupler(out, build_device(out, width_nm=primary,
                                                with_coupler=False),
                              by_width[f"{primary:g}"])
-    match = find_triple_resonance(device, constraints)[0]
+    match = matches[primary]
+
+    def rated(sol):
+        kex, k0 = mode_rates(device, sol.lambda_nm, match.t_ring_K)
+        return replace(sol, kappa_ex=kex, kappa_0=k0)
+
+    match = replace(match, pump=rated(match.pump), signal=rated(match.signal),
+                    idler=rated(match.idler))
     out["calibration"]["g_chi3_over_2pi_Hz"] = solve_g_chi3_over_2pi_Hz(out, match)
     return out
 

@@ -4,7 +4,7 @@
 
 Exit codes: 0 success, 2 configuration error, 3 infeasible (no match /
 calibration impossible), 4 numerical failure.  Errors also emit a JSON
-record on stderr.  QFCRING_THREADS caps sweep workers (0 = auto).
+record on stderr.
 """
 
 from __future__ import annotations

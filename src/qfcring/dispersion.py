@@ -7,7 +7,7 @@ deliberately unsupported.  Evaluation outside the fitted window raises
 OutOfDomain rather than extrapolating.
 
 Models are immutable after construction and safe to share between
-parallel sweep workers.
+devices and threads.
 """
 
 from __future__ import annotations

@@ -244,13 +244,11 @@ def run_couplings(cfg, out_dir):
                      resolved_metadata(cfg, "couplings"))
 
     dts = np.linspace(0.0, float(exp["mzi_sweep_max_K"]), int(exp["mzi_sweep_points"]))
-    rows = np.empty((dts.size, 4))
-    for j, dt in enumerate(dts):
-        rows[j, 0] = dt
-        for col, sol in ((1, match.pump), (2, match.signal), (3, match.idler)):
-            rows[j, col] = coupling_ratio(device.ring, device.mzi, sol.lambda_nm,
-                                          delta_T_K=float(dt),
-                                          t_ring_K=match.t_ring_K)
+    carriers = np.array([[match.pump.lambda_nm], [match.signal.lambda_nm],
+                         [match.idler.lambda_nm]])
+    etas = coupling_ratio(device.ring, device.mzi, carriers, delta_T_K=dts,
+                          t_ring_K=match.t_ring_K)                    # (3, n_dT)
+    rows = np.column_stack([dts, etas.T])
     meta = resolved_metadata(cfg, "couplings", extra={
         "operating_delta_T_K": float(cfg["device"]["mzi_delta_T_K"]),
         "carriers_nm": {"pump": match.pump.lambda_nm,

@@ -3,7 +3,9 @@
 For each grid temperature the signal comb line nearest the target
 frequency is found; where it sits inside the signal tolerance, pump and
 idler comb lines inside their wavelength windows are paired and filtered
-by the frequency-mismatch bound and by quasi-phase matching.  Accepted
+by the frequency-mismatch bound and by quasi-phase matching.  Grid
+temperatures that a closed-form bracket of the signal lines rules out are
+never root-solved, so the cost follows the hits, not the grid.  Accepted
 candidates are de-duplicated per mode triple and sorted by
 (|mismatch|, |signal detuning|, T).
 """
@@ -11,9 +13,7 @@ candidates are de-duplicated per mode triple and sorted by
 from __future__ import annotations
 
 import math
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,9 +26,6 @@ from .errors import (
     StaleResult,
     SweepStepTooCoarse,
 )
-
-THREADS_ENV = "QFCRING_THREADS"
-_CHUNK = 8192
 
 
 @dataclass(frozen=True)
@@ -140,17 +137,6 @@ class MatchResult:
         }
 
 
-def _worker_count() -> int:
-    raw = os.environ.get(THREADS_ENV, "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 1
-    if n == 0:
-        n = os.cpu_count() or 1
-    return max(1, n)
-
-
 def signal_shift_rate_hz_per_K(device: Device, constraints: SearchConstraints) -> float:
     """|d f_resonance / dT| of the signal mode, evaluated at the target."""
     lam = constraints.signal_wavelength_nm
@@ -204,12 +190,48 @@ def _m_range(device: Device, window_nm, t_values) -> range:
 
 def _solve_lines(device: Device, ms: range, t_grid: np.ndarray) -> np.ndarray:
     """Resonance wavelengths (nm), shape (len(ms), len(t_grid))."""
+    m_col = np.asarray(ms, dtype=float)[:, None]
+    return solve_resonance_wavelength(device.dispersion, device.width_nm,
+                                      device.ring.length_m * 1e9, m_col, t_grid)
+
+
+def _temperature_at(device: Device, m, lambda_nm):
+    """Exact temperature at which comb line m resonates at lambda_nm (K).
+
+    n_eff is linear in T, so m*lambda = n_eff(lambda, T)*L solves in closed
+    form: T = T_ref + (m*lambda/L - P_w(u)) / (dn/dT(lambda)).  Callers
+    ensure dn/dT(lambda) != 0.
+    """
     model = device.dispersion
+    lam = np.asarray(lambda_nm, dtype=float)
+    n_ref = model._n_eff_unchecked(lam, model.t_ref_K, device.width_nm)
     length_nm = device.ring.length_m * 1e9
-    out = np.empty((len(ms), t_grid.size))
-    for j, m in enumerate(ms):
-        out[j] = solve_resonance_wavelength(model, device.width_nm, length_nm, float(m), t_grid)
-    return out
+    return model.t_ref_K + (m * lam / length_nm - n_ref) / model.thermo_optic(lam)
+
+
+def _signal_bracket(device: Device, constraints: SearchConstraints, m_s_list,
+                    t_grid: np.ndarray, step: float) -> np.ndarray:
+    """Mask of the grid temperatures at which a signal line can hit the tolerance.
+
+    A line m_s sits within tol of the target exactly while its wavelength
+    lies between c/(f_t + tol) and c/(f_t - tol).  The resonance wavelength
+    is monotonic in T wherever n_g > 0, which the dispersion model
+    guarantees, so those edges bound a temperature interval per line; one
+    step of margin on each side absorbs root-solver noise.  When dn/dT
+    vanishes or changes sign across the edges, every grid point is kept.
+    """
+    f_t, tol = constraints.signal_target_hz, constraints.max_signal_detuning_Hz
+    edges_nm = C_M_PER_S / (np.array([f_t + tol, f_t - tol]) * 1e-9)
+    dndt = device.dispersion.thermo_optic(edges_nm)
+    if not (np.all(dndt > 0.0) or np.all(dndt < 0.0)):
+        return np.ones(t_grid.size, dtype=bool)
+    t_edges = _temperature_at(device, np.asarray(m_s_list, dtype=float)[:, None], edges_nm)
+    starts = np.searchsorted(t_grid, t_edges.min(axis=1) - step, side="left")
+    stops = np.searchsorted(t_grid, t_edges.max(axis=1) + step, side="right")
+    keep = np.zeros(t_grid.size, dtype=bool)
+    for a, b in zip(starts, stops):
+        keep[a:b] = True
+    return keep
 
 
 @dataclass
@@ -233,24 +255,24 @@ class _Candidate:
         return (round(abs(self.delta)), abs(self.det_s), self.t_K)
 
 
-def _scan_chunk(device, constraints, t_chunk, m_s_list, m_p_list, m_i_list, m_offset):
-    """Scan one temperature chunk; returns (feasible, near_miss) candidate lists."""
+def _scan(device, constraints, t_points, m_s_list, m_p_list, m_i_list, m_offset):
+    """Scan the given temperatures; returns (feasible, near_miss) candidate lists."""
     tol_s = constraints.max_signal_detuning_Hz
     tol_d = constraints.max_mismatch_Hz
     f_target = constraints.signal_target_hz
     p_lo, p_hi = constraints.pump_window_nm
     i_lo, i_hi = constraints.idler_window_nm
 
-    lam_s = _solve_lines(device, m_s_list, t_chunk)          # (n_ms, n_t)
+    lam_s = _solve_lines(device, m_s_list, t_points)         # (n_ms, n_t)
     det_s = C_M_PER_S / (lam_s * 1e-9) - f_target
     pick = np.argmin(np.abs(det_s), axis=0)                  # nearest line per T
-    cols = np.arange(t_chunk.size)
+    cols = np.arange(t_points.size)
     det_best = det_s[pick, cols]
     hit = np.abs(det_best) <= tol_s
     if not np.any(hit):
         return [], []
 
-    t_hit = t_chunk[hit]
+    t_hit = t_points[hit]
     m_s_hit = np.asarray(m_s_list)[pick[hit]]
     lam_s_hit = lam_s[pick[hit], cols[hit]]
     det_hit = det_best[hit]
@@ -352,23 +374,9 @@ def find_triple_resonance(device: Device, constraints: SearchConstraints):
     m_i_list = _m_range(device, constraints.idler_window_nm, t_ends)
     m_offset = device.ring.m_offset
 
-    chunks = [t_grid[i : i + _CHUNK] for i in range(0, t_grid.size, _CHUNK)]
-    workers = _worker_count()
-    args = (device, constraints)
-    if workers > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(
-                lambda ch: _scan_chunk(*args, ch, m_s_list, m_p_list, m_i_list, m_offset),
-                chunks,
-            ))
-    else:
-        parts = [_scan_chunk(*args, ch, m_s_list, m_p_list, m_i_list, m_offset)
-                 for ch in chunks]
-
-    feasible, near = [], []
-    for f, n in parts:   # ordered reduction keeps determinism regardless of scheduling
-        feasible.extend(f)
-        near.extend(n)
+    keep = _signal_bracket(device, constraints, m_s_list, t_grid, step)
+    feasible, near = _scan(device, constraints, t_grid[keep], m_s_list, m_p_list,
+                           m_i_list, m_offset)
 
     best_by_triple = {}
     for cand in feasible:
@@ -414,7 +422,11 @@ def verify_match(device: Device, result: MatchResult, rel_tol: float = 1e-9) -> 
     """Re-derive a match from raw dispersion and compare against stored fields.
 
     Raises StaleResult when any re-derived residual disagrees beyond rel_tol
-    (absolute floor 1 Hz on frequencies, 1e-12 nm on wavelengths).
+    (absolute floor 1 Hz on frequencies, 1e-12 nm on wavelengths).  The ring
+    temperature is also re-derived from the stored signal line in closed
+    form, independently of the iterative root solver; its disagreement,
+    times the signal's thermal shift rate, must stay within rel_tol * f_s.
+    The temperature check is skipped where dn/dT vanishes.
     """
     model = device.dispersion
     length_nm = device.ring.length_m * 1e9
@@ -432,6 +444,17 @@ def verify_match(device: Device, result: MatchResult, rel_tol: float = 1e-9) -> 
         if not close(lam, ms.lambda_nm, max(abs(lam), 1e-3)):
             raise StaleResult(
                 f"{label} wavelength re-derives to {lam} nm, stored {ms.lambda_nm} nm"
+            )
+
+    sig = result.signal
+    if float(model.thermo_optic(sig.lambda_nm)) != 0.0:
+        t_closed = float(_temperature_at(device, sig.m, sig.lambda_nm))
+        report["t_ring_closed_form_K"] = t_closed
+        rate = signal_shift_rate_hz_per_K(device, cons)
+        if abs(t_closed - result.t_ring_K) * rate > rel_tol * sig.freq_hz:
+            raise StaleResult(
+                f"signal line m={sig.m} at {sig.lambda_nm} nm resonates at "
+                f"{t_closed} K in closed form, stored {result.t_ring_K} K"
             )
 
     f_s = C_M_PER_S / (report["signal_lambda_nm"] * 1e-9)

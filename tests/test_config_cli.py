@@ -2,8 +2,10 @@
 
 import copy
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,9 +22,16 @@ from qfcring.config import (
 from qfcring.errors import ConfigError
 
 
+SRC_DIR = str(Path(__file__).resolve().parent.parent / "src")
+
+
 def run_cli(args, cwd):
+    # cwd is a temp dir, so a relative PYTHONPATH would no longer resolve
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (SRC_DIR, env.get("PYTHONPATH")) if p)
     return subprocess.run([sys.executable, "-m", "qfcring.cli", *args],
-                          capture_output=True, text=True, cwd=cwd)
+                          capture_output=True, text=True, cwd=cwd, env=env)
 
 
 def test_default_config_valid(cfg):

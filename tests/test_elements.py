@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from qfcring.builders import build_constraints, build_device
+from qfcring.config import apply_overrides
 from qfcring.constants import C_M_PER_S, TWO_PI, freq_hz
 from qfcring.dispersion import default_model
 from qfcring.elements import (
@@ -24,6 +25,7 @@ from qfcring.elements import (
     ring_spectrum,
 )
 from qfcring.errors import NoResonance, OutOfDomain
+from qfcring.experiments import run_experiment
 from qfcring.matching import find_triple_resonance
 
 from conftest import WIDTH, simple_model
@@ -189,6 +191,16 @@ def test_coupling_ratio_warns_beyond_weak_coupling():
     mzi = make_mzi(k2=0.5, delta_len_um=0.0)  # K = 1
     with pytest.warns(UserWarning, match="weak-coupling"):
         coupling_ratio(ring_500(), mzi, 1200.0, delta_T_K=0.0, t_ring_K=350.0)
+
+
+def test_couplings_experiment_warns_once_beyond_weak_coupling(cfg, tmp_path):
+    # a longer directional coupler pushes K past the bound over much of the
+    # MZI drive sweep; the experiment reports that once, not per point
+    strong = apply_overrides(cfg, ["device.dc_length_um=60.0"])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        run_experiment("couplings", strong, str(tmp_path))
+    assert sum("weak-coupling" in str(w.message) for w in caught) == 1
 
 
 def test_operating_point_coupling_ratios(cfg):

@@ -1,12 +1,15 @@
 """Triple-resonance search: planted solutions, oracle equivalence, verification."""
 
 import dataclasses
+import math
 
+import numpy as np
 import pytest
 
+from qfcring import matching
 from qfcring.builders import build_constraints, build_device
-from qfcring.constants import TWO_PI
-from qfcring.elements import Device
+from qfcring.constants import C_M_PER_S, TWO_PI
+from qfcring.elements import Device, solve_resonance_wavelength
 from qfcring.errors import (
     NoFeasibleMatch,
     OutOfDomain,
@@ -14,9 +17,12 @@ from qfcring.errors import (
     SweepStepTooCoarse,
 )
 from qfcring.matching import (
+    _m_range,
+    _signal_bracket,
     companion_mode_detuning,
     dispersion_engineering_sweep,
     find_triple_resonance,
+    sweep_step_K,
     verify_match,
 )
 
@@ -99,21 +105,6 @@ def test_determinism():
         assert x.signal_detuning_Hz == y.signal_detuning_Hz
 
 
-def test_worker_count_does_not_change_results(cfg, monkeypatch):
-    # default grid spans multiple chunks, so threading actually engages
-    device = build_device(cfg, with_coupler=False)
-    constraints = build_constraints(cfg)
-    monkeypatch.setenv("QFCRING_THREADS", "1")
-    serial = find_triple_resonance(device, constraints)
-    monkeypatch.setenv("QFCRING_THREADS", "4")
-    threaded = find_triple_resonance(device, constraints)
-    assert len(serial) == len(threaded)
-    for x, y in zip(serial, threaded):
-        assert x.t_ring_K == y.t_ring_K
-        assert x.mismatch_Hz == y.mismatch_Hz
-        assert (x.signal.m, x.pump.m, x.idler.m) == (y.signal.m, y.pump.m, y.idler.m)
-
-
 def test_sweep_step_guard():
     device, constraints, _ = planted_fixture_a()
     coarse = dataclasses.replace(constraints, t_step_K=1.0)
@@ -147,6 +138,21 @@ def test_verify_match_round_trip_and_tamper():
         verify_match(device, tampered)
 
 
+def test_verify_match_catches_shifted_solver(monkeypatch):
+    # A solver whose roots are all 1e-4 nm long (~7 mK of ring temperature)
+    # still yields a match, and re-running it reproduces every stored
+    # wavelength; only the closed-form temperature check can notice.
+    device, constraints, _ = planted_fixture_curved()
+
+    def shifted(*args):
+        return solve_resonance_wavelength(*args) + 1e-4
+
+    monkeypatch.setattr(matching, "solve_resonance_wavelength", shifted)
+    best = find_triple_resonance(device, constraints)[0]
+    with pytest.raises(StaleResult, match="closed form"):
+        verify_match(device, best)
+
+
 def test_verify_step_independence():
     device, constraints, _ = planted_fixture_curved()
     fine = dataclasses.replace(constraints, t_step_K=constraints.t_step_K / 2.0)
@@ -156,6 +162,78 @@ def test_verify_step_independence():
         (best_fine.signal.m, best_fine.pump.m, best_fine.idler.m)
     verify_match(device, best_coarse)
     verify_match(device, best_fine)
+
+
+# --- closed-form signal bracket --------------------------------------------
+
+def _bracket_and_full_grid_hits(device, constraints):
+    """The bracket's kept mask and the full-grid signal hits, solved per line."""
+    step = sweep_step_K(device, constraints)
+    span = constraints.t_max_K - constraints.t_min_K
+    t_grid = constraints.t_min_K + step * np.arange(int(math.floor(span / step + 1e-9)) + 1)
+    target = constraints.signal_wavelength_nm
+    m_s_list = _m_range(device, (target, target), (constraints.t_min_K, constraints.t_max_K))
+    keep = _signal_bracket(device, constraints, m_s_list, t_grid, step)
+    length_nm = device.ring.length_m * 1e9
+    lam = np.array([solve_resonance_wavelength(device.dispersion, device.width_nm,
+                                               length_nm, float(m), t_grid)
+                    for m in m_s_list])
+    det = np.abs(C_M_PER_S / (lam * 1e-9) - constraints.signal_target_hz)
+    hits = det.min(axis=0) <= constraints.max_signal_detuning_Hz
+    return keep, hits
+
+
+@pytest.mark.parametrize("width", [1400.0, 1500.0, 1600.0])
+def test_bracket_covers_full_grid_hits_packaged_widths(cfg, width):
+    device = build_device(cfg, width_nm=width, with_coupler=False)
+    base = build_constraints(cfg)
+    for t_min, t_max in ((300.0, 400.0), (333.0, 366.0), (341.5, 350.5), (345.0, 400.0)):
+        for t_step in (None, 2e-3, 13e-3):
+            cons = dataclasses.replace(base, t_min_K=t_min, t_max_K=t_max, t_step_K=t_step)
+            keep, hits = _bracket_and_full_grid_hits(device, cons)
+            assert np.any(hits)
+            assert np.all(keep[hits])
+            assert np.count_nonzero(keep) < keep.size // 20
+    keep, _ = _bracket_and_full_grid_hits(device, base)
+    assert np.count_nonzero(keep) < keep.size // 100
+
+
+def test_bracket_covers_full_grid_hits_fixtures():
+    for device, constraints, _ in oracle_fixtures():
+        keep, hits = _bracket_and_full_grid_hits(device, constraints)
+        assert np.any(hits)
+        assert np.all(keep[hits])
+
+
+@pytest.mark.parametrize("dn_dt,slope", [(3.9e-5, 2e-8), (-3.9e-5, 0.0)])
+def test_bracket_covers_full_grid_hits_wavelength_dependent_dn_dT(dn_dt, slope):
+    device, constraints, _ = planted_fixture_curved()
+    coeffs = device.dispersion.coeffs_by_width[WIDTH]
+    model = simple_model(coeffs, dn_dt=dn_dt, slope=slope)
+    sloped = Device(dispersion=model, ring=device.ring)
+    wide = dataclasses.replace(constraints, t_min_K=constraints.t_min_K - 30.0,
+                               t_max_K=constraints.t_max_K + 30.0)
+    keep, hits = _bracket_and_full_grid_hits(sloped, wide)
+    assert np.any(hits)
+    assert np.all(keep[hits])
+    assert not np.all(keep)
+
+
+@pytest.mark.parametrize("slope", [0.0, 1e-8])
+def test_bracket_falls_back_to_full_grid_without_thermo_optic_shift(slope):
+    # dn/dT vanishes at the target (everywhere, or changing sign there), so
+    # the target line sits on the target at every T and every point hits.
+    device, constraints, planted = planted_fixture_curved()
+    coeffs = device.dispersion.coeffs_by_width[WIDTH]
+    length_nm = device.ring.length_m * 1e9
+    on_comb = solve_resonance_wavelength(simple_model(coeffs, dn_dt=0.0), WIDTH, length_nm,
+                                         planted["m"][0], 350.0)
+    model = simple_model(coeffs, dn_dt=-slope * (on_comb - 1200.0), slope=slope)
+    keep, hits = _bracket_and_full_grid_hits(
+        Device(dispersion=model, ring=device.ring),
+        dataclasses.replace(constraints, signal_wavelength_nm=on_comb))
+    assert np.all(hits)
+    assert np.all(keep)
 
 
 # --- dispersion-engineering sweep ------------------------------------------
