@@ -12,7 +12,6 @@ power and geometry.
 __version__ = "0.1.0"
 
 from .conversion import (
-    ConversionResult,
     ModeChannel,
     TwmSystem,
     cooperativity,
@@ -38,8 +37,6 @@ from .elements import (
     MziCoupler,
     RingCavity,
     coupling_ratio,
-    dc_cross_coupling,
-    mzi_transfer,
     qpm_mismatch,
     resonance_comb,
     ring_spectrum,
@@ -53,7 +50,6 @@ from .matching import (
 )
 from .noise import (
     FwmChannel,
-    NoiseResult,
     TradeoffVariant,
     efficiency_snr_tradeoff,
     fwm_noise_rate,

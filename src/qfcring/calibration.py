@@ -19,9 +19,9 @@ from dataclasses import replace
 import numpy as np
 
 from .builders import build_constraints, build_device, build_dispersion_model
-from .constants import DB_TO_NEPERS_POWER, TWO_PI
+from .constants import TWO_PI
 from .dispersion import U_SCALE_NM
-from .elements import Device, DirectionalCoupler, MziCoupler, mode_rates
+from .elements import Device, mode_rates
 from .errors import CalibrationInfeasible, NoFeasibleMatch
 from .matching import MatchResult, find_triple_resonance
 from .noise import FwmChannel, fwm_noise_rate
@@ -57,7 +57,7 @@ def _required_cross_couplings(device: Device, match: MatchResult, targets: dict)
                 f"anchor 'coupling ratios': target {eta_key}={eta} must be in (0, 1)"
             )
         vg = float(model.group_velocity(sol.lambda_nm, t, ring.width_nm))
-        kappa_0 = ring.alpha_prop_dB_per_m * DB_TO_NEPERS_POWER * vg
+        kappa_0 = float(ring.kappa_0(model, sol.lambda_nm, t))
         kappa_ex = kappa_0 * eta / (1.0 - eta)
         out[label] = (sol.lambda_nm, kappa_ex * ring.length_m / vg)
     return out
@@ -175,30 +175,6 @@ def solve_g_chi3_over_2pi_Hz(cfg: dict, match: MatchResult) -> float:
     return g / TWO_PI
 
 
-def _attach_coupler(cfg: dict, device: Device, entry: dict) -> Device:
-    dev = cfg["device"]
-    model = device.dispersion
-    dc = DirectionalCoupler(
-        gap_nm=float(dev["dc_gap_nm"]),
-        length_um=float(dev["dc_length_um"]),
-        lc_coeffs_um=tuple(entry["lc_quad_um"]),
-        lambda_ref_nm=model.lambda_ref_nm,
-        lambda_window_nm=model.lambda_window_nm,
-    )
-    mzi = MziCoupler(
-        dc_in=dc,
-        dc_out=dc,
-        delta_len_um=float(dev["mzi_arm_delta_um"]),
-        heater_len_um=float(dev["mzi_heater_length_um"]) * entry["heater_scale"],
-        delta_T_K=float(dev["mzi_delta_T_K"]),
-        dn_dT_per_K=float(cfg["dispersion"]["dn_dT_per_K"]),
-        dispersion=model,
-        width_nm=device.width_nm,
-        t_base_K=float(dev["ambient_temperature_K"]),
-    )
-    return replace(device, mzi=mzi)
-
-
 def calibrate_config(cfg: dict) -> dict:
     """Return a copy of cfg with a freshly solved calibration block.
 
@@ -243,9 +219,7 @@ def calibrate_config(cfg: dict) -> dict:
     # g_chi3 needs the calibrated pump rates: rebuild the primary device with
     # its fresh coupler and re-derive the matched rates.  The coupler sets
     # only kappa_ex, so the bare-ring match keeps its wavelengths and T.
-    device = _attach_coupler(out, build_device(out, width_nm=primary,
-                                               with_coupler=False),
-                             by_width[f"{primary:g}"])
+    device = build_device(out, width_nm=primary)
     match = matches[primary]
 
     def rated(sol):

@@ -20,23 +20,9 @@ TWO_PI = 2.0 * math.pi
 DB_TO_NEPERS_POWER = math.log(10.0) / 10.0
 
 
-def nm_to_m(lambda_nm: float) -> float:
-    return lambda_nm * 1e-9
-
-
-def omega_rad_s(lambda_nm) -> float:
-    """Angular frequency (rad/s) of a vacuum wavelength given in nm."""
-    return TWO_PI * C_M_PER_S / (lambda_nm * 1e-9)
-
-
 def freq_hz(lambda_nm) -> float:
     """Ordinary frequency (Hz) of a vacuum wavelength given in nm."""
     return C_M_PER_S / (lambda_nm * 1e-9)
-
-
-def wavelength_nm(freq_hz_value: float) -> float:
-    """Vacuum wavelength (nm) of an ordinary frequency given in Hz."""
-    return C_M_PER_S / freq_hz_value * 1e9
 
 
 def db_per_m_to_kappa(alpha_db_per_m: float, group_velocity_m_s: float) -> float:

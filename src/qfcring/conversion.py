@@ -98,18 +98,6 @@ class TwmSystem:
         return replace(self, pump_power_W=pump_power_W)
 
 
-@dataclass(frozen=True)
-class ConversionResult:
-    """Operating point summary at one pump power."""
-
-    pump_power_W: float
-    intracavity_photons: float
-    cooperativity: float
-    eta_int: float
-    eta_ex: float
-    p_max_W: float
-
-
 def intracavity_pump(pump_power_W, omega_p, kappa_p, kappa_p_ex, delta_p=0.0):
     """Steady-state intracavity pump photon number |alpha|^2."""
     if np.any(np.asarray(pump_power_W) < 0.0):
@@ -172,21 +160,6 @@ def g0_effective(g0_full: float, ppln_fraction: float) -> float:
     if not 0.0 <= ppln_fraction <= 1.0:
         raise DomainError("ppln_fraction must lie in [0, 1]")
     return g0_full * ppln_fraction
-
-
-def conversion_at_power(sys: TwmSystem, pump_power_W: float) -> ConversionResult:
-    s = sys.with_power(pump_power_W)
-    n_pump = float(intracavity_pump(
-        pump_power_W, s.pump.omega, s.pump.kappa_tot, s.pump.kappa_ex, s.pump.delta))
-    eta_int, eta_ex = external_efficiency(s)
-    return ConversionResult(
-        pump_power_W=pump_power_W,
-        intracavity_photons=n_pump,
-        cooperativity=cooperativity(s),
-        eta_int=eta_int,
-        eta_ex=eta_ex,
-        p_max_W=pump_power_unity_cooperativity(s),
-    )
 
 
 def efficiency_vs_power(sys: TwmSystem, powers_W):

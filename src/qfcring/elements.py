@@ -65,11 +65,6 @@ class DirectionalCoupler:
         return np.sin(math.pi * self.length_um / (2.0 * lc)) ** 2
 
 
-def dc_cross_coupling(dc: DirectionalCoupler, lambda_nm):
-    """|k|^2 of a directional coupler; |t|^2 = 1 - |k|^2 (lossless)."""
-    return dc.cross_coupling(lambda_nm)
-
-
 @dataclass(frozen=True)
 class MziCoupler:
     """Asymmetric MZI used as a tunable ring-bus coupler.
@@ -105,16 +100,13 @@ class MziCoupler:
         )
         return geo + thermal
 
-    def transfer(self, lambda_nm, t_base_K=None, delta_T_K=None):
+    def transfer(self, lambda_nm, delta_T_K=None):
         """Composite 2x2 matrix C2 . diag(e^{i dtheta}, 1) . C1.
 
         Only the differential arm phase is modeled; the common arm phase
         belongs to the ring round trip.  Returns shape (2, 2) for scalar
         input, (n, 2, 2) for an n-vector of wavelengths.
         """
-        if t_base_K is not None and abs(t_base_K - self.t_base_K) > 1e-12:
-            mzi = _replace_t_base(self, t_base_K)
-            return mzi.transfer(lambda_nm, delta_T_K=delta_T_K)
         lam = np.asarray(lambda_nm, dtype=float)
         k1 = np.sqrt(self.dc_in.cross_coupling(lam))
         t1 = np.sqrt(1.0 - k1**2)
@@ -132,24 +124,7 @@ class MziCoupler:
 
     def cross_coupling(self, lambda_nm, delta_T_K=None):
         """Composite power cross-coupling K(lambda, dT) = |M10|^2 in [0, 1]."""
-        lam = np.asarray(lambda_nm, dtype=float)
-        k1 = np.sqrt(self.dc_in.cross_coupling(lam))
-        t1 = np.sqrt(1.0 - k1**2)
-        k2 = np.sqrt(self.dc_out.cross_coupling(lam))
-        t2 = np.sqrt(1.0 - k2**2)
-        ph = np.exp(1j * self.arm_phase(lam, delta_T_K))
-        return np.abs(1j * (t1 * k2 * ph + k1 * t2)) ** 2
-
-
-def _replace_t_base(mzi: MziCoupler, t_base_K: float) -> MziCoupler:
-    from dataclasses import replace
-
-    return replace(mzi, t_base_K=t_base_K)
-
-
-def mzi_transfer(mzi: MziCoupler, lambda_nm, t_base_K=None, delta_T_K=None):
-    """Composite MZI transfer matrix (see MziCoupler.transfer)."""
-    return mzi.transfer(lambda_nm, t_base_K=t_base_K, delta_T_K=delta_T_K)
+        return np.abs(self.transfer(lambda_nm, delta_T_K=delta_T_K)[..., 1, 0]) ** 2
 
 
 @dataclass(frozen=True)
@@ -229,13 +204,13 @@ class Device:
 # --------------------------------------------------------------------------
 
 def coupling_ratio(ring: RingCavity, mzi: MziCoupler, lambda_nm, delta_T_K=None,
-                   dispersion: DispersionModel | None = None, t_ring_K=None):
+                   t_ring_K=None):
     """Coupling ratio eta = kappa_ex / (kappa_ex + kappa_0) of one cavity mode.
 
     kappa_ex = K(lambda, dT) * v_g / L_ring.  Warns when K exceeds the
     weak-coupling bound instead of failing.
     """
-    model = dispersion if dispersion is not None else mzi.dispersion
+    model = mzi.dispersion
     t_ring = mzi.t_base_K if t_ring_K is None else t_ring_K
     K = mzi.cross_coupling(lambda_nm, delta_T_K)
     if np.any(np.asarray(K) > WEAK_COUPLING_K_MAX):

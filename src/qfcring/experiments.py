@@ -24,9 +24,15 @@ from .calibration import CALIBRATION_COMMENTS, calibrate_config
 from .config import emit_config
 from .constants import C_M_PER_S, TWO_PI, freq_hz
 from .conversion import efficiency_vs_power, pump_power_unity_cooperativity
-from .elements import coupling_ratio, dc_cross_coupling, resonance_comb, ring_spectrum
-from .errors import ConfigError, NumericalFailure, UnmatchedVariant
-from .matching import dispersion_engineering_sweep, find_triple_resonance, verify_match
+from .elements import coupling_ratio, resonance_comb, ring_spectrum
+from .errors import ConfigError, NoFeasibleMatch, NumericalFailure, UnmatchedVariant
+from .matching import (
+    NO_COMPANION,
+    companion_detuning,
+    find_triple_resonance,
+    sweep_step_K,
+    verify_match,
+)
 from .noise import TradeoffVariant, efficiency_snr_tradeoff, noise_vs_power
 
 EXPERIMENTS = ("spectrum", "couplings", "match", "convert", "noise", "tradeoff",
@@ -74,14 +80,27 @@ def _power_grid_W(cfg):
     return grid * 1e-3
 
 
-def _best_match(cfg, device):
-    constraints = build_constraints(cfg)
-    results = find_triple_resonance(device, constraints)
-    verify_match(device, results[0])
-    return results[0]
+def _operating_point(cfg, width_nm=None, with_coupler=True):
+    """Device at one width and its matches, best first.
+
+    One sweep, then the best match is verified from raw dispersion before
+    any experiment reads it.
+    """
+    device = build_device(cfg, width_nm=width_nm, with_coupler=with_coupler)
+    matches = find_triple_resonance(device, build_constraints(cfg))
+    verify_match(device, matches[0])
+    return device, matches
 
 
-def _rates_meta(cfg, match, system):
+def _fwm_channel(cfg, device, match):
+    """FWM channel at a match and the source of its companion detuning."""
+    detuning, source = companion_detuning(device, match, companion_table_rad_s(cfg))
+    if detuning is None:
+        raise UnmatchedVariant(f"width {device.width_nm:g} nm: {NO_COMPANION}")
+    return build_fwm_channel(cfg, match, detuning), source
+
+
+def _rates_meta(match, system):
     return {
         "operating_point": match.as_dict(),
         "rates": {
@@ -103,17 +122,15 @@ def _rates_meta(cfg, match, system):
 # --------------------------------------------------------------------------
 
 def run_match(cfg, out_dir):
-    device = build_device(cfg, with_coupler=bool(cfg.get("calibration")))
+    device, results = _operating_point(cfg, with_coupler=bool(cfg.get("calibration")))
     constraints = build_constraints(cfg)
-    results = find_triple_resonance(device, constraints)
-    verify_match(device, results[0])
     best = results[0]
     outputs = []
 
     report = {
         "best": best.as_dict(),
         "all_matches": [r.as_dict() for r in results],
-        "sweep_step_mK": _sweep_step_mk(device, constraints),
+        "sweep_step_mK": sweep_step_K(device, constraints) * 1e3,
         "constraints": _constraints_dict(constraints),
         "dispersion_model_hash": device.dispersion.content_hash(),
     }
@@ -122,11 +139,11 @@ def run_match(cfg, out_dir):
     _write_meta(path, meta)
     outputs.append(path)
 
-    for label, sol, window in (
-        ("signal", best.signal, (constraints.signal_wavelength_nm - constraints.half_window_nm,
-                                 constraints.signal_wavelength_nm + constraints.half_window_nm)),
-        ("idler", best.idler, constraints.idler_window_nm),
-        ("pump", best.pump, constraints.pump_window_nm),
+    for label, window in (
+        ("signal", (constraints.signal_wavelength_nm - constraints.half_window_nm,
+                    constraints.signal_wavelength_nm + constraints.half_window_nm)),
+        ("idler", constraints.idler_window_nm),
+        ("pump", constraints.pump_window_nm),
     ):
         comb = resonance_comb(device, window, best.t_ring_K)
         rows = [
@@ -142,12 +159,6 @@ def run_match(cfg, out_dir):
     return outputs
 
 
-def _sweep_step_mk(device, constraints):
-    from .matching import sweep_step_K
-
-    return sweep_step_K(device, constraints) * 1e3
-
-
 def _constraints_dict(c):
     return {
         "signal_wavelength_nm": c.signal_wavelength_nm,
@@ -161,61 +172,49 @@ def _constraints_dict(c):
 
 
 def run_convert(cfg, out_dir):
-    device = build_device(cfg)
-    match = _best_match(cfg, device)
+    _, matches = _operating_point(cfg)
+    match = matches[0]
     system = build_twm_system(cfg, match)
     powers = _power_grid_W(cfg)
     rows = efficiency_vs_power(system, powers)
     rows[:, 0] *= 1e3  # report in mW
-    meta = resolved_metadata(cfg, "convert", extra=_rates_meta(cfg, match, system))
+    meta = resolved_metadata(cfg, "convert", extra=_rates_meta(match, system))
     return _emit(out_dir, "convert",
                  ["power_mW", "cooperativity", "eta_int", "eta_ext"], rows, meta)
 
 
 def run_noise(cfg, out_dir):
-    device = build_device(cfg)
-    match = _best_match(cfg, device)
+    device, matches = _operating_point(cfg)
+    match = matches[0]
     system = build_twm_system(cfg, match)
-    table = companion_table_rad_s(cfg)
-    variants = dispersion_engineering_sweep([device], build_constraints(cfg), table)
-    var = variants[0]
-    if var.companion_detuning is None:
-        raise UnmatchedVariant(
-            f"width {device.width_nm:g} nm: no companion detuning available"
-        )
-    channel = build_fwm_channel(cfg, match, var.companion_detuning)
+    channel, source = _fwm_channel(cfg, device, match)
     powers = _power_grid_W(cfg)
     rows = noise_vs_power(channel, powers)
     rows[:, 0] *= 1e3
     meta = resolved_metadata(cfg, "noise", extra={
-        "companion_source": var.companion_source,
+        "companion_source": source,
         "companion_detuning_over_2pi_THz": channel.delta_comp / TWO_PI / 1e12,
-        **_rates_meta(cfg, match, system),
+        **_rates_meta(match, system),
     })
     return _emit(out_dir, "noise", ["power_mW", "R_FWM_Hz"], rows, meta)
 
 
 def run_tradeoff(cfg, out_dir):
-    constraints = build_constraints(cfg)
-    table = companion_table_rad_s(cfg)
-    widths = [float(w) for w in cfg["experiment"]["widths_nm"]]
-    devices = [build_device(cfg, width_nm=w) for w in widths]
-    sweep = dispersion_engineering_sweep(devices, constraints, table)
     variants = []
     sources = {}
-    for var in sweep:
-        if var.match is None or var.companion_detuning is None:
-            raise UnmatchedVariant(
-                f"width {var.width_nm:g} nm: {var.error or 'no companion detuning'}"
-            )
-        system = build_twm_system(cfg, var.match)
-        channel = build_fwm_channel(cfg, var.match, var.companion_detuning)
-        variants.append(TradeoffVariant(var.width_nm, system, channel))
-        sources[f"{var.width_nm:g}"] = {
-            "companion_source": var.companion_source,
-            "companion_detuning_over_2pi_THz": var.companion_detuning / TWO_PI / 1e12,
-            "t_ring_K": var.match.t_ring_K,
-            "pump_wavelength_nm": var.match.pump.lambda_nm,
+    for width in sorted(float(w) for w in cfg["experiment"]["widths_nm"]):
+        try:
+            device, matches = _operating_point(cfg, width_nm=width)
+        except NoFeasibleMatch as exc:
+            raise UnmatchedVariant(f"width {width:g} nm: {exc}") from exc
+        match = matches[0]
+        channel, source = _fwm_channel(cfg, device, match)
+        variants.append(TradeoffVariant(width, build_twm_system(cfg, match), channel))
+        sources[f"{width:g}"] = {
+            "companion_source": source,
+            "companion_detuning_over_2pi_THz": channel.delta_comp / TWO_PI / 1e12,
+            "t_ring_K": match.t_ring_K,
+            "pump_wavelength_nm": match.pump.lambda_nm,
         }
     powers = _power_grid_W(cfg)
     rows, best_width = efficiency_snr_tradeoff(
@@ -231,14 +230,14 @@ def run_tradeoff(cfg, out_dir):
 
 
 def run_couplings(cfg, out_dir):
-    device = build_device(cfg)
-    match = _best_match(cfg, device)
+    device, matches = _operating_point(cfg)
+    match = matches[0]
     exp = cfg["experiment"]
     outputs = []
 
     lam_grid = np.linspace(float(exp["dc_grid_min_nm"]), float(exp["dc_grid_max_nm"]),
                            int(exp["dc_grid_points"]))
-    k2 = dc_cross_coupling(device.mzi.dc_in, lam_grid)
+    k2 = device.mzi.dc_in.cross_coupling(lam_grid)
     outputs += _emit(out_dir, "dc_cross", ["wavelength_nm", "cross_coupling"],
                      np.column_stack([lam_grid, k2]),
                      resolved_metadata(cfg, "couplings"))
@@ -263,8 +262,8 @@ def run_couplings(cfg, out_dir):
 
 
 def run_spectrum(cfg, out_dir):
-    device = build_device(cfg)
-    match = _best_match(cfg, device)
+    device, matches = _operating_point(cfg)
+    match = matches[0]
     exp = cfg["experiment"]
     span_hz = float(exp["spectrum_span_GHz"]) * 1e9
     points = int(exp["spectrum_points"])

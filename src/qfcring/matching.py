@@ -481,6 +481,9 @@ def verify_match(device: Device, result: MatchResult, rel_tol: float = 1e-9) -> 
     return report
 
 
+NO_COMPANION = "companion line outside window and no table entry"
+
+
 @dataclass(frozen=True)
 class WidthVariant:
     """Best match for one ring width plus its FWM companion detuning."""
@@ -514,16 +517,30 @@ def companion_mode_detuning(device: Device, match: MatchResult):
     return TWO_PI * (f_comp - f_target)
 
 
+def companion_detuning(device: Device, match: MatchResult, companion_table=None):
+    """(delta' in rad/s, source) of the FWM companion mode at a match.
+
+    The comb line wins ("comb"); when it leaves the dispersion window the
+    table entry for the device width is used ("table"); otherwise
+    (None, "none").  companion_table maps width (nm) -> delta' (rad/s).
+    """
+    comb = companion_mode_detuning(device, match)
+    if comb is not None:
+        return comb, "comb"
+    table = companion_table or {}
+    if device.width_nm in table:
+        return float(table[device.width_nm]), "table"
+    return None, "none"
+
+
 def dispersion_engineering_sweep(devices, constraints: SearchConstraints,
                                  companion_table=None):
     """Best match per device width plus the companion-mode detuning.
 
-    companion_table maps width (nm) -> delta' (rad/s) and is the fallback
-    when the companion comb line leaves the dispersion window.  A width with
-    no feasible match yields a WidthVariant carrying the error instead of
+    The companion detuning follows `companion_detuning`.  A width with no
+    feasible match yields a WidthVariant carrying the error instead of
     aborting the sweep; results are ordered by width.
     """
-    table = companion_table or {}
     out = []
     for device in sorted(devices, key=lambda d: d.width_nm):
         width = device.width_nm
@@ -532,13 +549,7 @@ def dispersion_engineering_sweep(devices, constraints: SearchConstraints,
         except NoFeasibleMatch as exc:
             out.append(WidthVariant(width, None, None, "none", error=str(exc)))
             continue
-        comb = companion_mode_detuning(device, match)
-        if comb is not None:
-            out.append(WidthVariant(width, match, comb, "comb"))
-        elif width in table:
-            out.append(WidthVariant(width, match, float(table[width]), "table"))
-        else:
-            out.append(WidthVariant(width, match, None, "none",
-                                    error="companion line outside window and no "
-                                          "table entry"))
+        detuning, source = companion_detuning(device, match, companion_table)
+        error = "" if detuning is not None else NO_COMPANION
+        out.append(WidthVariant(width, match, detuning, source, error=error))
     return out

@@ -47,22 +47,6 @@ class FwmChannel:
             raise DomainError("kappa_p_ex cannot exceed kappa_p")
 
 
-@dataclass(frozen=True)
-class NoiseResult:
-    pump_power_W: float
-    rate_Hz: float
-    paper_fom_dB: float
-    snr_dB: float
-
-
-def noise_point(ch: FwmChannel, pump_power_W: float,
-                delivered_signal_rate_Hz: float) -> NoiseResult:
-    """Noise rate plus both SNR figures at one pump power."""
-    rate = float(fwm_noise_rate(ch, pump_power_W))
-    fom, snr = snr_report(rate, delivered_signal_rate_Hz)
-    return NoiseResult(pump_power_W, rate, fom, snr)
-
-
 def fwm_noise_rate(ch: FwmChannel, pump_power_W):
     """Noise photon generation rate (photons/s) at the given pump power."""
     p = np.asarray(pump_power_W, dtype=float)

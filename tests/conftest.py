@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +17,19 @@ from qfcring.elements import Device, RingCavity, solve_resonance_wavelength
 from qfcring.matching import SearchConstraints
 
 WIDTH = 1500.0
+
+SRC_DIR = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def src_env():
+    """Environment for a child interpreter with the absolute src dir on PYTHONPATH.
+
+    Children run from a temp dir, where a relative PYTHONPATH would no
+    longer resolve.
+    """
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC_DIR, env.get("PYTHONPATH")) if p)
+    return env
 
 
 def simple_model(coeffs, dn_dt=3.9e-5, lambda_ref=1200.0, t_ref=350.0,

@@ -31,7 +31,6 @@ from qfcring.conversion import (
     pump_power_unity_cooperativity,
     steady_state_conversion,
 )
-from qfcring.elements import mzi_transfer
 from qfcring.experiments import EXPERIMENTS, run_experiment
 from qfcring.matching import dispersion_engineering_sweep, find_triple_resonance
 from qfcring.noise import TradeoffVariant, efficiency_snr_tradeoff, fwm_noise_rate, noise_vs_power
@@ -165,7 +164,7 @@ def test_criterion_5_coupler_algebra():
         mzi = make_mzi(k2=k2, delta_len_um=rng.uniform(0.0, 3.0))
         lam = rng.uniform(650.0, 1750.0)
         dT = rng.uniform(0.0, 60.0)
-        m = mzi_transfer(mzi, lam, delta_T_K=dT)
+        m = mzi.transfer(lam, delta_T_K=dT)
         worst_unit = max(worst_unit, float(np.max(np.abs(m.conj().T @ m - np.eye(2)))))
         K = abs(m[1, 0]) ** 2
         closed = 4.0 * k2 * (1.0 - k2) * math.cos(float(mzi.arm_phase(lam, dT)) / 2.0) ** 2

@@ -21,17 +21,12 @@ from qfcring.config import (
 )
 from qfcring.errors import ConfigError
 
-
-SRC_DIR = str(Path(__file__).resolve().parent.parent / "src")
+from conftest import src_env
 
 
 def run_cli(args, cwd):
-    # cwd is a temp dir, so a relative PYTHONPATH would no longer resolve
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (SRC_DIR, env.get("PYTHONPATH")) if p)
     return subprocess.run([sys.executable, "-m", "qfcring.cli", *args],
-                          capture_output=True, text=True, cwd=cwd, env=env)
+                          capture_output=True, text=True, cwd=cwd, env=src_env())
 
 
 def test_default_config_valid(cfg):
@@ -143,8 +138,6 @@ def test_missing_calibration_guard(cfg, tmp_path):
 # --- CLI contract ------------------------------------------------------------
 
 def test_cli_match_success(tmp_path):
-    import os
-
     proc = run_cli(["match", "--out-dir", str(tmp_path / "out")], cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     record = json.loads(proc.stdout)
@@ -158,7 +151,6 @@ def test_cli_match_success(tmp_path):
 
 def test_cli_planted_fixture_matches_golden(tmp_path):
     import filecmp
-    from pathlib import Path
 
     fixtures = Path(__file__).parent / "fixtures"
     golden = Path(__file__).parent / "golden" / "planted_match"
@@ -182,13 +174,20 @@ def test_cli_unknown_key_exit_2(tmp_path):
     assert "bogus_key" in err["message"]
 
 
-def test_cli_infeasible_exit_3(tmp_path):
+@pytest.mark.parametrize("experiment, error, prefix", [
+    ("match", "NoFeasibleMatch", ""),
+    ("noise", "NoFeasibleMatch", ""),
+    # the trade-off names the first infeasible width, then the matcher's message
+    ("tradeoff", "UnmatchedVariant", "width 1400 nm: "),
+], ids=["match", "noise", "tradeoff"])
+def test_cli_infeasible_exit_3(tmp_path, experiment, error, prefix):
     # 727 nm signal puts the idler outside its window: honest infeasibility
-    proc = run_cli(["match", "--override", "signal_wavelength_nm=727.0",
+    proc = run_cli([experiment, "--override", "signal_wavelength_nm=727.0",
                     "--out-dir", str(tmp_path / "out")], cwd=tmp_path)
     assert proc.returncode == 3
     err = json.loads(proc.stderr)
-    assert err["error"] == "NoFeasibleMatch"
+    assert err["error"] == error
+    assert err["message"].startswith(prefix + "no ")
 
 
 def test_cli_single_power_override(tmp_path):

@@ -171,14 +171,14 @@ def test_g0_effective_scaling():
 
 
 def test_conversion_result_record():
-    from qfcring.conversion import conversion_at_power
-
     sys = make_system()
     p_max = pump_power_unity_cooperativity(sys)
-    rec = conversion_at_power(sys, p_max)
-    assert rec.cooperativity == pytest.approx(1.0, abs=1e-12)
-    assert rec.p_max_W == pytest.approx(p_max, rel=1e-15)
-    assert 0.0 <= rec.eta_ex <= rec.eta_int <= 1.0 + 1e-12
+    driven = sys.with_power(p_max)
+    assert driven.pump_power_W == p_max
+    assert cooperativity(driven) == pytest.approx(1.0, abs=1e-12)
+    assert pump_power_unity_cooperativity(driven) == pytest.approx(p_max, rel=1e-15)
+    eta_int, eta_ex = external_efficiency(driven)
+    assert 0.0 <= eta_ex <= eta_int <= 1.0 + 1e-12
 
 
 # --- efficiency vs power ---------------------------------------------------

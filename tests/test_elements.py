@@ -18,8 +18,6 @@ from qfcring.elements import (
     MziCoupler,
     RingCavity,
     coupling_ratio,
-    dc_cross_coupling,
-    mzi_transfer,
     qpm_mismatch,
     resonance_comb,
     ring_spectrum,
@@ -56,13 +54,13 @@ def make_mzi(k2=0.3, delta_len_um=1.0, heater_um=100.0, delta_T=0.0,
 def test_dc_full_transfer_at_beat_length():
     dc = DirectionalCoupler(gap_nm=600.0, length_um=25.0, lc_coeffs_um=(25.0,),
                             lambda_ref_nm=1200.0, lambda_window_nm=WINDOW)
-    assert dc_cross_coupling(dc, 1000.0) == pytest.approx(1.0, abs=1e-15)
+    assert dc.cross_coupling(1000.0) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_dc_zero_length_no_coupling():
     dc = DirectionalCoupler(gap_nm=600.0, length_um=0.0, lc_coeffs_um=(25.0,),
                             lambda_ref_nm=1200.0, lambda_window_nm=WINDOW)
-    assert dc_cross_coupling(dc, 1000.0) == 0.0
+    assert dc.cross_coupling(1000.0) == 0.0
 
 
 def test_dc_default_model_wavelength_trend(cfg):
@@ -91,7 +89,7 @@ def test_mzi_unitarity_1000_draws():
         mzi = make_mzi(k2=rng.uniform(0.02, 0.98),
                        delta_len_um=rng.uniform(0.0, 3.0))
         lam = rng.uniform(*WINDOW)
-        m = mzi_transfer(mzi, lam, delta_T_K=rng.uniform(0.0, 60.0))
+        m = mzi.transfer(lam, delta_T_K=rng.uniform(0.0, 60.0))
         dev = np.max(np.abs(m.conj().T @ m - np.eye(2)))
         worst = max(worst, dev)
     assert worst < 1e-12
@@ -105,7 +103,7 @@ def test_mzi_composite_closed_form():
         mzi = make_mzi(k2=k2, delta_len_um=rng.uniform(0.0, 2.0))
         lam = rng.uniform(*WINDOW)
         dT = rng.uniform(0.0, 50.0)
-        m = mzi_transfer(mzi, lam, delta_T_K=dT)
+        m = mzi.transfer(lam, delta_T_K=dT)
         k_matrix = abs(m[1, 0]) ** 2
         dtheta = float(mzi.arm_phase(lam, dT))
         k_closed = 4.0 * k2 * (1.0 - k2) * math.cos(dtheta / 2.0) ** 2

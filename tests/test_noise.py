@@ -95,13 +95,12 @@ def test_snr_zero_rate_sentinel():
 
 
 def test_noise_point_record():
-    from qfcring.noise import noise_point
-
     ch = make_channel()
-    rec = noise_point(ch, 1e-3, 1.0e4 * 0.9)
-    assert rec.rate_Hz == pytest.approx(fwm_noise_rate(ch, 1e-3), rel=1e-15)
-    assert rec.snr_dB + rec.paper_fom_dB == pytest.approx(
-        10.0 * math.log10(1.0e4 * 0.9), abs=1e-12)
+    rate = fwm_noise_rate(ch, 1e-3)
+    assert isinstance(rate, float)
+    assert rate == pytest.approx(fwm_noise_rate(ch, np.array([1e-3]))[0], rel=1e-15)
+    fom, snr = snr_report(rate, 1.0e4 * 0.9)
+    assert snr + fom == pytest.approx(10.0 * math.log10(1.0e4 * 0.9), abs=1e-12)
 
 
 # --- trade-off -------------------------------------------------------------
