@@ -1,14 +1,19 @@
 #!/usr/bin/env python3
 """Regenerate the golden regression outputs for every experiment.
 
-Run after make_defaults.py whenever the committed defaults change.
+Run after make_defaults.py whenever the committed defaults change.  With
+--check, regenerate into a temporary directory instead, compare byte for
+byte with the committed files, and exit 1 naming every file that differs.
 """
 
 from __future__ import annotations
 
+import argparse
+import filecmp
 import os
 import shutil
 import sys
+import tempfile
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
@@ -16,12 +21,13 @@ from qfcring.config import default_config, emit_config, load_config
 from qfcring.experiments import EXPERIMENTS, run_experiment
 
 TESTS = os.path.join(os.path.dirname(__file__), "..", "tests")
-GOLDEN = os.path.join(TESTS, "golden", "default_run")
-FIXDIR = os.path.join(TESTS, "fixtures")
-GOLDEN_PLANTED = os.path.join(TESTS, "golden", "planted_match")
+# Generated trees relative to the tests dir; fixtures shares its dir with
+# hand-written files, so only the generated names there are compared.
+GOLDEN_DIRS = (os.path.join("golden", "default_run"), os.path.join("golden", "planted_match"))
+FIXTURES = (os.path.join("fixtures", "planted.yaml"), os.path.join("fixtures", "planted_table.csv"))
 
 
-def write_planted_fixture():
+def write_planted_fixture(fixdir):
     """Constant-index device with an exact triple at 350 K (see tests/conftest)."""
     length_nm = 500.0e3
     table = ["wavelength_nm,width_nm,temperature_K,n_eff"]
@@ -30,8 +36,8 @@ def write_planted_fixture():
         for lam in lams:
             n = 2.0 + 3.9e-5 * (t - 350.0)
             table.append(f"{lam:.1f},1500,{t:.1f},{n!r}")
-    os.makedirs(FIXDIR, exist_ok=True)
-    table_path = os.path.join(FIXDIR, "planted_table.csv")
+    os.makedirs(fixdir, exist_ok=True)
+    table_path = os.path.join(fixdir, "planted_table.csv")
     with open(table_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(table) + "\n")
 
@@ -57,32 +63,69 @@ def write_planted_fixture():
         "at T_ring = 350 K (modes 1357 = 616 + 741, poled fraction 0)\n"
         "generated by scripts/make_goldens.py"
     )
-    path = os.path.join(FIXDIR, "planted.yaml")
+    path = os.path.join(fixdir, "planted.yaml")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(emit_config(cfg, header=header))
     return path
 
 
-def main():
-    for where in (GOLDEN, GOLDEN_PLANTED):
+def generate(tests_dir):
+    """Write every golden and fixture under tests_dir."""
+    golden, planted = (os.path.join(tests_dir, d) for d in GOLDEN_DIRS)
+    fixdir = os.path.join(tests_dir, "fixtures")
+    for where in (golden, planted):
         if os.path.isdir(where):
             shutil.rmtree(where)
         os.makedirs(where)
     cfg = default_config()
     for name in EXPERIMENTS:
-        outputs = run_experiment(name, cfg, GOLDEN)
+        outputs = run_experiment(name, cfg, golden)
         print(f"{name}: {len(outputs)} files")
 
-    fixture = write_planted_fixture()
+    fixture = write_planted_fixture(fixdir)
     here = os.getcwd()
-    os.chdir(FIXDIR)  # fixture table path is relative to its directory
+    os.chdir(fixdir)  # fixture table path is relative to its directory
     try:
         planted_cfg = load_config(os.path.basename(fixture))
-        run_experiment("match", planted_cfg, GOLDEN_PLANTED)
+        run_experiment("match", planted_cfg, planted)
     finally:
         os.chdir(here)
-    print(f"golden outputs written to {GOLDEN} and {GOLDEN_PLANTED}")
+    print(f"golden outputs written to {golden} and {planted}")
+
+
+def differing_files(fresh_dir, committed_dir):
+    """Generated paths (relative to the tests dir) whose bytes differ, are missing or extra."""
+    names = set(FIXTURES)
+    for sub in GOLDEN_DIRS:
+        for root in (fresh_dir, committed_dir):
+            if os.path.isdir(os.path.join(root, sub)):
+                names.update(os.path.join(sub, n) for n in os.listdir(os.path.join(root, sub)))
+    differ = []
+    for rel in sorted(names):
+        fresh, committed = os.path.join(fresh_dir, rel), os.path.join(committed_dir, rel)
+        if not (os.path.isfile(fresh) and os.path.isfile(committed)
+                and filecmp.cmp(fresh, committed, shallow=False)):
+            differ.append(rel)
+    return differ
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--check", action="store_true",
+                        help="compare regenerated outputs with the committed ones; "
+                             "write nothing under tests/")
+    args = parser.parse_args()
+    if not args.check:
+        generate(TESTS)
+        return 0
+    with tempfile.TemporaryDirectory() as tmp:
+        generate(tmp)
+        differ = differing_files(tmp, TESTS)
+    for rel in differ:
+        print(f"differs: {rel}")
+    print(f"{len(differ)} generated files differ from the committed ones")
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -13,6 +13,8 @@ exactly on the eta targets; shared: g0_full and g_chi3 (closed forms).
 
 from __future__ import annotations
 
+import heapq
+import json
 import math
 from dataclasses import replace
 
@@ -23,12 +25,12 @@ from .constants import TWO_PI
 from .dispersion import U_SCALE_NM
 from .elements import Device, mode_rates
 from .errors import CalibrationInfeasible, NoFeasibleMatch
-from .matching import MatchResult, find_triple_resonance
+from .matching import MatchResult, find_triple_resonance, verify_match
 from .noise import FwmChannel, fwm_noise_rate
 
-# Heater-length scan used to place the pump near an MZI envelope null while
-# the signal/idler envelopes stay strong: coarse grid, then the branch
-# nearest the base length wins.
+# Heater-length grid used to place the pump near an MZI envelope null while
+# the signal/idler envelopes stay strong.  Grid points are tried nearest the
+# base length first (ties to the shorter heater); the first feasible one wins.
 _HEATER_GRID_UM = 0.25
 
 
@@ -63,14 +65,6 @@ def _required_cross_couplings(device: Device, match: MatchResult, targets: dict)
     return out
 
 
-def _mzi_phase(model, width_nm, t_base_K, dn_dT_per_K, lambda_nm, delta_len_um,
-               heater_um, delta_T_K):
-    beta = float(model.propagation_constant(lambda_nm, t_base_K, width_nm))
-    geo = beta * delta_len_um * 1e-6
-    thermal = TWO_PI / (lambda_nm * 1e-9) * dn_dT_per_K * delta_T_K * heater_um * 1e-6
-    return geo + thermal
-
-
 def _lc_quadratic(points_um, lambda_ref_nm):
     """Exact quadratic through three (lambda_nm, L_c um) anchor points."""
     lam = np.array([p[0] for p in points_um])
@@ -80,6 +74,23 @@ def _lc_quadratic(points_um, lambda_ref_nm):
     return np.linalg.solve(vander, val)
 
 
+def _grid_nearest_first(base_um: float, n_grid: int):
+    """Heater grid indices j = 1..n_grid by increasing (|j * step - base|, j).
+
+    Below the base the cost grows as j falls, above it as j rises, so the
+    order is a merge of two sorted runs.  The step is a power of two, which
+    makes the split index exact.  A non-finite base gives every point the
+    same cost, leaving plain index order.
+    """
+    split = 0
+    if math.isfinite(base_um):
+        split = min(max(math.floor(base_um / _HEATER_GRID_UM), 0), n_grid)
+    below = ((abs(j * _HEATER_GRID_UM - base_um), j) for j in range(split, 0, -1))
+    above = ((abs(j * _HEATER_GRID_UM - base_um), j) for j in range(split + 1, n_grid + 1))
+    for _, j in heapq.merge(below, above):
+        yield j
+
+
 def solve_width_couplings(cfg: dict, device: Device, match: MatchResult) -> dict:
     """(heater_scale, lc_quad_um) hitting the eta anchors at the matched carriers.
 
@@ -87,8 +98,10 @@ def solve_width_couplings(cfg: dict, device: Device, match: MatchResult) -> dict
     carrier fixes the bare coupler strength |k|^2 needed there; feasibility
     requires the three |k|^2 to be solvable, ordered increasing with
     wavelength, and the through-quadratic coupling length positive and
-    non-increasing over the window.  Among feasible heater lengths the one
-    nearest the configured base wins.
+    non-increasing over the window.  Heater lengths on the grid are tried
+    nearest the configured base first (ties to the shorter one), and the
+    first feasible one is returned.  The arm phase is affine in the heater
+    length, so beta is evaluated once per carrier.
     """
     dev_cfg = cfg["device"]
     targets = cfg["calibration_targets"]
@@ -106,51 +119,43 @@ def solve_width_couplings(cfg: dict, device: Device, match: MatchResult) -> dict
     order = ("signal", "idler", "pump")  # increasing wavelength
     lams = [needed[r][0] for r in order]
     ks = [needed[r][1] for r in order]
+    # arm phase = geo + thermal * heater_um * 1e-6, per carrier
+    geos = [float(model.propagation_constant(lam, t_base, width)) * delta_len_um * 1e-6
+            for lam in lams]
+    thermals = [TWO_PI / (lam * 1e-9) * dn_dT * delta_T for lam in lams]
 
     lo, hi = model.lambda_window_nm
-    probe = np.linspace(lo, hi, 97)
+    u = (np.linspace(lo, hi, 97) - model.lambda_ref_nm) / U_SCALE_NM
 
-    best = None
-    n_grid = int(max_um / _HEATER_GRID_UM)
-    for j in range(1, n_grid + 1):
+    for j in _grid_nearest_first(base_um, int(max_um / _HEATER_GRID_UM)):
         heater = j * _HEATER_GRID_UM
         x = []
-        feasible = True
-        for lam, k_req in zip(lams, ks):
-            phase = _mzi_phase(model, width, t_base, dn_dT, lam, delta_len_um,
-                               heater, delta_T)
-            env = math.cos(0.5 * phase) ** 2
+        for geo, thermal, k_req in zip(geos, thermals, ks):
+            env = math.cos(0.5 * (geo + thermal * heater * 1e-6)) ** 2
             if env <= k_req:
-                feasible = False
                 break
             # K = 4 x (1-x) env  ->  small root
             x.append(0.5 * (1.0 - math.sqrt(1.0 - k_req / env)))
-        if not feasible or not (x[0] < x[1] < x[2]):
+        if len(x) < 3 or not (x[0] < x[1] < x[2]):
             continue
         lc_pts = [
             (lam, math.pi * dc_len_um / (2.0 * math.asin(math.sqrt(xi))))
             for lam, xi in zip(lams, x)
         ]
         coeffs = _lc_quadratic(lc_pts, model.lambda_ref_nm)
-        u = (probe - model.lambda_ref_nm) / U_SCALE_NM
         lc_curve = coeffs[0] + coeffs[1] * u + coeffs[2] * u**2
         slope = coeffs[1] + 2.0 * coeffs[2] * u
         if np.any(lc_curve <= 0.0) or np.any(slope > 0.0):
             continue
-        cost = abs(heater - base_um)
-        if best is None or cost < best[0]:
-            best = (cost, heater, coeffs)
-    if best is None:
-        raise CalibrationInfeasible(
-            "anchor 'coupling ratios at the operating MZI drive': no heater "
-            f"length up to {max_um} um places the pump near an envelope null "
-            "while keeping the signal/idler envelopes strong"
-        )
-    _, heater, coeffs = best
-    return {
-        "heater_scale": heater / base_um,
-        "lc_quad_um": [float(c) for c in coeffs],
-    }
+        return {
+            "heater_scale": heater / base_um,
+            "lc_quad_um": [float(c) for c in coeffs],
+        }
+    raise CalibrationInfeasible(
+        "anchor 'coupling ratios at the operating MZI drive': no heater "
+        f"length up to {max_um} um places the pump near an envelope null "
+        "while keeping the signal/idler envelopes strong"
+    )
 
 
 def solve_g_chi3_over_2pi_Hz(cfg: dict, match: MatchResult) -> float:
@@ -184,8 +189,6 @@ def calibrate_config(cfg: dict) -> dict:
     violated anchor (matching failures surface as the triple-resonance
     anchor).
     """
-    import json
-
     out = json.loads(json.dumps({k: v for k, v in cfg.items() if k != "calibration"}))
     constraints = build_constraints(cfg)
     build_dispersion_model(cfg)  # fail early on table problems
@@ -205,6 +208,7 @@ def calibrate_config(cfg: dict) -> dict:
             raise CalibrationInfeasible(
                 f"anchor 'triple resonance' (width {width:g} nm): {exc}"
             ) from exc
+        verify_match(device, match)
         matches[width] = match
         by_width[f"{width:g}"] = solve_width_couplings(cfg, device, match)
 

@@ -28,7 +28,7 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SearchConstraints:
     """Targets and tolerances of the triple-resonance search.
 
@@ -72,7 +72,7 @@ class SearchConstraints:
         return freq_hz(self.signal_wavelength_nm)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ModeSolution:
     """One matched cavity mode: azimuthal number, wavelength and rates."""
 
@@ -95,7 +95,7 @@ class ModeSolution:
         return TWO_PI * self.freq_hz
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MatchResult:
     """A solution of the triple-resonance search.
 

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from qfcring import experiments, matching
+from qfcring import calibration, experiments, matching
 from qfcring.experiments import run_experiment
 
 from conftest import src_env
@@ -18,6 +18,7 @@ SWEPT_WIDTHS = {
     "convert": [1500.0],
     "noise": [1500.0],
     "tradeoff": [1400.0, 1500.0, 1600.0],
+    "calibrate": [1400.0, 1500.0, 1600.0],
 }
 
 
@@ -35,7 +36,7 @@ def test_one_verified_sweep_per_width(cfg, tmp_path, monkeypatch, name):
         verified.append(result)
         return real_verify(device, result, *args, **kwargs)
 
-    for module in (experiments, matching):
+    for module in (calibration, experiments, matching):
         monkeypatch.setattr(module, "find_triple_resonance", counting_find)
         monkeypatch.setattr(module, "verify_match", counting_verify)
     run_experiment(name, cfg, str(tmp_path))

@@ -7,6 +7,8 @@ rather than asserted as physics.
 """
 
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +24,8 @@ from qfcring.builders import (
 from qfcring.conversion import efficiency_vs_power, pump_power_unity_cooperativity
 from qfcring.matching import dispersion_engineering_sweep, find_triple_resonance
 from qfcring.noise import fwm_noise_rate, noise_vs_power
+
+from conftest import src_env
 
 PINNED = json.loads((Path(__file__).parent / "golden" / "regression.json").read_text())
 
@@ -72,3 +76,11 @@ def test_default_noise_curve_stays_low(cfg):
     pin = PINNED["widths"]["1500"]
     got = fwm_noise_rate(channel, pin["p_max_mW"] * 1e-3)
     assert got == pytest.approx(pin["r_fwm_at_p_max_Hz"], rel=1e-9)
+
+
+def test_make_goldens_check_reproduces_committed_outputs(tmp_path):
+    script = Path(__file__).resolve().parent.parent / "scripts" / "make_goldens.py"
+    proc = subprocess.run([sys.executable, str(script), "--check"], capture_output=True,
+                          text=True, cwd=tmp_path, env=src_env())
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "0 generated files differ" in proc.stdout
