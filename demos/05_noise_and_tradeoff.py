@@ -11,15 +11,14 @@ import numpy as np
 
 from qfcring import efficiency_snr_tradeoff, fwm_noise_rate, noise_vs_power, snr_report
 from qfcring.builders import (
-    build_constraints,
-    build_device,
     build_fwm_channel,
     build_twm_system,
     companion_table_rad_s,
+    operating_point,
 )
 from qfcring.config import default_config
 from qfcring.constants import TWO_PI
-from qfcring.matching import dispersion_engineering_sweep
+from qfcring.matching import companion_detuning
 from qfcring.noise import TradeoffVariant
 
 
@@ -31,16 +30,14 @@ def header(title):
 
 def main():
     cfg = default_config()
-    constraints = build_constraints(cfg)
     table = companion_table_rad_s(cfg)
 
     header("1. Noise rate for the default (1500 nm) device")
-    device = build_device(cfg)
-    sweep = dispersion_engineering_sweep([device], constraints, table)
-    var = sweep[0]
-    channel = build_fwm_channel(cfg, var.match, var.companion_detuning)
+    device, matches = operating_point(cfg)
+    detuning, source = companion_detuning(device, matches[0], table)
+    channel = build_fwm_channel(cfg, matches[0], detuning)
     print(f"  companion detuning : {channel.delta_comp / TWO_PI / 1e12:.2f} THz "
-          f"(source: {var.companion_source})")
+          f"(source: {source})")
     rows = noise_vs_power(channel, np.geomspace(0.01e-3, 10e-3, 7))
     print(f"{'P (mW)':>9} {'R_FWM (Hz)':>12}")
     for p, r in rows:
@@ -49,17 +46,18 @@ def main():
           f"{fwm_noise_rate(channel, 2e-3) / fwm_noise_rate(channel, 1e-3):.1f}")
 
     header("2. Efficiency / SNR trade-off across ring widths")
-    widths = [float(w) for w in cfg["experiment"]["widths_nm"]]
-    devices = [build_device(cfg, width_nm=w) for w in widths]
-    sweep = dispersion_engineering_sweep(devices, constraints, table)
+    widths = sorted(float(w) for w in cfg["experiment"]["widths_nm"])
     variants = []
-    for v in sweep:
-        system = build_twm_system(cfg, v.match)
-        ch = build_fwm_channel(cfg, v.match, v.companion_detuning)
-        variants.append(TradeoffVariant(v.width_nm, system, ch))
-        print(f"  width {v.width_nm:6.0f} nm: T_ring = {v.match.t_ring_K:8.3f} K, "
-              f"pump = {v.match.pump.lambda_nm:9.3f} nm, "
-              f"|delta'| = {abs(v.companion_detuning) / TWO_PI / 1e12:.2f} THz")
+    for w in widths:
+        device, matches = operating_point(cfg, width_nm=w)
+        match = matches[0]
+        detuning, _ = companion_detuning(device, match, table)
+        system = build_twm_system(cfg, match)
+        ch = build_fwm_channel(cfg, match, detuning)
+        variants.append(TradeoffVariant(w, system, ch))
+        print(f"  width {w:6.0f} nm: T_ring = {match.t_ring_K:8.3f} K, "
+              f"pump = {match.pump.lambda_nm:9.3f} nm, "
+              f"|delta'| = {abs(detuning) / TWO_PI / 1e12:.2f} THz")
 
     powers = np.geomspace(0.01e-3, 10e-3, 121)
     rate_in = float(cfg["physics"]["signal_input_rate_Hz"])

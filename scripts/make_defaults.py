@@ -38,15 +38,15 @@ from qfcring.config import emit_config, validate_config
 from qfcring.constants import DB_TO_NEPERS_POWER, HBAR_J_S, TWO_PI, freq_hz
 from qfcring.conversion import external_efficiency, pump_power_unity_cooperativity
 from qfcring.builders import (
-    build_constraints,
     build_device,
     build_fwm_channel,
     build_twm_system,
     companion_table_rad_s,
+    operating_point,
 )
 from qfcring.dispersion import fit_dispersion_table, parse_dispersion_table
 from qfcring.elements import Device, RingCavity
-from qfcring.matching import SearchConstraints, dispersion_engineering_sweep, find_triple_resonance
+from qfcring.matching import SearchConstraints, companion_detuning, find_triple_resonance
 from qfcring.noise import fwm_noise_rate
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
@@ -134,7 +134,7 @@ def bare_device(model, width, alpha_db_m=30.0, poling_um=10.0) -> Device:
         ppln_fraction=PPLN_FRACTION,
         poling_period_um=poling_um,
     )
-    return Device(dispersion=model, ring=ring, mzi=None, t_ambient_K=300.0)
+    return Device(dispersion=model, ring=ring, mzi=None)
 
 
 def _aligned_mismatch(model, width, match):
@@ -385,17 +385,16 @@ def main():
     builders._load_model.cache_clear()
 
     # ---- summary + frozen regression constants ---------------------------
-    constraints = build_constraints(cfg)
     regression = {"widths": {}}
+    table = companion_table_rad_s(cfg)
     for width in WIDTHS:
-        device = build_device(cfg, width_nm=width)
-        match = find_triple_resonance(device, constraints)[0]
+        device, matches = operating_point(cfg, width_nm=width)
+        match = matches[0]
         system = build_twm_system(cfg, match)
         p_max = pump_power_unity_cooperativity(system)
         _, eta_ex = external_efficiency(system.with_power(p_max))
-        table = companion_table_rad_s(cfg)
-        sweep = dispersion_engineering_sweep([device], constraints, table)
-        channel = build_fwm_channel(cfg, match, sweep[0].companion_detuning)
+        detuning, _ = companion_detuning(device, match, table)
+        channel = build_fwm_channel(cfg, match, detuning)
         r_at_pmax = fwm_noise_rate(channel, p_max)
         etas = {r: getattr(match, r).eta for r in ("pump", "signal", "idler")}
         print(

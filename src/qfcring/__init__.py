@@ -44,7 +44,6 @@ from .elements import (
 from .matching import (
     MatchResult,
     SearchConstraints,
-    dispersion_engineering_sweep,
     find_triple_resonance,
     verify_match,
 )

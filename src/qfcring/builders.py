@@ -14,7 +14,7 @@ from .dispersion import (
 )
 from .elements import Device, DirectionalCoupler, MziCoupler, RingCavity
 from .errors import ConfigError
-from .matching import MatchResult, SearchConstraints
+from .matching import MatchResult, SearchConstraints, find_triple_resonance, verify_match
 from .noise import FwmChannel
 
 
@@ -82,12 +82,7 @@ def build_device(cfg: dict, width_nm=None, with_coupler=True) -> Device:
             width_nm=width,
             t_base_K=float(dev["ambient_temperature_K"]),
         )
-    return Device(
-        dispersion=model,
-        ring=ring,
-        mzi=mzi,
-        t_ambient_K=float(dev["ambient_temperature_K"]),
-    )
+    return Device(dispersion=model, ring=ring, mzi=mzi)
 
 
 def build_constraints(cfg: dict) -> SearchConstraints:
@@ -105,6 +100,19 @@ def build_constraints(cfg: dict) -> SearchConstraints:
         t_step_K=None if step_mK == 0.0 else step_mK * 1e-3,
         require_qpm=bool(c["require_qpm"]),
     )
+
+
+def operating_point(cfg: dict, width_nm=None, with_coupler=True):
+    """Device at one width and its matches, best first.
+
+    One sweep, then the best match is verified from raw dispersion before
+    any caller reads it.  Raises NoFeasibleMatch when nothing matches and
+    StaleResult when the best match does not re-derive.
+    """
+    device = build_device(cfg, width_nm=width_nm, with_coupler=with_coupler)
+    matches = find_triple_resonance(device, build_constraints(cfg))
+    verify_match(device, matches[0])
+    return device, matches
 
 
 def g0_from_config(cfg: dict) -> float:

@@ -20,12 +20,12 @@ from dataclasses import replace
 
 import numpy as np
 
-from .builders import build_constraints, build_device, build_dispersion_model
+from .builders import build_device, operating_point
 from .constants import TWO_PI
 from .dispersion import U_SCALE_NM
 from .elements import Device, mode_rates
 from .errors import CalibrationInfeasible, NoFeasibleMatch
-from .matching import MatchResult, find_triple_resonance, verify_match
+from .matching import MatchResult
 from .noise import FwmChannel, fwm_noise_rate
 
 # Heater-length grid used to place the pump near an MZI envelope null while
@@ -183,16 +183,13 @@ def solve_g_chi3_over_2pi_Hz(cfg: dict, match: MatchResult) -> float:
 def calibrate_config(cfg: dict) -> dict:
     """Return a copy of cfg with a freshly solved calibration block.
 
-    Per width in experiment.widths_nm: match (dispersion only), then solve
-    the coupling anchors at the matched carriers.  g_chi3 is anchored on the
-    primary width's pump mode.  Raises CalibrationInfeasible naming the
-    violated anchor (matching failures surface as the triple-resonance
-    anchor).
+    Per width in experiment.widths_nm: the verified bare-ring operating
+    point, then the coupling anchors solved at its matched carriers.  g_chi3
+    is anchored on the primary width's pump mode.  Raises
+    CalibrationInfeasible naming the violated anchor (matching failures
+    surface as the triple-resonance anchor).
     """
     out = json.loads(json.dumps({k: v for k, v in cfg.items() if k != "calibration"}))
-    constraints = build_constraints(cfg)
-    build_dispersion_model(cfg)  # fail early on table problems
-
     widths = [float(w) for w in cfg["experiment"]["widths_nm"]]
     primary = float(cfg["device"]["width_nm"])
     if primary not in widths:
@@ -201,16 +198,14 @@ def calibrate_config(cfg: dict) -> dict:
     by_width = {}
     matches = {}
     for width in sorted(widths):
-        device = build_device(cfg, width_nm=width, with_coupler=False)
         try:
-            match = find_triple_resonance(device, constraints)[0]
+            device, found = operating_point(cfg, width_nm=width, with_coupler=False)
         except NoFeasibleMatch as exc:
             raise CalibrationInfeasible(
                 f"anchor 'triple resonance' (width {width:g} nm): {exc}"
             ) from exc
-        verify_match(device, match)
-        matches[width] = match
-        by_width[f"{width:g}"] = solve_width_couplings(cfg, device, match)
+        matches[width] = found[0]
+        by_width[f"{width:g}"] = solve_width_couplings(cfg, device, found[0])
 
     g0_full = solve_g0_full_over_2pi_MHz(cfg["calibration_targets"],
                                          float(cfg["device"]["ppln_fraction"]))

@@ -8,8 +8,10 @@ keyed by a canonical sha256 hash.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
+from functools import lru_cache
 from importlib import resources
 
 import yaml
@@ -180,22 +182,32 @@ def _validate_width_maps(cfg: dict):
 
 
 def load_config(path=None) -> dict:
-    """Load and validate a YAML config; None loads the packaged default."""
+    """Load and validate a YAML config; None loads the packaged default.
+
+    The packaged default is parsed once per process; every call returns a
+    fresh copy, so callers may mutate it.
+    """
     if path is None:
-        text = default_config_text()
-        source = "<packaged default>"
-    else:
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}") from None
-        source = str(path)
+        return copy.deepcopy(_packaged_config())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from None
+    return _parse_config(text, str(path))
+
+
+def _parse_config(text: str, source: str) -> dict:
     try:
         cfg = yaml.safe_load(text)
     except yaml.YAMLError as exc:
         raise ConfigError(f"{source}: YAML parse error: {exc}") from None
     return validate_config(cfg)
+
+
+@lru_cache(maxsize=1)
+def _packaged_config() -> dict:
+    return _parse_config(default_config_text(), "<packaged default>")
 
 
 def default_config_text() -> str:
@@ -204,7 +216,7 @@ def default_config_text() -> str:
 
 
 def default_config() -> dict:
-    return validate_config(yaml.safe_load(default_config_text()))
+    return load_config(None)
 
 
 # --------------------------------------------------------------------------

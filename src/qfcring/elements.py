@@ -183,16 +183,11 @@ class RingCavity:
 
 @dataclass(frozen=True)
 class Device:
-    """A complete converter: dispersion model + ring + (optionally) MZI coupler.
-
-    t_ambient_K is the chip temperature away from the ring tuner; the MZI
-    arm phase is evaluated there.
-    """
+    """A complete converter: dispersion model + ring + (optionally) MZI coupler."""
 
     dispersion: DispersionModel
     ring: RingCavity
     mzi: MziCoupler | None = None
-    t_ambient_K: float = 300.0
 
     @property
     def width_nm(self) -> float:

@@ -14,10 +14,10 @@ import numpy as np
 
 from .builders import (
     build_constraints,
-    build_device,
     build_fwm_channel,
     build_twm_system,
     companion_table_rad_s,
+    operating_point,
     resolved_metadata,
 )
 from .calibration import CALIBRATION_COMMENTS, calibrate_config
@@ -26,13 +26,7 @@ from .constants import C_M_PER_S, TWO_PI, freq_hz
 from .conversion import efficiency_vs_power, pump_power_unity_cooperativity
 from .elements import coupling_ratio, resonance_comb, ring_spectrum
 from .errors import ConfigError, NoFeasibleMatch, NumericalFailure, UnmatchedVariant
-from .matching import (
-    NO_COMPANION,
-    companion_detuning,
-    find_triple_resonance,
-    sweep_step_K,
-    verify_match,
-)
+from .matching import companion_detuning, sweep_step_K
 from .noise import TradeoffVariant, efficiency_snr_tradeoff, noise_vs_power
 
 EXPERIMENTS = ("spectrum", "couplings", "match", "convert", "noise", "tradeoff",
@@ -80,23 +74,12 @@ def _power_grid_W(cfg):
     return grid * 1e-3
 
 
-def _operating_point(cfg, width_nm=None, with_coupler=True):
-    """Device at one width and its matches, best first.
-
-    One sweep, then the best match is verified from raw dispersion before
-    any experiment reads it.
-    """
-    device = build_device(cfg, width_nm=width_nm, with_coupler=with_coupler)
-    matches = find_triple_resonance(device, build_constraints(cfg))
-    verify_match(device, matches[0])
-    return device, matches
-
-
 def _fwm_channel(cfg, device, match):
     """FWM channel at a match and the source of its companion detuning."""
     detuning, source = companion_detuning(device, match, companion_table_rad_s(cfg))
     if detuning is None:
-        raise UnmatchedVariant(f"width {device.width_nm:g} nm: {NO_COMPANION}")
+        raise UnmatchedVariant(f"width {device.width_nm:g} nm: companion line outside "
+                               "window and no table entry")
     return build_fwm_channel(cfg, match, detuning), source
 
 
@@ -122,7 +105,7 @@ def _rates_meta(match, system):
 # --------------------------------------------------------------------------
 
 def run_match(cfg, out_dir):
-    device, results = _operating_point(cfg, with_coupler=bool(cfg.get("calibration")))
+    device, results = operating_point(cfg, with_coupler=bool(cfg.get("calibration")))
     constraints = build_constraints(cfg)
     best = results[0]
     outputs = []
@@ -172,7 +155,7 @@ def _constraints_dict(c):
 
 
 def run_convert(cfg, out_dir):
-    _, matches = _operating_point(cfg)
+    _, matches = operating_point(cfg)
     match = matches[0]
     system = build_twm_system(cfg, match)
     powers = _power_grid_W(cfg)
@@ -184,7 +167,7 @@ def run_convert(cfg, out_dir):
 
 
 def run_noise(cfg, out_dir):
-    device, matches = _operating_point(cfg)
+    device, matches = operating_point(cfg)
     match = matches[0]
     system = build_twm_system(cfg, match)
     channel, source = _fwm_channel(cfg, device, match)
@@ -204,7 +187,7 @@ def run_tradeoff(cfg, out_dir):
     sources = {}
     for width in sorted(float(w) for w in cfg["experiment"]["widths_nm"]):
         try:
-            device, matches = _operating_point(cfg, width_nm=width)
+            device, matches = operating_point(cfg, width_nm=width)
         except NoFeasibleMatch as exc:
             raise UnmatchedVariant(f"width {width:g} nm: {exc}") from exc
         match = matches[0]
@@ -230,7 +213,7 @@ def run_tradeoff(cfg, out_dir):
 
 
 def run_couplings(cfg, out_dir):
-    device, matches = _operating_point(cfg)
+    device, matches = operating_point(cfg)
     match = matches[0]
     exp = cfg["experiment"]
     outputs = []
@@ -262,7 +245,7 @@ def run_couplings(cfg, out_dir):
 
 
 def run_spectrum(cfg, out_dir):
-    device, matches = _operating_point(cfg)
+    device, matches = operating_point(cfg)
     match = matches[0]
     exp = cfg["experiment"]
     span_hz = float(exp["spectrum_span_GHz"]) * 1e9

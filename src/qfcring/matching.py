@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -481,75 +481,26 @@ def verify_match(device: Device, result: MatchResult, rel_tol: float = 1e-9) -> 
     return report
 
 
-NO_COMPANION = "companion line outside window and no table entry"
-
-
-@dataclass(frozen=True)
-class WidthVariant:
-    """Best match for one ring width plus its FWM companion detuning."""
-
-    width_nm: float
-    match: MatchResult | None
-    companion_detuning: float | None   # rad/s, sign allowed
-    companion_source: str              # "comb" | "table" | "none"
-    error: str = ""
-
-
-def companion_mode_detuning(device: Device, match: MatchResult):
-    """Comb-derived companion detuning 2 w_p - w_i -> nearest phase-matched line.
-
-    The four-wave-mixing companion carries azimuthal number 2 m_p - m_i.
-    Returns delta' in rad/s, or None when that comb line falls outside the
-    dispersion window.
-    """
-    m_comp = 2 * match.pump.m - match.idler.m
-    f_target = 2.0 * match.pump.freq_hz - match.idler.freq_hz
-    if f_target <= 0.0 or m_comp <= 0:
-        return None
-    model = device.dispersion
-    length_nm = device.ring.length_m * 1e9
-    lam = float(solve_resonance_wavelength(model, device.width_nm, length_nm,
-                                           m_comp, match.t_ring_K))
-    lo, hi = model.lambda_window_nm
-    if not lo <= lam <= hi:
-        return None
-    f_comp = C_M_PER_S / (lam * 1e-9)
-    return TWO_PI * (f_comp - f_target)
-
-
 def companion_detuning(device: Device, match: MatchResult, companion_table=None):
     """(delta' in rad/s, source) of the FWM companion mode at a match.
 
-    The comb line wins ("comb"); when it leaves the dispersion window the
-    table entry for the device width is used ("table"); otherwise
-    (None, "none").  companion_table maps width (nm) -> delta' (rad/s).
+    The four-wave-mixing companion carries azimuthal number 2 m_p - m_i;
+    delta' is its comb line's frequency minus 2 w_p - w_i.  That comb line
+    wins ("comb"); when it leaves the dispersion window the table entry for
+    the device width is used ("table"); otherwise (None, "none").
+    companion_table maps width (nm) -> delta' (rad/s).
     """
-    comb = companion_mode_detuning(device, match)
-    if comb is not None:
-        return comb, "comb"
+    m_comp = 2 * match.pump.m - match.idler.m
+    f_target = 2.0 * match.pump.freq_hz - match.idler.freq_hz
+    if f_target > 0.0 and m_comp > 0:
+        model = device.dispersion
+        lam = float(solve_resonance_wavelength(model, device.width_nm,
+                                               device.ring.length_m * 1e9,
+                                               m_comp, match.t_ring_K))
+        lo, hi = model.lambda_window_nm
+        if lo <= lam <= hi:
+            return TWO_PI * (C_M_PER_S / (lam * 1e-9) - f_target), "comb"
     table = companion_table or {}
     if device.width_nm in table:
         return float(table[device.width_nm]), "table"
     return None, "none"
-
-
-def dispersion_engineering_sweep(devices, constraints: SearchConstraints,
-                                 companion_table=None):
-    """Best match per device width plus the companion-mode detuning.
-
-    The companion detuning follows `companion_detuning`.  A width with no
-    feasible match yields a WidthVariant carrying the error instead of
-    aborting the sweep; results are ordered by width.
-    """
-    out = []
-    for device in sorted(devices, key=lambda d: d.width_nm):
-        width = device.width_nm
-        try:
-            match = find_triple_resonance(device, constraints)[0]
-        except NoFeasibleMatch as exc:
-            out.append(WidthVariant(width, None, None, "none", error=str(exc)))
-            continue
-        detuning, source = companion_detuning(device, match, companion_table)
-        error = "" if detuning is not None else NO_COMPANION
-        out.append(WidthVariant(width, match, detuning, source, error=error))
-    return out

@@ -13,11 +13,10 @@ import numpy as np
 import pytest
 
 from qfcring.builders import (
-    build_constraints,
-    build_device,
     build_fwm_channel,
     build_twm_system,
     companion_table_rad_s,
+    operating_point,
 )
 from qfcring.config import default_config
 from qfcring.constants import HBAR_J_S, TWO_PI
@@ -32,7 +31,7 @@ from qfcring.conversion import (
     steady_state_conversion,
 )
 from qfcring.experiments import EXPERIMENTS, run_experiment
-from qfcring.matching import dispersion_engineering_sweep, find_triple_resonance
+from qfcring.matching import companion_detuning, find_triple_resonance
 from qfcring.noise import TradeoffVariant, efficiency_snr_tradeoff, fwm_noise_rate, noise_vs_power
 
 from conftest import brute_force_best, oracle_fixtures
@@ -129,8 +128,8 @@ def test_criterion_3_time_domain_oracle():
 def test_criterion_4_paper_figure_anchors():
     """Calibrated defaults: peak efficiency, noise rate, quadratic slope."""
     cfg = default_config()
-    device = build_device(cfg)
-    match = find_triple_resonance(device, build_constraints(cfg))[0]
+    device, matches = operating_point(cfg)
+    match = matches[0]
     system = build_twm_system(cfg, match)
 
     powers = np.geomspace(0.01e-3, 10e-3, 241)
@@ -140,9 +139,8 @@ def test_criterion_4_paper_figure_anchors():
     assert 0.85 <= peak_eta <= 0.95
     assert 0.3e-3 <= peak_p <= 3e-3
 
-    sweep = dispersion_engineering_sweep([device], build_constraints(cfg),
-                                         companion_table_rad_s(cfg))
-    channel = build_fwm_channel(cfg, match, sweep[0].companion_detuning)
+    detuning, _ = companion_detuning(device, match, companion_table_rad_s(cfg))
+    channel = build_fwm_channel(cfg, match, detuning)
     r_at_peak = fwm_noise_rate(channel, peak_p)
     assert r_at_peak < 0.1
 
@@ -212,15 +210,14 @@ def test_criterion_6_matcher_correctness():
 def test_criterion_7_dispersion_engineering_ordering():
     """1.4 um width achieves the best noise figure at its peak efficiency."""
     cfg = default_config()
-    constraints = build_constraints(cfg)
     table = companion_table_rad_s(cfg)
-    devices = [build_device(cfg, width_nm=w) for w in (1400.0, 1500.0, 1600.0)]
-    sweep = dispersion_engineering_sweep(devices, constraints, table)
     variants = []
-    for var in sweep:
-        system = build_twm_system(cfg, var.match)
-        channel = build_fwm_channel(cfg, var.match, var.companion_detuning)
-        variants.append(TradeoffVariant(var.width_nm, system, channel))
+    for width in (1400.0, 1500.0, 1600.0):
+        device, matches = operating_point(cfg, width_nm=width)
+        detuning, _ = companion_detuning(device, matches[0], table)
+        system = build_twm_system(cfg, matches[0])
+        channel = build_fwm_channel(cfg, matches[0], detuning)
+        variants.append(TradeoffVariant(width, system, channel))
     powers = np.geomspace(0.01e-3, 10e-3, 121)
     rows, best_width = efficiency_snr_tradeoff(
         variants, powers, float(cfg["physics"]["signal_input_rate_Hz"]))

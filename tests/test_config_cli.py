@@ -16,7 +16,9 @@ from qfcring.config import (
     apply_overrides,
     config_hash,
     default_config,
+    default_config_text,
     emit_config,
+    load_config,
     validate_config,
 )
 from qfcring.errors import ConfigError
@@ -32,6 +34,23 @@ def run_cli(args, cwd):
 def test_default_config_valid(cfg):
     assert cfg["device"]["width_nm"] == 1500.0
     assert config_hash(cfg) == config_hash(default_config())
+
+
+def test_packaged_config_parsed_once_and_copied(monkeypatch):
+    first = load_config(None)
+    first["device"]["width_nm"] = 1.0
+    first["physics"]["fwm_companion_detuning_THz_by_width"].clear()
+
+    def no_reparse(text):
+        raise AssertionError("packaged config parsed again")
+
+    monkeypatch.setattr(yaml, "safe_load", no_reparse)
+    again = load_config(None)
+    monkeypatch.undo()
+    fresh = validate_config(yaml.safe_load(default_config_text()))
+    assert again == fresh
+    assert config_hash(again) == config_hash(fresh)
+    assert default_config() == fresh
 
 
 def test_unknown_key_named():
@@ -179,7 +198,8 @@ def test_cli_unknown_key_exit_2(tmp_path):
     ("noise", "NoFeasibleMatch", ""),
     # the trade-off names the first infeasible width, then the matcher's message
     ("tradeoff", "UnmatchedVariant", "width 1400 nm: "),
-], ids=["match", "noise", "tradeoff"])
+    ("calibrate", "CalibrationInfeasible", "anchor 'triple resonance' (width 1400 nm): "),
+], ids=["match", "noise", "tradeoff", "calibrate"])
 def test_cli_infeasible_exit_3(tmp_path, experiment, error, prefix):
     # 727 nm signal puts the idler outside its window: honest infeasibility
     proc = run_cli([experiment, "--override", "signal_wavelength_nm=727.0",

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from qfcring import calibration, experiments, matching
+from qfcring import builders, matching
 from qfcring.experiments import run_experiment
 
 from conftest import src_env
@@ -36,7 +36,7 @@ def test_one_verified_sweep_per_width(cfg, tmp_path, monkeypatch, name):
         verified.append(result)
         return real_verify(device, result, *args, **kwargs)
 
-    for module in (calibration, experiments, matching):
+    for module in (builders, matching):
         monkeypatch.setattr(module, "find_triple_resonance", counting_find)
         monkeypatch.setattr(module, "verify_match", counting_verify)
     run_experiment(name, cfg, str(tmp_path))

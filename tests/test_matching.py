@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from qfcring import matching
-from qfcring.builders import build_constraints, build_device
+from qfcring.builders import build_constraints, build_device, operating_point
+from qfcring.config import apply_overrides
 from qfcring.constants import C_M_PER_S, TWO_PI
 from qfcring.elements import Device, solve_resonance_wavelength
 from qfcring.errors import (
@@ -19,8 +20,7 @@ from qfcring.errors import (
 from qfcring.matching import (
     _m_range,
     _signal_bracket,
-    companion_mode_detuning,
-    dispersion_engineering_sweep,
+    companion_detuning,
     find_triple_resonance,
     sweep_step_K,
     verify_match,
@@ -236,39 +236,30 @@ def test_bracket_falls_back_to_full_grid_without_thermo_optic_shift(slope):
     assert np.all(keep)
 
 
-# --- dispersion-engineering sweep ------------------------------------------
+# --- operating point and companion detuning --------------------------------
 
-def test_sweep_composition_and_permutation(cfg):
-    constraints = build_constraints(cfg)
-    table = {1400.0: 1.0, 1500.0: 2.0, 1600.0: 3.0}
-    devices = [build_device(cfg, width_nm=w) for w in (1400.0, 1500.0, 1600.0)]
-    sweep = dispersion_engineering_sweep(devices, constraints, table)
-    assert [v.width_nm for v in sweep] == [1400.0, 1500.0, 1600.0]
-    single = dispersion_engineering_sweep([devices[1]], constraints, table)[0]
-    direct = find_triple_resonance(devices[1], constraints)[0]
-    assert single.match.t_ring_K == direct.t_ring_K
-    assert single.match.mismatch_Hz == direct.mismatch_Hz
-    # permuting the device list permutes nothing (output ordered by width)
-    shuffled = dispersion_engineering_sweep(devices[::-1], constraints, table)
-    for a, b in zip(sweep, shuffled):
-        assert a.width_nm == b.width_nm and a.match.t_ring_K == b.match.t_ring_K
-
-
-def test_sweep_companion_from_table_for_default_window(cfg):
-    constraints = build_constraints(cfg)
-    device = build_device(cfg)
-    sweep = dispersion_engineering_sweep([device], constraints,
-                                         {1500.0: TWO_PI * 1.0e12})
-    assert sweep[0].companion_source == "table"
-    assert sweep[0].companion_detuning == pytest.approx(TWO_PI * 1.0e12)
+@pytest.mark.parametrize("width", [1400.0, 1500.0, 1600.0])
+def test_verified_sweep_equals_direct_sweep(cfg, width):
+    device, matches = operating_point(cfg, width_nm=width)
+    assert device == build_device(cfg, width_nm=width)
+    direct = find_triple_resonance(device, build_constraints(cfg))
+    assert [m.as_dict() for m in matches] == [m.as_dict() for m in direct]
 
 
 def test_sweep_propagates_infeasible_width(cfg):
-    constraints = build_constraints(cfg)
-    impossible = dataclasses.replace(constraints, max_mismatch_Hz=1e-3)
-    devices = [build_device(cfg, width_nm=w) for w in (1400.0, 1500.0)]
-    sweep = dispersion_engineering_sweep(devices, impossible, {})
-    assert all(v.match is None and v.error for v in sweep)
+    # YAML reads a bare 1e-9 as a string, so the override spells out 1.0e-9
+    impossible = apply_overrides(cfg, ["constraints.max_mismatch_MHz=1.0e-9"])
+    for width in (1400.0, 1500.0):
+        with pytest.raises(NoFeasibleMatch):
+            operating_point(impossible, width_nm=width)
+
+
+def test_sweep_companion_from_table_for_default_window(cfg):
+    device, matches = operating_point(cfg)
+    got = companion_detuning(device, matches[0], {1500.0: TWO_PI * 1.0e12})
+    assert got == (pytest.approx(TWO_PI * 1.0e12), "table")
+    assert companion_detuning(device, matches[0], {}) == (None, "none")
+    assert companion_detuning(device, matches[0]) == (None, "none")
 
 
 def test_companion_comb_path_wide_window():
@@ -278,10 +269,9 @@ def test_companion_comb_path_wide_window():
                          window=(600.0, 2400.0))
     wide = Device(dispersion=model, ring=device.ring)
     match = find_triple_resonance(wide, constraints)[0]
-    got = companion_mode_detuning(wide, match)
-    assert got is not None
+    got, source = companion_detuning(wide, match, {})
+    assert source == "comb"
     # long-range second difference of the strongly curved comb: THz scale
     assert 0.0 < abs(got) / TWO_PI < 2e13
-    sweep = dispersion_engineering_sweep([wide], constraints, {})
-    assert sweep[0].companion_source == "comb"
-    assert sweep[0].companion_detuning == pytest.approx(got)
+    # the comb line wins over a table entry for the same width
+    assert companion_detuning(wide, match, {WIDTH: 1.0}) == (got, "comb")

@@ -20,9 +20,10 @@ from qfcring.builders import (
     build_fwm_channel,
     build_twm_system,
     companion_table_rad_s,
+    operating_point,
 )
 from qfcring.conversion import efficiency_vs_power, pump_power_unity_cooperativity
-from qfcring.matching import dispersion_engineering_sweep, find_triple_resonance
+from qfcring.matching import companion_detuning, find_triple_resonance
 from qfcring.noise import fwm_noise_rate, noise_vs_power
 
 from conftest import src_env
@@ -65,12 +66,9 @@ def test_default_efficiency_curve_shape(cfg):
 
 
 def test_default_noise_curve_stays_low(cfg):
-    device = build_device(cfg)
-    constraints = build_constraints(cfg)
-    match = find_triple_resonance(device, constraints)[0]
-    sweep = dispersion_engineering_sweep([device], constraints,
-                                         companion_table_rad_s(cfg))
-    channel = build_fwm_channel(cfg, match, sweep[0].companion_detuning)
+    device, matches = operating_point(cfg)
+    detuning, _ = companion_detuning(device, matches[0], companion_table_rad_s(cfg))
+    channel = build_fwm_channel(cfg, matches[0], detuning)
     rows = noise_vs_power(channel, np.geomspace(0.01e-3, 10e-3, 61))
     assert np.all(rows[:, 1] < 10.0)
     pin = PINNED["widths"]["1500"]
