@@ -88,18 +88,21 @@ def build_device(cfg: dict, width_nm=None, with_coupler=True) -> Device:
 def build_constraints(cfg: dict) -> SearchConstraints:
     c = cfg["constraints"]
     step_mK = float(c["t_step_mK"])
-    return SearchConstraints(
-        signal_wavelength_nm=float(cfg["physics"]["signal_wavelength_nm"]),
-        max_signal_detuning_Hz=float(c["max_signal_detuning_MHz"]) * 1e6,
-        max_mismatch_Hz=float(c["max_mismatch_MHz"]) * 1e6,
-        pump_base_nm=float(c["pump_base_wavelength_nm"]),
-        idler_base_nm=float(c["idler_base_wavelength_nm"]),
-        half_window_nm=float(c["half_window_nm"]),
-        t_min_K=float(c["t_ring_min_K"]),
-        t_max_K=float(c["t_ring_max_K"]),
-        t_step_K=None if step_mK == 0.0 else step_mK * 1e-3,
-        require_qpm=bool(c["require_qpm"]),
-    )
+    try:
+        return SearchConstraints(
+            signal_wavelength_nm=float(cfg["physics"]["signal_wavelength_nm"]),
+            max_signal_detuning_Hz=float(c["max_signal_detuning_MHz"]) * 1e6,
+            max_mismatch_Hz=float(c["max_mismatch_MHz"]) * 1e6,
+            pump_base_nm=float(c["pump_base_wavelength_nm"]),
+            idler_base_nm=float(c["idler_base_wavelength_nm"]),
+            half_window_nm=float(c["half_window_nm"]),
+            t_min_K=float(c["t_ring_min_K"]),
+            t_max_K=float(c["t_ring_max_K"]),
+            t_step_K=None if step_mK == 0.0 else step_mK * 1e-3,
+            require_qpm=bool(c["require_qpm"]),
+        )
+    except ValueError as exc:
+        raise ConfigError(f"invalid constraints: {exc}") from None
 
 
 def operating_point(cfg: dict, width_nm=None, with_coupler=True):

@@ -179,6 +179,10 @@ def efficiency_vs_power(sys: TwmSystem, powers_W):
 # Time-domain mean-field integrator (verification oracle)
 # --------------------------------------------------------------------------
 
+_RESIDUAL_TOL = 1e-9  # relative equilibrium residual of `converged`
+_CHECK_EVERY = 200    # steady-state steps between two convergence tests
+
+
 @dataclass(frozen=True)
 class MeanFieldTrajectory:
     times: np.ndarray
@@ -205,7 +209,9 @@ def evolve_mean_field(sys: TwmSystem, initial=(0j, 0j, 0j), dt=None, steps=None,
     `delta` fields with d_c = d_s - d_p - mismatch for the idler.
 
     Raises StepSizeTooLarge when dt * max(kappa, g|a|, |delta|) >= 0.1 and
-    NonFinite if amplitudes overflow.  Bitwise deterministic for fixed dt.
+    NonFinite if amplitudes overflow.  Bitwise deterministic for fixed dt; the
+    last step is always sampled, so resuming from final() is bit-identical.
+    converged: |f_x| < _RESIDUAL_TOL * min(kappa) * |x| at the end for x = a, b, c.
     """
     if steps is None or steps < 1:
         raise DomainError("steps must be >= 1")
@@ -239,7 +245,7 @@ def evolve_mean_field(sys: TwmSystem, initial=(0j, 0j, 0j), dt=None, steps=None,
             cc * yc - 1j * g * ya.conjugate() * yb,
         )
 
-    n_samples = steps // sample_stride + 1
+    n_samples = -(-steps // sample_stride) + 1  # every stride-th step and the last
     times = np.empty(n_samples)
     traj_a = np.empty(n_samples, dtype=complex)
     traj_b = np.empty(n_samples, dtype=complex)
@@ -265,21 +271,13 @@ def evolve_mean_field(sys: TwmSystem, initial=(0j, 0j, 0j), dt=None, steps=None,
                 raise StepSizeTooLarge(
                     f"nonlinear rate g|a| grew past the stability bound at step {step}"
                 )
-        if step % sample_stride == 0:
+        if step % sample_stride == 0 or step == steps:
             times[idx] = step * dt
             traj_a[idx], traj_b[idx], traj_c[idx] = a, b, c
             idx += 1
 
-    times = times[:idx]
-    traj_a, traj_b, traj_c = traj_a[:idx], traj_b[:idx], traj_c[:idx]
-
-    # Converged when populations move by < 1e-10 (rel) over the last 1% of steps.
-    tail = max(2, int(0.01 * idx))
-    converged = False
-    if idx >= tail:
-        pops = np.abs(traj_a[-tail:]) ** 2 + np.abs(traj_b[-tail:]) ** 2 + np.abs(traj_c[-tail:]) ** 2
-        ref = max(pops.max(), 1e-300)
-        converged = bool((pops.max() - pops.min()) / ref < 1e-10)
+    tol = _RESIDUAL_TOL * min(kp, ks, ki)
+    converged = all(abs(f) < tol * abs(x) for f, x in zip(rhs(a, b, c), (a, b, c)))
     return MeanFieldTrajectory(times, traj_a, traj_b, traj_c, converged)
 
 
@@ -290,33 +288,34 @@ def steady_state_conversion(sys: TwmSystem, signal_flux=None, dt=None, steps=Non
     linearized regime holds, integrates to steady state, and reports the
     output-idler flux over the input-signal flux:
     eta_ex = kappa_i_ex |c_ss|^2 / signal_flux.
+
+    dt defaults to 0.05/fast, fast covering every rate the step-size guard
+    measures (d_c and g * 4 sqrt(k_p_ex) s_in / k_p too); RK4's fixed point is
+    the exact steady state at any stable dt.  Chunks of _CHECK_EVERY steps
+    resume from the last until one ends converged; steps (default 320/slow of
+    time, slow the smallest kappa) is the budget, then NumericalFailure.
     """
-    n_pump = float(intracavity_pump(
-        sys.pump_power_W, sys.pump.omega, sys.pump.kappa_tot, sys.pump.kappa_ex,
-        sys.pump.delta,
-    ))
+    kp = sys.pump.kappa_tot
+    drive_p = math.sqrt(sys.pump.kappa_ex * sys.pump_power_W / (HBAR_J_S * sys.pump.omega))
     if signal_flux is None:
-        # target steady |b| ~ 1e-3 |alpha|
+        # target steady |b| ~ 1e-3 |alpha|, |alpha|^2 = s_in^2 / (d_p^2 + k_p^2/4)
+        n_pump = drive_p**2 / (sys.pump.delta**2 + 0.25 * kp**2)
         signal_flux = 1e-6 * n_pump * sys.signal.kappa_tot**2 / (4.0 * max(sys.signal.kappa_ex, 1e-300))
-    rates = [sys.pump.kappa_tot, sys.signal.kappa_tot, sys.idler.kappa_tot,
-             abs(sys.pump.delta), abs(sys.signal.delta), abs(sys.mismatch),
-             sys.g0 * math.sqrt(n_pump)]
-    fast = max(rates)
-    slow = min(sys.pump.kappa_tot, sys.signal.kappa_tot, sys.idler.kappa_tot)
-    if dt is None:
-        dt = 0.01 / fast
-    if steps is None:
-        steps = int(40.0 / (slow * dt)) + 1
-    traj = None
-    for _ in range(4):  # strong-coupling draws can ring; double the horizon
-        traj = evolve_mean_field(sys, dt=dt, steps=steps, signal_flux=signal_flux,
-                                 sample_stride=max(1, steps // 400))
+    d_c = sys.signal.delta - sys.pump.delta - sys.mismatch
+    slow = min(kp, sys.signal.kappa_tot, sys.idler.kappa_tot)
+    fast = max(kp, sys.signal.kappa_tot, sys.idler.kappa_tot, abs(sys.pump.delta),
+               abs(sys.signal.delta), abs(d_c), sys.g0 * 4.0 * drive_p / kp)
+    dt = 0.05 / fast if dt is None else dt
+    steps = int(320.0 / (slow * dt)) + 1 if steps is None else steps
+    state = (0j, 0j, 0j)
+    for _ in range(-(-steps // _CHECK_EVERY)):
+        traj = evolve_mean_field(sys, initial=state, dt=dt, steps=_CHECK_EVERY,
+                                 signal_flux=signal_flux, sample_stride=_CHECK_EVERY)
+        state = traj.final()
         if traj.converged:
             break
-        steps *= 2
-    if not traj.converged:
+    else:
         raise NumericalFailure("steady state not reached; increase steps")
-    _, _, c_ss = traj.final()
-    eta_ex = sys.idler.kappa_ex * abs(c_ss) ** 2 / signal_flux
+    eta_ex = sys.idler.kappa_ex * abs(state[2]) ** 2 / signal_flux
     eta_int = eta_ex / (sys.signal.eta * sys.idler.eta)
     return eta_int, eta_ex

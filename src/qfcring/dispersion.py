@@ -5,9 +5,6 @@ n_eff(lambda) about a reference wavelength plus a linear thermo-optic
 shift.  Widths are discrete design choices; interpolating between them is
 deliberately unsupported.  Evaluation outside the fitted window raises
 OutOfDomain rather than extrapolating.
-
-Models are immutable after construction and safe to share between
-devices and threads.
 """
 
 from __future__ import annotations

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from pathlib import Path
@@ -178,6 +179,17 @@ def oracle_fixtures():
     out.append(planted_fixture_curved(n2=0.29, length_um=500.0, n0=2.1,
                                       n1=-0.05, delta_target_hz=-4.0e4))
     return out
+
+
+@functools.lru_cache(maxsize=None)
+def oracle_fixture_best(index):
+    """brute_force_best of oracle_fixtures()[index] on its 10x finer grid.
+
+    Memoised: the exhaustive sweep is the slowest part of the suite, and more
+    than one test compares the matcher against it.
+    """
+    device, constraints, _ = oracle_fixtures()[index]
+    return brute_force_best(device, constraints, constraints.t_step_K / 10.0)
 
 
 def brute_force_best(device, constraints, step_K):

@@ -34,7 +34,7 @@ from qfcring.experiments import EXPERIMENTS, run_experiment
 from qfcring.matching import companion_detuning, find_triple_resonance
 from qfcring.noise import TradeoffVariant, efficiency_snr_tradeoff, fwm_noise_rate, noise_vs_power
 
-from conftest import brute_force_best, oracle_fixtures
+from conftest import oracle_fixture_best, oracle_fixtures
 from test_conversion import make_system
 from test_elements import make_mzi
 
@@ -186,9 +186,9 @@ def test_criterion_6_matcher_correctness():
     assert abs(best.mismatch_Hz) < 1e3
 
     agree = 0
-    for device, constraints, _ in fixtures:
+    for k, (device, constraints, _) in enumerate(fixtures):
         coarse = find_triple_resonance(device, constraints)
-        oracle = brute_force_best(device, constraints, constraints.t_step_K / 10.0)
+        oracle = oracle_fixture_best(k)
         assert oracle is not None
         t_o, m_o, _, _ = oracle
         top = coarse[0]

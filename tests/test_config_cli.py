@@ -193,6 +193,21 @@ def test_cli_unknown_key_exit_2(tmp_path):
     assert "bogus_key" in err["message"]
 
 
+@pytest.mark.parametrize("override, reason", [
+    ("constraints.max_mismatch_MHz=0", "tolerances must be positive"),
+    ("constraints.t_ring_min_K=500", "temperature sweep range is empty"),
+    ("constraints.half_window_nm=0", "window must be positive"),
+    ("constraints.t_step_mK=-1", "sweep step must be positive"),
+])
+def test_cli_bad_constraint_exit_2(tmp_path, override, reason):
+    proc = run_cli(["match", "--override", override,
+                    "--out-dir", str(tmp_path / "out")], cwd=tmp_path)
+    assert proc.returncode == 2
+    err = json.loads(proc.stderr)
+    assert err == {"error": "ConfigError", "exit_code": 2,
+                   "message": f"invalid constraints: {reason}"}
+
+
 @pytest.mark.parametrize("experiment, error, prefix", [
     ("match", "NoFeasibleMatch", ""),
     ("noise", "NoFeasibleMatch", ""),

@@ -16,7 +16,12 @@ from qfcring.conversion import (
     pump_power_unity_cooperativity,
     steady_state_conversion,
 )
-from qfcring.errors import DegenerateCoupling, NonphysicalRate, StepSizeTooLarge
+from qfcring.errors import (
+    DegenerateCoupling,
+    NonphysicalRate,
+    NumericalFailure,
+    StepSizeTooLarge,
+)
 
 OMEGA_P = TWO_PI * 184.7e12
 OMEGA_S = TWO_PI * 406.8e12
@@ -245,6 +250,64 @@ def test_driven_steady_state_matches_closed_form():
         eta_int_ref, _ = external_efficiency(sys)
         eta_int_sim, _ = steady_state_conversion(sys)
         assert eta_int_sim == pytest.approx(eta_int_ref, rel=1e-5)
+
+
+def test_step_covers_idler_detuning_and_guard_amplitude():
+    # d_c = d_s - d_p - mismatch = 9e8 exceeds every kappa and every other
+    # detuning; a step sized without it trips the guard at 0.05/fast.
+    sys = make_system(eta_p=0.5, eta_s=0.8, eta_i=0.8, kappa_p=4e8, kappa_s=4e8,
+                      kappa_i=4e8, delta_s=3e8, delta_p=-3e8, mismatch=-3e8)
+    sys = sys.with_power(pump_power_unity_cooperativity(sys))
+    eta_int_ref, eta_ex_ref = external_efficiency(sys)
+    eta_int_sim, eta_ex_sim = steady_state_conversion(sys)
+    assert eta_int_sim == pytest.approx(eta_int_ref, rel=1e-5)
+    assert eta_ex_sim == pytest.approx(eta_ex_ref, rel=1e-5)
+
+
+def _tail_flat(traj):
+    """Populations move by < 1e-10 (rel) over the last 1% of the samples."""
+    tail = max(2, int(0.01 * traj.times.size))
+    pops = np.abs(traj.a[-tail:]) ** 2 + np.abs(traj.b[-tail:]) ** 2 + np.abs(traj.c[-tail:]) ** 2
+    return (pops.max() - pops.min()) / pops.max() < 1e-10
+
+
+def test_residual_stop_rejects_truncated_horizon():
+    # A criterion-3 draw integrated for only 15/slow: the populations look
+    # flat over the tail, yet the idler is still 1.2e-3 from steady state.
+    sys = make_system(eta_p=0.5604, eta_s=0.9269, eta_i=0.6071, kappa_p=2.574e9,
+                      kappa_s=8.541e8, kappa_i=1.005e9, delta_s=2.655e8,
+                      delta_p=-2.415e8, mismatch=-1.018e8)
+    sys = sys.with_power(0.2832 * pump_power_unity_cooperativity(sys))
+    n_pump = intracavity_pump(sys.pump_power_W, sys.pump.omega, sys.pump.kappa_tot,
+                              sys.pump.kappa_ex, sys.pump.delta)
+    flux = 1e-6 * n_pump * sys.signal.kappa_tot**2 / (4.0 * sys.signal.kappa_ex)
+    dt = 0.05 / sys.pump.kappa_tot
+    steps = int(15.0 / (sys.signal.kappa_tot * dt)) + 1
+    traj = evolve_mean_field(sys, dt=dt, steps=steps, signal_flux=flux,
+                             sample_stride=steps // 400)
+    _, eta_ex_ref = external_efficiency(sys)
+    eta_ex_cut = sys.idler.kappa_ex * abs(traj.c[-1]) ** 2 / flux
+    assert _tail_flat(traj)
+    assert abs(eta_ex_cut / eta_ex_ref - 1.0) > 1e-3
+    assert not traj.converged
+    assert steady_state_conversion(sys)[1] == pytest.approx(eta_ex_ref, rel=1e-5)
+
+
+def test_resumed_integration_is_bit_identical():
+    sys = make_system(power=5e-4, delta_s=1e8)
+    whole = evolve_mean_field(sys, dt=1e-12, steps=1000, signal_flux=1e3)
+    state = (0j, 0j, 0j)
+    for _ in range(5):
+        # a stride that does not divide the chunk: final() is still its last step
+        state = evolve_mean_field(sys, initial=state, dt=1e-12, steps=200,
+                                  signal_flux=1e3, sample_stride=150).final()
+    assert state == whole.final()
+
+
+def test_steady_state_budget_exhausted():
+    sys = make_system(power=5e-4)
+    with pytest.raises(NumericalFailure):
+        steady_state_conversion(sys, steps=200)
 
 
 def test_step_size_guard():

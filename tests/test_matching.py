@@ -28,7 +28,7 @@ from qfcring.matching import (
 
 from conftest import (
     WIDTH,
-    brute_force_best,
+    oracle_fixture_best,
     oracle_fixtures,
     planted_fixture_a,
     planted_fixture_curved,
@@ -80,10 +80,9 @@ def test_accepted_matches_satisfy_all_constraints():
 
 
 def test_oracle_equivalence_on_fixtures():
-    for device, constraints, _ in oracle_fixtures():
+    for k, (device, constraints, _) in enumerate(oracle_fixtures()):
         coarse = find_triple_resonance(device, constraints)[0]
-        fine_step = constraints.t_step_K / 10.0
-        oracle = brute_force_best(device, constraints, fine_step)
+        oracle = oracle_fixture_best(k)
         assert oracle is not None
         t_o, m_o, det_o, delta_o = oracle
         assert (coarse.signal.m, coarse.pump.m, coarse.idler.m) == m_o
