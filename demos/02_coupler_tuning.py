@@ -28,7 +28,7 @@ def main():
 
     header("1. Bare directional coupler cross-transmission |k|^2")
     for lam in (737.0, 1350.0, 1623.0):
-        print(f"  |k|^2({lam:7.1f} nm) = {float(mzi.dc_in.cross_coupling(lam)):.4f}")
+        print(f"  |k|^2({lam:7.1f} nm) = {float(mzi.dc.cross_coupling(lam)):.4f}")
     print("  (longer wavelengths couple more strongly at fixed gap)")
 
     header("2. Operating point from the triple-resonance search")

@@ -123,7 +123,7 @@ def table_text(deficits) -> str:
 
 def fit_model(deficits):
     table = parse_dispersion_table(table_text(deficits), source="make_defaults")
-    return fit_dispersion_table(table, order=8, max_residual=1e-3)
+    return fit_dispersion_table(table, order=8)
 
 
 def bare_device(model, width, alpha_db_m=30.0, poling_um=10.0) -> Device:
@@ -422,8 +422,8 @@ def main():
     t_op = regression["widths"]["1500"]["t_ring_K"]
     regression["fsr_pump_GHz"] = device.dispersion.fsr_hz(
         lam_p, t_op, PRIMARY_WIDTH, device.ring.length_m) / 1e9
-    regression["dc_cross_737"] = float(device.mzi.dc_in.cross_coupling(737.0))
-    regression["dc_cross_1623"] = float(device.mzi.dc_in.cross_coupling(1623.0))
+    regression["dc_cross_737"] = float(device.mzi.dc.cross_coupling(737.0))
+    regression["dc_cross_1623"] = float(device.mzi.dc.cross_coupling(1623.0))
     print(f"FSR(pump) = {regression['fsr_pump_GHz']:.3f} GHz, "
           f"|k|^2: 737 nm {regression['dc_cross_737']:.4f} -> "
           f"1623 nm {regression['dc_cross_1623']:.4f}")

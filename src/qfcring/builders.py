@@ -65,15 +65,13 @@ def build_device(cfg: dict, width_nm=None, with_coupler=True) -> Device:
         entry = _width_entry(cal["by_width"], width, "calibration")
         lc = tuple(float(c) for c in entry["lc_quad_um"])
         dc = DirectionalCoupler(
-            gap_nm=float(dev["dc_gap_nm"]),
             length_um=float(dev["dc_length_um"]),
             lc_coeffs_um=lc,
             lambda_ref_nm=model.lambda_ref_nm,
             lambda_window_nm=model.lambda_window_nm,
         )
         mzi = MziCoupler(
-            dc_in=dc,
-            dc_out=dc,
+            dc=dc,
             delta_len_um=float(dev["mzi_arm_delta_um"]),
             heater_len_um=float(dev["mzi_heater_length_um"]) * float(entry["heater_scale"]),
             delta_T_K=float(dev["mzi_delta_T_K"]),

@@ -2,8 +2,9 @@
 
     qfcring <experiment> [--config PATH] [--override key=value]... [--out-dir DIR]
 
-Exit codes: 0 success, 2 configuration error, 3 infeasible (no match /
-calibration impossible), 4 numerical failure.  Errors also emit a JSON
+Exit codes: 0 success, 2 configuration error (including a value outside a
+model's domain), 3 infeasible (no match / calibration impossible), 4
+numerical failure.  Errors also emit a JSON
 record on stderr.
 """
 

@@ -137,6 +137,9 @@ def validate_config(cfg: dict) -> dict:
                     raise ConfigError(f"missing config key '{section}.{key}'")
                 continue
             _check_value(f"{section}.{key}", body[key], expected)
+    for key, value in cfg["experiment"].items():
+        if key.endswith("_points") and value < 1:
+            raise ConfigError(f"config key 'experiment.{key}' must be at least 1, got {value}")
     _validate_width_maps(cfg)
     return cfg
 

@@ -29,6 +29,9 @@ N_EFF_MIN, N_EFF_MAX = 1.0, 3.0
 
 _DOMAIN_EPS = 1e-9
 
+# Largest max-abs residual a table fit may leave before it raises FitError.
+_MAX_FIT_RESIDUAL = 1e-3
+
 
 def _polyval(coeffs: np.ndarray, u):
     """Horner evaluation of ascending-power coefficients."""
@@ -64,7 +67,6 @@ class DispersionModel:
     temperature_window_K: tuple
     dn_dT_slope_per_K_nm: float = 0.0
     fit_residuals_by_width: dict = field(default_factory=dict)
-    source: str = "inline"
 
     def __post_init__(self):
         lo, hi = self.lambda_window_nm
@@ -166,11 +168,6 @@ class DispersionModel:
         n = _polyval(c, u)
         return n + self.thermo_optic(lambda_nm) * (np.asarray(t_K, dtype=float) - self.t_ref_K)
 
-    def dn_dlambda(self, lambda_nm, t_K, width_nm: float):
-        """Analytic d n_eff / d lambda (1/nm)."""
-        self._check_domain(lambda_nm, t_K)
-        return self._dn_dlambda_unchecked(lambda_nm, t_K, width_nm)
-
     def _dn_dlambda_unchecked(self, lambda_nm, t_K, width_nm: float):
         c = self._coeffs(width_nm)
         u = (np.asarray(lambda_nm, dtype=float) - self.lambda_ref_nm) / U_SCALE_NM
@@ -214,7 +211,6 @@ class DispersionTable:
     width_nm: np.ndarray
     temperature_K: np.ndarray
     n_eff: np.ndarray
-    source: str = ""
 
     def __len__(self):
         return len(self.wavelength_nm)
@@ -269,21 +265,17 @@ def parse_dispersion_table(text: str, source: str = "") -> DispersionTable:
         width_nm=arr[:, 0].copy(),
         temperature_K=arr[:, 1].copy(),
         n_eff=arr[:, 3].copy(),
-        source=source,
     )
 
 
-def fit_dispersion_table(
-    table: DispersionTable,
-    order: int = 8,
-    max_residual: float = 1e-3,
-) -> DispersionModel:
+def fit_dispersion_table(table: DispersionTable, order: int = 8) -> DispersionModel:
     """Least-squares fit of a DispersionModel to a table.
 
     Per width: ascending polynomial of the given order in the rescaled
     wavelength; one thermo-optic coefficient is shared across widths.
     Raises DomainError when a width has fewer than order+1 distinct
-    wavelengths and FitError when the max abs residual exceeds the bound.
+    wavelengths and FitError when the max abs residual exceeds
+    _MAX_FIT_RESIDUAL.
     """
     widths = sorted(set(table.width_nm.tolist()))
     lam_lo = float(table.wavelength_nm.min())
@@ -317,9 +309,9 @@ def fit_dispersion_table(
     sol, *_ = np.linalg.lstsq(design, table.n_eff, rcond=None)
     residual = table.n_eff - design @ sol
     max_res = float(np.max(np.abs(residual)))
-    if max_res > max_residual:
+    if max_res > _MAX_FIT_RESIDUAL:
         raise FitError(
-            f"fit residual {max_res:.3e} exceeds bound {max_residual:.3e} "
+            f"fit residual {max_res:.3e} exceeds bound {_MAX_FIT_RESIDUAL:.3e} "
             f"(order {order}); supply a denser table or raise the order"
         )
 
@@ -342,16 +334,15 @@ def fit_dispersion_table(
         lambda_window_nm=(lam_lo, lam_hi),
         temperature_window_K=(t_lo, t_hi),
         fit_residuals_by_width=residuals,
-        source=table.source or "table",
     )
 
 
-def load_dispersion_table(path, order: int = 8, max_residual: float = 1e-3) -> DispersionModel:
+def load_dispersion_table(path, order: int = 8) -> DispersionModel:
     """Read a dispersion table file and fit a DispersionModel to it."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     table = parse_dispersion_table(text, source=str(path))
-    return fit_dispersion_table(table, order=order, max_residual=max_residual)
+    return fit_dispersion_table(table, order=order)
 
 
 def default_model() -> DispersionModel:
@@ -361,4 +352,4 @@ def default_model() -> DispersionModel:
     ref = resources.files("qfcring.data").joinpath("default_dispersion.csv")
     text = ref.read_text(encoding="utf-8")
     table = parse_dispersion_table(text, source="qfcring/data/default_dispersion.csv")
-    return fit_dispersion_table(table, order=8, max_residual=1e-3)
+    return fit_dispersion_table(table, order=8)

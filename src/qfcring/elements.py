@@ -29,12 +29,9 @@ class DirectionalCoupler:
     """Lossless directional coupler with a polynomial coupling-length model.
 
     lc_coeffs_um are ascending coefficients of L_c (in um) versus
-    u = (lambda_nm - lambda_ref_nm)/1000.  `gap_nm` documents the geometry
-    the coupling-length model was calibrated for; it does not enter the
-    transfer function itself.
+    u = (lambda_nm - lambda_ref_nm)/1000.
     """
 
-    gap_nm: float
     length_um: float
     lc_coeffs_um: tuple
     lambda_ref_nm: float
@@ -69,18 +66,17 @@ class DirectionalCoupler:
 class MziCoupler:
     """Asymmetric MZI used as a tunable ring-bus coupler.
 
-    Two directional couplers joined by arms whose lengths differ by
-    delta_len_um; a heater of length heater_len_um on the long arm applies
-    a differential thermo-optic phase with coefficient dn_dT_per_K.
-    delta_T_K is the default thermal drive; operations accept an explicit
-    override.
+    Two identical directional couplers `dc` joined by arms whose lengths
+    differ by delta_len_um; a heater of length heater_len_um on the long
+    arm applies a differential thermo-optic phase with coefficient
+    dn_dT_per_K.  delta_T_K is the default thermal drive; operations accept
+    an explicit override.
 
     dispersion/width_nm/t_base_K provide beta(lambda) of the arm waveguide
     at the interferometer's ambient temperature.
     """
 
-    dc_in: DirectionalCoupler
-    dc_out: DirectionalCoupler
+    dc: DirectionalCoupler
     delta_len_um: float
     heater_len_um: float
     delta_T_K: float
@@ -101,22 +97,20 @@ class MziCoupler:
         return geo + thermal
 
     def transfer(self, lambda_nm, delta_T_K=None):
-        """Composite 2x2 matrix C2 . diag(e^{i dtheta}, 1) . C1.
+        """Composite 2x2 matrix C . diag(e^{i dtheta}, 1) . C of the coupler C.
 
         Only the differential arm phase is modeled; the common arm phase
         belongs to the ring round trip.  Returns shape (2, 2) for scalar
         input, (n, 2, 2) for an n-vector of wavelengths.
         """
         lam = np.asarray(lambda_nm, dtype=float)
-        k1 = np.sqrt(self.dc_in.cross_coupling(lam))
-        t1 = np.sqrt(1.0 - k1**2)
-        k2 = np.sqrt(self.dc_out.cross_coupling(lam))
-        t2 = np.sqrt(1.0 - k2**2)
+        k = np.sqrt(self.dc.cross_coupling(lam))
+        t = np.sqrt(1.0 - k**2)
         ph = np.exp(1j * self.arm_phase(lam, delta_T_K))
-        m00 = t1 * t2 * ph - k1 * k2
-        m01 = 1j * (k1 * t2 * ph + t1 * k2)
-        m10 = 1j * (t1 * k2 * ph + k1 * t2)
-        m11 = -k1 * k2 * ph + t1 * t2
+        m00 = t * t * ph - k * k
+        m01 = 1j * (k * t * ph + t * k)
+        m10 = 1j * (t * k * ph + k * t)
+        m11 = -k * k * ph + t * t
         out = np.stack(
             [np.stack([m00, m01], axis=-1), np.stack([m10, m11], axis=-1)], axis=-2
         )
@@ -198,15 +192,15 @@ class Device:
 # Operations
 # --------------------------------------------------------------------------
 
-def coupling_ratio(ring: RingCavity, mzi: MziCoupler, lambda_nm, delta_T_K=None,
-                   t_ring_K=None):
+def coupling_ratio(ring: RingCavity, mzi: MziCoupler, lambda_nm, t_ring_K,
+                   delta_T_K=None):
     """Coupling ratio eta = kappa_ex / (kappa_ex + kappa_0) of one cavity mode.
 
-    kappa_ex = K(lambda, dT) * v_g / L_ring.  Warns when K exceeds the
-    weak-coupling bound instead of failing.
+    kappa_ex = K(lambda, dT) * v_g / L_ring, with v_g and kappa_0 taken at
+    the ring temperature.  Warns when K exceeds the weak-coupling bound
+    instead of failing.
     """
     model = mzi.dispersion
-    t_ring = mzi.t_base_K if t_ring_K is None else t_ring_K
     K = mzi.cross_coupling(lambda_nm, delta_T_K)
     if np.any(np.asarray(K) > WEAK_COUPLING_K_MAX):
         warnings.warn(
@@ -214,9 +208,9 @@ def coupling_ratio(ring: RingCavity, mzi: MziCoupler, lambda_nm, delta_T_K=None,
             f"{WEAK_COUPLING_K_MAX}; the rate mapping kappa_ex = K v_g / L degrades",
             stacklevel=2,
         )
-    vg = model.group_velocity(lambda_nm, t_ring, ring.width_nm)
+    vg = model.group_velocity(lambda_nm, t_ring_K, ring.width_nm)
     kappa_ex = K * vg / ring.length_m
-    kappa_0 = ring.kappa_0(model, lambda_nm, t_ring)
+    kappa_0 = ring.kappa_0(model, lambda_nm, t_ring_K)
     return kappa_ex / (kappa_ex + kappa_0)
 
 
@@ -254,32 +248,36 @@ def ring_spectrum(ring: RingCavity, mzi: MziCoupler, lambda_grid_nm, t_ring_K,
     return np.abs(out) ** 2
 
 
+def _m_range(device: Device, band_nm, t_K) -> range:
+    """Azimuthal numbers whose resonance can fall inside band_nm at temperatures t_K.
+
+    m(lambda, T) = n_eff(lambda, T) * L / lambda falls with lambda (n_g > 0)
+    and is linear in T, so its values at the band edges and the extreme
+    temperatures bound every line in the band.
+    """
+    lam = np.asarray(band_nm, dtype=float)[:, None]
+    t = np.asarray(t_K, dtype=float).reshape(1, -1)
+    m = device.dispersion.n_eff(lam, t, device.width_nm) * (device.ring.length_m * 1e9) / lam
+    return range(int(math.floor(m.min())), int(math.ceil(m.max())) + 1)
+
+
 def resonance_comb(device: Device, band_nm, t_ring_K):
     """All (m, lambda_m) resonances with lambda_m inside band_nm, sorted by lambda.
 
     Each pair satisfies m * lambda_m = n_eff(lambda_m, T) * L to machine
-    precision (bracketed Newton); consecutive azimuthal numbers differ by 1.
+    precision; consecutive azimuthal numbers differ by 1.
     """
     lo, hi = float(band_nm[0]), float(band_nm[1])
     if not lo < hi:
         raise DomainError(f"empty wavelength band {band_nm}")
     model, ring = device.dispersion, device.ring
     model._check_domain(np.array([lo, hi]), t_ring_K)
-    length_nm = ring.length_m * 1e9
-
-    def m_at(lam):
-        return model.n_eff(lam, t_ring_K, ring.width_nm) * length_nm / lam
-
-    m_hi = int(math.floor(m_at(lo)))
-    m_lo = int(math.ceil(m_at(hi)))
-    pairs = []
-    for m in range(m_hi, m_lo - 1, -1):
-        lam = solve_resonance_wavelength(model, ring.width_nm, length_nm, m, t_ring_K)
-        if lo <= lam <= hi:
-            pairs.append((m, float(lam)))
-    pairs.sort(key=lambda p: p[1])
+    ms = np.asarray(_m_range(device, (lo, hi), t_ring_K))
+    lam = solve_resonance_wavelength(model, ring.width_nm, ring.length_m * 1e9, ms, t_ring_K)
+    inside = (lam >= lo) & (lam <= hi)
+    pairs = sorted(zip(ms[inside].tolist(), lam[inside].tolist()), key=lambda p: p[1])
     if not pairs:
-        fsr = device.dispersion.fsr_hz(0.5 * (lo + hi), t_ring_K, ring.width_nm, ring.length_m)
+        fsr = model.fsr_hz(0.5 * (lo + hi), t_ring_K, ring.width_nm, ring.length_m)
         band_hz = freq_hz(lo) - freq_hz(hi)
         if band_hz < fsr:
             raise NoResonance(

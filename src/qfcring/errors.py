@@ -1,7 +1,8 @@
 """Exception hierarchy.
 
-The CLI maps these onto process exit codes: ConfigError -> 2, the
-infeasibility family -> 3, numerical failures -> 4.
+The CLI maps these onto process exit codes: ConfigError and the input
+validation family -> 2 (in a CLI run every input comes from the config or
+its table file), the infeasibility family -> 3, numerical failures -> 4.
 """
 
 from __future__ import annotations
@@ -101,13 +102,15 @@ EXIT_CONFIG = 2
 EXIT_INFEASIBLE = 3
 EXIT_NUMERICAL = 4
 
+_INPUT = (ConfigError, OutOfDomain, UnknownWidth, ParseError, DomainError, NonphysicalRate,
+          DegenerateCoupling)
 _INFEASIBLE = (NoFeasibleMatch, UnmatchedVariant, CalibrationInfeasible, NoResonance)
 _NUMERICAL = (NumericalFailure, FitError, StepSizeTooLarge, NonFinite, SweepStepTooCoarse)
 
 
 def exit_code_for(exc: BaseException) -> int:
     """Process exit code for an exception raised by an experiment run."""
-    if isinstance(exc, ConfigError):
+    if isinstance(exc, _INPUT):
         return EXIT_CONFIG
     if isinstance(exc, _INFEASIBLE):
         return EXIT_INFEASIBLE

@@ -128,13 +128,10 @@ def run_match(cfg, out_dir):
         ("idler", constraints.idler_window_nm),
         ("pump", constraints.pump_window_nm),
     ):
-        comb = resonance_comb(device, window, best.t_ring_K)
-        rows = [
-            (m, lam,
-             device.dispersion.fsr_hz(lam, best.t_ring_K, device.width_nm,
-                                      device.ring.length_m) / 1e9)
-            for m, lam in comb
-        ]
+        ms, lams = np.array(resonance_comb(device, window, best.t_ring_K)).T
+        fsr = device.dispersion.fsr_hz(lams, best.t_ring_K, device.width_nm,
+                                       device.ring.length_m)
+        rows = np.column_stack([ms, lams, fsr / 1e9])
         outputs += _emit(out_dir, f"comb_{label}", ["m", "wavelength_nm", "fsr_GHz"],
                          rows, resolved_metadata(cfg, "match",
                                                  extra={"band": label,
@@ -220,7 +217,7 @@ def run_couplings(cfg, out_dir):
 
     lam_grid = np.linspace(float(exp["dc_grid_min_nm"]), float(exp["dc_grid_max_nm"]),
                            int(exp["dc_grid_points"]))
-    k2 = device.mzi.dc_in.cross_coupling(lam_grid)
+    k2 = device.mzi.dc.cross_coupling(lam_grid)
     outputs += _emit(out_dir, "dc_cross", ["wavelength_nm", "cross_coupling"],
                      np.column_stack([lam_grid, k2]),
                      resolved_metadata(cfg, "couplings"))
@@ -257,8 +254,7 @@ def run_spectrum(cfg, out_dir):
         freqs = np.linspace(f0 - span_hz / 2.0, f0 + span_hz / 2.0, points)
         lams = C_M_PER_S / freqs * 1e9
         lams = np.sort(lams)
-        t = ring_spectrum(device.ring, device.mzi, lams, match.t_ring_K,
-                          delta_T_K=float(cfg["device"]["mzi_delta_T_K"]))
+        t = ring_spectrum(device.ring, device.mzi, lams, match.t_ring_K)
         meta = resolved_metadata(cfg, "spectrum", extra={
             "band": label,
             "center_wavelength_nm": sol.lambda_nm,

@@ -19,13 +19,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import C_M_PER_S, TWO_PI, freq_hz
-from .elements import Device, qpm_mismatch, solve_resonance_wavelength
+from .elements import Device, _m_range, mode_rates, qpm_mismatch, solve_resonance_wavelength
 from .errors import (
     NoFeasibleMatch,
     OutOfDomain,
     StaleResult,
     SweepStepTooCoarse,
 )
+
+# Relative agreement verify_match demands between stored and re-derived fields.
+_VERIFY_TOL = 1e-9
 
 
 @dataclass(frozen=True, slots=True)
@@ -175,19 +178,6 @@ def _check_domain(device: Device, constraints: SearchConstraints):
         )
 
 
-def _m_range(device: Device, window_nm, t_values) -> range:
-    """Azimuthal numbers whose resonance can fall inside window_nm over t_values."""
-    model = device.dispersion
-    length_nm = device.ring.length_m * 1e9
-    lo, hi = window_nm
-    candidates = []
-    for t in t_values:
-        for lam in (lo, hi):
-            n = float(model.n_eff(lam, t, device.width_nm))
-            candidates.append(n * length_nm / lam)
-    return range(int(math.floor(min(candidates))), int(math.ceil(max(candidates))) + 1)
-
-
 def _solve_lines(device: Device, ms: range, t_grid: np.ndarray) -> np.ndarray:
     """Resonance wavelengths (nm), shape (len(ms), len(t_grid))."""
     m_col = np.asarray(ms, dtype=float)[:, None]
@@ -316,8 +306,6 @@ def _scan(device, constraints, t_points, m_s_list, m_p_list, m_i_list, m_offset)
 
 def _to_result(device: Device, constraints: SearchConstraints, cand: _Candidate,
                feasible=True, violations=()) -> MatchResult:
-    from .elements import mode_rates
-
     def mode(m, lam):
         kex, k0 = mode_rates(device, lam, cand.t_K, delta_T_K=None)
         return ModeSolution(m=m, lambda_nm=lam, kappa_ex=kex, kappa_0=k0)
@@ -418,15 +406,16 @@ def find_triple_resonance(device: Device, constraints: SearchConstraints):
     )
 
 
-def verify_match(device: Device, result: MatchResult, rel_tol: float = 1e-9) -> dict:
+def verify_match(device: Device, result: MatchResult) -> dict:
     """Re-derive a match from raw dispersion and compare against stored fields.
 
-    Raises StaleResult when any re-derived residual disagrees beyond rel_tol
-    (absolute floor 1 Hz on frequencies, 1e-12 nm on wavelengths).  The ring
-    temperature is also re-derived from the stored signal line in closed
-    form, independently of the iterative root solver; its disagreement,
-    times the signal's thermal shift rate, must stay within rel_tol * f_s.
-    The temperature check is skipped where dn/dT vanishes.
+    Raises StaleResult when any re-derived residual disagrees beyond the
+    relative tolerance _VERIFY_TOL (absolute floor 1 Hz on frequencies,
+    1e-12 nm on wavelengths).  The ring temperature is also re-derived from
+    the stored signal line in closed form, independently of the iterative
+    root solver; its disagreement, times the signal's thermal shift rate,
+    must stay within _VERIFY_TOL * f_s.  The temperature check is skipped
+    where dn/dT vanishes.
     """
     model = device.dispersion
     length_nm = device.ring.length_m * 1e9
@@ -434,7 +423,7 @@ def verify_match(device: Device, result: MatchResult, rel_tol: float = 1e-9) -> 
     report = {}
 
     def close(a, b, scale):
-        return abs(a - b) <= rel_tol * scale
+        return abs(a - b) <= _VERIFY_TOL * scale
 
     for label, ms in (("pump", result.pump), ("signal", result.signal),
                       ("idler", result.idler)):
@@ -451,7 +440,7 @@ def verify_match(device: Device, result: MatchResult, rel_tol: float = 1e-9) -> 
         t_closed = float(_temperature_at(device, sig.m, sig.lambda_nm))
         report["t_ring_closed_form_K"] = t_closed
         rate = signal_shift_rate_hz_per_K(device, cons)
-        if abs(t_closed - result.t_ring_K) * rate > rel_tol * sig.freq_hz:
+        if abs(t_closed - result.t_ring_K) * rate > _VERIFY_TOL * sig.freq_hz:
             raise StaleResult(
                 f"signal line m={sig.m} at {sig.lambda_nm} nm resonates at "
                 f"{t_closed} K in closed form, stored {result.t_ring_K} K"

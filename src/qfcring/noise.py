@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import HBAR_J_S
+from .conversion import TwmSystem, efficiency_vs_power
 from .errors import DomainError, UnmatchedVariant
 
 LOG10 = math.log(10.0)
@@ -97,7 +98,7 @@ class TradeoffVariant:
     """One dispersion-engineered device entry for the efficiency/SNR sweep."""
 
     width_nm: float
-    system: object        # TwmSystem (kept untyped to avoid a cycle)
+    system: TwmSystem
     channel: FwmChannel
 
 
@@ -108,8 +109,6 @@ def efficiency_snr_tradeoff(variants, powers_W, signal_input_rate_Hz: float):
     array ordered by (width, power) and best_width maximizes snr_dB at the
     power of its own peak eta_ex.
     """
-    from .conversion import external_efficiency
-
     if signal_input_rate_Hz <= 0.0:
         raise DomainError("signal input rate must be positive")
     powers = np.asarray(powers_W, dtype=float)
@@ -121,10 +120,8 @@ def efficiency_snr_tradeoff(variants, powers_W, signal_input_rate_Hz: float):
             raise UnmatchedVariant(
                 f"width {var.width_nm} nm has no triple-resonance solution"
             )
-        etas = np.empty(powers.size)
         rates = fwm_noise_rate(var.channel, powers)
-        for j, p in enumerate(powers):
-            _, etas[j] = external_efficiency(var.system.with_power(float(p)))
+        etas = efficiency_vs_power(var.system, powers)[:, 3]
         for j, p in enumerate(powers):
             fom, snr = snr_report(float(rates[j]), signal_input_rate_Hz * float(etas[j]))
             rows.append((var.width_nm, p, etas[j], rates[j], fom, snr))

@@ -208,6 +208,43 @@ def test_cli_bad_constraint_exit_2(tmp_path, override, reason):
                    "message": f"invalid constraints: {reason}"}
 
 
+@pytest.mark.parametrize("experiment, override", [
+    ("convert", "experiment.power_points=0"),
+    ("noise", "experiment.power_points=0"),
+    ("couplings", "experiment.mzi_sweep_points=0"),
+    ("convert", "experiment.power_points=-1"),
+    ("couplings", "experiment.dc_grid_points=-3"),
+    ("tradeoff", "experiment.power_points=0"),
+])
+def test_cli_empty_grid_exit_2(tmp_path, experiment, override):
+    proc = run_cli([experiment, "--override", override,
+                    "--out-dir", str(tmp_path / "out")], cwd=tmp_path)
+    assert proc.returncode == 2
+    key, value = override.split("=")
+    err = json.loads(proc.stderr)
+    assert err == {"error": "ConfigError", "exit_code": 2,
+                   "message": f"config key '{key}' must be at least 1, got {value}"}
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("experiment, override, error, message", [
+    ("match", "physics.signal_wavelength_nm=2000", "OutOfDomain",
+     "search band (2000.0, 2000.0) nm leaves the dispersion window"),
+    ("match", "constraints.t_ring_max_K=900", "OutOfDomain",
+     "sweep range [300.0, 900.0] K leaves the dispersion window"),
+    ("match", "device.ring_length_um=-5", "DomainError", "ring length must be positive"),
+    ("spectrum", "experiment.spectrum_points=1", "DomainError",
+     "spectrum needs at least 2 wavelength samples"),
+])
+def test_cli_out_of_domain_value_exit_2(tmp_path, experiment, override, error, message):
+    proc = run_cli([experiment, "--override", override,
+                    "--out-dir", str(tmp_path / "out")], cwd=tmp_path)
+    assert proc.returncode == 2
+    err = json.loads(proc.stderr)
+    assert (err["error"], err["exit_code"]) == (error, 2)
+    assert err["message"].startswith(message)
+
+
 @pytest.mark.parametrize("experiment, error, prefix", [
     ("match", "NoFeasibleMatch", ""),
     ("noise", "NoFeasibleMatch", ""),

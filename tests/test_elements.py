@@ -17,10 +17,12 @@ from qfcring.elements import (
     DirectionalCoupler,
     MziCoupler,
     RingCavity,
+    _m_range,
     coupling_ratio,
     qpm_mismatch,
     resonance_comb,
     ring_spectrum,
+    solve_resonance_wavelength,
 )
 from qfcring.errors import NoResonance, OutOfDomain
 from qfcring.experiments import run_experiment
@@ -34,16 +36,15 @@ WINDOW = (600.0, 1800.0)
 def flat_dc(k2, length_um=10.0):
     """Coupler with wavelength-independent cross coupling |k|^2 = k2."""
     lc = math.pi * length_um / (2.0 * math.asin(math.sqrt(k2)))
-    return DirectionalCoupler(gap_nm=600.0, length_um=length_um,
-                              lc_coeffs_um=(lc,), lambda_ref_nm=1200.0,
-                              lambda_window_nm=WINDOW)
+    return DirectionalCoupler(length_um=length_um, lc_coeffs_um=(lc,),
+                              lambda_ref_nm=1200.0, lambda_window_nm=WINDOW)
 
 
 def make_mzi(k2=0.3, delta_len_um=1.0, heater_um=100.0, delta_T=0.0,
              model=None, dndt=3.9e-5):
     model = model or simple_model([2.0])
     dc = flat_dc(k2)
-    return MziCoupler(dc_in=dc, dc_out=dc, delta_len_um=delta_len_um,
+    return MziCoupler(dc=dc, delta_len_um=delta_len_um,
                       heater_len_um=heater_um, delta_T_K=delta_T,
                       dn_dT_per_K=dndt, dispersion=model, width_nm=WIDTH,
                       t_base_K=300.0)
@@ -52,13 +53,13 @@ def make_mzi(k2=0.3, delta_len_um=1.0, heater_um=100.0, delta_T=0.0,
 # --- directional coupler ---------------------------------------------------
 
 def test_dc_full_transfer_at_beat_length():
-    dc = DirectionalCoupler(gap_nm=600.0, length_um=25.0, lc_coeffs_um=(25.0,),
+    dc = DirectionalCoupler(length_um=25.0, lc_coeffs_um=(25.0,),
                             lambda_ref_nm=1200.0, lambda_window_nm=WINDOW)
     assert dc.cross_coupling(1000.0) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_dc_zero_length_no_coupling():
-    dc = DirectionalCoupler(gap_nm=600.0, length_um=0.0, lc_coeffs_um=(25.0,),
+    dc = DirectionalCoupler(length_um=0.0, lc_coeffs_um=(25.0,),
                             lambda_ref_nm=1200.0, lambda_window_nm=WINDOW)
     assert dc.cross_coupling(1000.0) == 0.0
 
@@ -67,8 +68,8 @@ def test_dc_default_model_wavelength_trend(cfg):
     pinned = json.loads(
         (Path(__file__).parent / "golden" / "regression.json").read_text())
     device = build_device(cfg)
-    k2_s = float(device.mzi.dc_in.cross_coupling(737.0))
-    k2_p = float(device.mzi.dc_in.cross_coupling(1623.0))
+    k2_s = float(device.mzi.dc.cross_coupling(737.0))
+    k2_p = float(device.mzi.dc.cross_coupling(1623.0))
     assert k2_s < k2_p
     assert k2_s == pytest.approx(pinned["dc_cross_737"], rel=1e-9)
     assert k2_p == pytest.approx(pinned["dc_cross_1623"], rel=1e-9)
@@ -160,9 +161,9 @@ def ring_500(alpha=30.0, f=0.0):
 def test_coupling_ratio_zero_coupling():
     mzi = make_mzi(k2=0.5, delta_len_um=0.0)
     # dtheta = 0 and k2=0.5 gives K=1; instead force K=0 with a zero-length DC
-    dc0 = DirectionalCoupler(gap_nm=600.0, length_um=0.0, lc_coeffs_um=(25.0,),
+    dc0 = DirectionalCoupler(length_um=0.0, lc_coeffs_um=(25.0,),
                              lambda_ref_nm=1200.0, lambda_window_nm=WINDOW)
-    mzi0 = MziCoupler(dc_in=dc0, dc_out=dc0, delta_len_um=1.0, heater_len_um=100.0,
+    mzi0 = MziCoupler(dc=dc0, delta_len_um=1.0, heater_len_um=100.0,
                       delta_T_K=0.0, dn_dT_per_K=3.9e-5, dispersion=mzi.dispersion,
                       width_nm=WIDTH, t_base_K=300.0)
     eta = coupling_ratio(ring_500(), mzi0, 1200.0, delta_T_K=0.0, t_ring_K=350.0)
@@ -331,6 +332,48 @@ def test_comb_empty_narrow_band_raises(cfg):
     gap_center = 0.5 * (lams[3] + lams[4])
     with pytest.raises(NoResonance, match="narrower than one FSR"):
         resonance_comb(device, (gap_center - 0.05, gap_center + 0.05), 350.0)
+
+
+COMB_BANDS = {"signal": (727.0, 747.0), "pump": (1613.0, 1633.0), "idler": (1340.0, 1360.0)}
+COMB_TEMPS_K = (300.0, 347.25, 400.0)
+
+
+def _scalar_lines(device, ms, t_K):
+    length_nm = device.ring.length_m * 1e9
+    return {m: solve_resonance_wavelength(device.dispersion, device.width_nm, length_nm, m, t_K)
+            for m in ms}
+
+
+@pytest.mark.parametrize("width", [1400.0, 1500.0, 1600.0])
+@pytest.mark.parametrize("band", sorted(COMB_BANDS))
+def test_comb_equals_per_line_scalar_solves(cfg, width, band):
+    device = build_device(cfg, width_nm=width, with_coupler=False)
+    lo, hi = COMB_BANDS[band]
+    for t in COMB_TEMPS_K:
+        comb = resonance_comb(device, (lo, hi), t)
+        ms = [m for m, _ in comb]
+        # a few lines past each end, solved one at a time, must stay outside the band
+        lines = _scalar_lines(device, range(min(ms) - 3, max(ms) + 4), t)
+        expect = sorted(((m, lam) for m, lam in lines.items() if lo <= lam <= hi),
+                        key=lambda p: p[1])
+        assert comb == expect
+        assert all(type(m) is int and type(lam) is float for m, lam in comb)
+
+
+@pytest.mark.parametrize("width", [1400.0, 1500.0, 1600.0])
+@pytest.mark.parametrize("band", sorted(COMB_BANDS))
+def test_m_range_contains_every_in_band_line(cfg, width, band):
+    device = build_device(cfg, width_nm=width, with_coupler=False)
+    lo, hi = COMB_BANDS[band]
+    for temps in ((300.0,), (347.25,), (300.0, 400.0), (333.0, 366.0)):
+        ms = _m_range(device, (lo, hi), temps)
+        assert len(ms) > 0
+        # the range from the extreme temperatures covers every temperature between
+        for t in np.linspace(min(temps), max(temps), 5):
+            lines = _scalar_lines(device, range(ms.start - 5, ms.stop + 5), float(t))
+            inside = [m for m, lam in lines.items() if lo <= lam <= hi]
+            assert inside
+            assert all(m in ms for m in inside)
 
 
 # --- QPM -------------------------------------------------------------------

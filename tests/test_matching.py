@@ -10,7 +10,7 @@ from qfcring import matching
 from qfcring.builders import build_constraints, build_device, operating_point
 from qfcring.config import apply_overrides
 from qfcring.constants import C_M_PER_S, TWO_PI
-from qfcring.elements import Device, solve_resonance_wavelength
+from qfcring.elements import Device, _m_range, solve_resonance_wavelength
 from qfcring.errors import (
     NoFeasibleMatch,
     OutOfDomain,
@@ -18,7 +18,6 @@ from qfcring.errors import (
     SweepStepTooCoarse,
 )
 from qfcring.matching import (
-    _m_range,
     _signal_bracket,
     companion_detuning,
     find_triple_resonance,

@@ -7,6 +7,8 @@ rather than asserted as physics.
 """
 
 import json
+import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -82,3 +84,23 @@ def test_make_goldens_check_reproduces_committed_outputs(tmp_path):
                           text=True, cwd=tmp_path, env=src_env())
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "0 generated files differ" in proc.stdout
+
+
+def test_make_defaults_reproduces_committed_files(tmp_path):
+    # run the generator on a copy whose outputs were removed, so every
+    # compared file is one the script wrote
+    root = Path(__file__).resolve().parent.parent
+    skip = shutil.ignore_patterns("__pycache__")
+    shutil.copytree(root / "src", tmp_path / "src", ignore=skip)
+    shutil.copytree(root / "scripts", tmp_path / "scripts", ignore=skip)
+    written = ("src/qfcring/data/default_dispersion.csv",
+               "src/qfcring/data/default_config.yaml",
+               "tests/golden/regression.json")
+    for rel in written[:2]:
+        (tmp_path / rel).unlink()
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.run([sys.executable, str(tmp_path / "scripts" / "make_defaults.py")],
+                          capture_output=True, text=True, cwd=tmp_path, env=env)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    for rel in written:
+        assert (tmp_path / rel).read_bytes() == (root / rel).read_bytes(), rel
