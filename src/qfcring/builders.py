@@ -22,7 +22,10 @@ from .noise import FwmChannel
 def _load_model(table_file, fit_order: int) -> DispersionModel:
     if table_file is None:
         return default_model()
-    return load_dispersion_table(table_file, order=fit_order)
+    try:
+        return load_dispersion_table(table_file, order=fit_order)
+    except OSError as exc:
+        raise ConfigError(f"cannot read dispersion table {table_file}: {exc}") from None
 
 
 def build_dispersion_model(cfg: dict) -> DispersionModel:

@@ -108,6 +108,10 @@ def solve_width_couplings(cfg: dict, device: Device, match: MatchResult) -> dict
     model = device.dispersion
     width = device.width_nm
     base_um = float(dev_cfg["mzi_heater_length_um"])
+    if base_um == 0.0:
+        raise CalibrationInfeasible(
+            "anchor 'coupling ratios': base heater length is zero, no heater scale exists"
+        )
     max_um = float(targets["max_heater_length_um"])
     delta_len_um = float(dev_cfg["mzi_arm_delta_um"])
     delta_T = float(dev_cfg["mzi_delta_T_K"])
@@ -176,7 +180,12 @@ def solve_g_chi3_over_2pi_Hz(cfg: dict, match: MatchResult) -> float:
         raise CalibrationInfeasible(
             "anchor 'noise rate': zero unit-rate; pump coupling not calibrated"
         )
-    g = math.sqrt(float(targets["fwm_rate_Hz"]) / unit_rate)
+    rate = float(targets["fwm_rate_Hz"])
+    if rate < 0.0:
+        raise CalibrationInfeasible(
+            f"anchor 'noise rate': target fwm_rate_Hz={rate} must be non-negative"
+        )
+    g = math.sqrt(rate / unit_rate)
     return g / TWO_PI
 
 

@@ -2,10 +2,10 @@
 
     qfcring <experiment> [--config PATH] [--override key=value]... [--out-dir DIR]
 
-Exit codes: 0 success, 2 configuration error (including a value outside a
-model's domain), 3 infeasible (no match / calibration impossible), 4
-numerical failure.  Errors also emit a JSON
-record on stderr.
+Exit codes: 0 success, 2 configuration error (including a non-finite or
+unusable value, or one outside a model's domain), 3 infeasible (no match /
+calibration impossible), 4 numerical failure (including a failed
+verification, `StaleResult`).  Errors also emit a JSON record on stderr.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import warnings
 
 from . import __version__
 from .config import apply_overrides, config_hash, load_config
-from .errors import QfcError, exit_code_for
+from .errors import QfcError
 from .experiments import EXPERIMENTS, run_experiment
 
 
@@ -62,13 +62,12 @@ def main(argv=None) -> int:
         sys.stdout.write("\n")
         return 0
     except QfcError as exc:
-        code = exit_code_for(exc)
         json.dump(
-            {"error": type(exc).__name__, "message": str(exc), "exit_code": code},
+            {"error": type(exc).__name__, "message": str(exc), "exit_code": exc.exit_code},
             sys.stderr, sort_keys=True,
         )
         sys.stderr.write("\n")
-        return code
+        return exc.exit_code
 
 
 if __name__ == "__main__":

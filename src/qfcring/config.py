@@ -11,6 +11,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import math
 from functools import lru_cache
 from importlib import resources
 
@@ -94,10 +95,17 @@ SCHEMA = {
 _OPTIONAL_SECTIONS = ("calibration",)
 
 
+def _check_finite(path: str, values):
+    for v in values:
+        if isinstance(v, float) and not math.isfinite(v):
+            raise ConfigError(f"config key '{path}' must be finite, got {v}")
+
+
 def _check_value(path: str, value, expected):
     if expected is list:
         if not isinstance(value, list) or not all(isinstance(v, _NUM) for v in value):
             raise ConfigError(f"config key '{path}' must be a list of numbers")
+        _check_finite(path, value)
         return
     if expected is dict:
         if not isinstance(value, dict):
@@ -111,6 +119,7 @@ def _check_value(path: str, value, expected):
         raise ConfigError(f"config key '{path}' must be a number, got boolean")
     if not isinstance(value, expected):
         raise ConfigError(f"config key '{path}' has wrong type {type(value).__name__}")
+    _check_finite(path, (value,))
 
 
 def validate_config(cfg: dict) -> dict:
@@ -140,6 +149,8 @@ def validate_config(cfg: dict) -> dict:
     for key, value in cfg["experiment"].items():
         if key.endswith("_points") and value < 1:
             raise ConfigError(f"config key 'experiment.{key}' must be at least 1, got {value}")
+    if not cfg["experiment"]["widths_nm"]:
+        raise ConfigError("config key 'experiment.widths_nm' must list at least one width")
     _validate_width_maps(cfg)
     return cfg
 
@@ -167,8 +178,7 @@ def _validate_width_maps(cfg: dict):
         mapping = _normalize_width_keys(mapping, f"{section}.{key}")
         cfg[section][key] = mapping
         for w, v in mapping.items():
-            if not isinstance(v, _NUM):
-                raise ConfigError(f"'{section}.{key}[{w}]' must be a number")
+            _check_value(f"{section}.{key}[{w}]", v, _NUM)
     cal = cfg.get("calibration")
     if cal:
         cal["by_width"] = _normalize_width_keys(cal.get("by_width", {}),
@@ -179,9 +189,10 @@ def _validate_width_maps(cfg: dict):
             for key in body:
                 if key not in ("heater_scale", "lc_quad_um"):
                     raise ConfigError(f"unknown config key 'calibration.by_width[{w}].{key}'")
-            for key in ("heater_scale", "lc_quad_um"):
+            for key, expected in (("heater_scale", _NUM), ("lc_quad_um", list)):
                 if key not in body:
                     raise ConfigError(f"missing config key 'calibration.by_width[{w}].{key}'")
+                _check_value(f"calibration.by_width[{w}].{key}", body[key], expected)
 
 
 def load_config(path=None) -> dict:

@@ -124,6 +124,11 @@ def cooperativity(sys: TwmSystem) -> float:
 
 def external_efficiency(sys: TwmSystem):
     """(eta_int, eta_ex) at the system's detunings and pump power."""
+    return _efficiencies(sys)[1:]
+
+
+def _efficiencies(sys: TwmSystem):
+    """(C, eta_int, eta_ex), computing the cooperativity once."""
     C = cooperativity(sys)
     ks, ki = sys.signal.kappa_tot, sys.idler.kappa_tot
     d_s = sys.signal.delta
@@ -131,7 +136,7 @@ def external_efficiency(sys: TwmSystem):
     bracket = (1.0 + 2j * d_s / ks) * (1.0 + 2j * d_i_eff / ki) + C
     eta_int = 4.0 * C / abs(bracket) ** 2
     eta_ex = sys.signal.eta * sys.idler.eta * eta_int
-    return eta_int, eta_ex
+    return C, eta_int, eta_ex
 
 
 def pump_power_unity_cooperativity(sys: TwmSystem) -> float:
@@ -169,9 +174,7 @@ def efficiency_vs_power(sys: TwmSystem, powers_W):
         raise DomainError("powers must be >= 0")
     rows = np.empty((powers.size, 4))
     for j, p in enumerate(powers.ravel()):
-        s = sys.with_power(float(p))
-        eta_int, eta_ex = external_efficiency(s)
-        rows[j] = (p, cooperativity(s), eta_int, eta_ex)
+        rows[j] = (p, *_efficiencies(sys.with_power(float(p))))
     return rows
 
 

@@ -1,8 +1,10 @@
 """Exception hierarchy.
 
-The CLI maps these onto process exit codes: ConfigError and the input
-validation family -> 2 (in a CLI run every input comes from the config or
-its table file), the infeasibility family -> 3, numerical failures -> 4.
+Every error belongs to one family, and the family holds the CLI's process
+exit code: `InputError` -> 2 (in a CLI run every input comes from the config
+or its table file, so this covers a missing key, a non-finite or unusable
+value, and a value outside a model's domain), `Infeasible` -> 3,
+`NumericalError` -> 4 (including a failed verification, `StaleResult`).
 """
 
 from __future__ import annotations
@@ -11,58 +13,64 @@ from __future__ import annotations
 class QfcError(Exception):
     """Base class for all package errors."""
 
+    exit_code = 1
 
-# --- domain / input validation -------------------------------------------
 
-class OutOfDomain(QfcError):
+class InputError(QfcError):
+    """An input (config value, table file, argument) is unusable."""
+
+    exit_code = 2
+
+
+class Infeasible(QfcError):
+    """The inputs are valid, but no design satisfies them."""
+
+    exit_code = 3
+
+
+class NumericalError(QfcError):
+    """A numerical routine failed or cannot be trusted."""
+
+    exit_code = 4
+
+
+# --- input: exit 2 ----------------------------------------------------------
+
+class ConfigError(InputError):
+    """Configuration file is missing, malformed, or violates the schema."""
+
+
+class OutOfDomain(InputError):
     """Evaluation requested outside a model's validity window."""
 
 
-class UnknownWidth(QfcError):
+class UnknownWidth(InputError):
     """No dispersion or coupler model exists for the requested waveguide width."""
 
 
-class ParseError(QfcError):
+class ParseError(InputError):
     """Malformed table file (bad row, duplicate key, out-of-range value)."""
 
 
-class FitError(QfcError):
-    """Least-squares fit residual exceeded the acceptance bound."""
-
-
-class DomainError(QfcError):
+class DomainError(InputError):
     """Inputs are structurally unusable (too few samples, zero rate, ...)."""
 
 
-class NonphysicalRate(QfcError):
+class NonphysicalRate(InputError):
     """A rate violates a physical ordering (e.g. kappa_ex > kappa_tot)."""
 
 
-class DegenerateCoupling(QfcError):
+class DegenerateCoupling(InputError):
     """A coupling ratio of exactly 0 or 1 makes the requested formula singular."""
 
 
-# --- integrator -----------------------------------------------------------
+# --- infeasible: exit 3 -----------------------------------------------------
 
-class StepSizeTooLarge(QfcError):
-    """Time step violates the integrator stability bound."""
-
-
-class NonFinite(QfcError):
-    """Amplitudes overflowed or became NaN during integration."""
-
-
-# --- search / matching ----------------------------------------------------
-
-class NoResonance(QfcError):
+class NoResonance(Infeasible):
     """A wavelength band contains no cavity resonance."""
 
 
-class SweepStepTooCoarse(QfcError):
-    """Temperature sweep step could skip over feasible solutions."""
-
-
-class NoFeasibleMatch(QfcError):
+class NoFeasibleMatch(Infeasible):
     """Triple-resonance search found no candidate satisfying all constraints.
 
     Carries the best infeasible candidate and its violated constraints for
@@ -75,45 +83,35 @@ class NoFeasibleMatch(QfcError):
         self.violations = violations or []
 
 
-class StaleResult(QfcError):
-    """A stored match result disagrees with a from-scratch re-derivation."""
-
-
-class UnmatchedVariant(QfcError):
+class UnmatchedVariant(Infeasible):
     """A device variant lacks a triple-resonance solution."""
 
 
-class CalibrationInfeasible(QfcError):
+class CalibrationInfeasible(Infeasible):
     """No calibration satisfies the requested anchors; names the violated one."""
 
 
-# --- runner ---------------------------------------------------------------
+# --- numerical: exit 4 ------------------------------------------------------
 
-class ConfigError(QfcError):
-    """Configuration file is missing, malformed, or violates the schema."""
-
-
-class NumericalFailure(QfcError):
+class NumericalFailure(NumericalError):
     """A numerical routine failed to converge or produced non-finite values."""
 
 
-EXIT_OK = 0
-EXIT_CONFIG = 2
-EXIT_INFEASIBLE = 3
-EXIT_NUMERICAL = 4
-
-_INPUT = (ConfigError, OutOfDomain, UnknownWidth, ParseError, DomainError, NonphysicalRate,
-          DegenerateCoupling)
-_INFEASIBLE = (NoFeasibleMatch, UnmatchedVariant, CalibrationInfeasible, NoResonance)
-_NUMERICAL = (NumericalFailure, FitError, StepSizeTooLarge, NonFinite, SweepStepTooCoarse)
+class FitError(NumericalError):
+    """Least-squares fit residual exceeded the acceptance bound."""
 
 
-def exit_code_for(exc: BaseException) -> int:
-    """Process exit code for an exception raised by an experiment run."""
-    if isinstance(exc, _INPUT):
-        return EXIT_CONFIG
-    if isinstance(exc, _INFEASIBLE):
-        return EXIT_INFEASIBLE
-    if isinstance(exc, _NUMERICAL):
-        return EXIT_NUMERICAL
-    return 1
+class StepSizeTooLarge(NumericalError):
+    """Time step violates the integrator stability bound."""
+
+
+class NonFinite(NumericalError):
+    """Amplitudes overflowed or became NaN during integration."""
+
+
+class SweepStepTooCoarse(NumericalError):
+    """Temperature sweep step could skip over feasible solutions."""
+
+
+class StaleResult(NumericalError):
+    """A stored match result disagrees with a from-scratch re-derivation."""

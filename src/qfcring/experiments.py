@@ -64,8 +64,9 @@ def _power_grid_W(cfg):
     n = int(exp["power_points"])
     spacing = exp["power_spacing"]
     if spacing == "log":
-        if lo <= 0.0:
-            raise ConfigError("power_min_mW must be positive for log spacing")
+        for key, value in (("power_min_mW", lo), ("power_max_mW", hi)):
+            if value <= 0.0:
+                raise ConfigError(f"{key} must be positive for log spacing")
         grid = np.geomspace(lo, hi, n)
     elif spacing == "linear":
         grid = np.linspace(lo, hi, n)

@@ -21,6 +21,7 @@ import numpy as np
 from .constants import C_M_PER_S, TWO_PI, freq_hz
 from .elements import Device, _m_range, mode_rates, qpm_mismatch, solve_resonance_wavelength
 from .errors import (
+    DomainError,
     NoFeasibleMatch,
     OutOfDomain,
     StaleResult,
@@ -29,6 +30,10 @@ from .errors import (
 
 # Relative agreement verify_match demands between stored and re-derived fields.
 _VERIFY_TOL = 1e-9
+
+# Largest (comb lines x temperatures) or (pump x idler lines) array a search
+# may build: 2**24 float64 cells is 128 MiB per array.
+_MAX_GRID_CELLS = 2**24
 
 
 @dataclass(frozen=True, slots=True)
@@ -329,8 +334,9 @@ def find_triple_resonance(device: Device, constraints: SearchConstraints):
 
     The list is sorted by (|mismatch|, |signal detuning|, T) and de-duplicated
     per (m_s, m_p, m_i) triple.  Raises SweepStepTooCoarse when one step can
-    move the signal resonance past half the signal tolerance, and
-    NoFeasibleMatch (carrying the best near-miss) when nothing passes.
+    move the signal resonance past half the signal tolerance, DomainError
+    when the search grid would exceed _MAX_GRID_CELLS, and NoFeasibleMatch
+    (carrying the best near-miss) when nothing passes.
     """
     _check_domain(device, constraints)
     step = sweep_step_K(device, constraints)
@@ -353,13 +359,19 @@ def find_triple_resonance(device: Device, constraints: SearchConstraints):
         )
 
     n_steps = int(math.floor(span / step + 1e-9)) + 1
-    t_grid = constraints.t_min_K + step * np.arange(n_steps)
-
     t_ends = (constraints.t_min_K, constraints.t_max_K)
     target_nm = constraints.signal_wavelength_nm
     m_s_list = _m_range(device, (target_nm, target_nm), t_ends)
     m_p_list = _m_range(device, constraints.pump_window_nm, t_ends)
     m_i_list = _m_range(device, constraints.idler_window_nm, t_ends)
+    n_lines = len(m_s_list) + len(m_p_list) + len(m_i_list)
+    if max(n_lines * n_steps, len(m_p_list) * len(m_i_list)) > _MAX_GRID_CELLS:
+        raise DomainError(
+            f"search grid of {n_lines} comb lines x {n_steps} temperatures "
+            f"({len(m_p_list)} pump x {len(m_i_list)} idler lines) exceeds "
+            f"{_MAX_GRID_CELLS} cells"
+        )
+    t_grid = constraints.t_min_K + step * np.arange(n_steps)
     m_offset = device.ring.m_offset
 
     keep = _signal_bracket(device, constraints, m_s_list, t_grid, step)

@@ -3,6 +3,7 @@
 import copy
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -78,6 +79,27 @@ def test_type_checked():
     bad = copy.deepcopy(default_config())
     bad["experiment"]["power_points"] = "many"
     with pytest.raises(ConfigError, match="power_points"):
+        validate_config(bad)
+
+
+@pytest.mark.parametrize("path, value, key", [
+    (("device", "ring_length_um"), float("nan"), "device.ring_length_um"),
+    (("experiment", "pump_power_mW"), float("inf"), "experiment.pump_power_mW"),
+    (("experiment", "widths_nm"), [1500.0, float("inf")], "experiment.widths_nm"),
+    (("device", "poling_period_um_by_width", "1500"), float("-inf"),
+     "device.poling_period_um_by_width[1500]"),
+    (("calibration", "by_width", "1500", "heater_scale"), float("nan"),
+     "calibration.by_width[1500].heater_scale"),
+    (("calibration", "by_width", "1500", "lc_quad_um"), [1.0, float("inf"), 0.0],
+     "calibration.by_width[1500].lc_quad_um"),
+])
+def test_non_finite_value_named(path, value, key):
+    bad = copy.deepcopy(default_config())
+    node = bad
+    for part in path[:-1]:
+        node = node[part]
+    node[path[-1]] = value
+    with pytest.raises(ConfigError, match=re.escape(f"config key '{key}' must be finite")):
         validate_config(bad)
 
 

@@ -1,0 +1,144 @@
+"""The CLI's exit-code contract: every failure exits 2, 3 or 4 with a JSON record.
+
+The error class holds its exit code through its family (input 2, infeasible
+3, numerical 4).  The CLI runs in-process here; `test_config_cli` covers the
+subprocess path.
+"""
+
+import contextlib
+import io
+import json
+import tempfile
+
+import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
+from qfcring import cli, errors, matching
+from qfcring.config import SCHEMA
+from qfcring.elements import solve_resonance_wavelength
+from qfcring.experiments import EXPERIMENTS
+
+FAMILIES = {errors.InputError: 2, errors.Infeasible: 3, errors.NumericalError: 4}
+
+
+def run_main(args):
+    """(exit code, stdout, stderr) of an in-process CLI run."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(args)
+    return code, out.getvalue(), err.getvalue()
+
+
+def error_record(code, stderr):
+    record = json.loads(stderr)
+    assert record["exit_code"] == code
+    assert issubclass(getattr(errors, record["error"]), errors.QfcError)
+    return record
+
+
+def test_every_error_class_declares_a_cli_exit_code():
+    classes = [obj for obj in vars(errors).values()
+               if isinstance(obj, type) and issubclass(obj, errors.QfcError)
+               and obj is not errors.QfcError]
+    leaves = [c for c in classes if c not in FAMILIES]
+    assert len(leaves) == 17
+    for cls in classes:
+        assert cls.exit_code in {2, 3, 4}, cls.__name__
+    for cls in leaves:
+        families = [f for f in FAMILIES if issubclass(cls, f)]
+        assert len(families) == 1, cls.__name__
+        assert cls.exit_code == FAMILIES[families[0]]
+    assert errors.StaleResult.exit_code == 4
+
+
+def test_failed_verification_exits_4(monkeypatch, tmp_path):
+    # Roots 1e-4 nm long still give a match; only verify_match's closed-form
+    # temperature check notices, as in test_verify_match_catches_shifted_solver.
+    def shifted(*args):
+        return solve_resonance_wavelength(*args) + 1e-4
+
+    monkeypatch.setattr(matching, "solve_resonance_wavelength", shifted)
+    code, _, err = run_main(["match", "--out-dir", str(tmp_path / "out")])
+    assert code == 4
+    record = error_record(code, err)
+    assert record["error"] == "StaleResult"
+    assert "closed form" in record["message"]
+
+
+@pytest.mark.parametrize("experiment, override, error, code, message", [
+    ("tradeoff", "experiment.widths_nm=[]", "ConfigError", 2,
+     "config key 'experiment.widths_nm' must list at least one width"),
+    ("match", "dispersion.table_file={tmp}/nope.csv", "ConfigError", 2,
+     "cannot read dispersion table {tmp}/nope.csv: "),
+    ("convert", "experiment.power_max_mW=0", "ConfigError", 2,
+     "power_max_mW must be positive for log spacing"),
+    ("calibrate", "device.mzi_heater_length_um=0", "CalibrationInfeasible", 3,
+     "anchor 'coupling ratios': base heater length is zero"),
+    ("calibrate", "calibration_targets.fwm_rate_Hz=-1", "CalibrationInfeasible", 3,
+     "anchor 'noise rate': target fwm_rate_Hz=-1.0 must be non-negative"),
+    ("match", "device.ring_length_um=.nan", "ConfigError", 2,
+     "config key 'device.ring_length_um' must be finite, got nan"),
+    ("match", "constraints.t_step_mK=1.0e-9", "DomainError", 2,
+     "search grid of "),
+], ids=["no-widths", "missing-table", "zero-power-max", "zero-heater", "negative-fwm-rate",
+        "nan-ring-length", "tiny-sweep-step"])
+def test_unusable_value_exits_with_its_family_code(tmp_path, experiment, override, error,
+                                                  code, message):
+    override, message = (s.replace("{tmp}", str(tmp_path)) for s in (override, message))
+    got, out, err = run_main([experiment, "--override", override,
+                              "--out-dir", str(tmp_path / "out")])
+    assert (got, out) == (code, "")
+    record = error_record(code, err)
+    assert record["error"] == error
+    assert record["message"].startswith(message)
+
+
+def _is_numeric(expected):
+    return bool({int, float} & set(expected if isinstance(expected, tuple) else (expected,)))
+
+
+NUMERIC_KEYS = [f"{section}.{key}" for section, body in SCHEMA.items()
+                for key, (expected, _) in body.items() if _is_numeric(expected)]
+# YAML 1.1 reads `1e9` as a string, so the large and small values carry a dot.
+EXTREMES = ("0", "-1", "1.0e-9", "1.0e+9", ".nan", ".inf", "-.inf")
+
+
+@settings(max_examples=120, derandomize=True, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(key=st.sampled_from(NUMERIC_KEYS), value=st.sampled_from(EXTREMES),
+       experiment=st.sampled_from(EXPERIMENTS))
+# Overrides that once escaped as a traceback (exit 1) or took every byte of memory.
+@example(key="device.ring_length_um", value="1.0e+9", experiment="spectrum")
+@example(key="device.ring_length_um", value=".nan", experiment="couplings")
+@example(key="device.ring_length_um", value=".inf", experiment="match")
+@example(key="device.mzi_arm_delta_um", value=".inf", experiment="calibrate")
+@example(key="device.mzi_arm_delta_um", value="-.inf", experiment="calibrate")
+@example(key="device.mzi_heater_length_um", value="0", experiment="calibrate")
+@example(key="device.mzi_delta_T_K", value=".inf", experiment="calibrate")
+@example(key="device.mzi_delta_T_K", value="-.inf", experiment="calibrate")
+@example(key="dispersion.dn_dT_per_K", value=".inf", experiment="calibrate")
+@example(key="dispersion.dn_dT_per_K", value="-.inf", experiment="calibrate")
+@example(key="physics.signal_wavelength_nm", value=".nan", experiment="convert")
+@example(key="constraints.pump_base_wavelength_nm", value=".nan", experiment="noise")
+@example(key="constraints.idler_base_wavelength_nm", value=".nan", experiment="tradeoff")
+@example(key="constraints.half_window_nm", value=".nan", experiment="match")
+@example(key="constraints.t_step_mK", value="1.0e-9", experiment="spectrum")
+@example(key="constraints.t_step_mK", value=".nan", experiment="calibrate")
+@example(key="experiment.power_max_mW", value="0", experiment="convert")
+@example(key="calibration_targets.fwm_rate_Hz", value="-1", experiment="calibrate")
+@example(key="calibration_targets.fwm_rate_Hz", value="-.inf", experiment="calibrate")
+@example(key="calibration_targets.max_heater_length_um", value=".nan", experiment="calibrate")
+@example(key="calibration_targets.max_heater_length_um", value=".inf", experiment="calibrate")
+@example(key="calibration_targets.max_heater_length_um", value="-.inf", experiment="calibrate")
+@example(key="calibration.g_chi3_over_2pi_Hz", value=".inf", experiment="tradeoff")
+def test_any_single_extreme_override_exits_with_a_documented_code(tmp_path, key, value,
+                                                                  experiment):
+    out_dir = tempfile.mkdtemp(dir=tmp_path)
+    code, out, err = run_main([experiment, "--override", f"{key}={value}",
+                               "--out-dir", out_dir])
+    assert code in {0, 2, 3, 4}
+    if code == 0:
+        assert json.loads(out)["experiment"] == experiment
+    else:
+        error_record(code, err)
