@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import OrderedDict
+from dataclasses import fields
 from functools import lru_cache
 
 from .config import config_hash
@@ -16,6 +18,11 @@ from .elements import Device, DirectionalCoupler, MziCoupler, RingCavity
 from .errors import ConfigError
 from .matching import MatchResult, SearchConstraints, find_triple_resonance, verify_match
 from .noise import FwmChannel
+
+# Verified sweeps kept per process, least recently used dropped first: enough
+# for one config's widths plus its primary width, bare ring and coupled.
+_SWEEP_MEMO_SIZE = 8
+_sweep_memo: OrderedDict = OrderedDict()
 
 
 @lru_cache(maxsize=8)
@@ -106,16 +113,40 @@ def build_constraints(cfg: dict) -> SearchConstraints:
         raise ConfigError(f"invalid constraints: {exc}") from None
 
 
+def _sweep_key(device: Device, constraints: SearchConstraints) -> tuple:
+    """Content of every input the sweep reads (never an object's identity)."""
+    mzi = device.mzi
+    coupler = None if mzi is None else tuple(
+        getattr(mzi, f.name) for f in fields(mzi) if f.name != "dispersion")
+    return (constraints, device.dispersion.content_hash(), device.ring, coupler)
+
+
 def operating_point(cfg: dict, width_nm=None, with_coupler=True):
-    """Device at one width and its matches, best first.
+    """Device at one width and its matches (a tuple), best first.
 
     One sweep, then the best match is verified from raw dispersion before
     any caller reads it.  Raises NoFeasibleMatch when nothing matches and
     StaleResult when the best match does not re-derive.
+
+    Experiments in one process share one verified sweep per width and input
+    set: the matches are memoised on the content of the sweep's inputs
+    (constraints, dispersion content hash, ring, coupler), so a repeat call
+    neither sweeps again nor re-emits the sweep's coverage warning.  Errors
+    are not memoised.  The CLI runs one experiment per process, so it
+    always sweeps.
     """
     device = build_device(cfg, width_nm=width_nm, with_coupler=with_coupler)
-    matches = find_triple_resonance(device, build_constraints(cfg))
-    verify_match(device, matches[0])
+    constraints = build_constraints(cfg)
+    key = _sweep_key(device, constraints)
+    matches = _sweep_memo.get(key)
+    if matches is None:
+        matches = tuple(find_triple_resonance(device, constraints))
+        verify_match(device, matches[0])
+        _sweep_memo[key] = matches
+        if len(_sweep_memo) > _SWEEP_MEMO_SIZE:
+            _sweep_memo.popitem(last=False)
+    else:
+        _sweep_memo.move_to_end(key)
     return device, matches
 
 

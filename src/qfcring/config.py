@@ -12,12 +12,28 @@ import copy
 import hashlib
 import json
 import math
+import re
 from functools import lru_cache
 from importlib import resources
 
 import yaml
 
 from .errors import ConfigError
+
+
+class _Loader(yaml.SafeLoader):
+    """SafeLoader that also reads YAML 1.2 exponent floats (1e3, 1E-4, -2e5).
+
+    The YAML 1.1 resolver wants a dot and a signed exponent, so it reads
+    these as strings, including the `repr` floats `emit_config` writes.
+    """
+
+
+_Loader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:[0-9][0-9_]*(?:\.[0-9_]*)?|\.[0-9_]+)[eE][-+]?[0-9]+$"),
+    list("-+.0123456789"),
+)
 
 # Schema: section -> key -> (type, required).  `dict` values hold
 # width-keyed maps ("1400", "1500", ...); `list` values are numeric arrays.
@@ -213,7 +229,7 @@ def load_config(path=None) -> dict:
 
 def _parse_config(text: str, source: str) -> dict:
     try:
-        cfg = yaml.safe_load(text)
+        cfg = yaml.load(text, Loader=_Loader)
     except yaml.YAMLError as exc:
         raise ConfigError(f"{source}: YAML parse error: {exc}") from None
     return validate_config(cfg)
@@ -251,7 +267,7 @@ def apply_overrides(cfg: dict, overrides) -> dict:
         key, _, raw = item.partition("=")
         key = key.strip()
         try:
-            value = yaml.safe_load(raw)
+            value = yaml.load(raw, Loader=_Loader)
         except yaml.YAMLError:
             raise ConfigError(f"override '{item}': unparseable value") from None
         path = key.split(".")

@@ -36,10 +36,11 @@ _FMT = "%.12g"
 
 
 def _write_csv(path, header, rows):
+    rows = np.atleast_2d(np.asarray(rows, dtype=float))
+    line = ",".join([_FMT] * rows.shape[1]) + "\n"
+    body = "".join([line % tuple(row) for row in rows.tolist()])
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in np.atleast_2d(np.asarray(rows, dtype=float)):
-            fh.write(",".join(_FMT % v for v in row) + "\n")
+        fh.write(",".join(header) + "\n" + body)
 
 
 def _write_meta(path, meta):

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from qfcring import builders
 from qfcring.config import default_config
 from qfcring.constants import C_M_PER_S, freq_hz
 from qfcring.dispersion import DispersionModel
@@ -44,6 +45,17 @@ def simple_model(coeffs, dn_dt=3.9e-5, lambda_ref=1200.0, t_ref=350.0,
         temperature_window_K=t_window,
         dn_dT_slope_per_K_nm=slope,
     )
+
+
+@pytest.fixture(autouse=True)
+def fresh_sweep_memo():
+    """Start every test with no memoised operating point.
+
+    A verified sweep memoised by an earlier test would otherwise answer a
+    later test's call, and the faults those tests inject into the sweep or
+    the verification would never run.
+    """
+    builders._sweep_memo.clear()
 
 
 @pytest.fixture(scope="session")

@@ -1,0 +1,176 @@
+"""The process-level memo of verified operating points in `builders`."""
+
+import contextlib
+import copy
+import dataclasses
+from importlib import resources
+from types import SimpleNamespace
+
+import pytest
+
+from qfcring import builders, matching
+from qfcring.config import apply_overrides
+from qfcring.errors import NoFeasibleMatch, QfcError, StaleResult
+from qfcring.experiments import run_experiment
+
+EXPLORE = ("spectrum", "couplings", "match", "convert", "noise", "tradeoff")
+
+
+@pytest.fixture
+def sweeps(monkeypatch):
+    """Record every real sweep (its width and best match) and verification."""
+    rec = SimpleNamespace(widths=[], bests=[], verified=[])
+    real_find, real_verify = matching.find_triple_resonance, matching.verify_match
+
+    def counting_find(device, constraints):
+        rec.widths.append(device.width_nm)
+        results = real_find(device, constraints)
+        rec.bests.append(results[0])
+        return results
+
+    def counting_verify(device, result, *args, **kwargs):
+        rec.verified.append(result)
+        return real_verify(device, result, *args, **kwargs)
+
+    monkeypatch.setattr(builders, "find_triple_resonance", counting_find)
+    monkeypatch.setattr(builders, "verify_match", counting_verify)
+    return rec
+
+
+def _edited(cfg, path, change):
+    out = copy.deepcopy(cfg)
+    node = out
+    for part in path[:-1]:
+        node = node[part]
+    node[path[-1]] = change(node[path[-1]])
+    return out
+
+
+def _perturbed_table(tmp_path, scale):
+    """Copy of the packaged dispersion table with every n_eff scaled."""
+    text = resources.files("qfcring.data").joinpath("default_dispersion.csv").read_text()
+    lines = []
+    for line in text.splitlines():
+        fields = line.split(",")
+        if len(fields) == 4 and not line.startswith(("#", "wavelength")):
+            fields[3] = repr(float(fields[3]) * scale)
+        lines.append(",".join(fields))
+    path = tmp_path / f"table_{scale!r}.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return str(path)
+
+
+def test_explore_experiments_sweep_each_width_once(cfg, tmp_path, sweeps):
+    for name in EXPLORE:
+        run_experiment(name, cfg, str(tmp_path / name))
+    widths = sorted({float(w) for w in cfg["experiment"]["widths_nm"]}
+                    | {float(cfg["device"]["width_nm"])})
+    assert sorted(sweeps.widths) == widths
+    assert len(sweeps.verified) == len(sweeps.bests)
+    for width, best in zip(sweeps.widths, sweeps.bests):
+        assert any(v is best for v in sweeps.verified), f"width {width:g} nm not verified"
+
+
+SWEEP_INPUTS = [
+    (("device", "ring_length_um"), lambda v: v + 0.01),
+    (("device", "mzi_heater_length_um"), lambda v: v * 1.01),
+    (("device", "propagation_loss_dB_per_m"), lambda v: v * 1.1),
+    (("dispersion", "dn_dT_per_K"), lambda v: v * 1.01),
+    (("constraints", "t_ring_min_K"), lambda v: v + 1.0),
+    (("constraints", "max_mismatch_MHz"), lambda v: v * 2.0),
+    (("physics", "signal_wavelength_nm"), lambda v: v + 1e-4),
+    (("calibration", "by_width", "1500", "heater_scale"), lambda v: v * 1.001),
+    (("calibration", "by_width", "1500", "lc_quad_um"), lambda v: [v[0] + 0.1, *v[1:]]),
+]
+
+
+@pytest.mark.parametrize("path, change", SWEEP_INPUTS,
+                         ids=[".".join(p) for p, _ in SWEEP_INPUTS])
+def test_changed_sweep_input_sweeps_again(cfg, sweeps, path, change):
+    builders.operating_point(cfg)
+    with contextlib.suppress(QfcError):
+        builders.operating_point(_edited(cfg, path, change))
+    assert len(sweeps.widths) == 2
+
+
+def test_changed_dispersion_table_sweeps_again(cfg, tmp_path, sweeps):
+    builders.operating_point(cfg)
+    same = _edited(cfg, ("dispersion", "table_file"),
+                   lambda _: _perturbed_table(tmp_path, 1.0))
+    builders.operating_point(same)
+    assert len(sweeps.widths) == 1, "a copy of the packaged table has the same content"
+    moved = _edited(cfg, ("dispersion", "table_file"),
+                    lambda _: _perturbed_table(tmp_path, 1.0 + 1e-6))
+    with contextlib.suppress(QfcError):
+        builders.operating_point(moved)
+    assert len(sweeps.widths) == 2
+
+
+@pytest.mark.parametrize("override", [
+    "experiment.power_points=7",
+    "physics.pump_detuning_MHz=25.0",
+    "experiment.spectrum_points=11",
+])
+def test_downstream_knob_reuses_the_sweep(cfg, sweeps, override):
+    _, first = builders.operating_point(cfg)
+    device, again = builders.operating_point(apply_overrides(cfg, [override]))
+    assert again is first
+    assert device == builders.build_device(cfg)
+    assert len(sweeps.widths) == 1 and len(sweeps.verified) == 1
+
+
+def test_bare_ring_and_coupled_device_are_separate_entries(cfg, sweeps):
+    _, bare = builders.operating_point(cfg, with_coupler=False)
+    _, coupled = builders.operating_point(cfg)
+    assert len(sweeps.widths) == 2
+    assert [m.t_ring_K for m in bare] == [m.t_ring_K for m in coupled]
+    assert bare[0].pump.kappa_ex != coupled[0].pump.kappa_ex
+
+
+def test_infeasible_config_raises_on_every_call(cfg, sweeps):
+    impossible = apply_overrides(cfg, ["constraints.max_mismatch_MHz=1e-9"])
+    for _ in range(2):
+        with pytest.raises(NoFeasibleMatch):
+            builders.operating_point(impossible)
+    assert len(sweeps.widths) == 2
+
+
+def test_failed_verification_is_not_memoised(cfg, monkeypatch, sweeps):
+    def stale(device, result):
+        raise StaleResult("injected")
+
+    counting_verify = builders.verify_match
+    monkeypatch.setattr(builders, "verify_match", stale)
+    with pytest.raises(StaleResult):
+        builders.operating_point(cfg)
+    monkeypatch.setattr(builders, "verify_match", counting_verify)
+    builders.operating_point(cfg)
+    assert len(sweeps.widths) == 2
+
+
+def test_returned_matches_cannot_be_changed(cfg):
+    _, matches = builders.operating_point(cfg)
+    snapshot = [m.as_dict() for m in matches]
+    assert isinstance(matches, tuple)
+    with pytest.raises(TypeError):
+        matches[0] = matches[-1]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        matches[0].t_ring_K = 0.0
+    _, again = builders.operating_point(cfg)
+    assert [m.as_dict() for m in again] == snapshot
+
+
+def test_memo_is_bounded_least_recently_used_first(cfg, sweeps):
+    size = builders._SWEEP_MEMO_SIZE
+    variants = [apply_overrides(cfg, [f"constraints.t_ring_max_K={390.0 + k}"])
+                for k in range(size + 1)]
+    for variant in variants[:size]:
+        builders.operating_point(variant)
+    builders.operating_point(variants[0])          # refresh the oldest entry
+    builders.operating_point(variants[size])       # evicts variants[1]
+    assert len(builders._sweep_memo) == size
+    assert len(sweeps.widths) == size + 1
+    builders.operating_point(variants[0])
+    assert len(sweeps.widths) == size + 1
+    builders.operating_point(variants[1])
+    assert len(sweeps.widths) == size + 2

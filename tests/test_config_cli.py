@@ -129,6 +129,39 @@ def test_emit_round_trip(cfg):
     assert config_hash(back) == config_hash(cfg)
 
 
+@pytest.mark.parametrize("override, spelled_out", [
+    ("experiment.power_max_mW=1e3", "experiment.power_max_mW=1.0e+3"),
+    ("experiment.power_min_mW=1E-4", "experiment.power_min_mW=1.0e-4"),
+    ("physics.pump_detuning_MHz=-2e5", "physics.pump_detuning_MHz=-2.0e+5"),
+])
+def test_override_reads_exponent_floats(cfg, override, spelled_out):
+    got = apply_overrides(cfg, [override])
+    assert got == apply_overrides(cfg, [spelled_out])
+    section, key = override.split("=")[0].split(".")
+    assert type(got[section][key]) is float
+
+
+def test_emitted_exponent_floats_reload(cfg, tmp_path):
+    edited = copy.deepcopy(cfg)
+    edited["physics"]["pump_detuning_MHz"] = 1e-05
+    edited["experiment"]["power_max_mW"] = 1e+20
+    text = emit_config(edited)
+    assert "pump_detuning_MHz: 1e-05\n" in text and "power_max_mW: 1e+20\n" in text
+    path = tmp_path / "exponents.yaml"
+    path.write_text(text, encoding="utf-8")
+    assert load_config(path) == edited
+
+
+@pytest.mark.parametrize("value", [".nan", ".inf", "-.inf"])
+def test_cli_non_finite_override_exit_2(tmp_path, value):
+    proc = run_cli(["convert", "--override", f"experiment.power_max_mW={value}",
+                    "--out-dir", str(tmp_path / "out")], cwd=tmp_path)
+    assert proc.returncode == 2
+    err = json.loads(proc.stderr)
+    assert err["error"] == "ConfigError"
+    assert err["message"].startswith("config key 'experiment.power_max_mW' must be finite")
+
+
 # --- calibration workflow --------------------------------------------------
 
 def test_calibrate_idempotent(cfg):

@@ -100,7 +100,6 @@ def _is_numeric(expected):
 
 NUMERIC_KEYS = [f"{section}.{key}" for section, body in SCHEMA.items()
                 for key, (expected, _) in body.items() if _is_numeric(expected)]
-# YAML 1.1 reads `1e9` as a string, so the large and small values carry a dot.
 EXTREMES = ("0", "-1", "1.0e-9", "1.0e+9", ".nan", ".inf", "-.inf")
 
 

@@ -245,7 +245,6 @@ def test_verified_sweep_equals_direct_sweep(cfg, width):
 
 
 def test_sweep_propagates_infeasible_width(cfg):
-    # YAML reads a bare 1e-9 as a string, so the override spells out 1.0e-9
     impossible = apply_overrides(cfg, ["constraints.max_mismatch_MHz=1.0e-9"])
     for width in (1400.0, 1500.0):
         with pytest.raises(NoFeasibleMatch):
