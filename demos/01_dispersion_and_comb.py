@@ -37,9 +37,9 @@ def main():
     header("2. Thermo-optic tuning")
     for lam in (737.0, 1623.0):
         ng = float(model.group_index(lam, 350.0, width))
-        rate = 299792458.0 / (lam * 1e-9) * float(model.thermo_optic(lam)) / ng
+        rate = 299792458.0 / (lam * 1e-9) * model.dn_dT_per_K / ng
         print(f"resonance shift at {lam:7.1f} nm: {rate / 1e9:6.2f} GHz/K "
-              f"(dn/dT = {float(model.thermo_optic(lam)):.2e} / K)")
+              f"(dn/dT = {model.dn_dT_per_K:.2e} / K)")
 
     header("3. Pump-band resonance comb at T_ring = 350 K")
     device = build_device(cfg, with_coupler=False)

@@ -42,8 +42,7 @@ def main():
     dts = np.linspace(0.0, 60.0, 13)
     print(f"{'dT (K)':>8} {'eta_pump':>9} {'eta_signal':>11} {'eta_idler':>10}")
     for dt in dts:
-        etas = [coupling_ratio(device.ring, mzi, sol.lambda_nm, delta_T_K=float(dt),
-                               t_ring_K=match.t_ring_K)
+        etas = [coupling_ratio(device, sol.lambda_nm, match.t_ring_K, delta_T_K=float(dt))
                 for sol in (carriers["pump"], carriers["signal"], carriers["idler"])]
         mark = "  <== operating drive" if abs(dt - dt_op) < 2.5 else ""
         print(f"{dt:8.1f} {etas[0]:9.3f} {etas[1]:11.3f} {etas[2]:10.3f}{mark}")
@@ -56,8 +55,7 @@ def main():
         dts = np.linspace(0.0, 60.0, 241)
         fig, ax = plt.subplots(figsize=(5.4, 3.4))
         for role, sol in carriers.items():
-            eta = [coupling_ratio(device.ring, mzi, sol.lambda_nm,
-                                  delta_T_K=float(d), t_ring_K=match.t_ring_K)
+            eta = [coupling_ratio(device, sol.lambda_nm, match.t_ring_K, delta_T_K=float(d))
                    for d in dts]
             ax.plot(dts, eta, label=role)
         ax.axvline(dt_op, color="k", ls="--", lw=0.8)

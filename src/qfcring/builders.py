@@ -9,11 +9,7 @@ from functools import lru_cache
 from .config import config_hash
 from .constants import TWO_PI
 from .conversion import ModeChannel, TwmSystem, g0_effective
-from .dispersion import (
-    DispersionModel,
-    default_model,
-    load_dispersion_table,
-)
+from .dispersion import DispersionModel, load_dispersion_table
 from .elements import Device, DirectionalCoupler, MziCoupler, RingCavity
 from .errors import ConfigError
 from .matching import MatchResult, SearchConstraints, find_triple_resonance, verify_match
@@ -27,8 +23,7 @@ _sweep_memo: OrderedDict = OrderedDict()
 
 @lru_cache(maxsize=8)
 def _load_model(table_file, fit_order: int) -> DispersionModel:
-    if table_file is None:
-        return default_model()
+    # A null table_file is the packaged table, fitted at fit_order like any other.
     try:
         return load_dispersion_table(table_file, order=fit_order)
     except OSError as exc:

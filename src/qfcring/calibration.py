@@ -14,6 +14,7 @@ exactly on the eta targets; shared: g0_full and g_chi3 (closed forms).
 from __future__ import annotations
 
 import heapq
+import itertools
 import json
 import math
 from dataclasses import replace
@@ -32,6 +33,9 @@ from .noise import FwmChannel, fwm_noise_rate
 # the signal/idler envelopes stay strong.  Grid points are tried nearest the
 # base length first (ties to the shorter heater); the first feasible one wins.
 _HEATER_GRID_UM = 0.25
+# The walk gives up after this many candidates, so its cost does not grow
+# with calibration_targets.max_heater_length_um.
+_MAX_HEATER_CANDIDATES = 2**20
 
 
 def solve_g0_full_over_2pi_MHz(targets: dict, ppln_fraction: float) -> float:
@@ -100,8 +104,10 @@ def solve_width_couplings(cfg: dict, device: Device, match: MatchResult) -> dict
     wavelength, and the through-quadratic coupling length positive and
     non-increasing over the window.  Heater lengths on the grid are tried
     nearest the configured base first (ties to the shorter one), and the
-    first feasible one is returned.  The arm phase is affine in the heater
-    length, so beta is evaluated once per carrier.
+    first feasible one is returned; after _MAX_HEATER_CANDIDATES tries the
+    search stops with CalibrationInfeasible naming the span it covered.  The
+    arm phase is affine in the heater length, so beta is evaluated once per
+    carrier.
     """
     dev_cfg = cfg["device"]
     targets = cfg["calibration_targets"]
@@ -131,7 +137,8 @@ def solve_width_couplings(cfg: dict, device: Device, match: MatchResult) -> dict
     lo, hi = model.lambda_window_nm
     u = (np.linspace(lo, hi, 97) - model.lambda_ref_nm) / U_SCALE_NM
 
-    for j in _grid_nearest_first(base_um, int(max_um / _HEATER_GRID_UM)):
+    n_grid = int(max_um / _HEATER_GRID_UM)
+    for j in itertools.islice(_grid_nearest_first(base_um, n_grid), _MAX_HEATER_CANDIDATES):
         heater = j * _HEATER_GRID_UM
         x = []
         for geo, thermal, k_req in zip(geos, thermals, ks):
@@ -155,9 +162,17 @@ def solve_width_couplings(cfg: dict, device: Device, match: MatchResult) -> dict
             "heater_scale": heater / base_um,
             "lc_quad_um": [float(c) for c in coeffs],
         }
+    searched = f"up to {max_um} um"
+    if n_grid > _MAX_HEATER_CANDIDATES:
+        tried = np.fromiter(itertools.islice(_grid_nearest_first(base_um, n_grid),
+                                             _MAX_HEATER_CANDIDATES),
+                            dtype=np.int64, count=_MAX_HEATER_CANDIDATES)
+        searched = (f"in [{tried.min() * _HEATER_GRID_UM}, {tried.max() * _HEATER_GRID_UM}] um "
+                    f"(the {_MAX_HEATER_CANDIDATES} grid points nearest the base, where "
+                    "the search stops)")
     raise CalibrationInfeasible(
         "anchor 'coupling ratios at the operating MZI drive': no heater "
-        f"length up to {max_um} um places the pump near an envelope null "
+        f"length {searched} places the pump near an envelope null "
         "while keeping the signal/idler envelopes strong"
     )
 

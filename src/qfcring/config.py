@@ -1,9 +1,10 @@
 """Experiment configuration: strict schema, YAML I/O, overrides, hashing.
 
 Every physical quantity carries its unit in the key name.  Unknown keys are
-errors; required keys without committed defaults must be present.  The
-resolved configuration is echoed into every output's .meta.json sidecar,
-keyed by a canonical sha256 hash.
+errors and so are missing ones (only the `calibration` section may be
+absent, until `calibrate` writes it).  The resolved configuration is
+echoed into every output's .meta.json sidecar, keyed by a canonical sha256
+hash.
 """
 
 from __future__ import annotations
@@ -35,80 +36,112 @@ _Loader.add_implicit_resolver(
     list("-+.0123456789"),
 )
 
-# Schema: section -> key -> (type, required).  `dict` values hold
-# width-keyed maps ("1400", "1500", ...); `list` values are numeric arrays.
+# Schema: section -> key -> type; every key of a present section is required.
+# `dict` values hold width-keyed maps ("1400", "1500", ...); `list` values
+# are numeric arrays.
 _NUM = (int, float)
 SCHEMA = {
     "device": {
-        "ring_length_um": (_NUM, True),
-        "width_nm": (_NUM, True),
-        "dc_gap_nm": (_NUM, True),
-        "dc_length_um": (_NUM, True),
-        "mzi_arm_delta_um": (_NUM, True),
-        "mzi_heater_length_um": (_NUM, True),
-        "mzi_delta_T_K": (_NUM, True),
-        "ambient_temperature_K": (_NUM, True),
-        "ppln_fraction": (_NUM, True),
-        "poling_period_um_by_width": (dict, True),
-        "propagation_loss_dB_per_m": (_NUM, True),
+        "ring_length_um": _NUM,
+        "width_nm": _NUM,
+        "dc_gap_nm": _NUM,
+        "dc_length_um": _NUM,
+        "mzi_arm_delta_um": _NUM,
+        "mzi_heater_length_um": _NUM,
+        "mzi_delta_T_K": _NUM,
+        "ambient_temperature_K": _NUM,
+        "ppln_fraction": _NUM,
+        "poling_period_um_by_width": dict,
+        "propagation_loss_dB_per_m": _NUM,
     },
     "dispersion": {
-        "table_file": ((str, type(None)), True),
-        "fit_order": (int, True),
-        "dn_dT_per_K": (_NUM, True),
+        "table_file": (str, type(None)),
+        "fit_order": int,
+        "dn_dT_per_K": _NUM,
     },
     "physics": {
-        "signal_wavelength_nm": (_NUM, True),
-        "signal_input_rate_Hz": (_NUM, True),
-        "pump_detuning_MHz": (_NUM, True),
-        "fwm_companion_linewidth_over_2pi_GHz": (_NUM, True),
-        "fwm_companion_detuning_THz_by_width": (dict, True),
+        "signal_wavelength_nm": _NUM,
+        "signal_input_rate_Hz": _NUM,
+        "pump_detuning_MHz": _NUM,
+        "fwm_companion_linewidth_over_2pi_GHz": _NUM,
+        "fwm_companion_detuning_THz_by_width": dict,
     },
     "constraints": {
-        "max_signal_detuning_MHz": (_NUM, True),
-        "max_mismatch_MHz": (_NUM, True),
-        "pump_base_wavelength_nm": (_NUM, True),
-        "idler_base_wavelength_nm": (_NUM, True),
-        "half_window_nm": (_NUM, True),
-        "t_ring_min_K": (_NUM, True),
-        "t_ring_max_K": (_NUM, True),
-        "t_step_mK": (_NUM, True),
-        "require_qpm": (bool, True),
+        "max_signal_detuning_MHz": _NUM,
+        "max_mismatch_MHz": _NUM,
+        "pump_base_wavelength_nm": _NUM,
+        "idler_base_wavelength_nm": _NUM,
+        "half_window_nm": _NUM,
+        "t_ring_min_K": _NUM,
+        "t_ring_max_K": _NUM,
+        "t_step_mK": _NUM,
+        "require_qpm": bool,
     },
     "experiment": {
-        "power_min_mW": (_NUM, True),
-        "power_max_mW": (_NUM, True),
-        "power_points": (int, True),
-        "power_spacing": (str, True),
+        "power_min_mW": _NUM,
+        "power_max_mW": _NUM,
+        "power_points": int,
+        "power_spacing": str,
         # non-null pins convert/noise to this single drive power
-        "pump_power_mW": ((int, float, type(None)), True),
-        "spectrum_span_GHz": (_NUM, True),
-        "spectrum_points": (int, True),
-        "mzi_sweep_max_K": (_NUM, True),
-        "mzi_sweep_points": (int, True),
-        "dc_grid_min_nm": (_NUM, True),
-        "dc_grid_max_nm": (_NUM, True),
-        "dc_grid_points": (int, True),
-        "widths_nm": (list, True),
+        "pump_power_mW": (int, float, type(None)),
+        "spectrum_span_GHz": _NUM,
+        "spectrum_points": int,
+        "mzi_sweep_max_K": _NUM,
+        "mzi_sweep_points": int,
+        "dc_grid_min_nm": _NUM,
+        "dc_grid_max_nm": _NUM,
+        "dc_grid_points": int,
+        "widths_nm": list,
     },
     "calibration_targets": {
-        "eta_pump": (_NUM, True),
-        "eta_signal": (_NUM, True),
-        "eta_idler": (_NUM, True),
-        "g0_over_2pi_MHz": (_NUM, True),
-        "fwm_rate_Hz": (_NUM, True),
-        "fwm_rate_power_mW": (_NUM, True),
-        "fwm_anchor_detuning_over_2pi_THz": (_NUM, True),
-        "max_heater_length_um": (_NUM, True),
+        "eta_pump": _NUM,
+        "eta_signal": _NUM,
+        "eta_idler": _NUM,
+        "g0_over_2pi_MHz": _NUM,
+        "fwm_rate_Hz": _NUM,
+        "fwm_rate_power_mW": _NUM,
+        "fwm_anchor_detuning_over_2pi_THz": _NUM,
+        "max_heater_length_um": _NUM,
     },
     # Produced by the `calibrate` experiment; optional until then.
     "calibration": {
-        "g0_full_over_2pi_MHz": (_NUM, True),
-        "g_chi3_over_2pi_Hz": (_NUM, True),
-        "by_width": (dict, True),
+        "g0_full_over_2pi_MHz": _NUM,
+        "g_chi3_over_2pi_Hz": _NUM,
+        "by_width": dict,
     },
 }
 _OPTIONAL_SECTIONS = ("calibration",)
+
+
+def _load_yaml(text: str, where: str = ""):
+    """Parse YAML; a mapping that lists one key twice is a ConfigError.
+
+    PyYAML keeps the last of two equal keys, and `1500:` equals `1500.0:`,
+    so a repeated width would otherwise drop a value silently.  `where` is
+    the config path of the text's root (an override's key).
+    """
+    loader = _Loader(text)
+    try:
+        node = loader.get_single_node()
+        _check_unique_keys(loader, node, where)
+        return None if node is None else loader.construct_document(node)
+    finally:
+        loader.dispose()
+
+
+def _check_unique_keys(loader, node, where: str):
+    if not isinstance(node, yaml.MappingNode):
+        return
+    seen = set()
+    for key_node, value_node in node.value:
+        if not isinstance(key_node, yaml.ScalarNode) or key_node.tag.endswith(":merge"):
+            continue
+        key = loader.construct_object(key_node)
+        if key in seen:
+            owner = f"config key '{where}'" if where else "the config root"
+            raise ConfigError(f"{owner} lists {key!r} more than once")
+        seen.add(key)
+        _check_unique_keys(loader, value_node, f"{where}.{key}" if where else str(key))
 
 
 def _check_finite(path: str, values):
@@ -156,11 +189,9 @@ def validate_config(cfg: dict) -> dict:
         for key in body:
             if key not in keys:
                 raise ConfigError(f"unknown config key '{section}.{key}'")
-        for key, (expected, required) in keys.items():
+        for key, expected in keys.items():
             if key not in body:
-                if required:
-                    raise ConfigError(f"missing config key '{section}.{key}'")
-                continue
+                raise ConfigError(f"missing config key '{section}.{key}'")
             _check_value(f"{section}.{key}", body[key], expected)
     for key, value in cfg["experiment"].items():
         if key.endswith("_points") and value < 1:
@@ -173,14 +204,18 @@ def validate_config(cfg: dict) -> dict:
 
 def _normalize_width_keys(mapping: dict, where: str) -> dict:
     # YAML parses bare `1500:` as an int; canonical form is the string of
-    # the float's %g rendering, so hashing and comparisons are stable.
+    # the float's %g rendering, so hashing and comparisons are stable.  Two
+    # keys for one width (`1500:` and `1500.0:`) would silently keep the last.
     out = {}
     for w, v in mapping.items():
         try:
             width = float(w)
         except (TypeError, ValueError):
             raise ConfigError(f"'{where}' keys must be widths in nm, got {w!r}") from None
-        out[f"{width:g}"] = v
+        key = f"{width:g}"
+        if key in out:
+            raise ConfigError(f"config key '{where}' lists width {key} nm more than once")
+        out[key] = v
     return out
 
 
@@ -229,7 +264,7 @@ def load_config(path=None) -> dict:
 
 def _parse_config(text: str, source: str) -> dict:
     try:
-        cfg = yaml.load(text, Loader=_Loader)
+        cfg = _load_yaml(text)
     except yaml.YAMLError as exc:
         raise ConfigError(f"{source}: YAML parse error: {exc}") from None
     return validate_config(cfg)
@@ -267,7 +302,7 @@ def apply_overrides(cfg: dict, overrides) -> dict:
         key, _, raw = item.partition("=")
         key = key.strip()
         try:
-            value = yaml.load(raw, Loader=_Loader)
+            value = _load_yaml(raw, key)
         except yaml.YAMLError:
             raise ConfigError(f"override '{item}': unparseable value") from None
         path = key.split(".")

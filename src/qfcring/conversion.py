@@ -284,7 +284,7 @@ def evolve_mean_field(sys: TwmSystem, initial=(0j, 0j, 0j), dt=None, steps=None,
     return MeanFieldTrajectory(times, traj_a, traj_b, traj_c, converged)
 
 
-def steady_state_conversion(sys: TwmSystem, signal_flux=None, dt=None, steps=None):
+def steady_state_conversion(sys: TwmSystem, steps=None):
     """Driven steady-state (eta_int, eta_ex) extracted from the integrator.
 
     Drives the signal with a photon flux far below the pump's so the
@@ -292,7 +292,7 @@ def steady_state_conversion(sys: TwmSystem, signal_flux=None, dt=None, steps=Non
     output-idler flux over the input-signal flux:
     eta_ex = kappa_i_ex |c_ss|^2 / signal_flux.
 
-    dt defaults to 0.05/fast, fast covering every rate the step-size guard
+    The step is dt = 0.05/fast, fast covering every rate the step-size guard
     measures (d_c and g * 4 sqrt(k_p_ex) s_in / k_p too); RK4's fixed point is
     the exact steady state at any stable dt.  Chunks of _CHECK_EVERY steps
     resume from the last until one ends converged; steps (default 320/slow of
@@ -300,15 +300,15 @@ def steady_state_conversion(sys: TwmSystem, signal_flux=None, dt=None, steps=Non
     """
     kp = sys.pump.kappa_tot
     drive_p = math.sqrt(sys.pump.kappa_ex * sys.pump_power_W / (HBAR_J_S * sys.pump.omega))
-    if signal_flux is None:
-        # target steady |b| ~ 1e-3 |alpha|, |alpha|^2 = s_in^2 / (d_p^2 + k_p^2/4)
-        n_pump = drive_p**2 / (sys.pump.delta**2 + 0.25 * kp**2)
-        signal_flux = 1e-6 * n_pump * sys.signal.kappa_tot**2 / (4.0 * max(sys.signal.kappa_ex, 1e-300))
+    # target steady |b| ~ 1e-3 |alpha|, |alpha|^2 = s_in^2 / (d_p^2 + k_p^2/4)
+    n_pump = drive_p**2 / (sys.pump.delta**2 + 0.25 * kp**2)
+    signal_flux = (1e-6 * n_pump * sys.signal.kappa_tot**2
+                   / (4.0 * max(sys.signal.kappa_ex, 1e-300)))
     d_c = sys.signal.delta - sys.pump.delta - sys.mismatch
     slow = min(kp, sys.signal.kappa_tot, sys.idler.kappa_tot)
     fast = max(kp, sys.signal.kappa_tot, sys.idler.kappa_tot, abs(sys.pump.delta),
                abs(sys.signal.delta), abs(d_c), sys.g0 * 4.0 * drive_p / kp)
-    dt = 0.05 / fast if dt is None else dt
+    dt = 0.05 / fast
     steps = int(320.0 / (slow * dt)) + 1 if steps is None else steps
     state = (0j, 0j, 0j)
     for _ in range(-(-steps // _CHECK_EVERY)):

@@ -2,9 +2,9 @@
 
 A DispersionModel holds, per discrete top width, a polynomial fit of
 n_eff(lambda) about a reference wavelength plus a linear thermo-optic
-shift.  Widths are discrete design choices; interpolating between them is
-deliberately unsupported.  Evaluation outside the fitted window raises
-OutOfDomain rather than extrapolating.
+shift with one constant dn/dT.  Widths are discrete design choices;
+interpolating between them is deliberately unsupported.  Evaluation
+outside the fitted window raises OutOfDomain rather than extrapolating.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass, field
+from importlib import resources
 
 import numpy as np
 
@@ -50,13 +51,15 @@ def _polyder(coeffs: np.ndarray) -> np.ndarray:
 class DispersionModel:
     """Per-width polynomial n_eff model with linear thermo-optic shift.
 
-    n_eff(lambda, T, w) = P_w(u) + dn/dT(lambda) * (T - t_ref_K),
+    n_eff(lambda, T, w) = P_w(u) + dn_dT_per_K * (T - t_ref_K),
     u = (lambda_nm - lambda_ref_nm) / 1000.
 
     coeffs_by_width maps width (nm) to ascending polynomial coefficients.
-    dn/dT(lambda) = dn_dT_per_K + dn_dT_slope_per_K_nm * (lambda - lambda_ref).
-    fit_residuals_by_width records the max abs fit residual per width when
-    the model came from a table fit (0.0 for inline models).
+    dn_dT_per_K is one thermo-optic coefficient (1/K) shared by every
+    width and wavelength, so n_eff is linear in T and dn_eff/dlambda does
+    not depend on T.  fit_residuals_by_width records the max abs fit
+    residual per width when the model came from a table fit (0.0 for
+    inline models).
     """
 
     coeffs_by_width: dict
@@ -65,7 +68,6 @@ class DispersionModel:
     t_ref_K: float
     lambda_window_nm: tuple
     temperature_window_K: tuple
-    dn_dT_slope_per_K_nm: float = 0.0
     fit_residuals_by_width: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -98,7 +100,9 @@ class DispersionModel:
         for w in self.widths_nm:
             h.update(repr(w).encode())
             h.update(self.coeffs_by_width[w].tobytes())
-        for v in (self.dn_dT_per_K, self.dn_dT_slope_per_K_nm,
+        # The 0.0 fills the slot of a dn/dT slope the model no longer has, so
+        # hashes recorded in sidecars and goldens stay valid.
+        for v in (self.dn_dT_per_K, 0.0,
                   self.lambda_ref_nm, self.t_ref_K,
                   *self.lambda_window_nm, *self.temperature_window_K):
             h.update(repr(float(v)).encode())
@@ -150,11 +154,6 @@ class DispersionModel:
 
     # -- evaluation ---------------------------------------------------------
 
-    def thermo_optic(self, lambda_nm):
-        """dn/dT (1/K) at the given wavelength(s)."""
-        lam = np.asarray(lambda_nm, dtype=float)
-        return self.dn_dT_per_K + self.dn_dT_slope_per_K_nm * (lam - self.lambda_ref_nm)
-
     def n_eff(self, lambda_nm, t_K, width_nm: float):
         """Effective index at vacuum wavelength (nm), temperature (K), width (nm)."""
         self._check_domain(lambda_nm, t_K)
@@ -166,14 +165,12 @@ class DispersionModel:
         c = self._coeffs(width_nm)
         u = (np.asarray(lambda_nm, dtype=float) - self.lambda_ref_nm) / U_SCALE_NM
         n = _polyval(c, u)
-        return n + self.thermo_optic(lambda_nm) * (np.asarray(t_K, dtype=float) - self.t_ref_K)
+        return n + self.dn_dT_per_K * (np.asarray(t_K, dtype=float) - self.t_ref_K)
 
     def _dn_dlambda_unchecked(self, lambda_nm, t_K, width_nm: float):
         c = self._coeffs(width_nm)
         u = (np.asarray(lambda_nm, dtype=float) - self.lambda_ref_nm) / U_SCALE_NM
-        dpoly = _polyval(_polyder(c), u) / U_SCALE_NM
-        dthermo = self.dn_dT_slope_per_K_nm * (np.asarray(t_K, dtype=float) - self.t_ref_K)
-        return dpoly + dthermo
+        return _polyval(_polyder(c), u) / U_SCALE_NM
 
     def group_index(self, lambda_nm, t_K, width_nm: float):
         """n_g = n_eff - lambda * dn_eff/dlambda (analytic derivative)."""
@@ -273,9 +270,9 @@ def fit_dispersion_table(table: DispersionTable, order: int = 8) -> DispersionMo
 
     Per width: ascending polynomial of the given order in the rescaled
     wavelength; one thermo-optic coefficient is shared across widths.
-    Raises DomainError when a width has fewer than order+1 distinct
-    wavelengths and FitError when the max abs residual exceeds
-    _MAX_FIT_RESIDUAL.
+    Raises DomainError when the order is negative or a width has fewer
+    than order+1 distinct wavelengths, and FitError when the max abs
+    residual exceeds _MAX_FIT_RESIDUAL.
     """
     widths = sorted(set(table.width_nm.tolist()))
     lam_lo = float(table.wavelength_nm.min())
@@ -285,6 +282,8 @@ def fit_dispersion_table(table: DispersionTable, order: int = 8) -> DispersionMo
     lambda_ref = 0.5 * (lam_lo + lam_hi)
     t_ref = 0.5 * (t_lo + t_hi)
 
+    if order < 0:
+        raise DomainError(f"fit order must be non-negative, got {order}")
     for w in widths:
         sel = table.width_nm == w
         n_lam = len(set(table.wavelength_nm[sel].tolist()))
@@ -337,19 +336,20 @@ def fit_dispersion_table(table: DispersionTable, order: int = 8) -> DispersionMo
     )
 
 
-def load_dispersion_table(path, order: int = 8) -> DispersionModel:
-    """Read a dispersion table file and fit a DispersionModel to it."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    table = parse_dispersion_table(text, source=str(path))
-    return fit_dispersion_table(table, order=order)
+def load_dispersion_table(path=None, order: int = 8) -> DispersionModel:
+    """Read a dispersion table file and fit a DispersionModel to it.
+
+    None reads the packaged table, data/default_dispersion.csv.
+    """
+    if path is None:
+        ref = resources.files("qfcring.data").joinpath("default_dispersion.csv")
+        text, source = ref.read_text(encoding="utf-8"), "qfcring/data/default_dispersion.csv"
+    else:
+        with open(path, "r", encoding="utf-8") as fh:
+            text, source = fh.read(), str(path)
+    return fit_dispersion_table(parse_dispersion_table(text, source=source), order=order)
 
 
 def default_model() -> DispersionModel:
-    """The packaged default dispersion model (fit of data/default_dispersion.csv)."""
-    from importlib import resources
-
-    ref = resources.files("qfcring.data").joinpath("default_dispersion.csv")
-    text = ref.read_text(encoding="utf-8")
-    table = parse_dispersion_table(text, source="qfcring/data/default_dispersion.csv")
-    return fit_dispersion_table(table, order=8)
+    """The packaged default dispersion model (order-8 fit of the packaged table)."""
+    return load_dispersion_table(None)

@@ -4,7 +4,8 @@ coupler, and the ring cavity.
 The MZI acts as the ring's bus coupler.  Its composite 2x2 transfer matrix
 is unitary (lossless model); the power cross-coupling K sets the extrinsic
 rate of each cavity mode through the weak-coupling mapping
-kappa_ex = K * v_g / L_ring.
+kappa_ex = K * v_g / L_ring.  The ring operations take the Device and read
+n_eff, v_g and kappa_0 from its dispersion model.
 """
 
 from __future__ import annotations
@@ -192,56 +193,56 @@ class Device:
 # Operations
 # --------------------------------------------------------------------------
 
-def coupling_ratio(ring: RingCavity, mzi: MziCoupler, lambda_nm, t_ring_K,
-                   delta_T_K=None):
+def _coupled_rates(device: Device, lambda_nm, t_ring_K, delta_T_K):
+    """(K, kappa_ex = K v_g / L_ring, kappa_0), v_g and kappa_0 at the ring temperature."""
+    model, ring = device.dispersion, device.ring
+    kappa_0 = ring.kappa_0(model, lambda_nm, t_ring_K)
+    K = device.mzi.cross_coupling(lambda_nm, delta_T_K)
+    vg = model.group_velocity(lambda_nm, t_ring_K, ring.width_nm)
+    return K, K * vg / ring.length_m, kappa_0
+
+
+def coupling_ratio(device: Device, lambda_nm, t_ring_K, delta_T_K=None):
     """Coupling ratio eta = kappa_ex / (kappa_ex + kappa_0) of one cavity mode.
 
-    kappa_ex = K(lambda, dT) * v_g / L_ring, with v_g and kappa_0 taken at
-    the ring temperature.  Warns when K exceeds the weak-coupling bound
+    Rates as in mode_rates.  Warns when K exceeds the weak-coupling bound
     instead of failing.
     """
-    model = mzi.dispersion
-    K = mzi.cross_coupling(lambda_nm, delta_T_K)
+    K, kappa_ex, kappa_0 = _coupled_rates(device, lambda_nm, t_ring_K, delta_T_K)
     if np.any(np.asarray(K) > WEAK_COUPLING_K_MAX):
         warnings.warn(
             f"cross-coupling K={np.max(K):.3f} exceeds the weak-coupling bound "
             f"{WEAK_COUPLING_K_MAX}; the rate mapping kappa_ex = K v_g / L degrades",
             stacklevel=2,
         )
-    vg = model.group_velocity(lambda_nm, t_ring_K, ring.width_nm)
-    kappa_ex = K * vg / ring.length_m
-    kappa_0 = ring.kappa_0(model, lambda_nm, t_ring_K)
     return kappa_ex / (kappa_ex + kappa_0)
 
 
 def mode_rates(device: Device, lambda_nm, t_ring_K, delta_T_K=None):
-    """(kappa_ex, kappa_0) in rad/s for a cavity mode at lambda_nm."""
-    ring = device.ring
-    kappa_0 = ring.kappa_0(device.dispersion, lambda_nm, t_ring_K)
+    """(kappa_ex, kappa_0) in rad/s for a cavity mode at lambda_nm (0.0 kappa_ex bare)."""
     if device.mzi is None:
-        return 0.0, kappa_0
-    K = device.mzi.cross_coupling(lambda_nm, delta_T_K)
-    vg = device.dispersion.group_velocity(lambda_nm, t_ring_K, ring.width_nm)
-    return float(K * vg / ring.length_m), float(kappa_0)
+        return 0.0, device.ring.kappa_0(device.dispersion, lambda_nm, t_ring_K)
+    _, kappa_ex, kappa_0 = _coupled_rates(device, lambda_nm, t_ring_K, delta_T_K)
+    return float(kappa_ex), float(kappa_0)
 
 
-def ring_spectrum(ring: RingCavity, mzi: MziCoupler, lambda_grid_nm, t_ring_K,
-                  delta_T_K=None):
+def ring_spectrum(device: Device, lambda_grid_nm, t_ring_K):
     """All-pass power transmission sampled on a wavelength grid.
 
     Round-trip phase 2 pi n_eff(lambda, T_ring) L / lambda, round-trip field
-    amplitude from the propagation loss, composite MZI coupler.
+    amplitude from the propagation loss, composite MZI coupler at its own
+    thermal drive.
     """
     lam = np.asarray(lambda_grid_nm, dtype=float)
     if lam.size < 2:
         raise DomainError("spectrum needs at least 2 wavelength samples")
-    model = mzi.dispersion
-    n = model.n_eff(lam, t_ring_K, ring.width_nm)
+    ring = device.ring
+    n = device.dispersion.n_eff(lam, t_ring_K, ring.width_nm)
     phi = TWO_PI * n * ring.length_m / (lam * 1e-9)
     amp = 10.0 ** (-ring.alpha_prop_dB_per_m * ring.length_m / 20.0)
     rt = amp * np.exp(1j * phi)
 
-    m = mzi.transfer(lam, delta_T_K=delta_T_K)
+    m = device.mzi.transfer(lam)
     m00, m01 = m[..., 0, 0], m[..., 0, 1]
     m10, m11 = m[..., 1, 0], m[..., 1, 1]
     out = m00 + m01 * m10 * rt / (1.0 - m11 * rt)

@@ -227,8 +227,7 @@ def run_couplings(cfg, out_dir):
     dts = np.linspace(0.0, float(exp["mzi_sweep_max_K"]), int(exp["mzi_sweep_points"]))
     carriers = np.array([[match.pump.lambda_nm], [match.signal.lambda_nm],
                          [match.idler.lambda_nm]])
-    etas = coupling_ratio(device.ring, device.mzi, carriers, delta_T_K=dts,
-                          t_ring_K=match.t_ring_K)                    # (3, n_dT)
+    etas = coupling_ratio(device, carriers, match.t_ring_K, delta_T_K=dts)  # (3, n_dT)
     rows = np.column_stack([dts, etas.T])
     meta = resolved_metadata(cfg, "couplings", extra={
         "operating_delta_T_K": float(cfg["device"]["mzi_delta_T_K"]),
@@ -256,7 +255,7 @@ def run_spectrum(cfg, out_dir):
         freqs = np.linspace(f0 - span_hz / 2.0, f0 + span_hz / 2.0, points)
         lams = C_M_PER_S / freqs * 1e9
         lams = np.sort(lams)
-        t = ring_spectrum(device.ring, device.mzi, lams, match.t_ring_K)
+        t = ring_spectrum(device, lams, match.t_ring_K)
         meta = resolved_metadata(cfg, "spectrum", extra={
             "band": label,
             "center_wavelength_nm": sol.lambda_nm,

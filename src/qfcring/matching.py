@@ -150,8 +150,7 @@ def signal_shift_rate_hz_per_K(device: Device, constraints: SearchConstraints) -
     lam = constraints.signal_wavelength_nm
     t_mid = 0.5 * (constraints.t_min_K + constraints.t_max_K)
     ng = float(device.dispersion.group_index(lam, t_mid, device.width_nm))
-    dndt = float(device.dispersion.thermo_optic(lam))
-    return constraints.signal_target_hz * abs(dndt) / ng
+    return constraints.signal_target_hz * abs(device.dispersion.dn_dT_per_K) / ng
 
 
 def sweep_step_K(device: Device, constraints: SearchConstraints) -> float:
@@ -194,14 +193,14 @@ def _temperature_at(device: Device, m, lambda_nm):
     """Exact temperature at which comb line m resonates at lambda_nm (K).
 
     n_eff is linear in T, so m*lambda = n_eff(lambda, T)*L solves in closed
-    form: T = T_ref + (m*lambda/L - P_w(u)) / (dn/dT(lambda)).  Callers
-    ensure dn/dT(lambda) != 0.
+    form: T = T_ref + (m*lambda/L - P_w(u)) / (dn/dT).  Callers ensure
+    dn/dT != 0.
     """
     model = device.dispersion
     lam = np.asarray(lambda_nm, dtype=float)
     n_ref = model._n_eff_unchecked(lam, model.t_ref_K, device.width_nm)
     length_nm = device.ring.length_m * 1e9
-    return model.t_ref_K + (m * lam / length_nm - n_ref) / model.thermo_optic(lam)
+    return model.t_ref_K + (m * lam / length_nm - n_ref) / model.dn_dT_per_K
 
 
 def _signal_bracket(device: Device, constraints: SearchConstraints, m_s_list,
@@ -212,14 +211,13 @@ def _signal_bracket(device: Device, constraints: SearchConstraints, m_s_list,
     lies between c/(f_t + tol) and c/(f_t - tol).  The resonance wavelength
     is monotonic in T wherever n_g > 0, which the dispersion model
     guarantees, so those edges bound a temperature interval per line; one
-    step of margin on each side absorbs root-solver noise.  When dn/dT
-    vanishes or changes sign across the edges, every grid point is kept.
+    step of margin on each side absorbs root-solver noise.  When dn/dT is
+    zero the lines do not move with T, and every grid point is kept.
     """
+    if device.dispersion.dn_dT_per_K == 0.0:
+        return np.ones(t_grid.size, dtype=bool)
     f_t, tol = constraints.signal_target_hz, constraints.max_signal_detuning_Hz
     edges_nm = C_M_PER_S / (np.array([f_t + tol, f_t - tol]) * 1e-9)
-    dndt = device.dispersion.thermo_optic(edges_nm)
-    if not (np.all(dndt > 0.0) or np.all(dndt < 0.0)):
-        return np.ones(t_grid.size, dtype=bool)
     t_edges = _temperature_at(device, np.asarray(m_s_list, dtype=float)[:, None], edges_nm)
     starts = np.searchsorted(t_grid, t_edges.min(axis=1) - step, side="left")
     stops = np.searchsorted(t_grid, t_edges.max(axis=1) + step, side="right")
@@ -427,7 +425,7 @@ def verify_match(device: Device, result: MatchResult) -> dict:
     the stored signal line in closed form, independently of the iterative
     root solver; its disagreement, times the signal's thermal shift rate,
     must stay within _VERIFY_TOL * f_s.  The temperature check is skipped
-    where dn/dT vanishes.
+    when the model's dn/dT is zero.
     """
     model = device.dispersion
     length_nm = device.ring.length_m * 1e9
@@ -448,7 +446,7 @@ def verify_match(device: Device, result: MatchResult) -> dict:
             )
 
     sig = result.signal
-    if float(model.thermo_optic(sig.lambda_nm)) != 0.0:
+    if model.dn_dT_per_K != 0.0:
         t_closed = float(_temperature_at(device, sig.m, sig.lambda_nm))
         report["t_ring_closed_form_K"] = t_closed
         rate = signal_shift_rate_hz_per_K(device, cons)

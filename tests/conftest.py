@@ -35,7 +35,7 @@ def src_env():
 
 
 def simple_model(coeffs, dn_dt=3.9e-5, lambda_ref=1200.0, t_ref=350.0,
-                 window=(600.0, 1800.0), t_window=(250.0, 450.0), slope=0.0):
+                 window=(600.0, 1800.0), t_window=(250.0, 450.0)):
     return DispersionModel(
         coeffs_by_width={WIDTH: list(coeffs)},
         dn_dT_per_K=dn_dt,
@@ -43,7 +43,6 @@ def simple_model(coeffs, dn_dt=3.9e-5, lambda_ref=1200.0, t_ref=350.0,
         t_ref_K=t_ref,
         lambda_window_nm=window,
         temperature_window_K=t_window,
-        dn_dT_slope_per_K_nm=slope,
     )
 
 

@@ -1,13 +1,19 @@
 """Heater scan of the coupler calibration against a full-grid reference."""
 
+import contextlib
 import copy
+import io
+import json
 import math
+import time
 
 import numpy as np
 import pytest
 
+from qfcring import cli
 from qfcring.builders import build_constraints, build_device
-from qfcring.calibration import solve_width_couplings
+from qfcring.calibration import calibrate_config, solve_width_couplings
+from qfcring.config import apply_overrides
 from qfcring.constants import TWO_PI
 from qfcring.dispersion import U_SCALE_NM, DispersionModel
 from qfcring.errors import CalibrationInfeasible
@@ -133,3 +139,27 @@ def test_heater_scan_dispersion_budget(cfg, bare_points, monkeypatch, width):
     monkeypatch.setattr(DispersionModel, "propagation_constant", counting)
     solve_width_couplings(cfg, device, match)
     assert len(calls) <= 3
+
+
+HUGE_HEATER = "calibration_targets.max_heater_length_um=1.0e+9"
+
+
+def test_infeasible_heater_walk_stops_at_its_candidate_budget(tmp_path):
+    # 4e9 grid points: a full walk would run for hours
+    err = io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(["calibrate", "--override", HUGE_HEATER,
+                         "--override", "calibration_targets.eta_signal=0.999",
+                         "--out-dir", str(tmp_path)])
+    assert time.perf_counter() - start < 30.0
+    assert code == 3
+    record = json.loads(err.getvalue())
+    assert record["error"] == "CalibrationInfeasible"
+    assert "no heater length in [" in record["message"]
+    assert "the 1048576 grid points nearest the base" in record["message"]
+
+
+def test_huge_heater_bound_still_solves_the_committed_calibration(cfg):
+    assert calibrate_config(apply_overrides(cfg, [HUGE_HEATER]))["calibration"] == \
+        cfg["calibration"]

@@ -35,7 +35,7 @@ def test_thermo_optic_linearity(model):
     t1, t2 = 320.0, 397.5
     lhs = model.n_eff(lams, t1, WIDTH) - model.n_eff(lams, t2, WIDTH)
     # exact up to the float cancellation of the shared polynomial term
-    assert np.allclose(lhs, model.thermo_optic(lams) * (t1 - t2), rtol=0, atol=1e-12)
+    assert np.allclose(lhs, model.dn_dT_per_K * (t1 - t2), rtol=0, atol=1e-12)
 
 
 def test_shifted_temperature_is_reference_plus_slope(model):

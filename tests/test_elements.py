@@ -19,6 +19,7 @@ from qfcring.elements import (
     RingCavity,
     _m_range,
     coupling_ratio,
+    mode_rates,
     qpm_mismatch,
     resonance_comb,
     ring_spectrum,
@@ -158,6 +159,11 @@ def ring_500(alpha=30.0, f=0.0):
                       ppln_fraction=f, poling_period_um=5.0)
 
 
+def coupled(ring, mzi):
+    """Device whose ring shares the coupler's dispersion model."""
+    return Device(dispersion=mzi.dispersion, ring=ring, mzi=mzi)
+
+
 def test_coupling_ratio_zero_coupling():
     mzi = make_mzi(k2=0.5, delta_len_um=0.0)
     # dtheta = 0 and k2=0.5 gives K=1; instead force K=0 with a zero-length DC
@@ -166,14 +172,14 @@ def test_coupling_ratio_zero_coupling():
     mzi0 = MziCoupler(dc=dc0, delta_len_um=1.0, heater_len_um=100.0,
                       delta_T_K=0.0, dn_dT_per_K=3.9e-5, dispersion=mzi.dispersion,
                       width_nm=WIDTH, t_base_K=300.0)
-    eta = coupling_ratio(ring_500(), mzi0, 1200.0, delta_T_K=0.0, t_ring_K=350.0)
+    eta = coupling_ratio(coupled(ring_500(), mzi0), 1200.0, 350.0, delta_T_K=0.0)
     assert eta == 0.0
 
 
 def test_coupling_ratio_lossless_limit():
     mzi = make_mzi(k2=0.1)
-    eta = coupling_ratio(ring_500(alpha=1e-12), mzi, 1200.0, delta_T_K=10.0,
-                         t_ring_K=350.0)
+    eta = coupling_ratio(coupled(ring_500(alpha=1e-12), mzi), 1200.0, 350.0,
+                         delta_T_K=10.0)
     assert eta > 1.0 - 1e-9
 
 
@@ -182,14 +188,14 @@ def test_coupling_ratio_monotone_in_cross_coupling():
     etas = []
     for k2 in np.linspace(0.001, 0.13, 30):
         mzi = make_mzi(k2=float(k2), delta_len_um=0.0)
-        etas.append(coupling_ratio(ring, mzi, 1200.0, delta_T_K=0.0, t_ring_K=350.0))
+        etas.append(coupling_ratio(coupled(ring, mzi), 1200.0, 350.0, delta_T_K=0.0))
     assert np.all(np.diff(etas) > 0.0)
 
 
 def test_coupling_ratio_warns_beyond_weak_coupling():
     mzi = make_mzi(k2=0.5, delta_len_um=0.0)  # K = 1
     with pytest.warns(UserWarning, match="weak-coupling"):
-        coupling_ratio(ring_500(), mzi, 1200.0, delta_T_K=0.0, t_ring_K=350.0)
+        coupling_ratio(coupled(ring_500(), mzi), 1200.0, 350.0, delta_T_K=0.0)
 
 
 def test_couplings_experiment_warns_once_beyond_weak_coupling(cfg, tmp_path):
@@ -200,6 +206,17 @@ def test_couplings_experiment_warns_once_beyond_weak_coupling(cfg, tmp_path):
         warnings.simplefilter("always")
         run_experiment("couplings", strong, str(tmp_path))
     assert sum("weak-coupling" in str(w.message) for w in caught) == 1
+
+
+@pytest.mark.parametrize("delta_T_K", [None, 0.0, 37.5])
+def test_coupling_ratio_is_mode_rates_ratio(cfg, delta_T_K):
+    # one kappa_ex formula: the ratio from mode_rates' rates, bit for bit
+    device = build_device(cfg)
+    match = find_triple_resonance(device, build_constraints(cfg))[0]
+    for sol in (match.pump, match.signal, match.idler):
+        kappa_ex, kappa_0 = mode_rates(device, sol.lambda_nm, match.t_ring_K, delta_T_K)
+        eta = coupling_ratio(device, sol.lambda_nm, match.t_ring_K, delta_T_K)
+        assert float(eta) == kappa_ex / (kappa_ex + kappa_0)
 
 
 def test_operating_point_coupling_ratios(cfg):
@@ -214,10 +231,10 @@ def test_operating_point_coupling_ratios(cfg):
 # --- ring spectrum ---------------------------------------------------------
 
 def test_spectrum_all_pass_when_lossless():
-    mzi = make_mzi(k2=0.2, delta_len_um=0.5)
+    mzi = make_mzi(k2=0.2, delta_len_um=0.5, delta_T=5.0)
     ring = ring_500(alpha=0.0)
     lam = np.linspace(1540.0, 1560.0, 2001)
-    t = ring_spectrum(ring, mzi, lam, 350.0, delta_T_K=5.0)
+    t = ring_spectrum(coupled(ring, mzi), lam, 350.0)
     assert np.max(np.abs(t - 1.0)) < 1e-12
 
 
@@ -231,7 +248,7 @@ def test_spectrum_critical_coupling_extinction():
     comb = resonance_comb(Device(dispersion=model, ring=ring), (1540.0, 1560.0), 350.0)
     lam0 = comb[0][1]
     lam = np.linspace(lam0 - 0.05, lam0 + 0.05, 40001)
-    t = ring_spectrum(ring, mzi, lam, 350.0, delta_T_K=0.0)
+    t = ring_spectrum(coupled(ring, mzi), lam, 350.0)
     assert t.min() <= 1e-3
 
 
@@ -268,7 +285,7 @@ def test_spectrum_linewidth_matches_rate_model():
         assert kappa_tot / TWO_PI < fsr / 10.0  # resolved-resonance regime
         span_nm = 12.0 * kappa_tot / TWO_PI * lam0**2 / C_M_PER_S * 1e-9
         lam = np.linspace(lam0 - span_nm, lam0 + span_nm, 30001)
-        t = ring_spectrum(ring, mzi, lam, 350.0, delta_T_K=0.0)
+        t = ring_spectrum(device, lam, 350.0)
         fwhm = _fwhm_hz(lam, t)
         assert fwhm == pytest.approx(kappa_tot / TWO_PI, rel=0.05)
 
@@ -309,7 +326,7 @@ def test_comb_thermal_shift_first_order(cfg):
             continue
         lam_a = by_m_a[m]
         ng = float(model.group_index(lam_a, 340.0, device.width_nm))
-        expect = lam_a * float(model.thermo_optic(lam_a)) * dT / ng
+        expect = lam_a * model.dn_dT_per_K * dT / ng
         assert (lam_b - lam_a) == pytest.approx(expect, rel=0.02)
 
 

@@ -9,13 +9,14 @@ import contextlib
 import io
 import json
 import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from qfcring import cli, errors, matching
-from qfcring.config import SCHEMA
+from qfcring.config import SCHEMA, default_config_text
 from qfcring.elements import solve_resonance_wavelength
 from qfcring.experiments import EXPERIMENTS
 
@@ -81,8 +82,13 @@ def test_failed_verification_exits_4(monkeypatch, tmp_path):
      "config key 'device.ring_length_um' must be finite, got nan"),
     ("match", "constraints.t_step_mK=1.0e-9", "DomainError", 2,
      "search grid of "),
+    ("match", "dispersion.fit_order=2", "FitError", 4,
+     "fit residual "),
+    ("match", "dispersion.fit_order=-1", "DomainError", 2,
+     "fit order must be non-negative, got -1"),
 ], ids=["no-widths", "missing-table", "zero-power-max", "zero-heater", "negative-fwm-rate",
-        "nan-ring-length", "tiny-sweep-step"])
+        "nan-ring-length", "tiny-sweep-step", "packaged-table-order-2",
+        "negative-fit-order"])
 def test_unusable_value_exits_with_its_family_code(tmp_path, experiment, override, error,
                                                   code, message):
     override, message = (s.replace("{tmp}", str(tmp_path)) for s in (override, message))
@@ -94,12 +100,52 @@ def test_unusable_value_exits_with_its_family_code(tmp_path, experiment, overrid
     assert record["message"].startswith(message)
 
 
+def test_fit_order_applies_to_the_packaged_table(tmp_path):
+    # The committed calibration rests on the order-8 fit; the order-6 model's
+    # best triple misses the packaged 150 MHz mismatch tolerance, so it is widened.
+    golden = Path(__file__).parent / "golden" / "default_run" / "match.json"
+    code, _, err = run_main(["match", "--override", "dispersion.fit_order=6",
+                             "--override", "constraints.max_mismatch_MHz=1000.0",
+                             "--out-dir", str(tmp_path)])
+    assert code == 0, err
+    got = json.loads((tmp_path / "match.json").read_text())["dispersion_model_hash"]
+    assert got != json.loads(golden.read_text())["dispersion_model_hash"]
+
+
+# A second entry for width 1500 in each width-keyed map.
+REPEATED_ENTRY = {
+    "device.poling_period_um_by_width": "2.0",
+    "physics.fwm_companion_detuning_THz_by_width": "1.0",
+    "calibration.by_width": "{heater_scale: 1.0, lc_quad_um: [100.0, 0.0, 0.0]}",
+}
+
+
+@pytest.mark.parametrize("width_map", sorted(REPEATED_ENTRY))
+@pytest.mark.parametrize("spelling", ["1500.0", "'1500.0'"])
+def test_repeated_width_key_exits_2(tmp_path, width_map, spelling):
+    # YAML reads 1500 and 1500.0 as one key and would keep the last value; the
+    # quoted spelling is another YAML key that collides once widths are normalised.
+    header = f"\n  {width_map.split('.')[1]}:\n"
+    text = default_config_text()
+    assert text.count(header) == 1
+    path = tmp_path / "repeated.yaml"
+    path.write_text(text.replace(header, f"{header}    {spelling}: {REPEATED_ENTRY[width_map]}\n"),
+                    encoding="utf-8")
+    code, out, err = run_main(["match", "--config", str(path),
+                               "--out-dir", str(tmp_path / "out")])
+    assert (code, out) == (2, "")
+    record = error_record(code, err)
+    assert record["error"] == "ConfigError"
+    assert record["message"].startswith(f"config key '{width_map}' lists ")
+    assert "1500" in record["message"]
+
+
 def _is_numeric(expected):
     return bool({int, float} & set(expected if isinstance(expected, tuple) else (expected,)))
 
 
 NUMERIC_KEYS = [f"{section}.{key}" for section, body in SCHEMA.items()
-                for key, (expected, _) in body.items() if _is_numeric(expected)]
+                for key, expected in body.items() if _is_numeric(expected)]
 EXTREMES = ("0", "-1", "1.0e-9", "1.0e+9", ".nan", ".inf", "-.inf")
 
 
