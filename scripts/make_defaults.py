@@ -34,7 +34,7 @@ import numpy as np
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from qfcring.calibration import CALIBRATION_COMMENTS, calibrate_config
-from qfcring.config import emit_config, validate_config
+from qfcring.config import emit_config, validate_config, width_key
 from qfcring.constants import DB_TO_NEPERS_POWER, HBAR_J_S, TWO_PI, freq_hz
 from qfcring.conversion import external_efficiency, pump_power_unity_cooperativity
 from qfcring.builders import (
@@ -88,6 +88,14 @@ P_MAX_TARGET_W = 1.0e-3
 # idler's when the pump sits near its envelope null.
 ETA_TARGETS = {"eta_pump": 0.5, "eta_signal": 0.92, "eta_idler": 0.98}
 G0_OVER_2PI_MHZ = 0.31
+
+# Comments of the packaged config beyond those calibrate writes.
+DEFAULT_COMMENTS = {
+    **CALIBRATION_COMMENTS,
+    "dispersion.dn_dT_per_K":
+        "drives only the MZI heater phase; the ring tunes with the fitted "
+        "model's dn/dT",
+}
 
 
 def sellmeier_ne(lambda_um):
@@ -307,7 +315,7 @@ def main():
             "ambient_temperature_K": 300.0,
             "ppln_fraction": PPLN_FRACTION,
             "poling_period_um_by_width": {
-                f"{w:.0f}": tuned[w]["poling_period_um"] for w in WIDTHS
+                width_key(w): tuned[w]["poling_period_um"] for w in WIDTHS
             },
             "propagation_loss_dB_per_m": alpha,
         },
@@ -381,7 +389,7 @@ def main():
     )
     with open(os.path.join(DATA_DIR, "default_config.yaml"), "w",
               encoding="utf-8", newline="\n") as fh:
-        fh.write(emit_config(cfg, comments=CALIBRATION_COMMENTS, header=header))
+        fh.write(emit_config(cfg, comments=DEFAULT_COMMENTS, header=header))
     builders._load_model.cache_clear()
 
     # ---- summary + frozen regression constants ---------------------------

@@ -6,7 +6,7 @@ from collections import OrderedDict
 from dataclasses import fields
 from functools import lru_cache
 
-from .config import config_hash
+from .config import config_hash, width_key
 from .constants import TWO_PI
 from .conversion import ModeChannel, TwmSystem, g0_effective
 from .dispersion import DispersionModel, load_dispersion_table
@@ -36,10 +36,18 @@ def build_dispersion_model(cfg: dict) -> DispersionModel:
 
 
 def _width_entry(mapping: dict, width_nm: float, what: str):
-    for key, value in mapping.items():
-        if abs(float(key) - width_nm) < 1e-6:
-            return value
-    raise ConfigError(f"no {what} entry for width {width_nm} nm")
+    try:
+        return mapping[width_key(width_nm)]
+    except KeyError:
+        raise ConfigError(f"no {what} entry for width {width_nm} nm") from None
+
+
+def _calibration(cfg: dict) -> dict:
+    cal = cfg.get("calibration")
+    if not cal:
+        raise ConfigError("no calibration block in the config; run the `calibrate` "
+                          "experiment first")
+    return cal
 
 
 def build_device(cfg: dict, width_nm=None, with_coupler=True) -> Device:
@@ -61,13 +69,7 @@ def build_device(cfg: dict, width_nm=None, with_coupler=True) -> Device:
     )
     mzi = None
     if with_coupler:
-        cal = cfg.get("calibration")
-        if not cal:
-            raise ConfigError(
-                "no calibration block in the config; run the `calibrate` "
-                "experiment first"
-            )
-        entry = _width_entry(cal["by_width"], width, "calibration")
+        entry = _width_entry(_calibration(cfg)["by_width"], width, "calibration")
         lc = tuple(float(c) for c in entry["lc_quad_um"])
         dc = DirectionalCoupler(
             length_um=float(dev["dc_length_um"]),
@@ -147,10 +149,7 @@ def operating_point(cfg: dict, width_nm=None, with_coupler=True):
 
 def g0_from_config(cfg: dict) -> float:
     """Effective vacuum coupling rate g0 (rad/s) from the calibration block."""
-    cal = cfg.get("calibration")
-    if not cal:
-        raise ConfigError("no calibration block; run `calibrate` first")
-    g0_full = TWO_PI * float(cal["g0_full_over_2pi_MHz"]) * 1e6
+    g0_full = TWO_PI * float(_calibration(cfg)["g0_full_over_2pi_MHz"]) * 1e6
     return g0_effective(g0_full, float(cfg["device"]["ppln_fraction"]))
 
 
@@ -185,12 +184,9 @@ def companion_table_rad_s(cfg: dict) -> dict:
 
 
 def build_fwm_channel(cfg: dict, match: MatchResult, companion_rad_s: float) -> FwmChannel:
-    cal = cfg.get("calibration")
-    if not cal:
-        raise ConfigError("no calibration block; run `calibrate` first")
     kappa_comp = TWO_PI * float(cfg["physics"]["fwm_companion_linewidth_over_2pi_GHz"]) * 1e9
     return FwmChannel(
-        g_chi3=TWO_PI * float(cal["g_chi3_over_2pi_Hz"]),
+        g_chi3=TWO_PI * float(_calibration(cfg)["g_chi3_over_2pi_Hz"]),
         delta_comp=float(companion_rad_s),
         kappa_comp=kappa_comp,
         kappa_idler=match.idler.kappa_ex + match.idler.kappa_0,

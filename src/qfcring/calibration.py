@@ -22,6 +22,7 @@ from dataclasses import replace
 import numpy as np
 
 from .builders import build_device, operating_point
+from .config import width_key
 from .constants import TWO_PI
 from .dispersion import U_SCALE_NM
 from .elements import Device, mode_rates
@@ -229,7 +230,7 @@ def calibrate_config(cfg: dict) -> dict:
                 f"anchor 'triple resonance' (width {width:g} nm): {exc}"
             ) from exc
         matches[width] = found[0]
-        by_width[f"{width:g}"] = solve_width_couplings(cfg, device, found[0])
+        by_width[width_key(width)] = solve_width_couplings(cfg, device, found[0])
 
     g0_full = solve_g0_full_over_2pi_MHz(cfg["calibration_targets"],
                                          float(cfg["device"]["ppln_fraction"]))

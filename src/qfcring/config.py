@@ -37,7 +37,7 @@ _Loader.add_implicit_resolver(
 )
 
 # Schema: section -> key -> type; every key of a present section is required.
-# `dict` values hold width-keyed maps ("1400", "1500", ...); `list` values
+# `dict` values hold width-keyed maps (see `_WIDTH_MAPS`); `list` values
 # are numeric arrays.
 _NUM = (int, float)
 SCHEMA = {
@@ -112,6 +112,14 @@ SCHEMA = {
 }
 _OPTIONAL_SECTIONS = ("calibration",)
 
+# Width-keyed maps (keys spelled by `width_key`) and the schema of each entry:
+# a type, or a key -> type table checked like a section.
+_WIDTH_MAPS = {
+    ("device", "poling_period_um_by_width"): _NUM,
+    ("physics", "fwm_companion_detuning_THz_by_width"): _NUM,
+    ("calibration", "by_width"): {"heater_scale": _NUM, "lc_quad_um": list},
+}
+
 
 def _load_yaml(text: str, where: str = ""):
     """Parse YAML; a mapping that lists one key twice is a ConfigError.
@@ -156,6 +164,10 @@ def _check_value(path: str, value, expected):
             raise ConfigError(f"config key '{path}' must be a list of numbers")
         _check_finite(path, value)
         return
+    if isinstance(expected, dict):  # an entry schema: checked like a section
+        _check_value(path, value, dict)
+        _check_keys(path, value, expected)
+        return
     if expected is dict:
         if not isinstance(value, dict):
             raise ConfigError(f"config key '{path}' must be a mapping")
@@ -171,6 +183,17 @@ def _check_value(path: str, value, expected):
     _check_finite(path, (value,))
 
 
+def _check_keys(where: str, body: dict, keys: dict):
+    """Unknown, missing and mistyped keys of one mapping (a section or an entry)."""
+    for key in body:
+        if key not in keys:
+            raise ConfigError(f"unknown config key '{where}.{key}'")
+    for key, expected in keys.items():
+        if key not in body:
+            raise ConfigError(f"missing config key '{where}.{key}'")
+        _check_value(f"{where}.{key}", body[key], expected)
+
+
 def validate_config(cfg: dict) -> dict:
     """Validate against the strict schema; returns the config unchanged."""
     if not isinstance(cfg, dict):
@@ -183,67 +206,48 @@ def validate_config(cfg: dict) -> dict:
             if section in _OPTIONAL_SECTIONS:
                 continue
             raise ConfigError(f"missing config section '{section}'")
-        body = cfg[section]
-        if not isinstance(body, dict):
+        if not isinstance(cfg[section], dict):
             raise ConfigError(f"config section '{section}' must be a mapping")
-        for key in body:
-            if key not in keys:
-                raise ConfigError(f"unknown config key '{section}.{key}'")
-        for key, expected in keys.items():
-            if key not in body:
-                raise ConfigError(f"missing config key '{section}.{key}'")
-            _check_value(f"{section}.{key}", body[key], expected)
+        _check_keys(section, cfg[section], keys)
     for key, value in cfg["experiment"].items():
         if key.endswith("_points") and value < 1:
             raise ConfigError(f"config key 'experiment.{key}' must be at least 1, got {value}")
     if not cfg["experiment"]["widths_nm"]:
         raise ConfigError("config key 'experiment.widths_nm' must list at least one width")
-    _validate_width_maps(cfg)
+    _width_keys(cfg["experiment"]["widths_nm"], "experiment.widths_nm")
+    for (section, key), entry in _WIDTH_MAPS.items():
+        if section in cfg:
+            mapping, where = cfg[section][key], f"{section}.{key}"
+            cfg[section][key] = dict(zip(_width_keys(mapping, where), mapping.values()))
+            for w, value in cfg[section][key].items():
+                _check_value(f"{where}[{w}]", value, entry)
     return cfg
 
 
-def _normalize_width_keys(mapping: dict, where: str) -> dict:
-    # YAML parses bare `1500:` as an int; canonical form is the string of
-    # the float's %g rendering, so hashing and comparisons are stable.  Two
-    # keys for one width (`1500:` and `1500.0:`) would silently keep the last.
-    out = {}
-    for w, v in mapping.items():
+def width_key(w) -> str:
+    """The one spelling of a width (nm) as a map key.
+
+    `%g` when that reads back to the same float, else `repr`: 1400.125 stays
+    "1400.125", and two keys are equal exactly when their widths are.
+    """
+    width = float(w)
+    short = f"{width:g}"
+    return short if float(short) == width else repr(width)
+
+
+def _width_keys(widths, where: str) -> list:
+    # `1500`, `1500.0` and `'1500'` all spell "1500": a width listed twice is an
+    # error here instead of one entry silently replacing the other.
+    keys = {}
+    for w in widths:
         try:
-            width = float(w)
-        except (TypeError, ValueError):
+            key = width_key(w)
+        except (TypeError, ValueError, OverflowError):
             raise ConfigError(f"'{where}' keys must be widths in nm, got {w!r}") from None
-        key = f"{width:g}"
-        if key in out:
+        if key in keys:
             raise ConfigError(f"config key '{where}' lists width {key} nm more than once")
-        out[key] = v
-    return out
-
-
-def _validate_width_maps(cfg: dict):
-    for path in (("device", "poling_period_um_by_width"),
-                 ("physics", "fwm_companion_detuning_THz_by_width")):
-        section, key = path
-        mapping = cfg.get(section, {}).get(key)
-        if mapping is None:
-            continue
-        mapping = _normalize_width_keys(mapping, f"{section}.{key}")
-        cfg[section][key] = mapping
-        for w, v in mapping.items():
-            _check_value(f"{section}.{key}[{w}]", v, _NUM)
-    cal = cfg.get("calibration")
-    if cal:
-        cal["by_width"] = _normalize_width_keys(cal.get("by_width", {}),
-                                                "calibration.by_width")
-        for w, body in cal.get("by_width", {}).items():
-            if not isinstance(body, dict):
-                raise ConfigError(f"'calibration.by_width[{w}]' must be a mapping")
-            for key in body:
-                if key not in ("heater_scale", "lc_quad_um"):
-                    raise ConfigError(f"unknown config key 'calibration.by_width[{w}].{key}'")
-            for key, expected in (("heater_scale", _NUM), ("lc_quad_um", list)):
-                if key not in body:
-                    raise ConfigError(f"missing config key 'calibration.by_width[{w}].{key}'")
-                _check_value(f"calibration.by_width[{w}].{key}", body[key], expected)
+        keys[key] = w
+    return list(keys)
 
 
 def load_config(path=None) -> dict:

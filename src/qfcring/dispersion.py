@@ -109,9 +109,9 @@ class DispersionModel:
         return h.hexdigest()
 
     def _coeffs(self, width_nm: float) -> np.ndarray:
-        for w, c in self.coeffs_by_width.items():
-            if abs(w - width_nm) < 1e-6:
-                return c
+        c = self.coeffs_by_width.get(float(width_nm))
+        if c is not None:
+            return c
         raise UnknownWidth(
             f"no dispersion model for width {width_nm} nm "
             f"(available: {sorted(self.coeffs_by_width)}); widths are discrete, "

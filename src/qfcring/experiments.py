@@ -21,7 +21,7 @@ from .builders import (
     resolved_metadata,
 )
 from .calibration import CALIBRATION_COMMENTS, calibrate_config
-from .config import emit_config
+from .config import emit_config, width_key
 from .constants import C_M_PER_S, TWO_PI, freq_hz
 from .conversion import efficiency_vs_power, pump_power_unity_cooperativity
 from .elements import coupling_ratio, resonance_comb, ring_spectrum
@@ -192,7 +192,7 @@ def run_tradeoff(cfg, out_dir):
         match = matches[0]
         channel, source = _fwm_channel(cfg, device, match)
         variants.append(TradeoffVariant(width, build_twm_system(cfg, match), channel))
-        sources[f"{width:g}"] = {
+        sources[width_key(width)] = {
             "companion_source": source,
             "companion_detuning_over_2pi_THz": channel.delta_comp / TWO_PI / 1e12,
             "t_ring_K": match.t_ring_K,

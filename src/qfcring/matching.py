@@ -239,7 +239,6 @@ class _Candidate:
     det_s: float
     delta: float
     qpm: int
-    violations: tuple = ()
 
     # Mismatches are quantized to 1 Hz in the ordering: the root-solver
     # noise on a ~4e14 Hz difference is ~0.1 Hz, and resolving ties on that

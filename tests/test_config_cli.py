@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 import yaml
 
+from qfcring.builders import build_device
 from qfcring.calibration import calibrate_config
 from qfcring.config import (
     apply_overrides,
@@ -101,6 +102,20 @@ def test_non_finite_value_named(path, value, key):
     node[path[-1]] = value
     with pytest.raises(ConfigError, match=re.escape(f"config key '{key}' must be finite")):
         validate_config(bad)
+
+
+@pytest.mark.parametrize("widths", [("1400.125",), ("1400.121", "1400.124")],
+                         ids=["1400.125", "1400.121-and-1400.124"])
+def test_width_keys_are_lossless(cfg, widths):
+    # `%g` keeps six significant digits: it would store 1400.125 as "1400.12"
+    # and read 1400.121 and 1400.124 as one width listed twice.
+    period = cfg["device"]["poling_period_um_by_width"]["1400"]
+    entries = ", ".join(f"{w}: {period!r}" for w in widths)
+    got = apply_overrides(cfg, [f"device.poling_period_um_by_width={{{entries}}}"])
+    assert list(got["device"]["poling_period_um_by_width"]) == list(widths)
+    for w in widths:
+        device = build_device(got, width_nm=float(w), with_coupler=False)
+        assert device.ring.poling_period_um == period
 
 
 def test_override_equivalent_to_editing(cfg):

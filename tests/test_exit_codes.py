@@ -70,6 +70,10 @@ def test_failed_verification_exits_4(monkeypatch, tmp_path):
 @pytest.mark.parametrize("experiment, override, error, code, message", [
     ("tradeoff", "experiment.widths_nm=[]", "ConfigError", 2,
      "config key 'experiment.widths_nm' must list at least one width"),
+    ("tradeoff", "experiment.widths_nm=[1500, 1500.0]", "ConfigError", 2,
+     "config key 'experiment.widths_nm' lists width 1500 nm more than once"),
+    ("match", f"device.poling_period_um_by_width={{{10**400}: 2.0}}", "ConfigError", 2,
+     "'device.poling_period_um_by_width' keys must be widths in nm, got 1000"),
     ("match", "dispersion.table_file={tmp}/nope.csv", "ConfigError", 2,
      "cannot read dispersion table {tmp}/nope.csv: "),
     ("convert", "experiment.power_max_mW=0", "ConfigError", 2,
@@ -86,9 +90,9 @@ def test_failed_verification_exits_4(monkeypatch, tmp_path):
      "fit residual "),
     ("match", "dispersion.fit_order=-1", "DomainError", 2,
      "fit order must be non-negative, got -1"),
-], ids=["no-widths", "missing-table", "zero-power-max", "zero-heater", "negative-fwm-rate",
-        "nan-ring-length", "tiny-sweep-step", "packaged-table-order-2",
-        "negative-fit-order"])
+], ids=["no-widths", "repeated-width", "width-key-beyond-float", "missing-table",
+        "zero-power-max", "zero-heater", "negative-fwm-rate", "nan-ring-length",
+        "tiny-sweep-step", "packaged-table-order-2", "negative-fit-order"])
 def test_unusable_value_exits_with_its_family_code(tmp_path, experiment, override, error,
                                                   code, message):
     override, message = (s.replace("{tmp}", str(tmp_path)) for s in (override, message))
@@ -138,6 +142,20 @@ def test_repeated_width_key_exits_2(tmp_path, width_map, spelling):
     assert record["error"] == "ConfigError"
     assert record["message"].startswith(f"config key '{width_map}' lists ")
     assert "1500" in record["message"]
+
+
+def test_width_near_a_listed_width_fails_alike_everywhere(tmp_path):
+    # Widths are compared exactly: 1e-7 nm off the 1500 entries is a width the
+    # config does not list, whichever experiment (and layer) looks it up first.
+    records = []
+    for experiment in ("spectrum", "couplings", "match", "convert", "noise", "calibrate"):
+        code, out, err = run_main([experiment, "--override", "device.width_nm=1500.0000001",
+                                   "--out-dir", str(tmp_path / experiment)])
+        assert (code, out) == (2, ""), experiment
+        records.append(error_record(code, err))
+    assert records[0] == {"error": "ConfigError", "exit_code": 2,
+                          "message": "no poling period entry for width 1500.0000001 nm"}
+    assert all(record == records[0] for record in records)
 
 
 def _is_numeric(expected):
