@@ -92,6 +92,8 @@ G0_OVER_2PI_MHZ = 0.31
 # Comments of the packaged config beyond those calibrate writes.
 DEFAULT_COMMENTS = {
     **CALIBRATION_COMMENTS,
+    "device.dc_gap_nm":
+        "read by nothing: the coupler is the calibrated coupling-length quadratic",
     "dispersion.dn_dT_per_K":
         "drives only the MZI heater phase; the ring tunes with the fitted "
         "model's dn/dT",
@@ -154,18 +156,17 @@ def _aligned_mismatch(model, width, match):
     """
     from qfcring.elements import solve_resonance_wavelength
 
-    length_nm = RING_LENGTH_UM * 1e3
+    device = bare_device(model, width)
     f_target = freq_hz(SIGNAL_NM)
     t = match.t_ring_K
     for _ in range(8):
-        lam_s = float(solve_resonance_wavelength(model, width, length_nm,
-                                                 match.signal.m, t))
+        lam_s = solve_resonance_wavelength(device, match.signal.m, t)
         f_s = freq_hz(lam_s)
         ng = float(model.group_index(lam_s, t, width))
         dfdT = -f_s * DN_DT / ng
         t = t - (f_s - f_target) / dfdT
-    lam_p = float(solve_resonance_wavelength(model, width, length_nm, match.pump.m, t))
-    lam_i = float(solve_resonance_wavelength(model, width, length_nm, match.idler.m, t))
+    lam_p = solve_resonance_wavelength(device, match.pump.m, t)
+    lam_i = solve_resonance_wavelength(device, match.idler.m, t)
     delta = freq_hz(lam_s) - freq_hz(lam_p) - freq_hz(lam_i)
     return delta, t
 

@@ -139,7 +139,9 @@ def solve_width_couplings(cfg: dict, device: Device, match: MatchResult) -> dict
     u = (np.linspace(lo, hi, 97) - model.lambda_ref_nm) / U_SCALE_NM
 
     n_grid = int(max_um / _HEATER_GRID_UM)
+    j_lo, j_hi = n_grid + 1, 0  # the span of grid indices tried so far
     for j in itertools.islice(_grid_nearest_first(base_um, n_grid), _MAX_HEATER_CANDIDATES):
+        j_lo, j_hi = min(j_lo, j), max(j_hi, j)
         heater = j * _HEATER_GRID_UM
         x = []
         for geo, thermal, k_req in zip(geos, thermals, ks):
@@ -165,10 +167,7 @@ def solve_width_couplings(cfg: dict, device: Device, match: MatchResult) -> dict
         }
     searched = f"up to {max_um} um"
     if n_grid > _MAX_HEATER_CANDIDATES:
-        tried = np.fromiter(itertools.islice(_grid_nearest_first(base_um, n_grid),
-                                             _MAX_HEATER_CANDIDATES),
-                            dtype=np.int64, count=_MAX_HEATER_CANDIDATES)
-        searched = (f"in [{tried.min() * _HEATER_GRID_UM}, {tried.max() * _HEATER_GRID_UM}] um "
+        searched = (f"in [{j_lo * _HEATER_GRID_UM}, {j_hi * _HEATER_GRID_UM}] um "
                     f"(the {_MAX_HEATER_CANDIDATES} grid points nearest the base, where "
                     "the search stops)")
     raise CalibrationInfeasible(

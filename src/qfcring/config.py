@@ -19,6 +19,7 @@ from importlib import resources
 
 import yaml
 
+from .constants import MAX_GRID_CELLS
 from .errors import ConfigError
 
 
@@ -154,7 +155,11 @@ def _check_unique_keys(loader, node, where: str):
 
 def _check_finite(path: str, values):
     for v in values:
-        if isinstance(v, float) and not math.isfinite(v):
+        try:  # isfinite converts to float, which an int beyond float range fails
+            bad = isinstance(v, _NUM) and not math.isfinite(v)
+        except OverflowError:
+            raise ConfigError(f"config key '{path}' is beyond float range") from None
+        if bad:
             raise ConfigError(f"config key '{path}' must be finite, got {v}")
 
 
@@ -210,8 +215,9 @@ def validate_config(cfg: dict) -> dict:
             raise ConfigError(f"config section '{section}' must be a mapping")
         _check_keys(section, cfg[section], keys)
     for key, value in cfg["experiment"].items():
-        if key.endswith("_points") and value < 1:
-            raise ConfigError(f"config key 'experiment.{key}' must be at least 1, got {value}")
+        if key.endswith("_points") and not 1 <= value <= MAX_GRID_CELLS:
+            bound = "at least 1" if value < 1 else f"at most {MAX_GRID_CELLS}"
+            raise ConfigError(f"config key 'experiment.{key}' must be {bound}, got {value}")
     if not cfg["experiment"]["widths_nm"]:
         raise ConfigError("config key 'experiment.widths_nm' must list at least one width")
     _width_keys(cfg["experiment"]["widths_nm"], "experiment.widths_nm")
@@ -269,7 +275,7 @@ def load_config(path=None) -> dict:
 def _parse_config(text: str, source: str) -> dict:
     try:
         cfg = _load_yaml(text)
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, ValueError) as exc:  # ValueError: an int of > 4300 digits
         raise ConfigError(f"{source}: YAML parse error: {exc}") from None
     return validate_config(cfg)
 
@@ -307,7 +313,7 @@ def apply_overrides(cfg: dict, overrides) -> dict:
         key = key.strip()
         try:
             value = _load_yaml(raw, key)
-        except yaml.YAMLError:
+        except (yaml.YAMLError, ValueError):
             raise ConfigError(f"override '{item}': unparseable value") from None
         path = key.split(".")
         if len(path) == 1:

@@ -19,6 +19,9 @@ TWO_PI = 2.0 * math.pi
 # Power attenuation alpha_dB (dB/m) -> alpha (1/m, power): alpha = alpha_dB * ln(10)/10
 DB_TO_NEPERS_POWER = math.log(10.0) / 10.0
 
+# Largest array a search or a grid may build: 2**24 float64 cells, 128 MiB.
+MAX_GRID_CELLS = 2**24
+
 
 def freq_hz(lambda_nm) -> float:
     """Ordinary frequency (Hz) of a vacuum wavelength given in nm."""

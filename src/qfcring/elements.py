@@ -249,6 +249,11 @@ def ring_spectrum(device: Device, lambda_grid_nm, t_ring_K):
     return np.abs(out) ** 2
 
 
+# m * lambda = n_eff(lambda, T) * L, solved below for m, lambda and T.
+def _length_nm(device: Device) -> float:
+    return device.ring.length_m * 1e9
+
+
 def _m_range(device: Device, band_nm, t_K) -> range:
     """Azimuthal numbers whose resonance can fall inside band_nm at temperatures t_K.
 
@@ -258,7 +263,7 @@ def _m_range(device: Device, band_nm, t_K) -> range:
     """
     lam = np.asarray(band_nm, dtype=float)[:, None]
     t = np.asarray(t_K, dtype=float).reshape(1, -1)
-    m = device.dispersion.n_eff(lam, t, device.width_nm) * (device.ring.length_m * 1e9) / lam
+    m = device.dispersion.n_eff(lam, t, device.width_nm) * _length_nm(device) / lam
     return range(int(math.floor(m.min())), int(math.ceil(m.max())) + 1)
 
 
@@ -274,7 +279,7 @@ def resonance_comb(device: Device, band_nm, t_ring_K):
     model, ring = device.dispersion, device.ring
     model._check_domain(np.array([lo, hi]), t_ring_K)
     ms = np.asarray(_m_range(device, (lo, hi), t_ring_K))
-    lam = solve_resonance_wavelength(model, ring.width_nm, ring.length_m * 1e9, ms, t_ring_K)
+    lam = solve_resonance_wavelength(device, ms, t_ring_K)
     inside = (lam >= lo) & (lam <= hi)
     pairs = sorted(zip(ms[inside].tolist(), lam[inside].tolist()), key=lambda p: p[1])
     if not pairs:
@@ -288,14 +293,14 @@ def resonance_comb(device: Device, band_nm, t_ring_K):
     return pairs
 
 
-def solve_resonance_wavelength(model: DispersionModel, width_nm: float, length_nm: float,
-                               m, t_K):
+def solve_resonance_wavelength(device: Device, m, t_K):
     """Root of m*lambda = n_eff(lambda, T)*L for fixed azimuthal number m (nm).
 
     Vectorized over t_K (and m when both are arrays of equal shape).
     Fixed-point iterations then two Newton polishes; the map is a strong
     contraction because |dn/dlambda| * lambda / n << 1.
     """
+    model, width_nm, length_nm = device.dispersion, device.width_nm, _length_nm(device)
     m_arr = np.asarray(m, dtype=float)
     lo, hi = model.lambda_window_nm
     lam = np.full(np.broadcast(m_arr, np.asarray(t_K, dtype=float)).shape, 0.0)
@@ -311,6 +316,19 @@ def solve_resonance_wavelength(model: DispersionModel, width_nm: float, length_n
     if np.isscalar(m) and np.isscalar(t_K):
         return float(lam)
     return lam
+
+
+def _temperature_at(device: Device, m, lambda_nm):
+    """Exact temperature at which comb line m resonates at lambda_nm (K).
+
+    n_eff is linear in T, so m*lambda = n_eff(lambda, T)*L solves in closed
+    form: T = T_ref + (m*lambda/L - P_w(u)) / (dn/dT).  Callers ensure
+    dn/dT != 0.
+    """
+    model = device.dispersion
+    lam = np.asarray(lambda_nm, dtype=float)
+    n_ref = model._n_eff_unchecked(lam, model.t_ref_K, device.width_nm)
+    return model.t_ref_K + (m * lam / _length_nm(device) - n_ref) / model.dn_dT_per_K
 
 
 def qpm_mismatch(m_s: int, m_p: int, m_i: int, m_offset: int) -> int:

@@ -18,8 +18,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import C_M_PER_S, TWO_PI, freq_hz
-from .elements import Device, _m_range, mode_rates, qpm_mismatch, solve_resonance_wavelength
+from .constants import C_M_PER_S, MAX_GRID_CELLS, TWO_PI, freq_hz
+from .elements import (
+    Device,
+    _m_range,
+    _temperature_at,
+    mode_rates,
+    qpm_mismatch,
+    solve_resonance_wavelength,
+)
 from .errors import (
     DomainError,
     NoFeasibleMatch,
@@ -30,10 +37,6 @@ from .errors import (
 
 # Relative agreement verify_match demands between stored and re-derived fields.
 _VERIFY_TOL = 1e-9
-
-# Largest (comb lines x temperatures) or (pump x idler lines) array a search
-# may build: 2**24 float64 cells is 128 MiB per array.
-_MAX_GRID_CELLS = 2**24
 
 
 @dataclass(frozen=True, slots=True)
@@ -96,7 +99,7 @@ class ModeSolution:
 
     @property
     def freq_hz(self) -> float:
-        return C_M_PER_S / (self.lambda_nm * 1e-9)
+        return freq_hz(self.lambda_nm)
 
     @property
     def omega(self) -> float:
@@ -182,27 +185,6 @@ def _check_domain(device: Device, constraints: SearchConstraints):
         )
 
 
-def _solve_lines(device: Device, ms: range, t_grid: np.ndarray) -> np.ndarray:
-    """Resonance wavelengths (nm), shape (len(ms), len(t_grid))."""
-    m_col = np.asarray(ms, dtype=float)[:, None]
-    return solve_resonance_wavelength(device.dispersion, device.width_nm,
-                                      device.ring.length_m * 1e9, m_col, t_grid)
-
-
-def _temperature_at(device: Device, m, lambda_nm):
-    """Exact temperature at which comb line m resonates at lambda_nm (K).
-
-    n_eff is linear in T, so m*lambda = n_eff(lambda, T)*L solves in closed
-    form: T = T_ref + (m*lambda/L - P_w(u)) / (dn/dT).  Callers ensure
-    dn/dT != 0.
-    """
-    model = device.dispersion
-    lam = np.asarray(lambda_nm, dtype=float)
-    n_ref = model._n_eff_unchecked(lam, model.t_ref_K, device.width_nm)
-    length_nm = device.ring.length_m * 1e9
-    return model.t_ref_K + (m * lam / length_nm - n_ref) / model.dn_dT_per_K
-
-
 def _signal_bracket(device: Device, constraints: SearchConstraints, m_s_list,
                     t_grid: np.ndarray, step: float) -> np.ndarray:
     """Mask of the grid temperatures at which a signal line can hit the tolerance.
@@ -255,8 +237,9 @@ def _scan(device, constraints, t_points, m_s_list, m_p_list, m_i_list, m_offset)
     p_lo, p_hi = constraints.pump_window_nm
     i_lo, i_hi = constraints.idler_window_nm
 
-    lam_s = _solve_lines(device, m_s_list, t_points)         # (n_ms, n_t)
-    det_s = C_M_PER_S / (lam_s * 1e-9) - f_target
+    m_s_arr, m_p_arr, m_i_arr = (np.asarray(ms) for ms in (m_s_list, m_p_list, m_i_list))
+    lam_s = solve_resonance_wavelength(device, m_s_arr[:, None], t_points)   # (n_ms, n_t)
+    det_s = freq_hz(lam_s) - f_target
     pick = np.argmin(np.abs(det_s), axis=0)                  # nearest line per T
     cols = np.arange(t_points.size)
     det_best = det_s[pick, cols]
@@ -265,22 +248,19 @@ def _scan(device, constraints, t_points, m_s_list, m_p_list, m_i_list, m_offset)
         return [], []
 
     t_hit = t_points[hit]
-    m_s_hit = np.asarray(m_s_list)[pick[hit]]
+    m_s_hit = m_s_arr[pick[hit]]
     lam_s_hit = lam_s[pick[hit], cols[hit]]
     det_hit = det_best[hit]
 
-    lam_p = _solve_lines(device, m_p_list, t_hit)            # (n_mp, n_hit)
-    lam_i = _solve_lines(device, m_i_list, t_hit)
-    f_p = C_M_PER_S / (lam_p * 1e-9)
-    f_i = C_M_PER_S / (lam_i * 1e-9)
+    lam_p = solve_resonance_wavelength(device, m_p_arr[:, None], t_hit)     # (n_mp, n_hit)
+    lam_i = solve_resonance_wavelength(device, m_i_arr[:, None], t_hit)
+    f_p, f_i = freq_hz(lam_p), freq_hz(lam_i)
     in_p = (lam_p >= p_lo) & (lam_p <= p_hi)
     in_i = (lam_i >= i_lo) & (lam_i <= i_hi)
 
     feasible, near = [], []
-    m_p_arr = np.asarray(m_p_list)
-    m_i_arr = np.asarray(m_i_list)
     for h in range(t_hit.size):
-        f_s_h = C_M_PER_S / (lam_s_hit[h] * 1e-9)
+        f_s_h = freq_hz(lam_s_hit[h])
         delta = f_s_h - np.add.outer(f_p[:, h], f_i[:, h])   # (n_mp, n_mi)
         window_ok = np.logical_and.outer(in_p[:, h], in_i[:, h])
         qpm = int(m_s_hit[h]) - np.add.outer(m_p_arr, m_i_arr) - m_offset
@@ -332,7 +312,7 @@ def find_triple_resonance(device: Device, constraints: SearchConstraints):
     The list is sorted by (|mismatch|, |signal detuning|, T) and de-duplicated
     per (m_s, m_p, m_i) triple.  Raises SweepStepTooCoarse when one step can
     move the signal resonance past half the signal tolerance, DomainError
-    when the search grid would exceed _MAX_GRID_CELLS, and NoFeasibleMatch
+    when the search grid would exceed MAX_GRID_CELLS, and NoFeasibleMatch
     (carrying the best near-miss) when nothing passes.
     """
     _check_domain(device, constraints)
@@ -362,11 +342,11 @@ def find_triple_resonance(device: Device, constraints: SearchConstraints):
     m_p_list = _m_range(device, constraints.pump_window_nm, t_ends)
     m_i_list = _m_range(device, constraints.idler_window_nm, t_ends)
     n_lines = len(m_s_list) + len(m_p_list) + len(m_i_list)
-    if max(n_lines * n_steps, len(m_p_list) * len(m_i_list)) > _MAX_GRID_CELLS:
+    if max(n_lines * n_steps, len(m_p_list) * len(m_i_list)) > MAX_GRID_CELLS:
         raise DomainError(
             f"search grid of {n_lines} comb lines x {n_steps} temperatures "
             f"({len(m_p_list)} pump x {len(m_i_list)} idler lines) exceeds "
-            f"{_MAX_GRID_CELLS} cells"
+            f"{MAX_GRID_CELLS} cells"
         )
     t_grid = constraints.t_min_K + step * np.arange(n_steps)
     m_offset = device.ring.m_offset
@@ -426,18 +406,16 @@ def verify_match(device: Device, result: MatchResult) -> dict:
     must stay within _VERIFY_TOL * f_s.  The temperature check is skipped
     when the model's dn/dT is zero.
     """
-    model = device.dispersion
-    length_nm = device.ring.length_m * 1e9
     cons = result.constraints
     report = {}
 
     def close(a, b, scale):
         return abs(a - b) <= _VERIFY_TOL * scale
 
-    for label, ms in (("pump", result.pump), ("signal", result.signal),
-                      ("idler", result.idler)):
-        lam = float(solve_resonance_wavelength(model, device.width_nm, length_nm,
-                                               ms.m, result.t_ring_K))
+    modes = {"pump": result.pump, "signal": result.signal, "idler": result.idler}
+    lams = solve_resonance_wavelength(device, [ms.m for ms in modes.values()],
+                                      result.t_ring_K).tolist()
+    for (label, ms), lam in zip(modes.items(), lams):
         report[f"{label}_lambda_nm"] = lam
         if not close(lam, ms.lambda_nm, max(abs(lam), 1e-3)):
             raise StaleResult(
@@ -445,7 +423,7 @@ def verify_match(device: Device, result: MatchResult) -> dict:
             )
 
     sig = result.signal
-    if model.dn_dT_per_K != 0.0:
+    if device.dispersion.dn_dT_per_K != 0.0:
         t_closed = float(_temperature_at(device, sig.m, sig.lambda_nm))
         report["t_ring_closed_form_K"] = t_closed
         rate = signal_shift_rate_hz_per_K(device, cons)
@@ -455,9 +433,7 @@ def verify_match(device: Device, result: MatchResult) -> dict:
                 f"{t_closed} K in closed form, stored {result.t_ring_K} K"
             )
 
-    f_s = C_M_PER_S / (report["signal_lambda_nm"] * 1e-9)
-    f_p = C_M_PER_S / (report["pump_lambda_nm"] * 1e-9)
-    f_i = C_M_PER_S / (report["idler_lambda_nm"] * 1e-9)
+    f_p, f_s, f_i = map(freq_hz, lams)
     det_s = f_s - cons.signal_target_hz
     delta = f_s - f_p - f_i
     qpm = qpm_mismatch(result.signal.m, result.pump.m, result.idler.m,
@@ -491,13 +467,10 @@ def companion_detuning(device: Device, match: MatchResult, companion_table=None)
     m_comp = 2 * match.pump.m - match.idler.m
     f_target = 2.0 * match.pump.freq_hz - match.idler.freq_hz
     if f_target > 0.0 and m_comp > 0:
-        model = device.dispersion
-        lam = float(solve_resonance_wavelength(model, device.width_nm,
-                                               device.ring.length_m * 1e9,
-                                               m_comp, match.t_ring_K))
-        lo, hi = model.lambda_window_nm
+        lam = solve_resonance_wavelength(device, m_comp, match.t_ring_K)
+        lo, hi = device.dispersion.lambda_window_nm
         if lo <= lam <= hi:
-            return TWO_PI * (C_M_PER_S / (lam * 1e-9) - f_target), "comb"
+            return TWO_PI * (freq_hz(lam) - f_target), "comb"
     table = companion_table or {}
     if device.width_nm in table:
         return float(table[device.width_nm]), "table"

@@ -121,17 +121,18 @@ def planted_fixture_curved(n2=0.30, length_um=500.0, n0=2.0,
     """
     length_nm = length_um * 1e3
     model = simple_model([n0, n1, n2])
+    unpoled = Device(dispersion=model, ring=_bare_ring(length_um))
 
     def lines(m_s, m_p, m_i, t):
-        lam_s = float(solve_resonance_wavelength(model, WIDTH, length_nm, m_s, t))
-        lam_p = float(solve_resonance_wavelength(model, WIDTH, length_nm, m_p, t))
-        lam_i = float(solve_resonance_wavelength(model, WIDTH, length_nm, m_i, t))
+        lam_s = float(solve_resonance_wavelength(unpoled, m_s, t))
+        lam_p = float(solve_resonance_wavelength(unpoled, m_p, t))
+        lam_i = float(solve_resonance_wavelength(unpoled, m_i, t))
         return lam_s, lam_p, lam_i
 
     m_s = int(round(float(model.n_eff(737.0, 350.0, WIDTH)) * length_nm / 737.0))
     m_p0 = int(round(float(model.n_eff(1623.0, 350.0, WIDTH)) * length_nm / 1623.0))
-    lam_s0 = float(solve_resonance_wavelength(model, WIDTH, length_nm, m_s, 350.0))
-    lam_p0 = float(solve_resonance_wavelength(model, WIDTH, length_nm, m_p0, 350.0))
+    lam_s0 = float(solve_resonance_wavelength(unpoled, m_s, 350.0))
+    lam_p0 = float(solve_resonance_wavelength(unpoled, m_p0, 350.0))
     f_i_guess = freq_hz(lam_s0) - freq_hz(lam_p0)
     lam_i_guess = C_M_PER_S / f_i_guess * 1e9
     m_i0 = int(round(float(model.n_eff(lam_i_guess, 350.0, WIDTH))

@@ -156,8 +156,11 @@ def test_infeasible_heater_walk_stops_at_its_candidate_budget(tmp_path):
     assert code == 3
     record = json.loads(err.getvalue())
     assert record["error"] == "CalibrationInfeasible"
-    assert "no heater length in [" in record["message"]
-    assert "the 1048576 grid points nearest the base" in record["message"]
+    assert record["message"] == (
+        "anchor 'coupling ratios at the operating MZI drive': no heater length in "
+        "[0.25, 262144.0] um (the 1048576 grid points nearest the base, where the search "
+        "stops) places the pump near an envelope null while keeping the signal/idler "
+        "envelopes strong")
 
 
 def test_huge_heater_bound_still_solves_the_committed_calibration(cfg):

@@ -7,6 +7,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from qfcring.builders import build_constraints, build_device
 from qfcring.config import apply_overrides
@@ -18,6 +21,7 @@ from qfcring.elements import (
     MziCoupler,
     RingCavity,
     _m_range,
+    _temperature_at,
     coupling_ratio,
     mode_rates,
     qpm_mismatch,
@@ -25,7 +29,7 @@ from qfcring.elements import (
     ring_spectrum,
     solve_resonance_wavelength,
 )
-from qfcring.errors import NoResonance, OutOfDomain
+from qfcring.errors import DomainError, NoResonance, OutOfDomain
 from qfcring.experiments import run_experiment
 from qfcring.matching import find_triple_resonance
 
@@ -356,9 +360,7 @@ COMB_TEMPS_K = (300.0, 347.25, 400.0)
 
 
 def _scalar_lines(device, ms, t_K):
-    length_nm = device.ring.length_m * 1e9
-    return {m: solve_resonance_wavelength(device.dispersion, device.width_nm, length_nm, m, t_K)
-            for m in ms}
+    return {m: solve_resonance_wavelength(device, m, t_K) for m in ms}
 
 
 @pytest.mark.parametrize("width", [1400.0, 1500.0, 1600.0])
@@ -391,6 +393,80 @@ def test_m_range_contains_every_in_band_line(cfg, width, band):
             inside = [m for m, lam in lines.items() if lo <= lam <= hi]
             assert inside
             assert all(m in ms for m in inside)
+
+
+# --- the resonance condition on random models ------------------------------
+
+EPS = float(np.finfo(float).eps)
+BRENTQ_XTOL, BRENTQ_RTOL = 1e-12, 4.0 * EPS
+# The solver iterates lambda -> n_eff(lambda) L / m, which contracts by
+# q = |dn/dlambda| lambda / n = |n - n_g| / n per step; its docstring assumes
+# q << 1.  The draws keep q <= 0.5 over the window (the packaged widths have
+# q < 0.1).
+MAX_CONTRACTION = 0.5
+
+
+@st.composite
+def random_rings(draw):
+    """A 100-2000 um ring on a random cubic n_eff model that DispersionModel accepts."""
+    coeffs = [draw(st.floats(1.7, 2.3)), draw(st.floats(-0.4, 0.4)),
+              draw(st.floats(-0.4, 0.4)), draw(st.floats(-0.3, 0.3))]
+    dn_dt = draw(st.floats(1e-5, 1e-4)) * draw(st.sampled_from([-1.0, 1.0]))
+    try:
+        model = simple_model(coeffs, dn_dt=dn_dt)
+    except DomainError:  # n_eff leaves (N_EFF_MIN, N_EFF_MAX) or n_g <= 0
+        assume(False)
+    lam = np.linspace(*WINDOW, 257)
+    for t in model.temperature_window_K:
+        n = model.n_eff(lam, t, WIDTH)
+        assume(np.all(np.abs(n - model.group_index(lam, t, WIDTH)) <= MAX_CONTRACTION * n))
+    ring = RingCavity(length_um=draw(st.floats(100.0, 2000.0)), width_nm=WIDTH,
+                      alpha_prop_dB_per_m=30.0, ppln_fraction=0.0, poling_period_um=5.0)
+    return Device(dispersion=model, ring=ring)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(device=random_rings(), lam0=st.floats(650.0, 1750.0), t_K=st.floats(250.0, 450.0))
+def test_resonance_condition_solves_agree_on_random_models(device, lam0, t_K):
+    model = device.dispersion
+    length_nm = device.ring.length_m * 1e9
+    m = round(float(model.n_eff(lam0, t_K, WIDTH)) * length_nm / lam0)
+
+    def f(lam):
+        return m * lam - float(model.n_eff(lam, t_K, WIDTH)) * length_nm
+
+    assume(f(WINDOW[0]) < 0.0 < f(WINDOW[1]))
+    lam_b = brentq(f, *WINDOW, xtol=BRENTQ_XTOL, rtol=BRENTQ_RTOL)
+    lam_s = solve_resonance_wavelength(device, m, t_K)
+
+    # Tolerances from the residual f = m*lam - n_eff*L.  Horner's rule for a
+    # degree-d polynomial errs by at most 2d eps times the sum S of the term
+    # magnitudes (sum |c_k| |u|^k, plus the thermal term), so f evaluates to
+    # within delta_f = eps (m lam + (2d + 3) S L).  Near the root f' = m - n' L
+    # = L n_g / lam, so a root found from float residuals sits within
+    # delta_f / f' of the true root, plus eps lam for rounding lam itself.  The
+    # solver's two Newton steps reach that floor (x2 for the second-order term
+    # of the last step); brentq adds xtol + rtol lam to it.
+    n = float(model.n_eff(lam_b, t_K, WIDTH))
+    ng = float(model.group_index(lam_b, t_K, WIDTH))
+    u = (lam_b - model.lambda_ref_nm) / 1000.0
+    coeffs = model.coeffs_by_width[WIDTH]
+    S = sum(abs(c) * abs(u) ** k for k, c in enumerate(coeffs)) \
+        + abs(model.dn_dT_per_K * (t_K - model.t_ref_K))
+    deg = len(coeffs) - 1
+    delta_lam = EPS * (m * lam_b + (2 * deg + 3) * S * length_nm) / (length_nm * ng / lam_b)
+    solver_bound = 2.0 * (delta_lam + EPS * lam_b)
+    assert abs(lam_s - lam_b) <= solver_bound + delta_lam + BRENTQ_XTOL + BRENTQ_RTOL * lam_b
+
+    # T = T_ref + (m lam / L - P(u)) / (dn/dT) moves by n_g / (lam |dn/dT|) per
+    # nm of lam, and its float evaluation errs by eps (3 n + (2d + 3) S) / |dn/dT|
+    # before the final division and addition, which add 2 eps T.
+    dn_dt = abs(model.dn_dT_per_K)
+    tol_t = (ng / lam_b * solver_bound + EPS * (3.0 * n + (2 * deg + 3) * S)) / dn_dt \
+        + 2.0 * EPS * t_K
+    assert abs(float(_temperature_at(device, m, lam_s)) - t_K) <= tol_t
+
+    assert m in _m_range(device, (lam_s, lam_s), t_K)
 
 
 # --- QPM -------------------------------------------------------------------

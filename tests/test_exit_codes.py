@@ -90,9 +90,30 @@ def test_failed_verification_exits_4(monkeypatch, tmp_path):
      "fit residual "),
     ("match", "dispersion.fit_order=-1", "DomainError", 2,
      "fit order must be non-negative, got -1"),
+    ("match", f"device.ring_length_um={10**400}", "ConfigError", 2,
+     "config key 'device.ring_length_um' is beyond float range"),
+    ("match", f"constraints.t_ring_max_K={10**400}", "ConfigError", 2,
+     "config key 'constraints.t_ring_max_K' is beyond float range"),
+    ("calibrate", f"calibration_targets.fwm_rate_Hz={10**400}", "ConfigError", 2,
+     "config key 'calibration_targets.fwm_rate_Hz' is beyond float range"),
+    ("tradeoff", f"physics.signal_input_rate_Hz={10**400}", "ConfigError", 2,
+     "config key 'physics.signal_input_rate_Hz' is beyond float range"),
+    ("convert", f"experiment.power_points={10**400}", "ConfigError", 2,
+     "config key 'experiment.power_points' is beyond float range"),
+    ("spectrum", f"experiment.spectrum_points={10**20}", "ConfigError", 2,
+     f"config key 'experiment.spectrum_points' must be at most 16777216, got {10**20}"),
+    ("convert", f"experiment.power_points={10**20}", "ConfigError", 2,
+     f"config key 'experiment.power_points' must be at most 16777216, got {10**20}"),
+    # more digits than Python turns into an int from text
+    ("match", "device.ring_length_um=1" + "0" * 5000, "ConfigError", 2,
+     "override 'device.ring_length_um=1000"),
 ], ids=["no-widths", "repeated-width", "width-key-beyond-float", "missing-table",
         "zero-power-max", "zero-heater", "negative-fwm-rate", "nan-ring-length",
-        "tiny-sweep-step", "packaged-table-order-2", "negative-fit-order"])
+        "tiny-sweep-step", "packaged-table-order-2", "negative-fit-order",
+        "int-ring-length-beyond-float", "int-t-max-beyond-float",
+        "int-fwm-rate-beyond-float", "int-input-rate-beyond-float",
+        "int-power-points-beyond-float", "huge-spectrum-points", "huge-power-points",
+        "int-beyond-str-limit"])
 def test_unusable_value_exits_with_its_family_code(tmp_path, experiment, override, error,
                                                   code, message):
     override, message = (s.replace("{tmp}", str(tmp_path)) for s in (override, message))

@@ -172,10 +172,7 @@ def _bracket_and_full_grid_hits(device, constraints):
     target = constraints.signal_wavelength_nm
     m_s_list = _m_range(device, (target, target), (constraints.t_min_K, constraints.t_max_K))
     keep = _signal_bracket(device, constraints, m_s_list, t_grid, step)
-    length_nm = device.ring.length_m * 1e9
-    lam = np.array([solve_resonance_wavelength(device.dispersion, device.width_nm,
-                                               length_nm, float(m), t_grid)
-                    for m in m_s_list])
+    lam = np.array([solve_resonance_wavelength(device, float(m), t_grid) for m in m_s_list])
     det = np.abs(C_M_PER_S / (lam * 1e-9) - constraints.signal_target_hz)
     hits = det.min(axis=0) <= constraints.max_signal_detuning_Hz
     return keep, hits
@@ -222,12 +219,10 @@ def test_bracket_falls_back_to_full_grid_without_thermo_optic_shift(dn_dt):
     # every point hits.
     device, constraints, planted = planted_fixture_curved()
     coeffs = device.dispersion.coeffs_by_width[WIDTH]
-    length_nm = device.ring.length_m * 1e9
-    model = simple_model(coeffs, dn_dt=dn_dt)
-    on_comb = solve_resonance_wavelength(model, WIDTH, length_nm, planted["m"][0], 350.0)
+    still = Device(dispersion=simple_model(coeffs, dn_dt=dn_dt), ring=device.ring)
+    on_comb = solve_resonance_wavelength(still, planted["m"][0], 350.0)
     keep, hits = _bracket_and_full_grid_hits(
-        Device(dispersion=model, ring=device.ring),
-        dataclasses.replace(constraints, signal_wavelength_nm=on_comb))
+        still, dataclasses.replace(constraints, signal_wavelength_nm=on_comb))
     assert np.all(hits)
     assert np.all(keep)
 
