@@ -10,15 +10,9 @@ efficiency-versus-SNR trade-off.
 import numpy as np
 
 from qfcring import efficiency_snr_tradeoff, fwm_noise_rate, noise_vs_power, snr_report
-from qfcring.builders import (
-    build_fwm_channel,
-    build_twm_system,
-    companion_table_rad_s,
-    operating_point,
-)
+from qfcring.builders import build_twm_system, fwm_channel_at, operating_point
 from qfcring.config import default_config
 from qfcring.constants import TWO_PI
-from qfcring.matching import companion_detuning
 from qfcring.noise import TradeoffVariant
 
 
@@ -30,12 +24,10 @@ def header(title):
 
 def main():
     cfg = default_config()
-    table = companion_table_rad_s(cfg)
 
     header("1. Noise rate for the default (1500 nm) device")
     device, matches = operating_point(cfg)
-    detuning, source = companion_detuning(device, matches[0], table)
-    channel = build_fwm_channel(cfg, matches[0], detuning)
+    channel, source = fwm_channel_at(cfg, device, matches[0])
     print(f"  companion detuning : {channel.delta_comp / TWO_PI / 1e12:.2f} THz "
           f"(source: {source})")
     rows = noise_vs_power(channel, np.geomspace(0.01e-3, 10e-3, 7))
@@ -51,13 +43,12 @@ def main():
     for w in widths:
         device, matches = operating_point(cfg, width_nm=w)
         match = matches[0]
-        detuning, _ = companion_detuning(device, match, table)
         system = build_twm_system(cfg, match)
-        ch = build_fwm_channel(cfg, match, detuning)
+        ch, _ = fwm_channel_at(cfg, device, match)
         variants.append(TradeoffVariant(w, system, ch))
         print(f"  width {w:6.0f} nm: T_ring = {match.t_ring_K:8.3f} K, "
               f"pump = {match.pump.lambda_nm:9.3f} nm, "
-              f"|delta'| = {abs(detuning) / TWO_PI / 1e12:.2f} THz")
+              f"|delta'| = {abs(ch.delta_comp) / TWO_PI / 1e12:.2f} THz")
 
     powers = np.geomspace(0.01e-3, 10e-3, 121)
     rate_in = float(cfg["physics"]["signal_input_rate_Hz"])

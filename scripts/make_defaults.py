@@ -37,16 +37,10 @@ from qfcring.calibration import CALIBRATION_COMMENTS, calibrate_config
 from qfcring.config import emit_config, validate_config, width_key
 from qfcring.constants import DB_TO_NEPERS_POWER, HBAR_J_S, TWO_PI, freq_hz
 from qfcring.conversion import external_efficiency, pump_power_unity_cooperativity
-from qfcring.builders import (
-    build_device,
-    build_fwm_channel,
-    build_twm_system,
-    companion_table_rad_s,
-    operating_point,
-)
+from qfcring.builders import build_device, build_twm_system, fwm_channel_at, operating_point
 from qfcring.dispersion import fit_dispersion_table, parse_dispersion_table
 from qfcring.elements import Device, RingCavity
-from qfcring.matching import SearchConstraints, companion_detuning, find_triple_resonance
+from qfcring.matching import SearchConstraints, find_triple_resonance
 from qfcring.noise import fwm_noise_rate
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
@@ -395,15 +389,13 @@ def main():
 
     # ---- summary + frozen regression constants ---------------------------
     regression = {"widths": {}}
-    table = companion_table_rad_s(cfg)
     for width in WIDTHS:
         device, matches = operating_point(cfg, width_nm=width)
         match = matches[0]
         system = build_twm_system(cfg, match)
         p_max = pump_power_unity_cooperativity(system)
         _, eta_ex = external_efficiency(system.with_power(p_max))
-        detuning, _ = companion_detuning(device, match, table)
-        channel = build_fwm_channel(cfg, match, detuning)
+        channel, _ = fwm_channel_at(cfg, device, match)
         r_at_pmax = fwm_noise_rate(channel, p_max)
         etas = {r: getattr(match, r).eta for r in ("pump", "signal", "idler")}
         print(

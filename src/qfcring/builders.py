@@ -11,8 +11,9 @@ from .constants import TWO_PI
 from .conversion import ModeChannel, TwmSystem, g0_effective
 from .dispersion import DispersionModel, load_dispersion_table
 from .elements import Device, DirectionalCoupler, MziCoupler, RingCavity
-from .errors import ConfigError
-from .matching import MatchResult, SearchConstraints, find_triple_resonance, verify_match
+from .errors import ConfigError, UnmatchedVariant
+from .matching import (MatchResult, SearchConstraints, companion_detuning,
+                       find_triple_resonance, verify_match)
 from .noise import FwmChannel
 
 # Verified sweeps kept per process, least recently used dropped first: enough
@@ -177,12 +178,6 @@ def build_twm_system(cfg: dict, match: MatchResult) -> TwmSystem:
     )
 
 
-def companion_table_rad_s(cfg: dict) -> dict:
-    """Per-width companion detuning table, THz (ordinary) -> rad/s."""
-    raw = cfg["physics"]["fwm_companion_detuning_THz_by_width"]
-    return {float(w): TWO_PI * float(v) * 1e12 for w, v in raw.items()}
-
-
 def build_fwm_channel(cfg: dict, match: MatchResult, companion_rad_s: float) -> FwmChannel:
     kappa_comp = TWO_PI * float(cfg["physics"]["fwm_companion_linewidth_over_2pi_GHz"]) * 1e9
     return FwmChannel(
@@ -194,6 +189,23 @@ def build_fwm_channel(cfg: dict, match: MatchResult, companion_rad_s: float) -> 
         kappa_p_ex=match.pump.kappa_ex,
         omega_p=match.pump.omega,
     )
+
+
+def fwm_channel_at(cfg: dict, device: Device, match: MatchResult):
+    """(FwmChannel, source) at a verified match: the one companion rule.
+
+    The companion's comb line ("comb"), else the config's entry for the
+    device width ("table", ordinary THz -> rad/s), else UnmatchedVariant.
+    """
+    companion, source = companion_detuning(device, match), "comb"
+    if companion is None:
+        table = cfg["physics"]["fwm_companion_detuning_THz_by_width"]
+        entry = table.get(width_key(device.width_nm))
+        if entry is None:
+            raise UnmatchedVariant(f"width {device.width_nm:g} nm: companion line outside "
+                                   "window and no table entry")
+        companion, source = TWO_PI * float(entry) * 1e12, "table"
+    return build_fwm_channel(cfg, match, companion), source
 
 
 def resolved_metadata(cfg: dict, experiment: str, extra=None) -> dict:

@@ -21,14 +21,14 @@ from dataclasses import replace
 
 import numpy as np
 
-from .builders import build_device, operating_point
+from .builders import build_device, build_fwm_channel, operating_point
 from .config import width_key
 from .constants import TWO_PI
 from .dispersion import U_SCALE_NM
 from .elements import Device, mode_rates
 from .errors import CalibrationInfeasible, NoFeasibleMatch
 from .matching import MatchResult
-from .noise import FwmChannel, fwm_noise_rate
+from .noise import fwm_noise_rate
 
 # Heater-length grid used to place the pump near an MZI envelope null while
 # the signal/idler envelopes stay strong.  Grid points are tried nearest the
@@ -45,7 +45,11 @@ def solve_g0_full_over_2pi_MHz(targets: dict, ppln_fraction: float) -> float:
         raise CalibrationInfeasible(
             "anchor 'g0': poled fraction is zero, no finite g0_full exists"
         )
-    return float(targets["g0_over_2pi_MHz"]) / ppln_fraction
+    g0 = float(targets["g0_over_2pi_MHz"])
+    if g0 <= 0.0:
+        raise CalibrationInfeasible(
+            f"anchor 'g0': target g0_over_2pi_MHz={g0} must be positive")
+    return g0 / ppln_fraction
 
 
 def _required_cross_couplings(device: Device, match: MatchResult, targets: dict):
@@ -180,25 +184,18 @@ def solve_width_couplings(cfg: dict, device: Device, match: MatchResult) -> dict
 def solve_g_chi3_over_2pi_Hz(cfg: dict, match: MatchResult) -> float:
     """g_chi3 so the noise rate hits the anchor at the anchor power/detuning."""
     targets = cfg["calibration_targets"]
-    kappa_comp = TWO_PI * float(cfg["physics"]["fwm_companion_linewidth_over_2pi_GHz"]) * 1e9
-    probe = FwmChannel(
-        g_chi3=1.0,
-        delta_comp=TWO_PI * float(targets["fwm_anchor_detuning_over_2pi_THz"]) * 1e12,
-        kappa_comp=kappa_comp,
-        kappa_idler=match.idler.kappa_ex + match.idler.kappa_0,
-        kappa_p=match.pump.kappa_ex + match.pump.kappa_0,
-        kappa_p_ex=match.pump.kappa_ex,
-        omega_p=match.pump.omega,
-    )
-    unit_rate = fwm_noise_rate(probe, float(targets["fwm_rate_power_mW"]) * 1e-3)
+    rate = float(targets["fwm_rate_Hz"])
+    if rate <= 0.0:
+        raise CalibrationInfeasible(
+            f"anchor 'noise rate': target fwm_rate_Hz={rate} must be positive")
+    # The rate is quadratic in g_chi3: probe once at g_chi3 = 1 rad/s.
+    unit = dict(cfg, calibration=dict(cfg["calibration"], g_chi3_over_2pi_Hz=1.0 / TWO_PI))
+    anchor = TWO_PI * float(targets["fwm_anchor_detuning_over_2pi_THz"]) * 1e12
+    unit_rate = fwm_noise_rate(build_fwm_channel(unit, match, anchor),
+                               float(targets["fwm_rate_power_mW"]) * 1e-3)
     if unit_rate <= 0.0:
         raise CalibrationInfeasible(
             "anchor 'noise rate': zero unit-rate; pump coupling not calibrated"
-        )
-    rate = float(targets["fwm_rate_Hz"])
-    if rate < 0.0:
-        raise CalibrationInfeasible(
-            f"anchor 'noise rate': target fwm_rate_Hz={rate} must be non-negative"
         )
     g = math.sqrt(rate / unit_rate)
     return g / TWO_PI

@@ -14,9 +14,8 @@ import numpy as np
 
 from .builders import (
     build_constraints,
-    build_fwm_channel,
     build_twm_system,
-    companion_table_rad_s,
+    fwm_channel_at,
     operating_point,
     resolved_metadata,
 )
@@ -26,7 +25,7 @@ from .constants import C_M_PER_S, TWO_PI, freq_hz
 from .conversion import efficiency_vs_power, pump_power_unity_cooperativity
 from .elements import coupling_ratio, resonance_comb, ring_spectrum
 from .errors import ConfigError, NoFeasibleMatch, NumericalFailure, UnmatchedVariant
-from .matching import companion_detuning, sweep_step_K
+from .matching import sweep_step_K
 from .noise import TradeoffVariant, efficiency_snr_tradeoff, noise_vs_power
 
 EXPERIMENTS = ("spectrum", "couplings", "match", "convert", "noise", "tradeoff",
@@ -76,13 +75,9 @@ def _power_grid_W(cfg):
     return grid * 1e-3
 
 
-def _fwm_channel(cfg, device, match):
-    """FWM channel at a match and the source of its companion detuning."""
-    detuning, source = companion_detuning(device, match, companion_table_rad_s(cfg))
-    if detuning is None:
-        raise UnmatchedVariant(f"width {device.width_nm:g} nm: companion line outside "
-                               "window and no table entry")
-    return build_fwm_channel(cfg, match, detuning), source
+def _companion_meta(channel, source):
+    return {"companion_source": source,
+            "companion_detuning_over_2pi_THz": channel.delta_comp / TWO_PI / 1e12}
 
 
 def _rates_meta(match, system):
@@ -169,15 +164,12 @@ def run_noise(cfg, out_dir):
     device, matches = operating_point(cfg)
     match = matches[0]
     system = build_twm_system(cfg, match)
-    channel, source = _fwm_channel(cfg, device, match)
+    channel, source = fwm_channel_at(cfg, device, match)
     powers = _power_grid_W(cfg)
     rows = noise_vs_power(channel, powers)
     rows[:, 0] *= 1e3
     meta = resolved_metadata(cfg, "noise", extra={
-        "companion_source": source,
-        "companion_detuning_over_2pi_THz": channel.delta_comp / TWO_PI / 1e12,
-        **_rates_meta(match, system),
-    })
+        **_companion_meta(channel, source), **_rates_meta(match, system)})
     return _emit(out_dir, "noise", ["power_mW", "R_FWM_Hz"], rows, meta)
 
 
@@ -190,11 +182,10 @@ def run_tradeoff(cfg, out_dir):
         except NoFeasibleMatch as exc:
             raise UnmatchedVariant(f"width {width:g} nm: {exc}") from exc
         match = matches[0]
-        channel, source = _fwm_channel(cfg, device, match)
+        channel, source = fwm_channel_at(cfg, device, match)
         variants.append(TradeoffVariant(width, build_twm_system(cfg, match), channel))
         sources[width_key(width)] = {
-            "companion_source": source,
-            "companion_detuning_over_2pi_THz": channel.delta_comp / TWO_PI / 1e12,
+            **_companion_meta(channel, source),
             "t_ring_K": match.t_ring_K,
             "pump_wavelength_nm": match.pump.lambda_nm,
         }

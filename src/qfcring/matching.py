@@ -161,6 +161,9 @@ def sweep_step_K(device: Device, constraints: SearchConstraints) -> float:
     if constraints.t_step_K is not None:
         return constraints.t_step_K
     rate = signal_shift_rate_hz_per_K(device, constraints)
+    if rate == 0.0:
+        # Lines that do not move with T: one step spans the range.
+        return constraints.t_max_K - constraints.t_min_K
     return max(1e-3, 0.25 * constraints.max_signal_detuning_Hz / rate)
 
 
@@ -455,14 +458,13 @@ def verify_match(device: Device, result: MatchResult) -> dict:
     return report
 
 
-def companion_detuning(device: Device, match: MatchResult, companion_table=None):
-    """(delta' in rad/s, source) of the FWM companion mode at a match.
+def companion_detuning(device: Device, match: MatchResult):
+    """delta' (rad/s) of the FWM companion's comb line at a match, or None.
 
     The four-wave-mixing companion carries azimuthal number 2 m_p - m_i;
-    delta' is its comb line's frequency minus 2 w_p - w_i.  That comb line
-    wins ("comb"); when it leaves the dispersion window the table entry for
-    the device width is used ("table"); otherwise (None, "none").
-    companion_table maps width (nm) -> delta' (rad/s).
+    delta' is its comb line's frequency minus 2 w_p - w_i.  None when that
+    line leaves the dispersion window (`builders.fwm_channel_at` then reads
+    the config's table).
     """
     m_comp = 2 * match.pump.m - match.idler.m
     f_target = 2.0 * match.pump.freq_hz - match.idler.freq_hz
@@ -470,8 +472,5 @@ def companion_detuning(device: Device, match: MatchResult, companion_table=None)
         lam = solve_resonance_wavelength(device, m_comp, match.t_ring_K)
         lo, hi = device.dispersion.lambda_window_nm
         if lo <= lam <= hi:
-            return TWO_PI * (freq_hz(lam) - f_target), "comb"
-    table = companion_table or {}
-    if device.width_nm in table:
-        return float(table[device.width_nm]), "table"
-    return None, "none"
+            return TWO_PI * (freq_hz(lam) - f_target)
+    return None

@@ -18,7 +18,7 @@ import numpy as np
 
 from .constants import HBAR_J_S
 from .conversion import TwmSystem, efficiency_vs_power
-from .errors import DomainError, UnmatchedVariant
+from .errors import DomainError
 
 LOG10 = math.log(10.0)
 
@@ -116,10 +116,6 @@ def efficiency_snr_tradeoff(variants, powers_W, signal_input_rate_Hz: float):
     rows = []
     best = None
     for var in ordered:
-        if var.system is None or var.channel is None:
-            raise UnmatchedVariant(
-                f"width {var.width_nm} nm has no triple-resonance solution"
-            )
         rates = fwm_noise_rate(var.channel, powers)
         etas = efficiency_vs_power(var.system, powers)[:, 3]
         for j, p in enumerate(powers):

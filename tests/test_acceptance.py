@@ -12,12 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qfcring.builders import (
-    build_fwm_channel,
-    build_twm_system,
-    companion_table_rad_s,
-    operating_point,
-)
+from qfcring.builders import build_twm_system, fwm_channel_at, operating_point
 from qfcring.config import default_config
 from qfcring.constants import HBAR_J_S, TWO_PI
 from qfcring.conversion import (
@@ -31,7 +26,7 @@ from qfcring.conversion import (
     steady_state_conversion,
 )
 from qfcring.experiments import EXPERIMENTS, run_experiment
-from qfcring.matching import companion_detuning, find_triple_resonance
+from qfcring.matching import find_triple_resonance
 from qfcring.noise import TradeoffVariant, efficiency_snr_tradeoff, fwm_noise_rate, noise_vs_power
 
 from conftest import oracle_fixture_best, oracle_fixtures
@@ -139,8 +134,7 @@ def test_criterion_4_paper_figure_anchors():
     assert 0.85 <= peak_eta <= 0.95
     assert 0.3e-3 <= peak_p <= 3e-3
 
-    detuning, _ = companion_detuning(device, match, companion_table_rad_s(cfg))
-    channel = build_fwm_channel(cfg, match, detuning)
+    channel, _ = fwm_channel_at(cfg, device, match)
     r_at_peak = fwm_noise_rate(channel, peak_p)
     assert r_at_peak < 0.1
 
@@ -210,13 +204,11 @@ def test_criterion_6_matcher_correctness():
 def test_criterion_7_dispersion_engineering_ordering():
     """1.4 um width achieves the best noise figure at its peak efficiency."""
     cfg = default_config()
-    table = companion_table_rad_s(cfg)
     variants = []
     for width in (1400.0, 1500.0, 1600.0):
         device, matches = operating_point(cfg, width_nm=width)
-        detuning, _ = companion_detuning(device, matches[0], table)
         system = build_twm_system(cfg, matches[0])
-        channel = build_fwm_channel(cfg, matches[0], detuning)
+        channel, _ = fwm_channel_at(cfg, device, matches[0])
         variants.append(TradeoffVariant(width, system, channel))
     powers = np.geomspace(0.01e-3, 10e-3, 121)
     rows, best_width = efficiency_snr_tradeoff(

@@ -1,4 +1,5 @@
-"""The process-level memo of verified operating points in `builders`."""
+"""The process-level memo of verified operating points in `builders`, and the
+one companion rule of the FWM noise channel (`builders.fwm_channel_at`)."""
 
 import contextlib
 import copy
@@ -9,9 +10,13 @@ from types import SimpleNamespace
 import pytest
 
 from qfcring import builders, matching
-from qfcring.config import apply_overrides
-from qfcring.errors import NoFeasibleMatch, QfcError, StaleResult
+from qfcring.config import apply_overrides, width_key
+from qfcring.constants import TWO_PI
+from qfcring.elements import Device
+from qfcring.errors import NoFeasibleMatch, QfcError, StaleResult, UnmatchedVariant
 from qfcring.experiments import run_experiment
+
+from conftest import WIDTH, planted_fixture_curved, simple_model
 
 EXPLORE = ("spectrum", "couplings", "match", "convert", "noise", "tradeoff")
 
@@ -174,3 +179,38 @@ def test_memo_is_bounded_least_recently_used_first(cfg, sweeps):
     assert len(sweeps.widths) == size + 1
     builders.operating_point(variants[1])
     assert len(sweeps.widths) == size + 2
+
+
+# --- the companion rule ----------------------------------------------------
+
+def test_fwm_channel_comb_line_wins_over_the_table(cfg):
+    # A model window wide enough to hold the companion line 2 w_p - w_i.
+    device, constraints, _ = planted_fixture_curved()
+    model = simple_model([2.0, 0.0, device.dispersion.coeffs_by_width[WIDTH][2]],
+                         window=(600.0, 2400.0))
+    wide = Device(dispersion=model, ring=device.ring)
+    match = matching.find_triple_resonance(wide, constraints)[0]
+    # The bare ring leaves the pump uncoupled; the channel needs a coupled pump.
+    match = dataclasses.replace(match, pump=dataclasses.replace(
+        match.pump, kappa_ex=match.pump.kappa_0))
+    assert width_key(WIDTH) in cfg["physics"]["fwm_companion_detuning_THz_by_width"]
+    channel, source = builders.fwm_channel_at(cfg, wide, match)
+    assert source == "comb"
+    assert channel.delta_comp == matching.companion_detuning(wide, match)
+
+
+def test_fwm_channel_reads_the_table_for_the_packaged_config(cfg):
+    device, matches = builders.operating_point(cfg)
+    assert device.width_nm == 1500.0
+    channel, source = builders.fwm_channel_at(cfg, device, matches[0])
+    assert source == "table"
+    assert channel.delta_comp == TWO_PI * 1.0e12
+
+
+def test_fwm_channel_without_comb_line_or_table_entry_is_unmatched(cfg):
+    device, matches = builders.operating_point(cfg)
+    bare = _edited(cfg, ("physics", "fwm_companion_detuning_THz_by_width"),
+                   lambda table: {k: v for k, v in table.items() if k != "1500"})
+    with pytest.raises(UnmatchedVariant, match="^width 1500 nm: companion line outside "
+                                               "window and no table entry$"):
+        builders.fwm_channel_at(bare, device, matches[0])

@@ -81,7 +81,12 @@ def test_failed_verification_exits_4(monkeypatch, tmp_path):
     ("calibrate", "device.mzi_heater_length_um=0", "CalibrationInfeasible", 3,
      "anchor 'coupling ratios': base heater length is zero"),
     ("calibrate", "calibration_targets.fwm_rate_Hz=-1", "CalibrationInfeasible", 3,
-     "anchor 'noise rate': target fwm_rate_Hz=-1.0 must be non-negative"),
+     "anchor 'noise rate': target fwm_rate_Hz=-1.0 must be positive"),
+    # anchors whose calibrated output `noise`, `convert` and `tradeoff` reject
+    ("calibrate", "calibration_targets.fwm_rate_Hz=0", "CalibrationInfeasible", 3,
+     "anchor 'noise rate': target fwm_rate_Hz=0.0 must be positive"),
+    ("calibrate", "calibration_targets.g0_over_2pi_MHz=0", "CalibrationInfeasible", 3,
+     "anchor 'g0': target g0_over_2pi_MHz=0.0 must be positive"),
     ("match", "device.ring_length_um=.nan", "ConfigError", 2,
      "config key 'device.ring_length_um' must be finite, got nan"),
     ("match", "constraints.t_step_mK=1.0e-9", "DomainError", 2,
@@ -108,7 +113,8 @@ def test_failed_verification_exits_4(monkeypatch, tmp_path):
     ("match", "device.ring_length_um=1" + "0" * 5000, "ConfigError", 2,
      "override 'device.ring_length_um=1000"),
 ], ids=["no-widths", "repeated-width", "width-key-beyond-float", "missing-table",
-        "zero-power-max", "zero-heater", "negative-fwm-rate", "nan-ring-length",
+        "zero-power-max", "zero-heater", "negative-fwm-rate", "zero-fwm-rate", "zero-g0",
+        "nan-ring-length",
         "tiny-sweep-step", "packaged-table-order-2", "negative-fit-order",
         "int-ring-length-beyond-float", "int-t-max-beyond-float",
         "int-fwm-rate-beyond-float", "int-input-rate-beyond-float",
@@ -135,6 +141,22 @@ def test_fit_order_applies_to_the_packaged_table(tmp_path):
     assert code == 0, err
     got = json.loads((tmp_path / "match.json").read_text())["dispersion_model_hash"]
     assert got != json.loads(golden.read_text())["dispersion_model_hash"]
+
+
+@pytest.mark.parametrize("fit_order", [0, 2])
+def test_lines_that_do_not_move_with_temperature_exit_3(tmp_path, fit_order):
+    # n_eff = 2 everywhere: the fitted dn/dT is 0 (order 0) or ~1e-18 (order 2),
+    # and the adaptive sweep step must not divide by the zero shift rate.
+    rows = [f"{lam}.0,{w},{t},2.0" for w in (1400, 1500, 1600) for t in (300, 350, 400)
+            for lam in range(700, 1751, 25)]
+    table = tmp_path / "flat.csv"
+    table.write_text("wavelength_nm,width_nm,temperature_K,n_eff\n" + "\n".join(rows) + "\n",
+                     encoding="utf-8")
+    code, out, err = run_main(["match", "--override", f"dispersion.table_file={table}",
+                               "--override", f"dispersion.fit_order={fit_order}",
+                               "--out-dir", str(tmp_path / "out")])
+    assert (code, out) == (3, "")
+    assert error_record(code, err)["error"] == "NoFeasibleMatch"
 
 
 # A second entry for width 1500 in each width-keyed map.

@@ -7,7 +7,7 @@ import pytest
 
 from qfcring.constants import TWO_PI
 from qfcring.conversion import ModeChannel, TwmSystem
-from qfcring.errors import DomainError, UnmatchedVariant
+from qfcring.errors import DomainError
 from qfcring.noise import (
     FwmChannel,
     TradeoffVariant,
@@ -147,9 +147,3 @@ def test_tradeoff_identical_variants_bitwise():
     rows, _ = efficiency_snr_tradeoff(variants, powers, 1.0e4)
     a, b = rows[:10, 1:], rows[10:, 1:]
     assert np.array_equal(a, b)
-
-
-def test_tradeoff_unmatched_variant():
-    variants = [TradeoffVariant(1400.0, None, None)]
-    with pytest.raises(UnmatchedVariant, match="1400"):
-        efficiency_snr_tradeoff(variants, [1e-3], 1.0e4)

@@ -19,13 +19,12 @@ import pytest
 from qfcring.builders import (
     build_constraints,
     build_device,
-    build_fwm_channel,
     build_twm_system,
-    companion_table_rad_s,
+    fwm_channel_at,
     operating_point,
 )
 from qfcring.conversion import efficiency_vs_power, pump_power_unity_cooperativity
-from qfcring.matching import companion_detuning, find_triple_resonance
+from qfcring.matching import find_triple_resonance
 from qfcring.noise import fwm_noise_rate, noise_vs_power
 
 from conftest import src_env
@@ -69,8 +68,7 @@ def test_default_efficiency_curve_shape(cfg):
 
 def test_default_noise_curve_stays_low(cfg):
     device, matches = operating_point(cfg)
-    detuning, _ = companion_detuning(device, matches[0], companion_table_rad_s(cfg))
-    channel = build_fwm_channel(cfg, matches[0], detuning)
+    channel, _ = fwm_channel_at(cfg, device, matches[0])
     rows = noise_vs_power(channel, np.geomspace(0.01e-3, 10e-3, 61))
     assert np.all(rows[:, 1] < 10.0)
     pin = PINNED["widths"]["1500"]
