@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from dataclasses import fields
 from functools import lru_cache
 
 from .config import config_hash, width_key
@@ -19,7 +17,6 @@ from .noise import FwmChannel
 # Verified sweeps kept per process, least recently used dropped first: enough
 # for one config's widths plus its primary width, bare ring and coupled.
 _SWEEP_MEMO_SIZE = 8
-_sweep_memo: OrderedDict = OrderedDict()
 
 
 @lru_cache(maxsize=8)
@@ -111,12 +108,11 @@ def build_constraints(cfg: dict) -> SearchConstraints:
         raise ConfigError(f"invalid constraints: {exc}") from None
 
 
-def _sweep_key(device: Device, constraints: SearchConstraints) -> tuple:
-    """Content of every input the sweep reads (never an object's identity)."""
-    mzi = device.mzi
-    coupler = None if mzi is None else tuple(
-        getattr(mzi, f.name) for f in fields(mzi) if f.name != "dispersion")
-    return (constraints, device.dispersion.content_hash(), device.ring, coupler)
+@lru_cache(maxsize=_SWEEP_MEMO_SIZE)
+def _verified_matches(device: Device, constraints: SearchConstraints) -> tuple:
+    matches = tuple(find_triple_resonance(device, constraints))
+    verify_match(device, matches[0])
+    return matches
 
 
 def operating_point(cfg: dict, width_nm=None, with_coupler=True):
@@ -127,25 +123,14 @@ def operating_point(cfg: dict, width_nm=None, with_coupler=True):
     StaleResult when the best match does not re-derive.
 
     Experiments in one process share one verified sweep per width and input
-    set: the matches are memoised on the content of the sweep's inputs
-    (constraints, dispersion content hash, ring, coupler), so a repeat call
+    set: the matches are an lru_cache on (device, constraints), which compare
+    by content (the dispersion model by its content_hash()), so a repeat call
     neither sweeps again nor re-emits the sweep's coverage warning.  Errors
     are not memoised.  The CLI runs one experiment per process, so it
     always sweeps.
     """
     device = build_device(cfg, width_nm=width_nm, with_coupler=with_coupler)
-    constraints = build_constraints(cfg)
-    key = _sweep_key(device, constraints)
-    matches = _sweep_memo.get(key)
-    if matches is None:
-        matches = tuple(find_triple_resonance(device, constraints))
-        verify_match(device, matches[0])
-        _sweep_memo[key] = matches
-        if len(_sweep_memo) > _SWEEP_MEMO_SIZE:
-            _sweep_memo.popitem(last=False)
-    else:
-        _sweep_memo.move_to_end(key)
-    return device, matches
+    return device, _verified_matches(device, build_constraints(cfg))
 
 
 def g0_from_config(cfg: dict) -> float:

@@ -69,6 +69,11 @@ def _required_cross_couplings(device: Device, match: MatchResult, targets: dict)
             )
         vg = float(model.group_velocity(sol.lambda_nm, t, ring.width_nm))
         kappa_0 = float(ring.kappa_0(model, sol.lambda_nm, t))
+        if kappa_0 <= 0.0:
+            raise CalibrationInfeasible(
+                f"anchor 'coupling ratios': device.propagation_loss_dB_per_m="
+                f"{ring.alpha_prop_dB_per_m} leaves the {label} mode lossless, so "
+                f"{eta_key} would need kappa_ex = 0")
         kappa_ex = kappa_0 * eta / (1.0 - eta)
         out[label] = (sol.lambda_nm, kappa_ex * ring.length_m / vg)
     return out
@@ -188,15 +193,17 @@ def solve_g_chi3_over_2pi_Hz(cfg: dict, match: MatchResult) -> float:
     if rate <= 0.0:
         raise CalibrationInfeasible(
             f"anchor 'noise rate': target fwm_rate_Hz={rate} must be positive")
+    power_mW = float(targets["fwm_rate_power_mW"])
+    if power_mW <= 0.0:
+        raise CalibrationInfeasible(
+            f"anchor 'noise rate': target fwm_rate_power_mW={power_mW} must be positive")
     # The rate is quadratic in g_chi3: probe once at g_chi3 = 1 rad/s.
     unit = dict(cfg, calibration=dict(cfg["calibration"], g_chi3_over_2pi_Hz=1.0 / TWO_PI))
     anchor = TWO_PI * float(targets["fwm_anchor_detuning_over_2pi_THz"]) * 1e12
-    unit_rate = fwm_noise_rate(build_fwm_channel(unit, match, anchor),
-                               float(targets["fwm_rate_power_mW"]) * 1e-3)
+    unit_rate = fwm_noise_rate(build_fwm_channel(unit, match, anchor), power_mW * 1e-3)
     if unit_rate <= 0.0:
-        raise CalibrationInfeasible(
-            "anchor 'noise rate': zero unit-rate; pump coupling not calibrated"
-        )
+        raise CalibrationInfeasible(f"anchor 'noise rate': the rate underflows to zero at "
+                                    f"fwm_rate_power_mW={power_mW} and the anchor detuning")
     g = math.sqrt(rate / unit_rate)
     return g / TWO_PI
 

@@ -59,7 +59,8 @@ class DispersionModel:
     width and wavelength, so n_eff is linear in T and dn_eff/dlambda does
     not depend on T.  fit_residuals_by_width records the max abs fit
     residual per width when the model came from a table fit (0.0 for
-    inline models).
+    inline models).  Models compare and hash by content_hash(), and so do
+    the Devices holding them; fit_residuals_by_width is left out.
     """
 
     coeffs_by_width: dict
@@ -107,6 +108,14 @@ class DispersionModel:
                   *self.lambda_window_nm, *self.temperature_window_K):
             h.update(repr(float(v)).encode())
         return h.hexdigest()
+
+    def __eq__(self, other):
+        if not isinstance(other, DispersionModel):
+            return NotImplemented
+        return self.content_hash() == other.content_hash()
+
+    def __hash__(self):
+        return hash(self.content_hash())
 
     def _coeffs(self, width_nm: float) -> np.ndarray:
         c = self.coeffs_by_width.get(float(width_nm))

@@ -28,9 +28,6 @@ from .errors import ConfigError, NoFeasibleMatch, NumericalFailure, UnmatchedVar
 from .matching import sweep_step_K
 from .noise import TradeoffVariant, efficiency_snr_tradeoff, noise_vs_power
 
-EXPERIMENTS = ("spectrum", "couplings", "match", "convert", "noise", "tradeoff",
-               "calibrate")
-
 _FMT = "%.12g"
 
 
@@ -285,6 +282,7 @@ _RUNNERS = {
     "tradeoff": run_tradeoff,
     "calibrate": run_calibrate,
 }
+EXPERIMENTS = tuple(_RUNNERS)
 
 
 def run_experiment(name, cfg, out_dir):

@@ -54,7 +54,7 @@ def fresh_sweep_memo():
     later test's call, and the faults those tests inject into the sweep or
     the verification would never run.
     """
-    builders._sweep_memo.clear()
+    builders._verified_matches.cache_clear()
 
 
 @pytest.fixture(scope="session")

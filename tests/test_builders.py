@@ -173,12 +173,21 @@ def test_memo_is_bounded_least_recently_used_first(cfg, sweeps):
         builders.operating_point(variant)
     builders.operating_point(variants[0])          # refresh the oldest entry
     builders.operating_point(variants[size])       # evicts variants[1]
-    assert len(builders._sweep_memo) == size
+    assert builders._verified_matches.cache_info().currsize == size
     assert len(sweeps.widths) == size + 1
     builders.operating_point(variants[0])
     assert len(sweeps.widths) == size + 1
     builders.operating_point(variants[1])
     assert len(sweeps.widths) == size + 2
+
+
+@pytest.mark.parametrize("with_coupler", [True, False], ids=["coupled", "bare"])
+def test_device_built_after_a_refit_equals_the_one_before(cfg, with_coupler):
+    before = builders.build_device(cfg, with_coupler=with_coupler)
+    builders._load_model.cache_clear()
+    after = builders.build_device(cfg, with_coupler=with_coupler)
+    assert after.dispersion is not before.dispersion
+    assert after == before and hash(after) == hash(before)
 
 
 # --- the companion rule ----------------------------------------------------

@@ -1,5 +1,6 @@
 """Effective-index model and table-ingestion tests."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -250,6 +251,40 @@ def test_refit_idempotence(model):
         # the least-squares conditioning noise)
         assert np.allclose(a, b, rtol=1e-9, atol=1e-9 * np.abs(a).max())
     assert refit.dn_dT_per_K == pytest.approx(model.dn_dT_per_K, rel=1e-9)
+
+
+def test_two_fits_of_one_table_are_equal_and_hash_alike(model):
+    again = default_model()
+    assert again is not model
+    assert again == model and hash(again) == hash(model)
+    # the fit residuals record how the fit went; they are not model content
+    assert dataclasses.replace(again, fit_residuals_by_width={}) == model
+    assert model.__eq__(model.content_hash()) is NotImplemented
+
+
+def _one_coefficient_moved(m):
+    coeffs = {w: c.copy() for w, c in m.coeffs_by_width.items()}
+    coeffs[WIDTH][0] += 1e-12
+    return {"coeffs_by_width": coeffs}
+
+
+CONTENT_CHANGES = {
+    "coefficient": _one_coefficient_moved,
+    "dn_dT_per_K": lambda m: {"dn_dT_per_K": m.dn_dT_per_K * (1.0 + 1e-12)},
+    "lambda_ref_nm": lambda m: {"lambda_ref_nm": m.lambda_ref_nm + 1e-9},
+    "t_ref_K": lambda m: {"t_ref_K": m.t_ref_K + 1e-9},
+    "lambda_window_nm": lambda m: {"lambda_window_nm": (m.lambda_window_nm[0] + 1.0,
+                                                        m.lambda_window_nm[1])},
+    "temperature_window_K": lambda m: {"temperature_window_K": (
+        m.temperature_window_K[0], m.temperature_window_K[1] - 1.0)},
+}
+
+
+@pytest.mark.parametrize("change", CONTENT_CHANGES.values(), ids=CONTENT_CHANGES.keys())
+def test_changed_content_makes_models_unequal(model, change):
+    changed, refit = dataclasses.replace(model, **change(model)), default_model()
+    assert changed != refit and refit != changed
+    assert hash(changed) != hash(refit)
 
 
 def test_model_construction_validates_physics():

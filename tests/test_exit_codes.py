@@ -87,6 +87,17 @@ def test_failed_verification_exits_4(monkeypatch, tmp_path):
      "anchor 'noise rate': target fwm_rate_Hz=0.0 must be positive"),
     ("calibrate", "calibration_targets.g0_over_2pi_MHz=0", "CalibrationInfeasible", 3,
      "anchor 'g0': target g0_over_2pi_MHz=0.0 must be positive"),
+    ("calibrate", "calibration_targets.fwm_rate_power_mW=0", "CalibrationInfeasible", 3,
+     "anchor 'noise rate': target fwm_rate_power_mW=0.0 must be positive"),
+    ("calibrate", "calibration_targets.fwm_rate_power_mW=-1", "CalibrationInfeasible", 3,
+     "anchor 'noise rate': target fwm_rate_power_mW=-1.0 must be positive"),
+    # the noise rate is quadratic in the power, so 1e-300 mW gives 0.0
+    ("calibrate", "calibration_targets.fwm_rate_power_mW=1e-300", "CalibrationInfeasible", 3,
+     "anchor 'noise rate': the rate underflows to zero at fwm_rate_power_mW=1e-300 "),
+    # no intrinsic loss: every eta target in (0, 1) needs kappa_ex = 0
+    ("calibrate", "device.propagation_loss_dB_per_m=0", "CalibrationInfeasible", 3,
+     "anchor 'coupling ratios': device.propagation_loss_dB_per_m=0.0 leaves the pump "
+     "mode lossless"),
     ("match", "device.ring_length_um=.nan", "ConfigError", 2,
      "config key 'device.ring_length_um' must be finite, got nan"),
     ("match", "constraints.t_step_mK=1.0e-9", "DomainError", 2,
@@ -114,6 +125,7 @@ def test_failed_verification_exits_4(monkeypatch, tmp_path):
      "override 'device.ring_length_um=1000"),
 ], ids=["no-widths", "repeated-width", "width-key-beyond-float", "missing-table",
         "zero-power-max", "zero-heater", "negative-fwm-rate", "zero-fwm-rate", "zero-g0",
+        "zero-fwm-power", "negative-fwm-power", "underflowing-fwm-power", "zero-loss",
         "nan-ring-length",
         "tiny-sweep-step", "packaged-table-order-2", "negative-fit-order",
         "int-ring-length-beyond-float", "int-t-max-beyond-float",
