@@ -118,9 +118,9 @@ def _verified_matches(device: Device, constraints: SearchConstraints) -> tuple:
 def operating_point(cfg: dict, width_nm=None, with_coupler=True):
     """Device at one width and its matches (a tuple), best first.
 
-    One sweep, then the best match is verified from raw dispersion before
-    any caller reads it.  Raises NoFeasibleMatch when nothing matches and
-    StaleResult when the best match does not re-derive.
+    One sweep, then verify_match checks the best match's stored lines
+    against raw dispersion before any caller reads it.  Raises
+    NoFeasibleMatch when nothing matches and StaleResult when that check fails.
 
     Experiments in one process share one verified sweep per width and input
     set: the matches are an lru_cache on (device, constraints), which compare

@@ -18,7 +18,7 @@ import numpy as np
 
 from .constants import TWO_PI, db_per_m_to_kappa, freq_hz
 from .dispersion import DispersionModel, U_SCALE_NM, _polyval
-from .errors import DomainError, NoResonance, OutOfDomain
+from .errors import DomainError, NoResonance, NumericalFailure, OutOfDomain
 
 # kappa_ex = K v_g / L is a weak-coupling correspondence; beyond this K it
 # degrades and we warn rather than fail.
@@ -249,7 +249,11 @@ def ring_spectrum(device: Device, lambda_grid_nm, t_ring_K):
     return np.abs(out) ** 2
 
 
-# m * lambda = n_eff(lambda, T) * L, solved below for m, lambda and T.
+# m * lambda = n_eff(lambda, T) * L, solved below for m, lambda and T.  The
+# solver's roots and verify_match's stored lines keep |residual| <= RESIDUAL_TOL.
+RESIDUAL_TOL = 1e-9
+
+
 def _length_nm(device: Device) -> float:
     return device.ring.length_m * 1e9
 
@@ -293,12 +297,20 @@ def resonance_comb(device: Device, band_nm, t_ring_K):
     return pairs
 
 
+def resonance_residual(device: Device, m, lambda_nm, t_K):
+    """(m*lambda - n_eff(lambda, T)*L) / (m*lambda) from raw dispersion, with no solve."""
+    m_lam = np.asarray(m, dtype=float) * np.asarray(lambda_nm, dtype=float)
+    n = device.dispersion._n_eff_unchecked(lambda_nm, t_K, device.width_nm)
+    return (m_lam - n * _length_nm(device)) / m_lam
+
+
 def solve_resonance_wavelength(device: Device, m, t_K):
     """Root of m*lambda = n_eff(lambda, T)*L for fixed azimuthal number m (nm).
 
     Vectorized over t_K (and m when both are arrays of equal shape).
-    Fixed-point iterations then two Newton polishes; the map is a strong
-    contraction because |dn/dlambda| * lambda / n << 1.
+    Fixed-point iterations then two Newton polishes; NumericalFailure names
+    the worst (m, T) when a root's |resonance_residual| exceeds RESIDUAL_TOL
+    or is NaN (the fixed point need not contract).
     """
     model, width_nm, length_nm = device.dispersion, device.width_nm, _length_nm(device)
     m_arr = np.asarray(m, dtype=float)
@@ -313,6 +325,12 @@ def solve_resonance_wavelength(device: Device, m, t_K):
         f = m_arr * lam - model._n_eff_unchecked(lam, t_K, width_nm) * length_nm
         fp = m_arr - model._dn_dlambda_unchecked(lam, t_K, width_nm) * length_nm
         lam = lam - f / fp
+    r = np.abs(resonance_residual(device, m_arr, lam, t_K))
+    if not np.all(r <= RESIDUAL_TOL):
+        k = np.argmax(np.where(np.isnan(r), np.inf, r))
+        m_k, t_k = (np.broadcast_to(x, lam.shape).flat[k] for x in (m_arr, t_K))
+        raise NumericalFailure(f"resonance root of m={m_k:.0f} at T={t_k} K has "
+                               f"relative residual {r.flat[k]:.3g} > {RESIDUAL_TOL:g}")
     if np.isscalar(m) and np.isscalar(t_K):
         return float(lam)
     return lam

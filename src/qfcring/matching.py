@@ -20,11 +20,13 @@ import numpy as np
 
 from .constants import C_M_PER_S, MAX_GRID_CELLS, TWO_PI, freq_hz
 from .elements import (
+    RESIDUAL_TOL,
     Device,
     _m_range,
     _temperature_at,
     mode_rates,
     qpm_mismatch,
+    resonance_residual,
     solve_resonance_wavelength,
 )
 from .errors import (
@@ -34,9 +36,6 @@ from .errors import (
     StaleResult,
     SweepStepTooCoarse,
 )
-
-# Relative agreement verify_match demands between stored and re-derived fields.
-_VERIFY_TOL = 1e-9
 
 
 @dataclass(frozen=True, slots=True)
@@ -399,55 +398,36 @@ def find_triple_resonance(device: Device, constraints: SearchConstraints):
 
 
 def verify_match(device: Device, result: MatchResult) -> dict:
-    """Re-derive a match from raw dispersion and compare against stored fields.
+    """Check a match's stored fields against raw dispersion, without the root solver.
 
-    Raises StaleResult when any re-derived residual disagrees beyond the
-    relative tolerance _VERIFY_TOL (absolute floor 1 Hz on frequencies,
-    1e-12 nm on wavelengths).  The ring temperature is also re-derived from
-    the stored signal line in closed form, independently of the iterative
-    root solver; its disagreement, times the signal's thermal shift rate,
-    must stay within _VERIFY_TOL * f_s.  The temperature check is skipped
-    when the model's dn/dT is zero.
+    StaleResult when a stored line's |resonance_residual| at the stored T
+    exceeds RESIDUAL_TOL or is NaN, or when the signal detuning, mismatch
+    (both to RESIDUAL_TOL * f_s) or QPM integer re-derived from the stored
+    lines disagrees with the stored one.
     """
     cons = result.constraints
-    report = {}
-
-    def close(a, b, scale):
-        return abs(a - b) <= _VERIFY_TOL * scale
-
     modes = {"pump": result.pump, "signal": result.signal, "idler": result.idler}
-    lams = solve_resonance_wavelength(device, [ms.m for ms in modes.values()],
-                                      result.t_ring_K).tolist()
-    for (label, ms), lam in zip(modes.items(), lams):
-        report[f"{label}_lambda_nm"] = lam
-        if not close(lam, ms.lambda_nm, max(abs(lam), 1e-3)):
-            raise StaleResult(
-                f"{label} wavelength re-derives to {lam} nm, stored {ms.lambda_nm} nm"
-            )
+    residuals = resonance_residual(device, [ms.m for ms in modes.values()],
+                                   [ms.lambda_nm for ms in modes.values()], result.t_ring_K)
+    report = {}
+    for (label, ms), r in zip(modes.items(), residuals.tolist()):
+        report.update({f"{label}_lambda_nm": ms.lambda_nm, f"{label}_residual": r})
+        if not abs(r) <= RESIDUAL_TOL:
+            raise StaleResult(f"{label} line m={ms.m} at {ms.lambda_nm} nm and T = "
+                              f"{result.t_ring_K} K: closed form residual {r:.3g}")
 
-    sig = result.signal
-    if device.dispersion.dn_dT_per_K != 0.0:
-        t_closed = float(_temperature_at(device, sig.m, sig.lambda_nm))
-        report["t_ring_closed_form_K"] = t_closed
-        rate = signal_shift_rate_hz_per_K(device, cons)
-        if abs(t_closed - result.t_ring_K) * rate > _VERIFY_TOL * sig.freq_hz:
-            raise StaleResult(
-                f"signal line m={sig.m} at {sig.lambda_nm} nm resonates at "
-                f"{t_closed} K in closed form, stored {result.t_ring_K} K"
-            )
-
-    f_p, f_s, f_i = map(freq_hz, lams)
+    f_p, f_s, f_i = (ms.freq_hz for ms in modes.values())
     det_s = f_s - cons.signal_target_hz
     delta = f_s - f_p - f_i
     qpm = qpm_mismatch(result.signal.m, result.pump.m, result.idler.m,
                        device.ring.m_offset)
     report.update(signal_detuning_Hz=det_s, mismatch_Hz=delta, qpm_mismatch=qpm)
-    scale = max(abs(f_s), 1.0)
-    if not close(det_s, result.signal_detuning_Hz, scale):
+    tol_hz = RESIDUAL_TOL * max(abs(f_s), 1.0)
+    if not abs(det_s - result.signal_detuning_Hz) <= tol_hz:
         raise StaleResult(
             f"signal detuning re-derives to {det_s} Hz, stored {result.signal_detuning_Hz} Hz"
         )
-    if not close(delta, result.mismatch_Hz, scale):
+    if not abs(delta - result.mismatch_Hz) <= tol_hz:
         raise StaleResult(
             f"mismatch re-derives to {delta} Hz, stored {result.mismatch_Hz} Hz"
         )

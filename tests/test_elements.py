@@ -16,6 +16,7 @@ from qfcring.config import apply_overrides
 from qfcring.constants import C_M_PER_S, TWO_PI, freq_hz
 from qfcring.dispersion import default_model
 from qfcring.elements import (
+    RESIDUAL_TOL,
     Device,
     DirectionalCoupler,
     MziCoupler,
@@ -26,10 +27,11 @@ from qfcring.elements import (
     mode_rates,
     qpm_mismatch,
     resonance_comb,
+    resonance_residual,
     ring_spectrum,
     solve_resonance_wavelength,
 )
-from qfcring.errors import DomainError, NoResonance, OutOfDomain
+from qfcring.errors import DomainError, NoResonance, NumericalFailure, OutOfDomain
 from qfcring.experiments import run_experiment
 from qfcring.matching import find_triple_resonance
 
@@ -400,9 +402,11 @@ def test_m_range_contains_every_in_band_line(cfg, width, band):
 EPS = float(np.finfo(float).eps)
 BRENTQ_XTOL, BRENTQ_RTOL = 1e-12, 4.0 * EPS
 # The solver iterates lambda -> n_eff(lambda) L / m, which contracts by
-# q = |dn/dlambda| lambda / n = |n - n_g| / n per step; its docstring assumes
-# q << 1.  The draws keep q <= 0.5 over the window (the packaged widths have
-# q < 0.1).
+# q = |dn/dlambda| lambda / n = |n - n_g| / n per step.  Where it does not
+# contract (q >~ 0.73) the solver's residual check raises NumericalFailure
+# (test_non_contracting_model_raises_instead_of_a_wrong_root).  The draws keep
+# q <= 0.5 over the window, where the roots must agree with brentq (the
+# packaged widths have q < 0.1).
 MAX_CONTRACTION = 0.5
 
 
@@ -467,6 +471,35 @@ def test_resonance_condition_solves_agree_on_random_models(device, lam0, t_K):
     assert abs(float(_temperature_at(device, m, lam_s)) - t_K) <= tol_t
 
     assert m in _m_range(device, (lam_s, lam_s), t_K)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(device=random_rings(), lo=st.floats(*WINDOW), span=st.floats(1.0, 300.0),
+       t_K=st.floats(250.0, 450.0))
+def test_resonance_comb_lines_are_consecutive_roots_on_random_models(device, lo, span, t_K):
+    band = (lo, min(lo + span, WINDOW[1]))
+    assume(band[0] < band[1])
+    try:
+        pairs = resonance_comb(device, band, t_K)
+    except NoResonance:
+        assume(False)
+    ms = [m for m, _ in pairs]
+    assert ms == list(range(ms[0], ms[0] - len(ms), -1))
+    lams = [lam for _, lam in pairs]
+    assert all(band[0] <= lam <= band[1] for lam in lams)
+    assert np.all(np.abs(resonance_residual(device, ms, lams, t_K)) <= RESIDUAL_TOL)
+
+
+@pytest.mark.parametrize("m", [450, 340])
+def test_non_contracting_model_raises_instead_of_a_wrong_root(m):
+    # q = |n - n_g| / n reaches ~0.75 here, so the fixed point does not
+    # contract: its roots land at 17025.9 nm for m = 450 (brentq: 1600.0 nm)
+    # and at -7.5e131 nm for m = 340 (brentq: 1749.49 nm).
+    ring = RingCavity(length_um=500.0, width_nm=WIDTH, alpha_prop_dB_per_m=30.0,
+                      ppln_fraction=0.0, poling_period_um=5.0)
+    device = Device(dispersion=simple_model([2.0, -1.2, -0.5, 0.0]), ring=ring)
+    with pytest.raises(NumericalFailure, match=f"m={m} at T=350.0 K"):
+        solve_resonance_wavelength(device, m, 350.0)
 
 
 # --- QPM -------------------------------------------------------------------

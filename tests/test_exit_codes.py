@@ -54,8 +54,8 @@ def test_every_error_class_declares_a_cli_exit_code():
 
 
 def test_failed_verification_exits_4(monkeypatch, tmp_path):
-    # Roots 1e-4 nm long still give a match; only verify_match's closed-form
-    # temperature check notices, as in test_verify_match_catches_shifted_solver.
+    # Roots 1e-4 nm long still give a match; verify_match's resonance
+    # residuals notice, as in test_verify_match_catches_shifted_solver.
     def shifted(*args):
         return solve_resonance_wavelength(*args) + 1e-4
 

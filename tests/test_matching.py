@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -125,21 +126,27 @@ def test_coverage_warning_when_sweep_too_narrow():
 
 
 def test_verify_match_round_trip_and_tamper():
-    device, constraints, _ = planted_fixture_curved()
-    best = find_triple_resonance(device, constraints)[0]
-    report = verify_match(device, best)
-    assert report["qpm_mismatch"] == 0
+    curved, curved_constraints, _ = planted_fixture_curved()
+    flat, flat_constraints, _ = planted_fixture_a()
+    # Lines that do not move with T: dn/dT = 0.
+    flat = dataclasses.replace(flat, dispersion=simple_model([2.0], dn_dt=0.0))
+    for device, constraints in ((curved, curved_constraints), (flat, flat_constraints)):
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "sweep range covers", UserWarning)
+            best = find_triple_resonance(device, constraints)[0]
+        report = verify_match(device, best)
+        assert report["qpm_mismatch"] == 0
 
-    tampered = dataclasses.replace(
-        best, pump=dataclasses.replace(best.pump, m=best.pump.m + 1))
-    with pytest.raises(StaleResult):
-        verify_match(device, tampered)
+        tampered = dataclasses.replace(
+            best, pump=dataclasses.replace(best.pump, m=best.pump.m + 1))
+        with pytest.raises(StaleResult):
+            verify_match(device, tampered)
 
 
 def test_verify_match_catches_shifted_solver(monkeypatch):
     # A solver whose roots are all 1e-4 nm long (~7 mK of ring temperature)
-    # still yields a match, and re-running it reproduces every stored
-    # wavelength; only the closed-form temperature check can notice.
+    # still yields a match; the stored lines' resonance residuals, taken
+    # from raw dispersion in closed form, notice.
     device, constraints, _ = planted_fixture_curved()
 
     def shifted(*args):
@@ -148,6 +155,23 @@ def test_verify_match_catches_shifted_solver(monkeypatch):
     monkeypatch.setattr(matching, "solve_resonance_wavelength", shifted)
     best = find_triple_resonance(device, constraints)[0]
     with pytest.raises(StaleResult, match="closed form"):
+        verify_match(device, best)
+
+
+@pytest.mark.parametrize("role", ["pump", "idler"])
+def test_verify_match_catches_a_wrong_pump_or_idler_root(monkeypatch, role):
+    # Only this role's roots are 1e-4 nm long (11.5 MHz on the pump); the
+    # signal line, and with it the ring temperature, stays exact.
+    device, constraints, _ = planted_fixture_curved()
+    t_ends = (constraints.t_min_K, constraints.t_max_K)
+    role_ms = np.asarray(_m_range(device, getattr(constraints, f"{role}_window_nm"), t_ends))
+
+    def shifted(device, m, t_K):
+        return solve_resonance_wavelength(device, m, t_K) + 1e-4 * np.isin(m, role_ms)
+
+    monkeypatch.setattr(matching, "solve_resonance_wavelength", shifted)
+    best = find_triple_resonance(device, constraints)[0]
+    with pytest.raises(StaleResult, match=f"^{role} line m={getattr(best, role).m} "):
         verify_match(device, best)
 
 
