@@ -4,16 +4,25 @@
 Run after make_defaults.py whenever the committed defaults change.  With
 --check, regenerate into a temporary directory instead, compare byte for
 byte with the committed files, and exit 1 naming every file that differs.
+A failed check also names the numeric backend (numpy version, its SIMD
+targets in use, the OpenBLAS core) and, per file, the first differing value
+(a JSON or YAML path, or a CSV cell) and the largest relative difference,
+so a backend drift in the last bits reads differently from a real change.
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
 import filecmp
+import glob
+import json
 import os
 import shutil
 import sys
 import tempfile
+
+import yaml
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
@@ -109,6 +118,78 @@ def differing_files(fresh_dir, committed_dir):
     return differ
 
 
+def backend():
+    """numpy's version, the SIMD targets it dispatches on this CPU, and the OpenBLAS core."""
+    import numpy as np
+    from numpy._core import _multiarray_umath as umath
+
+    simd = [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]
+    core = "unknown"
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for lib in glob.glob(os.path.join(libs, "libscipy_openblas*")):
+        try:
+            corename = ctypes.CDLL(lib).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.restype = ctypes.c_char_p
+        core = corename().decode()
+    return f"numpy {np.__version__}; SIMD {' '.join(simd) or 'none'}; OpenBLAS core {core}"
+
+
+def _leaves(path):
+    """{location: text} of every JSON or YAML scalar or CSV cell, in file order."""
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    if path.endswith((".json", ".yaml")):
+        def walk(node, where):
+            if isinstance(node, dict):
+                for key in sorted(node):
+                    yield from walk(node[key], f"{where}.{key}")
+            elif isinstance(node, list):
+                for i, item in enumerate(node):
+                    yield from walk(item, f"{where}[{i}]")
+            else:
+                yield where, json.dumps(node)
+        return dict(walk(json.loads(text) if path.endswith(".json") else yaml.safe_load(text),
+                         "$"))
+    lines = text.splitlines()
+    header = lines[0].split(",")
+    return {"header": lines[0]} | {
+        f"row {r} column {name}": cell for r, line in enumerate(lines[1:], 1)
+        for name, cell in zip(header, line.split(","))}
+
+
+def describe_difference(fresh, committed):
+    """(first differing location or None, largest relative difference over numbers)."""
+    a, b = _leaves(fresh), _leaves(committed)
+    first, worst = None, 0.0
+    for where in [*a, *(k for k in b if k not in a)]:
+        x, y = a.get(where), b.get(where)
+        if x == y:
+            continue
+        first = first or where
+        try:  # YAML 1.1 reads `1e-05` as a string; None is a missing location
+            fx, fy = float(x.strip('"')), float(y.strip('"'))
+        except (AttributeError, ValueError):
+            continue
+        if fx != fy:
+            worst = max(worst, abs(fx - fy) / max(abs(fx), abs(fy)))
+    return first, worst
+
+
+def difference_report(fresh_dir, committed_dir):
+    """One `differs:` line per generated file that differs, is missing or is extra."""
+    lines = []
+    for rel in differing_files(fresh_dir, committed_dir):
+        fresh, committed = os.path.join(fresh_dir, rel), os.path.join(committed_dir, rel)
+        if os.path.isfile(fresh) and os.path.isfile(committed):
+            first, worst = describe_difference(fresh, committed)
+            rel += (f" (first at {first}; largest relative difference {worst:.3g})" if first
+                    else " (every value equal; the bytes differ)")
+        lines.append(f"differs: {rel}")
+    return lines
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--check", action="store_true",
@@ -120,9 +201,11 @@ def main():
         return 0
     with tempfile.TemporaryDirectory() as tmp:
         generate(tmp)
-        differ = differing_files(tmp, TESTS)
-    for rel in differ:
-        print(f"differs: {rel}")
+        differ = difference_report(tmp, TESTS)
+    if differ:
+        print(f"backend: {backend()}")
+    for line in differ:
+        print(line)
     print(f"{len(differ)} generated files differ from the committed ones")
     return 1 if differ else 0
 

@@ -1,10 +1,14 @@
-"""Assemble physics objects from a validated configuration."""
+"""Assemble physics objects from a validated configuration.
+
+Outputs and their records are the `experiments` module's; nothing here
+writes or describes a file.
+"""
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .config import config_hash, width_key
+from .config import width_key
 from .constants import TWO_PI
 from .conversion import ModeChannel, TwmSystem, g0_effective
 from .dispersion import DispersionModel, load_dispersion_table
@@ -192,22 +196,3 @@ def fwm_channel_at(cfg: dict, device: Device, match: MatchResult):
         companion, source = TWO_PI * float(entry) * 1e12, "table"
     return build_fwm_channel(cfg, match, companion), source
 
-
-def resolved_metadata(cfg: dict, experiment: str, extra=None) -> dict:
-    """Deterministic .meta.json payload: hash, version, resolved config."""
-    from . import __version__
-
-    meta = {
-        "config_hash": config_hash(cfg),
-        "tool_version": __version__,
-        "experiment": experiment,
-        "resolved_config": cfg,
-        "conventions": {
-            "rates": "kappa are total energy decay rates in rad/s; reported as /2pi",
-            "companion_detuning": "config THz values are ordinary frequency, "
-                                  "converted as 2*pi*1e12 rad/s",
-        },
-    }
-    if extra:
-        meta.update(extra)
-    return meta

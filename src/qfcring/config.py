@@ -214,10 +214,15 @@ def validate_config(cfg: dict) -> dict:
         if not isinstance(cfg[section], dict):
             raise ConfigError(f"config section '{section}' must be a mapping")
         _check_keys(section, cfg[section], keys)
+    spacing = cfg["experiment"]["power_spacing"]
+    if spacing not in ("log", "linear"):
+        raise ConfigError(f"power_spacing must be 'log' or 'linear', got {spacing!r}")
     for key, value in cfg["experiment"].items():
         if key.endswith("_points") and not 1 <= value <= MAX_GRID_CELLS:
             bound = "at least 1" if value < 1 else f"at most {MAX_GRID_CELLS}"
             raise ConfigError(f"config key 'experiment.{key}' must be {bound}, got {value}")
+        if key in ("power_min_mW", "power_max_mW") and spacing == "log" and value <= 0.0:
+            raise ConfigError(f"{key} must be positive for log spacing")
     if not cfg["experiment"]["widths_nm"]:
         raise ConfigError("config key 'experiment.widths_nm' must list at least one width")
     _width_keys(cfg["experiment"]["widths_nm"], "experiment.widths_nm")

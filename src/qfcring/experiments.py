@@ -1,8 +1,9 @@
 """Named experiments: deterministic CSV outputs with .meta.json sidecars.
 
 Each experiment writes figure-ready CSV (12 significant digits, LF line
-endings) plus a sidecar carrying the config hash and every resolved
-parameter, so two runs of the same config are byte-identical.
+endings) through one writer per run, `_Outputs`.  Every JSON file it writes
+carries the run's record: the config hash and every resolved parameter, so
+two runs of the same config are byte-identical.
 """
 
 from __future__ import annotations
@@ -12,15 +13,10 @@ import os
 
 import numpy as np
 
-from .builders import (
-    build_constraints,
-    build_twm_system,
-    fwm_channel_at,
-    operating_point,
-    resolved_metadata,
-)
+from . import __version__
+from .builders import build_twm_system, fwm_channel_at, operating_point
 from .calibration import CALIBRATION_COMMENTS, calibrate_config
-from .config import emit_config, width_key
+from .config import config_hash, emit_config, width_key
 from .constants import C_M_PER_S, TWO_PI, freq_hz
 from .conversion import efficiency_vs_power, pump_power_unity_cooperativity
 from .elements import coupling_ratio, resonance_comb, ring_spectrum
@@ -29,47 +25,57 @@ from .matching import sweep_step_K
 from .noise import TradeoffVariant, efficiency_snr_tradeoff, noise_vs_power
 
 _FMT = "%.12g"
+_CONVENTIONS = {
+    "rates": "kappa are total energy decay rates in rad/s; reported as /2pi",
+    "companion_detuning": "config THz values are ordinary frequency, "
+                          "converted as 2*pi*1e12 rad/s",
+}
 
 
-def _write_csv(path, header, rows):
-    rows = np.atleast_2d(np.asarray(rows, dtype=float))
-    line = ",".join([_FMT] * rows.shape[1]) + "\n"
-    body = "".join([line % tuple(row) for row in rows.tolist()])
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n" + body)
+class _Outputs:
+    """One run's files, in the one output format.
 
+    Every JSON file carries the run's record: config hash, tool version,
+    experiment name, resolved config and conventions, built once per run.
+    JSON is written with sorted keys, indent 2, LF line endings and a
+    trailing newline; CSV numbers as %.12g.  `paths` lists the files
+    written, in write order.
+    """
 
-def _write_meta(path, meta):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(meta, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    def __init__(self, name, cfg, out_dir):
+        self.out_dir, self.paths = out_dir, []
+        self.base = {"config_hash": config_hash(cfg), "tool_version": __version__,
+                     "experiment": name, "resolved_config": cfg,
+                     "conventions": _CONVENTIONS}
 
+    def text(self, filename, text):
+        path = os.path.join(self.out_dir, filename)
+        try:
+            with open(path, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write output {path}: {exc}") from None
+        self.paths.append(path)
 
-def _emit(out_dir, name, header, rows, meta):
-    csv_path = os.path.join(out_dir, name + ".csv")
-    meta_path = os.path.join(out_dir, name + ".meta.json")
-    _write_csv(csv_path, header, rows)
-    _write_meta(meta_path, dict(meta, output=name + ".csv"))
-    return [csv_path, meta_path]
+    def record(self, filename, **fields):
+        self.text(filename, json.dumps({**self.base, **fields}, sort_keys=True, indent=2) + "\n")
+
+    def table(self, name, header, rows, **fields):
+        """name.csv with the header row, plus its sidecar name.meta.json."""
+        rows = np.atleast_2d(np.asarray(rows, dtype=float))
+        line = ",".join([_FMT] * rows.shape[1]) + "\n"
+        self.text(name + ".csv", ",".join(header) + "\n"
+                  + "".join([line % tuple(row) for row in rows.tolist()]))
+        self.record(name + ".meta.json", output=name + ".csv", **fields)
 
 
 def _power_grid_W(cfg):
     exp = cfg["experiment"]
     if exp["pump_power_mW"] is not None:
         return np.array([float(exp["pump_power_mW"])]) * 1e-3
-    lo, hi = float(exp["power_min_mW"]), float(exp["power_max_mW"])
-    n = int(exp["power_points"])
-    spacing = exp["power_spacing"]
-    if spacing == "log":
-        for key, value in (("power_min_mW", lo), ("power_max_mW", hi)):
-            if value <= 0.0:
-                raise ConfigError(f"{key} must be positive for log spacing")
-        grid = np.geomspace(lo, hi, n)
-    elif spacing == "linear":
-        grid = np.linspace(lo, hi, n)
-    else:
-        raise ConfigError(f"power_spacing must be 'log' or 'linear', got {spacing!r}")
-    return grid * 1e-3
+    spaced = np.geomspace if exp["power_spacing"] == "log" else np.linspace
+    return spaced(float(exp["power_min_mW"]), float(exp["power_max_mW"]),
+                  int(exp["power_points"])) * 1e-3
 
 
 def _companion_meta(channel, source):
@@ -98,23 +104,16 @@ def _rates_meta(match, system):
 
 # --------------------------------------------------------------------------
 
-def run_match(cfg, out_dir):
+def run_match(cfg, out):
     device, results = operating_point(cfg, with_coupler=bool(cfg.get("calibration")))
-    constraints = build_constraints(cfg)
     best = results[0]
-    outputs = []
-
-    report = {
-        "best": best.as_dict(),
-        "all_matches": [r.as_dict() for r in results],
-        "sweep_step_mK": sweep_step_K(device, constraints) * 1e3,
-        "constraints": _constraints_dict(constraints),
-        "dispersion_model_hash": device.dispersion.content_hash(),
-    }
-    meta = resolved_metadata(cfg, "match", extra=report)
-    path = os.path.join(out_dir, "match.json")
-    _write_meta(path, meta)
-    outputs.append(path)
+    constraints = best.constraints
+    out.record("match.json",
+               best=best.as_dict(),
+               all_matches=[r.as_dict() for r in results],
+               sweep_step_mK=sweep_step_K(device, constraints) * 1e3,
+               constraints=_constraints_dict(constraints),
+               dispersion_model_hash=device.dispersion.content_hash())
 
     for label, window in (
         ("signal", (constraints.signal_wavelength_nm - constraints.half_window_nm,
@@ -125,12 +124,9 @@ def run_match(cfg, out_dir):
         ms, lams = np.array(resonance_comb(device, window, best.t_ring_K)).T
         fsr = device.dispersion.fsr_hz(lams, best.t_ring_K, device.width_nm,
                                        device.ring.length_m)
-        rows = np.column_stack([ms, lams, fsr / 1e9])
-        outputs += _emit(out_dir, f"comb_{label}", ["m", "wavelength_nm", "fsr_GHz"],
-                         rows, resolved_metadata(cfg, "match",
-                                                 extra={"band": label,
-                                                        "t_ring_K": best.t_ring_K}))
-    return outputs
+        out.table(f"comb_{label}", ["m", "wavelength_nm", "fsr_GHz"],
+                  np.column_stack([ms, lams, fsr / 1e9]),
+                  band=label, t_ring_K=best.t_ring_K)
 
 
 def _constraints_dict(c):
@@ -145,32 +141,28 @@ def _constraints_dict(c):
     }
 
 
-def run_convert(cfg, out_dir):
+def run_convert(cfg, out):
     _, matches = operating_point(cfg)
     match = matches[0]
     system = build_twm_system(cfg, match)
-    powers = _power_grid_W(cfg)
-    rows = efficiency_vs_power(system, powers)
+    rows = efficiency_vs_power(system, _power_grid_W(cfg))
     rows[:, 0] *= 1e3  # report in mW
-    meta = resolved_metadata(cfg, "convert", extra=_rates_meta(match, system))
-    return _emit(out_dir, "convert",
-                 ["power_mW", "cooperativity", "eta_int", "eta_ext"], rows, meta)
+    out.table("convert", ["power_mW", "cooperativity", "eta_int", "eta_ext"], rows,
+              **_rates_meta(match, system))
 
 
-def run_noise(cfg, out_dir):
+def run_noise(cfg, out):
     device, matches = operating_point(cfg)
     match = matches[0]
     system = build_twm_system(cfg, match)
     channel, source = fwm_channel_at(cfg, device, match)
-    powers = _power_grid_W(cfg)
-    rows = noise_vs_power(channel, powers)
+    rows = noise_vs_power(channel, _power_grid_W(cfg))
     rows[:, 0] *= 1e3
-    meta = resolved_metadata(cfg, "noise", extra={
-        **_companion_meta(channel, source), **_rates_meta(match, system)})
-    return _emit(out_dir, "noise", ["power_mW", "R_FWM_Hz"], rows, meta)
+    out.table("noise", ["power_mW", "R_FWM_Hz"], rows,
+              **_companion_meta(channel, source), **_rates_meta(match, system))
 
 
-def run_tradeoff(cfg, out_dir):
+def run_tradeoff(cfg, out):
     variants = []
     sources = {}
     for width in sorted(float(w) for w in cfg["experiment"]["widths_nm"]):
@@ -186,91 +178,63 @@ def run_tradeoff(cfg, out_dir):
             "t_ring_K": match.t_ring_K,
             "pump_wavelength_nm": match.pump.lambda_nm,
         }
-    powers = _power_grid_W(cfg)
     rows, best_width = efficiency_snr_tradeoff(
-        variants, powers, float(cfg["physics"]["signal_input_rate_Hz"]))
+        variants, _power_grid_W(cfg), float(cfg["physics"]["signal_input_rate_Hz"]))
     rows[:, 1] *= 1e3
-    meta = resolved_metadata(cfg, "tradeoff", extra={
-        "best_width_nm": best_width,
-        "per_width": sources,
-    })
-    return _emit(out_dir, "tradeoff",
-                 ["width_nm", "power_mW", "eta_ext", "R_FWM_Hz", "paper_fom_dB",
-                  "snr_dB"], rows, meta)
+    out.table("tradeoff", ["width_nm", "power_mW", "eta_ext", "R_FWM_Hz", "paper_fom_dB",
+                           "snr_dB"], rows, best_width_nm=best_width, per_width=sources)
 
 
-def run_couplings(cfg, out_dir):
+def run_couplings(cfg, out):
     device, matches = operating_point(cfg)
     match = matches[0]
     exp = cfg["experiment"]
-    outputs = []
 
     lam_grid = np.linspace(float(exp["dc_grid_min_nm"]), float(exp["dc_grid_max_nm"]),
                            int(exp["dc_grid_points"]))
-    k2 = device.mzi.dc.cross_coupling(lam_grid)
-    outputs += _emit(out_dir, "dc_cross", ["wavelength_nm", "cross_coupling"],
-                     np.column_stack([lam_grid, k2]),
-                     resolved_metadata(cfg, "couplings"))
+    out.table("dc_cross", ["wavelength_nm", "cross_coupling"],
+              np.column_stack([lam_grid, device.mzi.dc.cross_coupling(lam_grid)]))
 
     dts = np.linspace(0.0, float(exp["mzi_sweep_max_K"]), int(exp["mzi_sweep_points"]))
     carriers = np.array([[match.pump.lambda_nm], [match.signal.lambda_nm],
                          [match.idler.lambda_nm]])
     etas = coupling_ratio(device, carriers, match.t_ring_K, delta_T_K=dts)  # (3, n_dT)
-    rows = np.column_stack([dts, etas.T])
-    meta = resolved_metadata(cfg, "couplings", extra={
-        "operating_delta_T_K": float(cfg["device"]["mzi_delta_T_K"]),
-        "carriers_nm": {"pump": match.pump.lambda_nm,
-                        "signal": match.signal.lambda_nm,
-                        "idler": match.idler.lambda_nm},
-        "t_ring_K": match.t_ring_K,
-    })
-    outputs += _emit(out_dir, "coupling_ratios",
-                     ["delta_T_mzi_K", "eta_pump", "eta_signal", "eta_idler"],
-                     rows, meta)
-    return outputs
+    out.table("coupling_ratios", ["delta_T_mzi_K", "eta_pump", "eta_signal", "eta_idler"],
+              np.column_stack([dts, etas.T]),
+              operating_delta_T_K=float(cfg["device"]["mzi_delta_T_K"]),
+              carriers_nm={"pump": match.pump.lambda_nm,
+                           "signal": match.signal.lambda_nm,
+                           "idler": match.idler.lambda_nm},
+              t_ring_K=match.t_ring_K)
 
 
-def run_spectrum(cfg, out_dir):
+def run_spectrum(cfg, out):
     device, matches = operating_point(cfg)
     match = matches[0]
     exp = cfg["experiment"]
     span_hz = float(exp["spectrum_span_GHz"]) * 1e9
     points = int(exp["spectrum_points"])
-    outputs = []
     for label, sol in (("pump", match.pump), ("signal", match.signal),
                        ("idler", match.idler)):
         f0 = freq_hz(sol.lambda_nm)
         freqs = np.linspace(f0 - span_hz / 2.0, f0 + span_hz / 2.0, points)
-        lams = C_M_PER_S / freqs * 1e9
-        lams = np.sort(lams)
-        t = ring_spectrum(device, lams, match.t_ring_K)
-        meta = resolved_metadata(cfg, "spectrum", extra={
-            "band": label,
-            "center_wavelength_nm": sol.lambda_nm,
-            "t_ring_K": match.t_ring_K,
-            "kappa_tot_over_2pi_GHz": (sol.kappa_ex + sol.kappa_0) / TWO_PI / 1e9,
-        })
-        outputs += _emit(out_dir, f"spectrum_{label}",
-                         ["wavelength_nm", "transmission"],
-                         np.column_stack([lams, t]), meta)
-    return outputs
+        lams = np.sort(C_M_PER_S / freqs * 1e9)
+        out.table(f"spectrum_{label}", ["wavelength_nm", "transmission"],
+                  np.column_stack([lams, ring_spectrum(device, lams, match.t_ring_K)]),
+                  band=label,
+                  center_wavelength_nm=sol.lambda_nm,
+                  t_ring_K=match.t_ring_K,
+                  kappa_tot_over_2pi_GHz=(sol.kappa_ex + sol.kappa_0) / TWO_PI / 1e9)
 
 
-def run_calibrate(cfg, out_dir):
+def run_calibrate(cfg, out):
     calibrated = calibrate_config(cfg)
-    text = emit_config(
+    out.text("calibrated_config.yaml", emit_config(
         calibrated,
         comments=CALIBRATION_COMMENTS,
         header="calibrated configuration (written by the `calibrate` experiment)",
-    )
-    path = os.path.join(out_dir, "calibrated_config.yaml")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-    meta = resolved_metadata(cfg, "calibrate",
-                             extra={"calibration": calibrated["calibration"]})
-    meta_path = os.path.join(out_dir, "calibrated_config.meta.json")
-    _write_meta(meta_path, meta)
-    return [path, meta_path]
+    ))
+    out.record("calibrated_config.meta.json", calibration=calibrated["calibration"])
 
 
 _RUNNERS = {
@@ -291,9 +255,13 @@ def run_experiment(name, cfg, out_dir):
         raise ConfigError(
             f"unknown experiment '{name}'; choose one of {', '.join(EXPERIMENTS)}"
         )
-    os.makedirs(out_dir, exist_ok=True)
-    outputs = _RUNNERS[name](cfg, out_dir)
-    for path in outputs:
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output {out_dir}: {exc}") from None
+    out = _Outputs(name, cfg, out_dir)
+    _RUNNERS[name](cfg, out)
+    for path in out.paths:
         if not os.path.isfile(path) or os.path.getsize(path) == 0:
             raise NumericalFailure(f"experiment output {path} missing or empty")
-    return outputs
+    return out.paths

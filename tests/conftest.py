@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from qfcring import builders
@@ -16,6 +18,7 @@ from qfcring.config import default_config
 from qfcring.constants import C_M_PER_S, freq_hz
 from qfcring.dispersion import DispersionModel
 from qfcring.elements import Device, RingCavity, solve_resonance_wavelength
+from qfcring.errors import DomainError
 from qfcring.matching import SearchConstraints
 
 WIDTH = 1500.0
@@ -44,6 +47,34 @@ def simple_model(coeffs, dn_dt=3.9e-5, lambda_ref=1200.0, t_ref=350.0,
         lambda_window_nm=window,
         temperature_window_K=t_window,
     )
+
+
+# The solver iterates lambda -> n_eff(lambda) L / m, which contracts by
+# q = |dn/dlambda| lambda / n = |n - n_g| / n per step.  Where it does not
+# contract (q >~ 0.73) the solver's residual check raises NumericalFailure
+# (test_non_contracting_model_raises_instead_of_a_wrong_root).  The draws keep
+# q <= 0.5 over the window, where the roots must agree with brentq (the
+# packaged widths have q < 0.1).
+MAX_CONTRACTION = 0.5
+
+
+@st.composite
+def random_rings(draw):
+    """A 100-2000 um ring on a random cubic n_eff model that DispersionModel accepts."""
+    coeffs = [draw(st.floats(1.7, 2.3)), draw(st.floats(-0.4, 0.4)),
+              draw(st.floats(-0.4, 0.4)), draw(st.floats(-0.3, 0.3))]
+    dn_dt = draw(st.floats(1e-5, 1e-4)) * draw(st.sampled_from([-1.0, 1.0]))
+    try:
+        model = simple_model(coeffs, dn_dt=dn_dt)
+    except DomainError:  # n_eff leaves (N_EFF_MIN, N_EFF_MAX) or n_g <= 0
+        assume(False)
+    lam = np.linspace(*model.lambda_window_nm, 257)
+    for t in model.temperature_window_K:
+        n = model.n_eff(lam, t, WIDTH)
+        assume(np.all(np.abs(n - model.group_index(lam, t, WIDTH)) <= MAX_CONTRACTION * n))
+    ring = RingCavity(length_um=draw(st.floats(100.0, 2000.0)), width_nm=WIDTH,
+                      alpha_prop_dB_per_m=30.0, ppln_fraction=0.0, poling_period_um=5.0)
+    return Device(dispersion=model, ring=ring)
 
 
 @pytest.fixture(autouse=True)

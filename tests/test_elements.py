@@ -31,11 +31,11 @@ from qfcring.elements import (
     ring_spectrum,
     solve_resonance_wavelength,
 )
-from qfcring.errors import DomainError, NoResonance, NumericalFailure, OutOfDomain
+from qfcring.errors import NoResonance, NumericalFailure, OutOfDomain
 from qfcring.experiments import run_experiment
 from qfcring.matching import find_triple_resonance
 
-from conftest import WIDTH, simple_model
+from conftest import WIDTH, random_rings, simple_model
 
 WINDOW = (600.0, 1800.0)
 
@@ -401,34 +401,6 @@ def test_m_range_contains_every_in_band_line(cfg, width, band):
 
 EPS = float(np.finfo(float).eps)
 BRENTQ_XTOL, BRENTQ_RTOL = 1e-12, 4.0 * EPS
-# The solver iterates lambda -> n_eff(lambda) L / m, which contracts by
-# q = |dn/dlambda| lambda / n = |n - n_g| / n per step.  Where it does not
-# contract (q >~ 0.73) the solver's residual check raises NumericalFailure
-# (test_non_contracting_model_raises_instead_of_a_wrong_root).  The draws keep
-# q <= 0.5 over the window, where the roots must agree with brentq (the
-# packaged widths have q < 0.1).
-MAX_CONTRACTION = 0.5
-
-
-@st.composite
-def random_rings(draw):
-    """A 100-2000 um ring on a random cubic n_eff model that DispersionModel accepts."""
-    coeffs = [draw(st.floats(1.7, 2.3)), draw(st.floats(-0.4, 0.4)),
-              draw(st.floats(-0.4, 0.4)), draw(st.floats(-0.3, 0.3))]
-    dn_dt = draw(st.floats(1e-5, 1e-4)) * draw(st.sampled_from([-1.0, 1.0]))
-    try:
-        model = simple_model(coeffs, dn_dt=dn_dt)
-    except DomainError:  # n_eff leaves (N_EFF_MIN, N_EFF_MAX) or n_g <= 0
-        assume(False)
-    lam = np.linspace(*WINDOW, 257)
-    for t in model.temperature_window_K:
-        n = model.n_eff(lam, t, WIDTH)
-        assume(np.all(np.abs(n - model.group_index(lam, t, WIDTH)) <= MAX_CONTRACTION * n))
-    ring = RingCavity(length_um=draw(st.floats(100.0, 2000.0)), width_nm=WIDTH,
-                      alpha_prop_dB_per_m=30.0, ppln_fraction=0.0, poling_period_um=5.0)
-    return Device(dispersion=model, ring=ring)
-
-
 @settings(max_examples=200, derandomize=True, deadline=None, database=None)
 @given(device=random_rings(), lam0=st.floats(650.0, 1750.0), t_K=st.floats(250.0, 450.0))
 def test_resonance_condition_solves_agree_on_random_models(device, lam0, t_K):

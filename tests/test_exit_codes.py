@@ -78,6 +78,11 @@ def test_failed_verification_exits_4(monkeypatch, tmp_path):
      "cannot read dispersion table {tmp}/nope.csv: "),
     ("convert", "experiment.power_max_mW=0", "ConfigError", 2,
      "power_max_mW must be positive for log spacing"),
+    # power-grid rules hold at load time, also for experiments without a power grid
+    ("match", "experiment.power_spacing=LOG", "ConfigError", 2,
+     "power_spacing must be 'log' or 'linear', got 'LOG'"),
+    ("match", "experiment.power_min_mW=0", "ConfigError", 2,
+     "power_min_mW must be positive for log spacing"),
     ("calibrate", "device.mzi_heater_length_um=0", "CalibrationInfeasible", 3,
      "anchor 'coupling ratios': base heater length is zero"),
     ("calibrate", "calibration_targets.fwm_rate_Hz=-1", "CalibrationInfeasible", 3,
@@ -124,7 +129,8 @@ def test_failed_verification_exits_4(monkeypatch, tmp_path):
     ("match", "device.ring_length_um=1" + "0" * 5000, "ConfigError", 2,
      "override 'device.ring_length_um=1000"),
 ], ids=["no-widths", "repeated-width", "width-key-beyond-float", "missing-table",
-        "zero-power-max", "zero-heater", "negative-fwm-rate", "zero-fwm-rate", "zero-g0",
+        "zero-power-max", "match-power-spacing-case",
+        "match-zero-power-min", "zero-heater", "negative-fwm-rate", "zero-fwm-rate", "zero-g0",
         "zero-fwm-power", "negative-fwm-power", "underflowing-fwm-power", "zero-loss",
         "nan-ring-length",
         "tiny-sweep-step", "packaged-table-order-2", "negative-fit-order",
@@ -141,6 +147,22 @@ def test_unusable_value_exits_with_its_family_code(tmp_path, experiment, overrid
     record = error_record(code, err)
     assert record["error"] == error
     assert record["message"].startswith(message)
+
+
+@pytest.mark.parametrize("blocked", ["out-dir", "match.json"])
+def test_unwritable_output_exits_2(tmp_path, blocked):
+    # An --out-dir that is a file, or an output name taken by a directory.
+    out = tmp_path / "out"
+    path = out if blocked == "out-dir" else out / blocked
+    if blocked == "out-dir":
+        out.write_text("", encoding="utf-8")
+    else:
+        path.mkdir(parents=True)
+    code, stdout, err = run_main(["match", "--out-dir", str(out)])
+    assert (code, stdout) == (2, "")
+    record = error_record(code, err)
+    assert record["error"] == "ConfigError"
+    assert record["message"].startswith(f"cannot write output {path}: ")
 
 
 def test_fit_order_applies_to_the_packaged_table(tmp_path):

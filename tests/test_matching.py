@@ -6,6 +6,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qfcring import matching
 from qfcring.builders import build_constraints, build_device, operating_point
@@ -15,10 +17,12 @@ from qfcring.elements import Device, _m_range, solve_resonance_wavelength
 from qfcring.errors import (
     NoFeasibleMatch,
     OutOfDomain,
+    QfcError,
     StaleResult,
     SweepStepTooCoarse,
 )
 from qfcring.matching import (
+    SearchConstraints,
     _signal_bracket,
     companion_detuning,
     find_triple_resonance,
@@ -32,6 +36,7 @@ from conftest import (
     oracle_fixtures,
     planted_fixture_a,
     planted_fixture_curved,
+    random_rings,
     simple_model,
 )
 
@@ -235,6 +240,24 @@ def test_bracket_covers_full_grid_hits_negative_dn_dT():
     assert np.any(hits)
     assert np.all(keep[hits])
     assert not np.all(keep)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(device=random_rings(), target_nm=st.floats(700.0, 1700.0),
+       t_min=st.floats(250.0, 449.0), span=st.floats(1.0, 60.0),
+       step_mK=st.floats(1.0, 20.0), tol_MHz=st.floats(50.0, 2000.0))
+def test_bracket_covers_full_grid_hits_on_random_models(device, target_nm, t_min, span,
+                                                        step_mK, tol_MHz):
+    assume(t_min + span <= 450.0)
+    constraints = SearchConstraints(signal_wavelength_nm=target_nm,
+                                    max_signal_detuning_Hz=tol_MHz * 1e6,
+                                    t_min_K=t_min, t_max_K=t_min + span,
+                                    t_step_K=step_mK * 1e-3)
+    try:
+        keep, hits = _bracket_and_full_grid_hits(device, constraints)
+    except QfcError:
+        assume(False)
+    assert np.all(keep[hits])
 
 
 @pytest.mark.parametrize("dn_dt", [0.0, -0.0])

@@ -6,6 +6,7 @@ tests/golden/regression.json (regenerated by scripts/make_defaults.py)
 rather than asserted as physics.
 """
 
+import importlib.util
 import json
 import os
 import shutil
@@ -82,6 +83,38 @@ def test_make_goldens_check_reproduces_committed_outputs(tmp_path):
                           text=True, cwd=tmp_path, env=src_env())
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "0 generated files differ" in proc.stdout
+
+
+def test_make_goldens_names_the_first_difference_and_its_size(tmp_path):
+    script = Path(__file__).resolve().parent.parent / "scripts" / "make_goldens.py"
+    spec = importlib.util.spec_from_file_location("make_goldens", script)
+    make_goldens = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(make_goldens)
+    csv = "power_mW,eta\n1.0,0.5\n2.0,{}\n"
+    meta = {"a": {"b": [1.0, 3.0]}, "output": "t.csv"}
+    trees = {}
+    for tree, scale in (("committed", 1.0), ("fresh", 1.0 + 1e-12)):
+        root = tmp_path / tree
+        files = {"fixtures/planted.yaml": "a: 1\n", "fixtures/planted_table.csv": "x\n1\n",
+                 "golden/default_run/t.csv": csv.format(repr(0.25 * scale)),
+                 "golden/default_run/t.meta.json": json.dumps(
+                     dict(meta, a={"b": [1.0, 3.0 * scale]}), indent=2)}
+        for rel, text in files.items():
+            (root / rel).parent.mkdir(parents=True, exist_ok=True)
+            (root / rel).write_text(text, encoding="utf-8")
+        trees[tree] = str(root)
+    assert make_goldens.difference_report(trees["committed"], trees["committed"]) == []
+    report = make_goldens.difference_report(trees["fresh"], trees["committed"])
+    assert [line.split(" (")[0] for line in report] == [
+        f"differs: {os.path.join('golden', 'default_run', name)}"
+        for name in ("t.csv", "t.meta.json")]
+    assert "first at row 2 column eta;" in report[0]
+    assert "first at $.a.b[1];" in report[1]
+    for name in ("t.csv", "t.meta.json"):
+        _, worst = make_goldens.describe_difference(
+            *(os.path.join(trees[t], "golden", "default_run", name) for t in ("fresh", "committed")))
+        assert worst == pytest.approx(1e-12, rel=1e-3)
+    assert make_goldens.backend().startswith(f"numpy {np.__version__}; SIMD ")
 
 
 def test_make_defaults_reproduces_committed_files(tmp_path):
