@@ -17,7 +17,6 @@ import heapq
 import itertools
 import json
 import math
-from dataclasses import replace
 
 import numpy as np
 
@@ -25,9 +24,9 @@ from .builders import build_device, build_fwm_channel, operating_point
 from .config import width_key
 from .constants import TWO_PI
 from .dispersion import U_SCALE_NM
-from .elements import Device, mode_rates
+from .elements import Device
 from .errors import CalibrationInfeasible, NoFeasibleMatch
-from .matching import MatchResult
+from .matching import MatchResult, rated
 from .noise import fwm_noise_rate
 
 # Heater-length grid used to place the pump near an MZI envelope null while
@@ -243,18 +242,9 @@ def calibrate_config(cfg: dict) -> dict:
         "by_width": by_width,
     }
 
-    # g_chi3 needs the calibrated pump rates: rebuild the primary device with
-    # its fresh coupler and re-derive the matched rates.  The coupler sets
-    # only kappa_ex, so the bare-ring match keeps its wavelengths and T.
-    device = build_device(out, width_nm=primary)
-    match = matches[primary]
-
-    def rated(sol):
-        kex, k0 = mode_rates(device, sol.lambda_nm, match.t_ring_K)
-        return replace(sol, kappa_ex=kex, kappa_0=k0)
-
-    match = replace(match, pump=rated(match.pump), signal=rated(match.signal),
-                    idler=rated(match.idler))
+    # g_chi3 needs the calibrated pump rates: the primary bare-ring match,
+    # rated on the device with its fresh coupler.
+    match = rated(build_device(out, width_nm=primary), matches[primary])
     out["calibration"]["g_chi3_over_2pi_Hz"] = solve_g_chi3_over_2pi_Hz(out, match)
     return out
 

@@ -223,6 +223,8 @@ def validate_config(cfg: dict) -> dict:
             raise ConfigError(f"config key 'experiment.{key}' must be {bound}, got {value}")
         if key in ("power_min_mW", "power_max_mW") and spacing == "log" and value <= 0.0:
             raise ConfigError(f"{key} must be positive for log spacing")
+        if key.endswith("_mW") and value is not None and value < 0.0:
+            raise ConfigError(f"config key 'experiment.{key}' must be >= 0, got {value}")
     if not cfg["experiment"]["widths_nm"]:
         raise ConfigError("config key 'experiment.widths_nm' must list at least one width")
     _width_keys(cfg["experiment"]["widths_nm"], "experiment.widths_nm")

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -211,28 +211,35 @@ def _signal_bracket(device: Device, constraints: SearchConstraints, m_s_list,
     return keep
 
 
-@dataclass
-class _Candidate:
-    t_K: float
-    m_s: int
-    m_p: int
-    m_i: int
-    lam_s: float
-    lam_p: float
-    lam_i: float
-    det_s: float
-    delta: float
-    qpm: int
+# Mismatches are quantized to 1 Hz in the ordering: the root-solver noise on a
+# ~4e14 Hz difference is ~0.1 Hz, and resolving ties on that noise would
+# defeat the signal-detuning tie-break.
+def _rank(match: MatchResult):
+    return (round(abs(match.mismatch_Hz)), abs(match.signal_detuning_Hz), match.t_ring_K)
 
-    # Mismatches are quantized to 1 Hz in the ordering: the root-solver
-    # noise on a ~4e14 Hz difference is ~0.1 Hz, and resolving ties on that
-    # noise would defeat the signal-detuning tie-break.
-    def sort_key(self):
-        return (round(abs(self.delta)), abs(self.det_s), self.t_K)
+
+def rated(device: Device, match: MatchResult) -> MatchResult:
+    """The match with (kappa_ex, kappa_0) of its three modes read from device at its T.
+
+    Lines, T and integers depend on the dispersion model and the ring alone,
+    so a match swept on the bare ring is rated on the coupled device as is.
+    """
+    def mode(ms):
+        kappa_ex, kappa_0 = mode_rates(device, ms.lambda_nm, match.t_ring_K)
+        return replace(ms, kappa_ex=kappa_ex, kappa_0=kappa_0)
+
+    return replace(match, pump=mode(match.pump), signal=mode(match.signal),
+                   idler=mode(match.idler))
 
 
 def _scan(device, constraints, t_points, m_s_list, m_p_list, m_i_list, m_offset):
-    """Scan the given temperatures; returns (feasible, near_miss) candidate lists."""
+    """Scan the given temperatures; returns (feasible, near), unrated (rates 0.0).
+
+    feasible holds every window+QPM pair within the mismatch bound.  A hit
+    temperature without one offers its first pair of least |mismatch| / tol_d
+    as a near miss (|signal detuning| <= tol_s at every hit, so the mismatch
+    alone sets how near a pair is); near is the first least of those, or None.
+    """
     tol_s = constraints.max_signal_detuning_Hz
     tol_d = constraints.max_mismatch_Hz
     f_target = constraints.signal_target_hz
@@ -247,7 +254,7 @@ def _scan(device, constraints, t_points, m_s_list, m_p_list, m_i_list, m_offset)
     det_best = det_s[pick, cols]
     hit = np.abs(det_best) <= tol_s
     if not np.any(hit):
-        return [], []
+        return [], None
 
     t_hit = t_points[hit]
     m_s_hit = m_s_arr[pick[hit]]
@@ -260,7 +267,7 @@ def _scan(device, constraints, t_points, m_s_list, m_p_list, m_i_list, m_offset)
     in_p = (lam_p >= p_lo) & (lam_p <= p_hi)
     in_i = (lam_i >= i_lo) & (lam_i <= i_hi)
 
-    feasible, near = [], []
+    feasible, near, near_score = [], None, None
     for h in range(t_hit.size):
         f_s_h = freq_hz(lam_s_hit[h])
         delta = f_s_h - np.add.outer(f_p[:, h], f_i[:, h])   # (n_mp, n_mi)
@@ -271,41 +278,29 @@ def _scan(device, constraints, t_points, m_s_list, m_p_list, m_i_list, m_offset)
         if not np.any(base):
             continue
         ok = base & (np.abs(delta) <= tol_d)
-        target = ok if np.any(ok) else base
-        for jp, ji in zip(*np.nonzero(target)):
-            cand = _Candidate(
-                t_K=float(t_hit[h]),
-                m_s=int(m_s_hit[h]), m_p=int(m_p_arr[jp]), m_i=int(m_i_arr[ji]),
-                lam_s=float(lam_s_hit[h]), lam_p=float(lam_p[jp, h]),
-                lam_i=float(lam_i[ji, h]),
-                det_s=float(det_hit[h]), delta=float(delta[jp, ji]),
-                qpm=int(qpm[jp, ji]),
+        is_ok = bool(np.any(ok))
+        if is_ok:
+            pairs = zip(*np.nonzero(ok))
+        else:
+            score = np.abs(delta) / tol_d
+            pair = np.unravel_index(np.argmin(np.where(base, score, np.inf)), base.shape)
+            if near is not None and not score[pair] < near_score:
+                continue
+            pairs, near_score = [pair], score[pair]
+        for jp, ji in pairs:
+            match = MatchResult(
+                t_ring_K=float(t_hit[h]),
+                pump=ModeSolution(int(m_p_arr[jp]), float(lam_p[jp, h]), 0.0, 0.0),
+                signal=ModeSolution(int(m_s_hit[h]), float(lam_s_hit[h]), 0.0, 0.0),
+                idler=ModeSolution(int(m_i_arr[ji]), float(lam_i[ji, h]), 0.0, 0.0),
+                signal_detuning_Hz=float(det_hit[h]), mismatch_Hz=float(delta[jp, ji]),
+                qpm_mismatch=int(qpm[jp, ji]), constraints=constraints, feasible=is_ok,
             )
-            if np.any(ok):
-                feasible.append(cand)
+            if is_ok:
+                feasible.append(match)
             else:
-                near.append(cand)
+                near = match
     return feasible, near
-
-
-def _to_result(device: Device, constraints: SearchConstraints, cand: _Candidate,
-               feasible=True, violations=()) -> MatchResult:
-    def mode(m, lam):
-        kex, k0 = mode_rates(device, lam, cand.t_K, delta_T_K=None)
-        return ModeSolution(m=m, lambda_nm=lam, kappa_ex=kex, kappa_0=k0)
-
-    return MatchResult(
-        t_ring_K=cand.t_K,
-        pump=mode(cand.m_p, cand.lam_p),
-        signal=mode(cand.m_s, cand.lam_s),
-        idler=mode(cand.m_i, cand.lam_i),
-        signal_detuning_Hz=cand.det_s,
-        mismatch_Hz=cand.delta,
-        qpm_mismatch=cand.qpm,
-        constraints=constraints,
-        feasible=feasible,
-        violations=tuple(violations),
-    )
 
 
 def find_triple_resonance(device: Device, constraints: SearchConstraints):
@@ -358,38 +353,24 @@ def find_triple_resonance(device: Device, constraints: SearchConstraints):
                            m_i_list, m_offset)
 
     best_by_triple = {}
-    for cand in feasible:
-        key = (cand.m_s, cand.m_p, cand.m_i)
+    for match in feasible:
+        key = (match.signal.m, match.pump.m, match.idler.m)
         prev = best_by_triple.get(key)
-        if prev is None or cand.sort_key() < prev.sort_key():
-            best_by_triple[key] = cand
-    results = sorted(best_by_triple.values(), key=_Candidate.sort_key)
+        if prev is None or _rank(match) < _rank(prev):
+            best_by_triple[key] = match
+    results = sorted(best_by_triple.values(), key=_rank)
     if results:
-        return [_to_result(device, constraints, c) for c in results]
+        return [rated(device, match) for match in results]
 
-    # Diagnostics: best near-miss among window+QPM-passing candidates.
-    tol_s, tol_d = constraints.max_signal_detuning_Hz, constraints.max_mismatch_Hz
-    if near:
-        def miss_key(c):
-            return (max(abs(c.det_s) / tol_s, abs(c.delta) / tol_d), c.t_K)
-
-        best = min(near, key=miss_key)
-        violations = []
-        if abs(best.det_s) > tol_s:
-            violations.append(
-                f"signal detuning {best.det_s / 1e6:.3f} MHz exceeds {tol_s / 1e6:.1f} MHz")
-        if abs(best.delta) > tol_d:
-            violations.append(
-                f"mismatch {best.delta / 1e6:.3f} MHz exceeds {tol_d / 1e6:.1f} MHz")
-        if constraints.require_qpm and best.qpm != 0:
-            violations.append(f"QPM mismatch {best.qpm} != 0")
-        candidate = _to_result(device, constraints, best, feasible=False,
-                               violations=violations)
+    # Diagnostics: a near miss passes the windows, QPM and the signal
+    # tolerance (it sits at a hit), so only its mismatch violates.
+    if near is not None:
+        violation = (f"mismatch {near.mismatch_Hz / 1e6:.3f} MHz exceeds "
+                     f"{constraints.max_mismatch_Hz / 1e6:.1f} MHz")
         raise NoFeasibleMatch(
-            "no mode triple satisfies all constraints; best candidate violates: "
-            + "; ".join(violations),
-            best_candidate=candidate,
-            violations=violations,
+            f"no mode triple satisfies all constraints; best candidate violates: {violation}",
+            best_candidate=rated(device, replace(near, violations=(violation,))),
+            violations=[violation],
         )
     raise NoFeasibleMatch(
         "no signal resonance enters the detuning tolerance anywhere in the sweep "

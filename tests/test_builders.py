@@ -130,6 +130,9 @@ def test_bare_ring_and_coupled_device_are_separate_entries(cfg, sweeps):
     assert len(sweeps.widths) == 2
     assert [m.t_ring_K for m in bare] == [m.t_ring_K for m in coupled]
     assert bare[0].pump.kappa_ex != coupled[0].pump.kappa_ex
+    # the coupler only rates: the bare-ring matches rated on the coupled device
+    device = builders.build_device(cfg)
+    assert [matching.rated(device, b) for b in bare] == list(coupled)
 
 
 def test_infeasible_config_raises_on_every_call(cfg, sweeps):

@@ -83,6 +83,11 @@ def test_failed_verification_exits_4(monkeypatch, tmp_path):
      "power_spacing must be 'log' or 'linear', got 'LOG'"),
     ("match", "experiment.power_min_mW=0", "ConfigError", 2,
      "power_min_mW must be positive for log spacing"),
+    # a drive power below zero is rejected at load time, not by `convert` alone
+    ("match", "experiment.pump_power_mW=-1", "ConfigError", 2,
+     "config key 'experiment.pump_power_mW' must be >= 0, got -1"),
+    ("match", "experiment.pump_power_mW=-1e-300", "ConfigError", 2,
+     "config key 'experiment.pump_power_mW' must be >= 0, got -1e-300"),
     ("calibrate", "device.mzi_heater_length_um=0", "CalibrationInfeasible", 3,
      "anchor 'coupling ratios': base heater length is zero"),
     ("calibrate", "calibration_targets.fwm_rate_Hz=-1", "CalibrationInfeasible", 3,
@@ -130,7 +135,8 @@ def test_failed_verification_exits_4(monkeypatch, tmp_path):
      "override 'device.ring_length_um=1000"),
 ], ids=["no-widths", "repeated-width", "width-key-beyond-float", "missing-table",
         "zero-power-max", "match-power-spacing-case",
-        "match-zero-power-min", "zero-heater", "negative-fwm-rate", "zero-fwm-rate", "zero-g0",
+        "match-zero-power-min", "match-negative-pump-power", "match-tiny-negative-pump-power",
+        "zero-heater", "negative-fwm-rate", "zero-fwm-rate", "zero-g0",
         "zero-fwm-power", "negative-fwm-power", "underflowing-fwm-power", "zero-loss",
         "nan-ring-length",
         "tiny-sweep-step", "packaged-table-order-2", "negative-fit-order",
@@ -147,6 +153,28 @@ def test_unusable_value_exits_with_its_family_code(tmp_path, experiment, overrid
     record = error_record(code, err)
     assert record["error"] == error
     assert record["message"].startswith(message)
+
+
+@pytest.mark.parametrize("key", ["power_min_mW", "power_max_mW"])
+def test_negative_linear_power_bound_exits_2(tmp_path, key):
+    code, out, err = run_main(["match", "--override", "experiment.power_spacing=linear",
+                               "--override", f"experiment.{key}=-1",
+                               "--out-dir", str(tmp_path / "out")])
+    assert (code, out) == (2, "")
+    record = error_record(code, err)
+    assert record["error"] == "ConfigError"
+    assert record["message"] == f"config key 'experiment.{key}' must be >= 0, got -1"
+
+
+@pytest.mark.parametrize("experiment, override", [
+    ("convert", "experiment.pump_power_mW=0"),
+    ("noise", "experiment.pump_power_mW=0"),
+    ("convert", "experiment.power_min_mW=0"),
+])
+def test_zero_drive_power_runs(tmp_path, experiment, override):
+    code, _, err = run_main([experiment, "--override", "experiment.power_spacing=linear",
+                             "--override", override, "--out-dir", str(tmp_path)])
+    assert code == 0, err
 
 
 @pytest.mark.parametrize("blocked", ["out-dir", "match.json"])

@@ -67,6 +67,14 @@ def test_planted_curved_solution_and_tightened_bound():
     assert cand is not None and not cand.feasible
     assert (cand.signal.m, cand.pump.m, cand.idler.m) == planted["m"]
 
+    # Without QPM every in-window pair competes; the near miss is the pair of
+    # least mismatch, not the first pair in (pump, idler) order.
+    with pytest.raises(NoFeasibleMatch) as err:
+        find_triple_resonance(device, dataclasses.replace(tight, require_qpm=False))
+    cand = err.value.best_candidate
+    assert (cand.signal.m, cand.pump.m, cand.idler.m) == planted["m"]
+    assert cand.pump.kappa_0 > 0.0 and err.value.violations == list(cand.violations)
+
 
 def test_accepted_matches_satisfy_all_constraints():
     for device, constraints, _ in oracle_fixtures():

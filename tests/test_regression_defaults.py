@@ -85,11 +85,16 @@ def test_make_goldens_check_reproduces_committed_outputs(tmp_path):
     assert "0 generated files differ" in proc.stdout
 
 
-def test_make_goldens_names_the_first_difference_and_its_size(tmp_path):
+def load_make_goldens():
     script = Path(__file__).resolve().parent.parent / "scripts" / "make_goldens.py"
     spec = importlib.util.spec_from_file_location("make_goldens", script)
     make_goldens = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(make_goldens)
+    return make_goldens
+
+
+def test_make_goldens_names_the_first_difference_and_its_size(tmp_path):
+    make_goldens = load_make_goldens()
     csv = "power_mW,eta\n1.0,0.5\n2.0,{}\n"
     meta = {"a": {"b": [1.0, 3.0]}, "output": "t.csv"}
     trees = {}
@@ -115,6 +120,22 @@ def test_make_goldens_names_the_first_difference_and_its_size(tmp_path):
             *(os.path.join(trees[t], "golden", "default_run", name) for t in ("fresh", "committed")))
         assert worst == pytest.approx(1e-12, rel=1e-3)
     assert make_goldens.backend().startswith(f"numpy {np.__version__}; SIMD ")
+
+
+def test_make_goldens_names_the_corpus_config_and_file_that_moved(tmp_path):
+    make_goldens = load_make_goldens()
+    committed = Path(__file__).resolve().parent / "golden" / "digests.json"
+    digests = json.loads(committed.read_text(encoding="utf-8"))
+    assert set(digests) == set(make_goldens.CORPUS)
+    digests["explore-1201-0-3"]["outputs"]["convert.csv"] = "0" * 64
+    digests["tight-mismatch"]["errors"]["match"] += "."
+    altered = tmp_path / "digests.json"
+    altered.write_text(json.dumps(digests), encoding="utf-8")
+    assert make_goldens.corpus_report(str(committed), str(committed)) == []
+    assert make_goldens.corpus_report(str(altered), str(committed)) == [
+        f"differs: {os.path.join('golden', 'digests.json')} config {name}: {what}"
+        for name, what in (("explore-1201-0-3", "convert.csv"),
+                           ("tight-mismatch", "match error"))]
 
 
 def test_make_defaults_reproduces_committed_files(tmp_path):
