@@ -9,6 +9,9 @@ targets in use, the OpenBLAS core) and, per file, the first differing value
 (a JSON or YAML path, or a CSV cell) and the largest relative difference,
 so a backend drift in the last bits reads differently from a real change.
 
+Each demo under demos/ runs in a temporary working directory, and its
+stdout is kept as tests/golden/demos/<stem>.txt.
+
 Beyond the goldens, a corpus of override lists (explore draws and one
 config per path the packaged config does not take) runs the six explore
 experiments and `calibrate` in process.  tests/golden/digests.json pins the
@@ -26,22 +29,26 @@ import hashlib
 import json
 import os
 import shutil
+import subprocess
 import sys
 import tempfile
 import warnings
 
 import yaml
 
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
+SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "src"))
+sys.path.insert(0, SRC)
 
 from qfcring.config import apply_overrides, default_config, emit_config, load_config
 from qfcring.errors import QfcError
 from qfcring.experiments import EXPERIMENTS, run_experiment
 
 TESTS = os.path.join(os.path.dirname(__file__), "..", "tests")
+DEMOS = os.path.join(os.path.dirname(__file__), "..", "demos")
 # Generated trees relative to the tests dir; fixtures shares its dir with
 # hand-written files, so only the generated names there are compared.
-GOLDEN_DIRS = (os.path.join("golden", "default_run"), os.path.join("golden", "planted_match"))
+GOLDEN_DIRS = (os.path.join("golden", "default_run"), os.path.join("golden", "planted_match"),
+               os.path.join("golden", "demos"))
 FIXTURES = (os.path.join("fixtures", "planted.yaml"), os.path.join("fixtures", "planted_table.csv"))
 DIGESTS = os.path.join("golden", "digests.json")
 
@@ -224,11 +231,32 @@ def write_planted_fixture(fixdir):
     return path
 
 
+def transcript(stdout):
+    """A demo's stdout without the `wrote <file>` lines that only matplotlib installs print."""
+    return "".join(line for line in stdout.splitlines(keepends=True)
+                   if not line.startswith("wrote "))
+
+
+def write_demo_transcripts(where):
+    """Run every demo from a temporary directory and write <stem>.txt under where."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
+    for demo in sorted(glob.glob(os.path.join(DEMOS, "*.py"))):
+        with tempfile.TemporaryDirectory() as cwd:
+            proc = subprocess.run([sys.executable, os.path.abspath(demo)], capture_output=True,
+                                  text=True, cwd=cwd, env=env)
+        if proc.returncode != 0:
+            raise SystemExit(f"{demo} exited {proc.returncode}:\n{proc.stderr}")
+        stem = os.path.splitext(os.path.basename(demo))[0]
+        with open(os.path.join(where, f"{stem}.txt"), "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(transcript(proc.stdout))
+
+
 def generate(tests_dir):
-    """Write every golden and fixture under tests_dir."""
-    golden, planted = (os.path.join(tests_dir, d) for d in GOLDEN_DIRS)
+    """Write every golden, fixture and demo transcript under tests_dir."""
+    golden, planted, demos = (os.path.join(tests_dir, d) for d in GOLDEN_DIRS)
     fixdir = os.path.join(tests_dir, "fixtures")
-    for where in (golden, planted):
+    for where in (golden, planted, demos):
         if os.path.isdir(where):
             shutil.rmtree(where)
         os.makedirs(where)
@@ -245,7 +273,8 @@ def generate(tests_dir):
         run_experiment("match", planted_cfg, planted)
     finally:
         os.chdir(here)
-    print(f"golden outputs written to {golden} and {planted}")
+    write_demo_transcripts(demos)
+    print(f"golden outputs written to {golden}, {planted} and {demos}")
     with open(os.path.join(tests_dir, DIGESTS), "w", encoding="utf-8", newline="\n") as fh:
         fh.write(json.dumps(corpus_digests(), indent=2, sort_keys=True) + "\n")
     print(f"{len(CORPUS)} corpus configs digested")
@@ -307,7 +336,7 @@ def backend():
 
 
 def _leaves(path):
-    """{location: text} of every JSON or YAML scalar or CSV cell, in file order."""
+    """{location: text} of every JSON or YAML scalar, CSV cell or transcript line, in order."""
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
     if path.endswith((".json", ".yaml")):
@@ -323,6 +352,8 @@ def _leaves(path):
         return dict(walk(json.loads(text) if path.endswith(".json") else yaml.safe_load(text),
                          "$"))
     lines = text.splitlines()
+    if path.endswith(".txt"):
+        return {f"line {n}": line for n, line in enumerate(lines, 1)}
     header = lines[0].split(",")
     return {"header": lines[0]} | {
         f"row {r} column {name}": cell for r, line in enumerate(lines[1:], 1)

@@ -114,27 +114,32 @@ def intracavity_pump(pump_power_W, omega_p, kappa_p, kappa_p_ex, delta_p=0.0):
 
 
 def cooperativity(sys: TwmSystem) -> float:
-    """C = 4 g0^2 |alpha|^2 / (kappa_s kappa_i)."""
-    n_pump = intracavity_pump(
-        sys.pump_power_W, sys.pump.omega, sys.pump.kappa_tot, sys.pump.kappa_ex,
-        sys.pump.delta,
-    )
-    return float(4.0 * sys.g0**2 * n_pump / (sys.signal.kappa_tot * sys.idler.kappa_tot))
+    """C = 4 g0^2 |alpha|^2 / (kappa_s kappa_i) at the system's pump power."""
+    return float(_efficiencies(sys, sys.pump_power_W)[0])
 
 
 def external_efficiency(sys: TwmSystem):
     """(eta_int, eta_ex) at the system's detunings and pump power."""
-    return _efficiencies(sys)[1:]
+    _, eta_int, eta_ex = _efficiencies(sys, sys.pump_power_W)
+    return float(eta_int), float(eta_ex)
 
 
-def _efficiencies(sys: TwmSystem):
-    """(C, eta_int, eta_ex), computing the cooperativity once."""
-    C = cooperativity(sys)
+def _efficiencies(sys: TwmSystem, powers_W):
+    """(C, eta_int, eta_ex) over an array of drive powers: the one closed form.
+
+    |bracket|^2 is float_power(hypot(re, im), 2.0), bit for bit Python's
+    abs(bracket) ** 2 (libm hypot, then libm pow); numpy's ** 2 and x * x
+    square exactly and differ from pow in the last bit.
+    """
+    n_pump = intracavity_pump(
+        powers_W, sys.pump.omega, sys.pump.kappa_tot, sys.pump.kappa_ex, sys.pump.delta,
+    )
     ks, ki = sys.signal.kappa_tot, sys.idler.kappa_tot
+    C = 4.0 * sys.g0**2 * n_pump / (ks * ki)
     d_s = sys.signal.delta
     d_i_eff = d_s - sys.pump.delta - sys.mismatch
-    bracket = (1.0 + 2j * d_s / ks) * (1.0 + 2j * d_i_eff / ki) + C
-    eta_int = 4.0 * C / abs(bracket) ** 2
+    bracket = (1.0 + 2j * d_s / ks) * (1.0 + 2j * d_i_eff / ki)
+    eta_int = 4.0 * C / np.float_power(np.hypot(bracket.real + C, bracket.imag), 2.0)
     eta_ex = sys.signal.eta * sys.idler.eta * eta_int
     return C, eta_int, eta_ex
 
@@ -169,13 +174,8 @@ def g0_effective(g0_full: float, ppln_fraction: float) -> float:
 
 def efficiency_vs_power(sys: TwmSystem, powers_W):
     """Rows (P, C, eta_int, eta_ex) over a power grid, as a (n, 4) array."""
-    powers = np.asarray(powers_W, dtype=float)
-    if np.any(powers < 0.0):
-        raise DomainError("powers must be >= 0")
-    rows = np.empty((powers.size, 4))
-    for j, p in enumerate(powers.ravel()):
-        rows[j] = (p, *_efficiencies(sys.with_power(float(p))))
-    return rows
+    powers = np.asarray(powers_W, dtype=float).ravel()
+    return np.column_stack([powers, *_efficiencies(sys, powers)])
 
 
 # --------------------------------------------------------------------------

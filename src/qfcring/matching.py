@@ -366,7 +366,7 @@ def find_triple_resonance(device: Device, constraints: SearchConstraints):
     # tolerance (it sits at a hit), so only its mismatch violates.
     if near is not None:
         violation = (f"mismatch {near.mismatch_Hz / 1e6:.3f} MHz exceeds "
-                     f"{constraints.max_mismatch_Hz / 1e6:.1f} MHz")
+                     f"{constraints.max_mismatch_Hz / 1e6:g} MHz")
         raise NoFeasibleMatch(
             f"no mode triple satisfies all constraints; best candidate violates: {violation}",
             best_candidate=rated(device, replace(near, violations=(violation,))),

@@ -63,8 +63,6 @@ def fwm_noise_rate(ch: FwmChannel, pump_power_W):
 def noise_vs_power(ch: FwmChannel, powers_W):
     """Rows (P, R) over a power grid as a (n, 2) array; log-log slope is 2."""
     powers = np.asarray(powers_W, dtype=float)
-    if np.any(powers < 0.0):
-        raise DomainError("powers must be >= 0")
     return np.column_stack([powers, fwm_noise_rate(ch, powers)])
 
 
@@ -118,12 +116,11 @@ def efficiency_snr_tradeoff(variants, powers_W, signal_input_rate_Hz: float):
     for var in ordered:
         rates = fwm_noise_rate(var.channel, powers)
         etas = efficiency_vs_power(var.system, powers)[:, 3]
-        for j, p in enumerate(powers):
-            fom, snr = snr_report(float(rates[j]), signal_input_rate_Hz * float(etas[j]))
-            rows.append((var.width_nm, p, etas[j], rates[j], fom, snr))
-        j_peak = int(np.argmax(etas))
-        _, snr_at_peak = snr_report(float(rates[j_peak]),
-                                    signal_input_rate_Hz * float(etas[j_peak]))
+        curve = [(var.width_nm, p, eta, rate,
+                  *snr_report(float(rate), signal_input_rate_Hz * float(eta)))
+                 for p, eta, rate in zip(powers, etas, rates)]
+        rows += curve
+        snr_at_peak = curve[int(np.argmax(etas))][5]
         if best is None or snr_at_peak > best[1]:
             best = (var.width_nm, snr_at_peak)
     return np.asarray(rows, dtype=float), best[0]

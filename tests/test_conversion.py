@@ -1,8 +1,15 @@
 """Three-wave-mixing closed forms and the time-domain oracle."""
 
+import json
+import subprocess
+from sys import executable
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from conftest import src_env
 from qfcring.constants import HBAR_J_S, TWO_PI
 from qfcring.conversion import (
     ModeChannel,
@@ -18,6 +25,7 @@ from qfcring.conversion import (
 )
 from qfcring.errors import (
     DegenerateCoupling,
+    DomainError,
     NonphysicalRate,
     NumericalFailure,
     StepSizeTooLarge,
@@ -200,6 +208,122 @@ def test_efficiency_curve_unimodal():
     assert at_pmax[0, 2] == pytest.approx(1.0, abs=1e-12)
     at_4pmax = efficiency_vs_power(sys, [4.0 * p_max])
     assert at_4pmax[0, 2] == pytest.approx(0.64, abs=1e-12)
+
+
+def test_negative_power_in_a_grid_raises():
+    with pytest.raises(DomainError):
+        efficiency_vs_power(make_system(), [1e-3, -1e-9])
+
+
+# --- the array closed form, bit for bit against the scalar formula ----------
+
+def scalar_efficiencies(sys):
+    """(C, eta_int, eta_ex) one power at a time in Python floats and complex.
+
+    The reference the array form must reproduce bit for bit: Python's abs of
+    a complex is libm hypot, and float ** 2 is libm pow(x, 2.0).
+    """
+    flux = sys.pump_power_W / (HBAR_J_S * sys.pump.omega)
+    n_pump = sys.pump.kappa_ex * flux / (sys.pump.delta**2 + (sys.pump.kappa_tot / 2.0) ** 2)
+    ks, ki = sys.signal.kappa_tot, sys.idler.kappa_tot
+    C = 4.0 * sys.g0**2 * n_pump / (ks * ki)
+    d_s = sys.signal.delta
+    d_i_eff = d_s - sys.pump.delta - sys.mismatch
+    bracket = (1.0 + 2j * d_s / ks) * (1.0 + 2j * d_i_eff / ki) + C
+    eta_int = 4.0 * C / abs(bracket) ** 2
+    return C, eta_int, sys.signal.eta * sys.idler.eta * eta_int
+
+
+def bits(values):
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+ETAS = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+KAPPAS = st.floats(3e7, 3e10)
+DETUNINGS = st.one_of(st.just(0.0), st.floats(-3e9, 3e9))
+
+
+@st.composite
+def power_grids(draw):
+    """Log grids, linear grids from P = 0, and one-point grids, in W."""
+    p_max = draw(st.floats(1e-7, 1e-1))
+    n = draw(st.integers(1, 130))
+    if draw(st.booleans()):
+        return np.linspace(0.0, p_max, n)
+    return np.geomspace(p_max * draw(st.floats(1e-4, 1.0)), p_max, n)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(etas=st.tuples(ETAS, ETAS, ETAS), kappas=st.tuples(KAPPAS, KAPPAS, KAPPAS),
+       delta_p=DETUNINGS, delta_s=DETUNINGS, mismatch=DETUNINGS, powers=power_grids())
+@example(etas=(0.5, 0.92, 0.98), kappas=(1.3e9, 7e9, 3e10), delta_p=0.0, delta_s=0.0,
+         mismatch=0.0, powers=np.array([0.0]))
+def test_array_closed_form_matches_scalar_formula_bit_for_bit(
+        etas, kappas, delta_p, delta_s, mismatch, powers):
+    sys = make_system(eta_p=etas[0], eta_s=etas[1], eta_i=etas[2], kappa_p=kappas[0],
+                      kappa_s=kappas[1], kappa_i=kappas[2], delta_p=delta_p,
+                      delta_s=delta_s, mismatch=mismatch)
+    points = [sys.with_power(float(p)) for p in powers]
+    rows = efficiency_vs_power(sys, powers)
+    assert rows.shape == (powers.size, 4)
+    assert np.array_equal(bits(rows), bits([(p.pump_power_W, *scalar_efficiencies(p))
+                                            for p in points]))
+    for point in points:
+        c_ref, eta_int_ref, eta_ex_ref = scalar_efficiencies(point)
+        assert np.array_equal(bits([cooperativity(point), *external_efficiency(point)]),
+                              bits([c_ref, eta_int_ref, eta_ex_ref]))
+
+
+def test_closed_form_squares_with_pow_not_multiply():
+    # libm pow(h, 2.0) and h * h round apart here: eta_int reads ...261 if
+    # |bracket|^2 is computed as h * h or numpy's h ** 2.
+    sys = make_system(eta_p=0.2, eta_s=0.76, eta_i=0.61, delta_p=-1e8, mismatch=1e8,
+                      power=0.003619)
+    assert external_efficiency(sys)[0] == 0.9844790259565264
+    assert efficiency_vs_power(sys, [0.003619])[0, 2] == 0.9844790259565264
+
+
+# The child checks the closed form's two primitives with numpy's AVX-512
+# dispatch off, on a seeded sample of bracket-like magnitudes.
+PRIMITIVES_CHILD = """
+import json, sys, warnings
+with warnings.catch_warnings(record=True) as caught:
+    warnings.simplefilter("always", ImportWarning)
+    try:
+        import numpy as np
+    except (ImportError, RuntimeError) as exc:
+        print(json.dumps({"refused": str(exc)}))
+        sys.exit(0)
+refused = [str(w.message) for w in caught if "NPY_DISABLE_CPU_FEATURES" in str(w.message)]
+if refused:
+    print(json.dumps({"refused": refused[0]}))
+    sys.exit(0)
+rng = np.random.default_rng(20260)
+n = 200_000
+re = rng.uniform(-1.0, 1.0, n) * 10.0 ** rng.uniform(-3.0, 3.0, n)
+im = rng.uniform(-1.0, 1.0, n) * 10.0 ** rng.uniform(-3.0, 3.0, n)
+h = np.hypot(re, im)
+ref_h = np.array([abs(complex(a, b)) for a, b in zip(re.tolist(), im.tolist())])
+sq = np.float_power(h, 2.0)
+ref_sq = np.array([x ** 2 for x in h.tolist()])
+print(json.dumps({
+    "hypot_differs": int(np.count_nonzero(h.view(np.int64) != ref_h.view(np.int64))),
+    "square_differs": int(np.count_nonzero(sq.view(np.int64) != ref_sq.view(np.int64))),
+}))
+"""
+
+
+def test_closed_form_primitives_match_python_without_avx512():
+    env = src_env()
+    env.pop("NPY_ENABLE_CPU_FEATURES", None)  # numpy refuses both at once
+    env["NPY_DISABLE_CPU_FEATURES"] = "X86_V4 AVX512_ICL AVX512_SPR"
+    proc = subprocess.run([executable, "-c", PRIMITIVES_CHILD], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    if "refused" in report:
+        pytest.skip(f"numpy refused NPY_DISABLE_CPU_FEATURES: {report['refused']}")
+    assert report == {"hypot_differs": 0, "square_differs": 0}
 
 
 # --- time-domain oracle ----------------------------------------------------

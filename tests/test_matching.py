@@ -76,6 +76,16 @@ def test_planted_curved_solution_and_tightened_bound():
     assert cand.pump.kappa_0 > 0.0 and err.value.violations == list(cand.violations)
 
 
+def test_near_miss_names_a_sub_MHz_bound():
+    # a bound below 0.05 MHz must not print as "0.0 MHz"
+    device, constraints, _ = planted_fixture_curved()
+    with pytest.raises(NoFeasibleMatch) as err:
+        find_triple_resonance(device, dataclasses.replace(constraints, max_mismatch_Hz=1e4))
+    (violation,) = err.value.violations
+    assert violation.endswith(" MHz exceeds 0.01 MHz")
+    assert violation in str(err.value)
+
+
 def test_accepted_matches_satisfy_all_constraints():
     for device, constraints, _ in oracle_fixtures():
         for res in find_triple_resonance(device, constraints):

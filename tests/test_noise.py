@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from qfcring import noise
 from qfcring.constants import TWO_PI
 from qfcring.conversion import ModeChannel, TwmSystem
 from qfcring.errors import DomainError
@@ -147,3 +148,25 @@ def test_tradeoff_identical_variants_bitwise():
     rows, _ = efficiency_snr_tradeoff(variants, powers, 1.0e4)
     a, b = rows[:10, 1:], rows[10:, 1:]
     assert np.array_equal(a, b)
+
+
+def test_tradeoff_reports_each_row_once(monkeypatch):
+    calls = []
+
+    def counting(rate_Hz, delivered_signal_rate_Hz):
+        calls.append((rate_Hz, delivered_signal_rate_Hz))
+        return snr_report(rate_Hz, delivered_signal_rate_Hz)
+
+    monkeypatch.setattr(noise, "snr_report", counting)
+    variants = [make_variant(1600.0, 0.7), make_variant(1400.0, 1.35)]
+    rows, best = efficiency_snr_tradeoff(variants, np.geomspace(1e-4, 5e-3, 30), 1.0e4)
+    assert len(calls) == len(rows) == 60
+    # the best width is still read at each width's own peak eta_ex
+    curves = {w: rows[rows[:, 0] == w] for w in (1400.0, 1600.0)}
+    peak_snr = {w: curve[np.argmax(curve[:, 2]), 5] for w, curve in curves.items()}
+    assert best == max(peak_snr, key=peak_snr.get)
+
+
+def test_negative_power_in_a_noise_grid_raises():
+    with pytest.raises(DomainError):
+        noise_vs_power(make_channel(), [1e-3, -1e-9])
