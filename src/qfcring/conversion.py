@@ -184,6 +184,8 @@ def efficiency_vs_power(sys: TwmSystem, powers_W):
 
 _RESIDUAL_TOL = 1e-9  # relative equilibrium residual of `converged`
 _CHECK_EVERY = 200    # steady-state steps between two convergence tests
+_POLISH_GATE = 1e-3   # relative residual a chunk must reach before a Newton polish
+_NEWTON_ITERATIONS = 4
 
 
 @dataclass(frozen=True)
@@ -196,6 +198,52 @@ class MeanFieldTrajectory:
 
     def final(self):
         return self.a[-1], self.b[-1], self.c[-1]
+
+
+def _pump_drive(sys: TwmSystem) -> float:
+    """sqrt(k_p_ex) s_in, the pump's drive term, with s_in = sqrt(P/hbar w_p)."""
+    return math.sqrt(sys.pump.kappa_ex * sys.pump_power_W / (HBAR_J_S * sys.pump.omega))
+
+
+def _detunings(sys: TwmSystem):
+    """Rotating-frame detunings (d_p, d_b, d_c), d_c = d_s - d_p - mismatch."""
+    return sys.pump.delta, sys.signal.delta, sys.signal.delta - sys.pump.delta - sys.mismatch
+
+
+def _mean_field(sys: TwmSystem, signal_flux):
+    """(rhs, jacobian) of the mean-field equations, the one implementation.
+
+    rhs(a, b, c) is (da/dt, db/dt, dc/dt); jacobian(a, b, c) is the 6x6
+    d(f, f*)/d(a, b, c, a*, b*, c*) as nested lists of Python complex.
+    """
+    d_p, d_b, d_c = _detunings(sys)
+    cp = 1j * d_p - 0.5 * sys.pump.kappa_tot
+    cb = 1j * d_b - 0.5 * sys.signal.kappa_tot
+    cc = 1j * d_c - 0.5 * sys.idler.kappa_tot
+    ig = 1j * sys.g0
+    drive_p = _pump_drive(sys)
+    drive_b = math.sqrt(sys.signal.kappa_ex * signal_flux)
+
+    def rhs(ya, yb, yc):
+        return (
+            cp * ya - ig * yb * yc.conjugate() + drive_p,
+            cb * yb - ig * ya * yc + drive_b,
+            cc * yc - ig * ya.conjugate() * yb,
+        )
+
+    def jacobian(ya, yb, yc):
+        top = [[cp, -ig * yc.conjugate(), 0j, 0j, 0j, -ig * yb],
+               [-ig * yc, cb, -ig * ya, 0j, 0j, 0j],
+               [0j, -ig * ya.conjugate(), cc, -ig * yb, 0j, 0j]]
+        return top + [[x.conjugate() for x in row[3:] + row[:3]] for row in top]
+
+    return rhs, jacobian
+
+
+def _settled(rhs, state, rel, kappa_min):
+    """|f_x| < rel * kappa_min * |x| for each amplitude x of state."""
+    tol = rel * kappa_min
+    return all(abs(f) < tol * abs(x) for f, x in zip(rhs(*state), state))
 
 
 def evolve_mean_field(sys: TwmSystem, initial=(0j, 0j, 0j), dt=None, steps=None,
@@ -222,12 +270,10 @@ def evolve_mean_field(sys: TwmSystem, initial=(0j, 0j, 0j), dt=None, steps=None,
         raise DomainError("dt must be positive")
 
     kp, ks, ki = sys.pump.kappa_tot, sys.signal.kappa_tot, sys.idler.kappa_tot
-    dp = sys.pump.delta
-    db_ = sys.signal.delta
-    dc_ = sys.signal.delta - sys.pump.delta - sys.mismatch
+    dp, db_, dc_ = _detunings(sys)
     g = sys.g0
-    drive_p = math.sqrt(sys.pump.kappa_ex * sys.pump_power_W / (HBAR_J_S * sys.pump.omega))
-    drive_b = math.sqrt(sys.signal.kappa_ex * signal_flux)
+    drive_p = _pump_drive(sys)
+    rhs, _ = _mean_field(sys, signal_flux)
 
     a, b, c = (complex(x) for x in initial)
     a_scale = max(abs(a), abs(b), abs(c), 4.0 * drive_p / kp if kp > 0 else 0.0)
@@ -235,17 +281,6 @@ def evolve_mean_field(sys: TwmSystem, initial=(0j, 0j, 0j), dt=None, steps=None,
     if dt * rate >= 0.1:
         raise StepSizeTooLarge(
             f"dt*max-rate = {dt * rate:.3g} >= 0.1; reduce dt below {0.1 / rate:.3g}"
-        )
-
-    cp = 1j * dp - 0.5 * kp
-    cb = 1j * db_ - 0.5 * ks
-    cc = 1j * dc_ - 0.5 * ki
-
-    def rhs(ya, yb, yc):
-        return (
-            cp * ya - 1j * g * yb * yc.conjugate() + drive_p,
-            cb * yb - 1j * g * ya * yc + drive_b,
-            cc * yc - 1j * g * ya.conjugate() * yb,
         )
 
     n_samples = -(-steps // sample_stride) + 1  # every stride-th step and the last
@@ -279,9 +314,44 @@ def evolve_mean_field(sys: TwmSystem, initial=(0j, 0j, 0j), dt=None, steps=None,
             traj_a[idx], traj_b[idx], traj_c[idx] = a, b, c
             idx += 1
 
-    tol = _RESIDUAL_TOL * min(kp, ks, ki)
-    converged = all(abs(f) < tol * abs(x) for f, x in zip(rhs(a, b, c), (a, b, c)))
+    converged = _settled(rhs, (a, b, c), _RESIDUAL_TOL, min(kp, ks, ki))
     return MeanFieldTrajectory(times, traj_a, traj_b, traj_c, converged)
+
+
+def _solve(m, v):
+    """x with m x = v, by Gauss-Jordan elimination with partial pivoting in
+    Python complex floats (no LAPACK); None when a pivot is zero."""
+    rows = [row + [x] for row, x in zip(m, v)]
+    n = len(rows)
+    for k in range(n):
+        p = max(range(k, n), key=lambda i: abs(rows[i][k]))
+        rows[k], rows[p] = rows[p], rows[k]
+        if rows[k][k] == 0:
+            return None
+        for i, row in enumerate(rows):
+            if i != k:
+                f = row[k] / rows[k][k]
+                row[k:] = [x - f * y for x, y in zip(row[k:], rows[k][k:])]
+    return [row[n] / row[k] for k, row in enumerate(rows)]
+
+
+def _stable(jac) -> bool:
+    """Every eigenvalue of the Jacobian has Re < 0: a fixed point that attracts."""
+    return bool(np.all(np.linalg.eigvals(np.array(jac)).real < 0.0))
+
+
+def _newton_polish(rhs, jacobian, state, kappa_min):
+    """Newton on rhs = 0 from state: the fixed point it reaches when that passes
+    the _RESIDUAL_TOL equilibrium test and is stable, else None."""
+    for _ in range(_NEWTON_ITERATIONS):
+        f = rhs(*state)
+        step = _solve(jacobian(*state), [-x for x in f] + [-x.conjugate() for x in f])
+        if step is None:
+            return None
+        state = tuple(x + d for x, d in zip(state, step[:3]))  # step[3:] is its conjugate
+        if _settled(rhs, state, _RESIDUAL_TOL, kappa_min):
+            return state if _stable(jacobian(*state)) else None
+    return None
 
 
 def steady_state_conversion(sys: TwmSystem, steps=None):
@@ -292,31 +362,44 @@ def steady_state_conversion(sys: TwmSystem, steps=None):
     output-idler flux over the input-signal flux:
     eta_ex = kappa_i_ex |c_ss|^2 / signal_flux.
 
-    The step is dt = 0.05/fast, fast covering every rate the step-size guard
-    measures (d_c and g * 4 sqrt(k_p_ex) s_in / k_p too); RK4's fixed point is
-    the exact steady state at any stable dt.  Chunks of _CHECK_EVERY steps
-    resume from the last until one ends converged; steps (default 320/slow of
-    time, slow the smallest kappa) is the budget, then NumericalFailure.
+    The step is dt = 0.09/fast, fast covering every rate the step-size guard
+    measures (d_c and g * 4 sqrt(k_p_ex) s_in / k_p too), so it stays under
+    the guard's 0.1; RK4's fixed point is the exact steady state at any
+    stable dt.  Chunks of _CHECK_EVERY steps resume from the last until one
+    ends converged (relative residual < _RESIDUAL_TOL).  A chunk that ends
+    with every relative residual below _POLISH_GATE = 1e-3 is polished by
+    Newton on the integrator's own right-hand side, with the 6x6 Jacobian in
+    (a, b, c, a*, b*, c*) solved in Python complex floats.  The polished state
+    is kept only if it passes the same _RESIDUAL_TOL test and every eigenvalue
+    of the Jacobian there has Re < 0; otherwise integration goes on.  steps
+    (default 320/slow of time, slow the smallest kappa) is the budget, then
+    NumericalFailure.
     """
     kp = sys.pump.kappa_tot
-    drive_p = math.sqrt(sys.pump.kappa_ex * sys.pump_power_W / (HBAR_J_S * sys.pump.omega))
+    dp, ds, d_c = _detunings(sys)
+    drive_p = _pump_drive(sys)
     # target steady |b| ~ 1e-3 |alpha|, |alpha|^2 = s_in^2 / (d_p^2 + k_p^2/4)
-    n_pump = drive_p**2 / (sys.pump.delta**2 + 0.25 * kp**2)
+    n_pump = drive_p**2 / (dp**2 + 0.25 * kp**2)
     signal_flux = (1e-6 * n_pump * sys.signal.kappa_tot**2
                    / (4.0 * max(sys.signal.kappa_ex, 1e-300)))
-    d_c = sys.signal.delta - sys.pump.delta - sys.mismatch
     slow = min(kp, sys.signal.kappa_tot, sys.idler.kappa_tot)
-    fast = max(kp, sys.signal.kappa_tot, sys.idler.kappa_tot, abs(sys.pump.delta),
-               abs(sys.signal.delta), abs(d_c), sys.g0 * 4.0 * drive_p / kp)
-    dt = 0.05 / fast
+    fast = max(kp, sys.signal.kappa_tot, sys.idler.kappa_tot, abs(dp), abs(ds), abs(d_c),
+               sys.g0 * 4.0 * drive_p / kp)
+    dt = 0.09 / fast
     steps = int(320.0 / (slow * dt)) + 1 if steps is None else steps
+    rhs, jacobian = _mean_field(sys, signal_flux)
     state = (0j, 0j, 0j)
     for _ in range(-(-steps // _CHECK_EVERY)):
         traj = evolve_mean_field(sys, initial=state, dt=dt, steps=_CHECK_EVERY,
                                  signal_flux=signal_flux, sample_stride=_CHECK_EVERY)
-        state = traj.final()
+        state = tuple(complex(x) for x in traj.final())
         if traj.converged:
             break
+        if _settled(rhs, state, _POLISH_GATE, slow):
+            polished = _newton_polish(rhs, jacobian, state, slow)
+            if polished is not None:
+                state = polished
+                break
     else:
         raise NumericalFailure("steady state not reached; increase steps")
     eta_ex = sys.idler.kappa_ex * abs(state[2]) ** 2 / signal_flux

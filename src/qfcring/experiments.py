@@ -163,6 +163,13 @@ def run_noise(cfg, out):
 
 
 def run_tradeoff(cfg, out):
+    powers = _power_grid_W(cfg)
+    if not powers.all():
+        exp = cfg["experiment"]
+        key = ("pump_power_mW" if exp["pump_power_mW"] is not None
+               else "power_min_mW" if exp["power_min_mW"] == 0.0 else "power_max_mW")
+        raise ConfigError(f"config key 'experiment.{key}' is 0, and the trade-off's "
+                          "SNR is undefined at zero pump power")
     variants = []
     sources = {}
     for width in sorted(float(w) for w in cfg["experiment"]["widths_nm"]):
@@ -179,7 +186,7 @@ def run_tradeoff(cfg, out):
             "pump_wavelength_nm": match.pump.lambda_nm,
         }
     rows, best_width = efficiency_snr_tradeoff(
-        variants, _power_grid_W(cfg), float(cfg["physics"]["signal_input_rate_Hz"]))
+        variants, powers, float(cfg["physics"]["signal_input_rate_Hz"]))
     rows[:, 1] *= 1e3
     out.table("tradeoff", ["width_nm", "power_mW", "eta_ext", "R_FWM_Hz", "paper_fom_dB",
                            "snr_dB"], rows, best_width_nm=best_width, per_width=sources)

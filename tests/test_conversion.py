@@ -1,6 +1,7 @@
 """Three-wave-mixing closed forms and the time-domain oracle."""
 
 import json
+import math
 import subprocess
 from sys import executable
 
@@ -10,6 +11,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import src_env
+from qfcring import conversion
+from qfcring.builders import build_twm_system, operating_point
+from qfcring.config import default_config
 from qfcring.constants import HBAR_J_S, TWO_PI
 from qfcring.conversion import (
     ModeChannel,
@@ -446,3 +450,77 @@ def test_trajectory_deterministic():
     b = evolve_mean_field(sys, dt=1e-12, steps=2000, signal_flux=1e3)
     assert np.array_equal(a.a, b.a) and np.array_equal(a.b, b.b) \
         and np.array_equal(a.c, b.c)
+
+
+# --- Newton polish of the steady-state oracle --------------------------------
+
+def _oracle_inputs(sys):
+    """(dt, signal_flux) as steady_state_conversion chooses them."""
+    kp, ks, ki = sys.pump.kappa_tot, sys.signal.kappa_tot, sys.idler.kappa_tot
+    drive = math.sqrt(sys.pump.kappa_ex * sys.pump_power_W / (HBAR_J_S * sys.pump.omega))
+    n_pump = drive**2 / (sys.pump.delta**2 + 0.25 * kp**2)
+    flux = 1e-6 * n_pump * ks**2 / (4.0 * sys.signal.kappa_ex)
+    d_c = sys.signal.delta - sys.pump.delta - sys.mismatch
+    fast = max(kp, ks, ki, abs(sys.pump.delta), abs(sys.signal.delta), abs(d_c),
+               sys.g0 * 4.0 * drive / kp)
+    return 0.09 / fast, flux
+
+
+def _criterion_3_draws(n, seed=303):
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        sys = make_system(
+            eta_p=rng.uniform(0.25, 0.75), eta_s=rng.uniform(0.6, 0.97),
+            eta_i=rng.uniform(0.6, 0.97), kappa_p=rng.uniform(4e8, 3e9),
+            kappa_s=rng.uniform(4e8, 3e9), kappa_i=rng.uniform(4e8, 3e9),
+            delta_s=rng.uniform(-3e8, 3e8), delta_p=rng.uniform(-3e8, 3e8),
+            mismatch=rng.uniform(-3e8, 3e8),
+        )
+        yield sys.with_power(rng.uniform(0.1, 3.0) * pump_power_unity_cooperativity(sys))
+
+
+def test_refused_polish_leaves_the_plain_integration(monkeypatch):
+    # With the stability test refusing every polish, the oracle is the chunked
+    # RK4 run to its 1e-9 residual, bit for bit.
+    refused = []
+    monkeypatch.setattr(conversion, "_stable", lambda jac: refused.append(jac) or False)
+    for sys in _criterion_3_draws(3, seed=19):
+        dt, flux = _oracle_inputs(sys)
+        state = (0j, 0j, 0j)
+        while True:
+            traj = evolve_mean_field(sys, initial=state, dt=dt, steps=200,
+                                     signal_flux=flux, sample_stride=200)
+            state = traj.final()
+            if traj.converged:
+                break
+        eta_ex = sys.idler.kappa_ex * abs(complex(state[2])) ** 2 / flux
+        expect = (eta_ex / (sys.signal.eta * sys.idler.eta), eta_ex)
+        assert steady_state_conversion(sys) == expect
+    assert refused
+
+
+def test_polish_starts_only_past_the_gate(monkeypatch):
+    starts = []
+    polish = conversion._newton_polish
+
+    def spy(rhs, jacobian, state, kappa_min):
+        starts.append(max(abs(f) / (kappa_min * abs(x)) for f, x in zip(rhs(*state), state)))
+        return polish(rhs, jacobian, state, kappa_min)
+
+    monkeypatch.setattr(conversion, "_newton_polish", spy)
+    for sys in _criterion_3_draws(10):
+        steady_state_conversion(sys)
+    assert len(starts) >= 10
+    assert max(starts) < 1e-3
+
+
+@pytest.mark.parametrize("width", [1400.0, 1500.0, 1600.0])
+def test_calibrated_device_oracle_matches_closed_form(width):
+    # Pump and idler linewidths ~25x apart: the stiff systems the bench times.
+    cfg = default_config()
+    _, matches = operating_point(cfg, width_nm=width)
+    base = build_twm_system(cfg, matches[0])
+    for scale in (0.1, 1.0, 3.0):
+        sys = base.with_power(scale * pump_power_unity_cooperativity(base))
+        for sim, ref in zip(steady_state_conversion(sys), external_efficiency(sys)):
+            assert sim == pytest.approx(ref, rel=1e-5)

@@ -177,6 +177,26 @@ def test_zero_drive_power_runs(tmp_path, experiment, override):
     assert code == 0, err
 
 
+@pytest.mark.parametrize("overrides, key", [
+    (["experiment.power_spacing=linear", "experiment.power_min_mW=0"], "power_min_mW"),
+    (["experiment.pump_power_mW=0"], "pump_power_mW"),
+])
+def test_tradeoff_at_zero_power_exits_2_before_sweeping(monkeypatch, tmp_path, overrides,
+                                                         key):
+    # convert and noise accept P = 0 (above); the trade-off's SNR is 0/0 there.
+    from qfcring import experiments
+
+    monkeypatch.setattr(experiments, "operating_point",
+                        lambda *a, **k: pytest.fail("swept before checking the power grid"))
+    args = [x for o in overrides for x in ("--override", o)]
+    code, out, err = run_main(["tradeoff", *args, "--out-dir", str(tmp_path / "out")])
+    assert (code, out) == (2, "")
+    record = error_record(code, err)
+    assert record["error"] == "ConfigError"
+    assert record["message"] == (f"config key 'experiment.{key}' is 0, and the trade-off's "
+                                 "SNR is undefined at zero pump power")
+
+
 @pytest.mark.parametrize("blocked", ["out-dir", "match.json"])
 def test_unwritable_output_exits_2(tmp_path, blocked):
     # An --out-dir that is a file, or an output name taken by a directory.
