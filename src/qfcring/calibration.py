@@ -9,12 +9,14 @@ Anchors (all from the calibration_targets section):
 Solved per width: a heater length (as a scale on the base length) and the
 three coupling-length anchor points that make the MZI cross-coupling land
 exactly on the eta targets; shared: g0_full and g_chi3 (closed forms).
+
+The heater walk screens the grid in numpy chunks and lets scalar checks
+decide the survivors, so every returned value comes from the scalar path
+(solve_width_couplings).
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
 import json
 import math
 
@@ -36,6 +38,18 @@ _HEATER_GRID_UM = 0.25
 # The walk gives up after this many candidates, so its cost does not grow
 # with calibration_targets.max_heater_length_um.
 _MAX_HEATER_CANDIDATES = 2**20
+# Below this many grid points the heater lengths j * step are distinct floats
+# and every grid index fits numpy's int64.
+_MAX_GRID_POINTS = 2**53
+# The walk screens the grid in chunks of 256 points, doubling up to 4096: most
+# walks end within a few hundred points, and the longest pay few numpy calls.
+_FIRST_CHUNK, _MAX_CHUNK = 256, 4096
+# Relative margin of each screen test against the sum of its absolute terms
+# (scaled by the Vandermonde condition number for the quadratic's tests).  It
+# covers the few-ulp gaps between numpy's and math's cos and arcsin, and
+# between the closed-form and the LAPACK quadratic, so the screen never drops
+# a point the scalar checks would accept; a wider margin costs only time.
+_SCREEN_RTOL = 1e-9
 
 
 def solve_g0_full_over_2pi_MHz(targets: dict, ppln_fraction: float) -> float:
@@ -88,20 +102,79 @@ def _lc_quadratic(points_um, lambda_ref_nm):
 
 
 def _grid_nearest_first(base_um: float, n_grid: int):
-    """Heater grid indices j = 1..n_grid by increasing (|j * step - base|, j).
+    """Heater grid indices j = 1..n_grid by increasing (|j * step - base|, j), in chunks.
 
     Below the base the cost grows as j falls, above it as j rises, so the
     order is a merge of two sorted runs.  The step is a power of two, which
-    makes the split index exact.  A non-finite base gives every point the
-    same cost, leaving plain index order.
+    makes the split index exact.  Each chunk merges the next indices of both
+    runs with a stable sort, which puts a tie on the shorter heater.  The
+    chunks stop after _MAX_HEATER_CANDIDATES indices in all, so numpy sees
+    no index farther than that from the split.
     """
-    split = 0
-    if math.isfinite(base_um):
-        split = min(max(math.floor(base_um / _HEATER_GRID_UM), 0), n_grid)
-    below = ((abs(j * _HEATER_GRID_UM - base_um), j) for j in range(split, 0, -1))
-    above = ((abs(j * _HEATER_GRID_UM - base_um), j) for j in range(split + 1, n_grid + 1))
-    for _, j in heapq.merge(below, above):
-        yield j
+    split = min(max(math.floor(base_um / _HEATER_GRID_UM), 0), n_grid)
+    below = above = 0  # indices taken from each run so far
+    left = min(n_grid, _MAX_HEATER_CANDIDATES)
+    size = _FIRST_CHUNK
+    while left > 0:
+        size = min(size, left)
+        js = np.concatenate((
+            split - below - np.arange(min(size, split - below)),
+            split + 1 + above + np.arange(min(size, n_grid - split - above))))
+        js = js[np.argsort(np.abs(js * _HEATER_GRID_UM - base_um), kind="stable")[:size]]
+        taken = int(np.count_nonzero(js <= split))
+        below, above, left = below + taken, above + size - taken, left - size
+        yield js
+        size = min(2 * size, _MAX_CHUNK)
+
+
+def _endpoint_forms(lams, lambda_ref_nm: float, u_first: float, u_last: float):
+    """Linear forms taking the three anchor L_c values to the quadratic's slope
+    at both window ends and its value at the far end.
+
+    Returns the forms and their margins: per L_c, the forms' absolute terms
+    times _SCREEN_RTOL and the Vandermonde condition number.  Column i of the
+    inverse Vandermonde holds the coefficients of the Lagrange polynomial
+    through u_i.
+    """
+    u = (np.asarray(lams) - lambda_ref_nm) / U_SCALE_NM
+    a, b = u[[1, 2, 0]], u[[2, 0, 1]]  # the other two anchors, per column
+    at = np.array([[0.0, 1.0, 2.0 * u_first], [0.0, 1.0, 2.0 * u_last],
+                   [1.0, u_last, u_last**2]])
+    with np.errstate(all="ignore"):  # coincident anchors give NaN forms, which drop nothing
+        vinv = np.stack((a * b, -(a + b), np.ones(3))) / ((u - a) * (u - b))
+        cond = np.abs(vinv).sum(axis=1).max() * (1.0 + np.abs(u) + u**2).max()  # infinity norms
+        return at @ vinv, _SCREEN_RTOL * max(1.0, cond) * (np.abs(at) @ np.abs(vinv))
+
+
+def _screen(js, geos, thermals, ks, dc_len_um: float, forms):
+    """Mask of the grid indices js whose heater the scalar checks might accept.
+
+    A point is dropped only when a necessary condition fails beyond doubt:
+    an envelope at or below its |k|^2, the carrier ordering of the x roots,
+    a positive slope at either window end, or a non-positive L_c at the far
+    end (a non-increasing quadratic is smallest there).  The envelope is
+    bounded by a relative margin, and x falls as the envelope rises, as does
+    every correctly rounded step computing it, so the scalar x lies between
+    the x of the two bounds.  The quadratic's end values are linear in L_c,
+    so their bounds over the L_c box come from the forms' signed weights.
+    Any NaN or inf keeps the point for the scalar checks.
+    """
+    w, tol = forms
+    with np.errstate(all="ignore"):
+        env = np.cos(0.5 * (geos + np.multiply.outer(js * _HEATER_GRID_UM, thermals) * 1e-6)) ** 2
+        drop = np.any(env * (1.0 + _SCREEN_RTOL) <= ks, axis=1)
+        x_lo, x_hi = (0.5 * (1.0 - np.sqrt(np.maximum(1.0 - ks / (env * scale), 0.0)))
+                      for scale in (1.0 + _SCREEN_RTOL, 1.0 - _SCREEN_RTOL))
+        drop |= (x_lo[:, 0] >= x_hi[:, 1]) | (x_lo[:, 1] >= x_hi[:, 2])
+        lc_a, lc_b = (math.pi * dc_len_um / (2.0 * np.arcsin(np.sqrt(x))) for x in (x_lo, x_hi))
+        lc_lo, lc_hi = np.minimum(lc_a, lc_b), np.maximum(lc_a, lc_b)
+        pos, neg = np.maximum(w, 0.0).T, np.minimum(w, 0.0).T
+        low, high = lc_lo @ pos + lc_hi @ neg, lc_hi @ pos + lc_lo @ neg
+        margin = np.maximum(-lc_lo, lc_hi) @ tol.T
+        drop |= np.isfinite(margin).all(axis=1) & (
+            (low[:, 0] > margin[:, 0]) | (low[:, 1] > margin[:, 1])
+            | (high[:, 2] <= -margin[:, 2]))
+    return ~drop
 
 
 def solve_width_couplings(cfg: dict, device: Device, match: MatchResult) -> dict:
@@ -117,6 +190,12 @@ def solve_width_couplings(cfg: dict, device: Device, match: MatchResult) -> dict
     search stops with CalibrationInfeasible naming the span it covered.  The
     arm phase is affine in the heater length, so beta is evaluated once per
     carrier.
+
+    The grid comes in chunks that grow from 256 to 4096 points
+    (_grid_nearest_first).  A numpy screen (_screen) drops from each chunk
+    the points that fail a necessary condition beyond its margin; the scalar
+    checks below then decide the survivors in order, so the first point they
+    accept wins and every returned value comes from them.
     """
     dev_cfg = cfg["device"]
     targets = cfg["calibration_targets"]
@@ -145,34 +224,37 @@ def solve_width_couplings(cfg: dict, device: Device, match: MatchResult) -> dict
 
     lo, hi = model.lambda_window_nm
     u = (np.linspace(lo, hi, 97) - model.lambda_ref_nm) / U_SCALE_NM
+    forms = _endpoint_forms(lams, model.lambda_ref_nm, u[0], u[-1])
+    screen_args = (np.array(geos), np.array(thermals), np.array(ks), dc_len_um, forms)
 
-    n_grid = int(max_um / _HEATER_GRID_UM)
+    n_grid = min(int(max_um / _HEATER_GRID_UM), _MAX_GRID_POINTS)
     j_lo, j_hi = n_grid + 1, 0  # the span of grid indices tried so far
-    for j in itertools.islice(_grid_nearest_first(base_um, n_grid), _MAX_HEATER_CANDIDATES):
-        j_lo, j_hi = min(j_lo, j), max(j_hi, j)
-        heater = j * _HEATER_GRID_UM
-        x = []
-        for geo, thermal, k_req in zip(geos, thermals, ks):
-            env = math.cos(0.5 * (geo + thermal * heater * 1e-6)) ** 2
-            if env <= k_req:
-                break
-            # K = 4 x (1-x) env  ->  small root
-            x.append(0.5 * (1.0 - math.sqrt(1.0 - k_req / env)))
-        if len(x) < 3 or not (x[0] < x[1] < x[2]):
-            continue
-        lc_pts = [
-            (lam, math.pi * dc_len_um / (2.0 * math.asin(math.sqrt(xi))))
-            for lam, xi in zip(lams, x)
-        ]
-        coeffs = _lc_quadratic(lc_pts, model.lambda_ref_nm)
-        lc_curve = coeffs[0] + coeffs[1] * u + coeffs[2] * u**2
-        slope = coeffs[1] + 2.0 * coeffs[2] * u
-        if np.any(lc_curve <= 0.0) or np.any(slope > 0.0):
-            continue
-        return {
-            "heater_scale": heater / base_um,
-            "lc_quad_um": [float(c) for c in coeffs],
-        }
+    for chunk in _grid_nearest_first(base_um, n_grid):
+        j_lo, j_hi = min(j_lo, int(chunk.min())), max(j_hi, int(chunk.max()))
+        for j in chunk[_screen(chunk, *screen_args)].tolist():
+            heater = j * _HEATER_GRID_UM
+            x = []
+            for geo, thermal, k_req in zip(geos, thermals, ks):
+                env = math.cos(0.5 * (geo + thermal * heater * 1e-6)) ** 2
+                if env <= k_req:
+                    break
+                # K = 4 x (1-x) env  ->  small root
+                x.append(0.5 * (1.0 - math.sqrt(1.0 - k_req / env)))
+            if len(x) < 3 or not (x[0] < x[1] < x[2]):
+                continue
+            lc_pts = [
+                (lam, math.pi * dc_len_um / (2.0 * math.asin(math.sqrt(xi))))
+                for lam, xi in zip(lams, x)
+            ]
+            coeffs = _lc_quadratic(lc_pts, model.lambda_ref_nm)
+            lc_curve = coeffs[0] + coeffs[1] * u + coeffs[2] * u**2
+            slope = coeffs[1] + 2.0 * coeffs[2] * u
+            if np.any(lc_curve <= 0.0) or np.any(slope > 0.0):
+                continue
+            return {
+                "heater_scale": heater / base_um,
+                "lc_quad_um": [float(c) for c in coeffs],
+            }
     searched = f"up to {max_um} um"
     if n_grid > _MAX_HEATER_CANDIDATES:
         searched = (f"in [{j_lo * _HEATER_GRID_UM}, {j_hi * _HEATER_GRID_UM}] um "

@@ -110,6 +110,9 @@ def test_failed_verification_exits_4(monkeypatch, tmp_path):
      "mode lossless"),
     ("match", "device.ring_length_um=.nan", "ConfigError", 2,
      "config key 'device.ring_length_um' must be finite, got nan"),
+    # the heater walk's nearest-first order assumes a finite base
+    ("calibrate", "device.mzi_heater_length_um=.inf", "ConfigError", 2,
+     "config key 'device.mzi_heater_length_um' must be finite, got inf"),
     ("match", "constraints.t_step_mK=1.0e-9", "DomainError", 2,
      "search grid of "),
     ("match", "dispersion.fit_order=2", "FitError", 4,
@@ -138,7 +141,7 @@ def test_failed_verification_exits_4(monkeypatch, tmp_path):
         "match-zero-power-min", "match-negative-pump-power", "match-tiny-negative-pump-power",
         "zero-heater", "negative-fwm-rate", "zero-fwm-rate", "zero-g0",
         "zero-fwm-power", "negative-fwm-power", "underflowing-fwm-power", "zero-loss",
-        "nan-ring-length",
+        "nan-ring-length", "inf-heater-length",
         "tiny-sweep-step", "packaged-table-order-2", "negative-fit-order",
         "int-ring-length-beyond-float", "int-t-max-beyond-float",
         "int-fwm-rate-beyond-float", "int-input-rate-beyond-float",
