@@ -150,17 +150,13 @@ def build_twm_system(cfg: dict, match: MatchResult) -> TwmSystem:
     -(signal resonance - target); the pump laser detuning comes from the
     config (default 0: locked on the pump resonance).
     """
-    delta_p = TWO_PI * float(cfg["physics"]["pump_detuning_MHz"]) * 1e6
-    delta_s = -TWO_PI * match.signal_detuning_Hz
-    mk = {}
-    for role, sol in (("pump", match.pump), ("signal", match.signal),
-                      ("idler", match.idler)):
-        mk[role] = dict(m=sol.m, omega=sol.omega, kappa_ex=sol.kappa_ex,
-                        kappa_0=sol.kappa_0)
+    delta = {"pump": TWO_PI * float(cfg["physics"]["pump_detuning_MHz"]) * 1e6,
+             "signal": -TWO_PI * match.signal_detuning_Hz, "idler": 0.0}
+    channels = {role: ModeChannel(role=role, omega=sol.omega, m=sol.m, kappa_ex=sol.kappa_ex,
+                                  kappa_0=sol.kappa_0, delta=delta[role])
+                for role, sol in match.carriers}
     return TwmSystem(
-        pump=ModeChannel(role="pump", delta=delta_p, **mk["pump"]),
-        signal=ModeChannel(role="signal", delta=delta_s, **mk["signal"]),
-        idler=ModeChannel(role="idler", delta=0.0, **mk["idler"]),
+        **channels,
         g0=g0_from_config(cfg),
         mismatch=TWO_PI * match.mismatch_Hz,
         pump_power_W=0.0,
@@ -173,8 +169,8 @@ def build_fwm_channel(cfg: dict, match: MatchResult, companion_rad_s: float) -> 
         g_chi3=TWO_PI * float(_calibration(cfg)["g_chi3_over_2pi_Hz"]),
         delta_comp=float(companion_rad_s),
         kappa_comp=kappa_comp,
-        kappa_idler=match.idler.kappa_ex + match.idler.kappa_0,
-        kappa_p=match.pump.kappa_ex + match.pump.kappa_0,
+        kappa_idler=match.idler.kappa_tot,
+        kappa_p=match.pump.kappa_tot,
         kappa_p_ex=match.pump.kappa_ex,
         omega_p=match.pump.omega,
     )

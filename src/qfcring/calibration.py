@@ -24,7 +24,7 @@ import numpy as np
 
 from .builders import build_device, build_fwm_channel, operating_point
 from .config import width_key
-from .constants import TWO_PI
+from .constants import TWO_PI, db_per_m_to_kappa
 from .dispersion import U_SCALE_NM
 from .elements import Device
 from .errors import CalibrationInfeasible, NoFeasibleMatch
@@ -70,18 +70,15 @@ def _required_cross_couplings(device: Device, match: MatchResult, targets: dict)
     model, ring = device.dispersion, device.ring
     t = match.t_ring_K
     out = {}
-    for label, sol, eta_key in (
-        ("pump", match.pump, "eta_pump"),
-        ("signal", match.signal, "eta_signal"),
-        ("idler", match.idler, "eta_idler"),
-    ):
+    for label, sol in match.carriers:
+        eta_key = f"eta_{label}"
         eta = float(targets[eta_key])
         if not 0.0 < eta < 1.0:
             raise CalibrationInfeasible(
                 f"anchor 'coupling ratios': target {eta_key}={eta} must be in (0, 1)"
             )
         vg = float(model.group_velocity(sol.lambda_nm, t, ring.width_nm))
-        kappa_0 = float(ring.kappa_0(model, sol.lambda_nm, t))
+        kappa_0 = db_per_m_to_kappa(ring.alpha_prop_dB_per_m, vg)
         if kappa_0 <= 0.0:
             raise CalibrationInfeasible(
                 f"anchor 'coupling ratios': device.propagation_loss_dB_per_m="
@@ -235,12 +232,14 @@ def solve_width_couplings(cfg: dict, device: Device, match: MatchResult) -> dict
             heater = j * _HEATER_GRID_UM
             x = []
             for geo, thermal, k_req in zip(geos, thermals, ks):
-                env = math.cos(0.5 * (geo + thermal * heater * 1e-6)) ** 2
+                phase = geo + thermal * heater * 1e-6  # beyond float range: no envelope
+                env = math.cos(0.5 * phase) ** 2 if math.isfinite(phase) else 0.0
                 if env <= k_req:
                     break
                 # K = 4 x (1-x) env  ->  small root
                 x.append(0.5 * (1.0 - math.sqrt(1.0 - k_req / env)))
-            if len(x) < 3 or not (x[0] < x[1] < x[2]):
+            # a root of 0 needs an infinite coupling length
+            if len(x) < 3 or not (0.0 < x[0] < x[1] < x[2]):
                 continue
             lc_pts = [
                 (lam, math.pi * dc_len_um / (2.0 * math.asin(math.sqrt(xi))))

@@ -170,11 +170,6 @@ class RingCavity:
     def m_offset_residual(self) -> float:
         return self.m_offset_exact - self.m_offset
 
-    def kappa_0(self, dispersion: DispersionModel, lambda_nm, t_K):
-        """Intrinsic energy decay rate (rad/s) from the propagation loss."""
-        vg = dispersion.group_velocity(lambda_nm, t_K, self.width_nm)
-        return db_per_m_to_kappa(self.alpha_prop_dB_per_m, vg)
-
 
 @dataclass(frozen=True)
 class Device:
@@ -193,12 +188,14 @@ class Device:
 # Operations
 # --------------------------------------------------------------------------
 
-def _coupled_rates(device: Device, lambda_nm, t_ring_K, delta_T_K):
-    """(K, kappa_ex = K v_g / L_ring, kappa_0), v_g and kappa_0 at the ring temperature."""
-    model, ring = device.dispersion, device.ring
-    kappa_0 = ring.kappa_0(model, lambda_nm, t_ring_K)
+def _rates(device: Device, lambda_nm, t_ring_K, delta_T_K=None):
+    """(K, kappa_ex = K v_g / L_ring, kappa_0) from one v_g; K = kappa_ex = 0.0 bare."""
+    ring = device.ring
+    vg = device.dispersion.group_velocity(lambda_nm, t_ring_K, ring.width_nm)
+    kappa_0 = db_per_m_to_kappa(ring.alpha_prop_dB_per_m, vg)
+    if device.mzi is None:
+        return 0.0, 0.0, kappa_0
     K = device.mzi.cross_coupling(lambda_nm, delta_T_K)
-    vg = model.group_velocity(lambda_nm, t_ring_K, ring.width_nm)
     return K, K * vg / ring.length_m, kappa_0
 
 
@@ -208,7 +205,7 @@ def coupling_ratio(device: Device, lambda_nm, t_ring_K, delta_T_K=None):
     Rates as in mode_rates.  Warns when K exceeds the weak-coupling bound
     instead of failing.
     """
-    K, kappa_ex, kappa_0 = _coupled_rates(device, lambda_nm, t_ring_K, delta_T_K)
+    K, kappa_ex, kappa_0 = _rates(device, lambda_nm, t_ring_K, delta_T_K)
     if np.any(np.asarray(K) > WEAK_COUPLING_K_MAX):
         warnings.warn(
             f"cross-coupling K={np.max(K):.3f} exceeds the weak-coupling bound "
@@ -220,9 +217,7 @@ def coupling_ratio(device: Device, lambda_nm, t_ring_K, delta_T_K=None):
 
 def mode_rates(device: Device, lambda_nm, t_ring_K, delta_T_K=None):
     """(kappa_ex, kappa_0) in rad/s for a cavity mode at lambda_nm (0.0 kappa_ex bare)."""
-    if device.mzi is None:
-        return 0.0, device.ring.kappa_0(device.dispersion, lambda_nm, t_ring_K)
-    _, kappa_ex, kappa_0 = _coupled_rates(device, lambda_nm, t_ring_K, delta_T_K)
+    _, kappa_ex, kappa_0 = _rates(device, lambda_nm, t_ring_K, delta_T_K)
     return float(kappa_ex), float(kappa_0)
 
 

@@ -203,15 +203,12 @@ def run_couplings(cfg, out):
               np.column_stack([lam_grid, device.mzi.dc.cross_coupling(lam_grid)]))
 
     dts = np.linspace(0.0, float(exp["mzi_sweep_max_K"]), int(exp["mzi_sweep_points"]))
-    carriers = np.array([[match.pump.lambda_nm], [match.signal.lambda_nm],
-                         [match.idler.lambda_nm]])
+    carriers = np.array([[sol.lambda_nm] for _, sol in match.carriers])
     etas = coupling_ratio(device, carriers, match.t_ring_K, delta_T_K=dts)  # (3, n_dT)
     out.table("coupling_ratios", ["delta_T_mzi_K", "eta_pump", "eta_signal", "eta_idler"],
               np.column_stack([dts, etas.T]),
               operating_delta_T_K=float(cfg["device"]["mzi_delta_T_K"]),
-              carriers_nm={"pump": match.pump.lambda_nm,
-                           "signal": match.signal.lambda_nm,
-                           "idler": match.idler.lambda_nm},
+              carriers_nm={role: sol.lambda_nm for role, sol in match.carriers},
               t_ring_K=match.t_ring_K)
 
 
@@ -221,8 +218,7 @@ def run_spectrum(cfg, out):
     exp = cfg["experiment"]
     span_hz = float(exp["spectrum_span_GHz"]) * 1e9
     points = int(exp["spectrum_points"])
-    for label, sol in (("pump", match.pump), ("signal", match.signal),
-                       ("idler", match.idler)):
+    for label, sol in match.carriers:
         f0 = freq_hz(sol.lambda_nm)
         freqs = np.linspace(f0 - span_hz / 2.0, f0 + span_hz / 2.0, points)
         lams = np.sort(C_M_PER_S / freqs * 1e9)
@@ -231,7 +227,7 @@ def run_spectrum(cfg, out):
                   band=label,
                   center_wavelength_nm=sol.lambda_nm,
                   t_ring_K=match.t_ring_K,
-                  kappa_tot_over_2pi_GHz=(sol.kappa_ex + sol.kappa_0) / TWO_PI / 1e9)
+                  kappa_tot_over_2pi_GHz=sol.kappa_tot / TWO_PI / 1e9)
 
 
 def run_calibrate(cfg, out):

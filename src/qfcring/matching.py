@@ -92,8 +92,12 @@ class ModeSolution:
     kappa_0: float
 
     @property
+    def kappa_tot(self) -> float:
+        return self.kappa_ex + self.kappa_0
+
+    @property
     def eta(self) -> float:
-        tot = self.kappa_ex + self.kappa_0
+        tot = self.kappa_tot
         return self.kappa_ex / tot if tot > 0.0 else 0.0
 
     @property
@@ -124,6 +128,11 @@ class MatchResult:
     feasible: bool = True
     violations: tuple = ()
 
+    @property
+    def carriers(self) -> tuple:
+        """(role, ModeSolution) of the three modes, in pump, signal, idler order."""
+        return (("pump", self.pump), ("signal", self.signal), ("idler", self.idler))
+
     def as_dict(self):
         def mode(ms):
             return {
@@ -136,9 +145,7 @@ class MatchResult:
 
         return {
             "t_ring_K": self.t_ring_K,
-            "pump": mode(self.pump),
-            "signal": mode(self.signal),
-            "idler": mode(self.idler),
+            **{role: mode(ms) for role, ms in self.carriers},
             "signal_detuning_MHz": self.signal_detuning_Hz / 1e6,
             "mismatch_MHz": self.mismatch_Hz / 1e6,
             "qpm_mismatch": self.qpm_mismatch,
@@ -228,8 +235,7 @@ def rated(device: Device, match: MatchResult) -> MatchResult:
         kappa_ex, kappa_0 = mode_rates(device, ms.lambda_nm, match.t_ring_K)
         return replace(ms, kappa_ex=kappa_ex, kappa_0=kappa_0)
 
-    return replace(match, pump=mode(match.pump), signal=mode(match.signal),
-                   idler=mode(match.idler))
+    return replace(match, **{role: mode(ms) for role, ms in match.carriers})
 
 
 def _scan(device, constraints, t_points, m_s_list, m_p_list, m_i_list, m_offset):
@@ -338,12 +344,12 @@ def find_triple_resonance(device: Device, constraints: SearchConstraints):
     m_s_list = _m_range(device, (target_nm, target_nm), t_ends)
     m_p_list = _m_range(device, constraints.pump_window_nm, t_ends)
     m_i_list = _m_range(device, constraints.idler_window_nm, t_ends)
-    n_lines = len(m_s_list) + len(m_p_list) + len(m_i_list)
-    if max(n_lines * n_steps, len(m_p_list) * len(m_i_list)) > MAX_GRID_CELLS:
+    # stop - start, as len() of a range beyond ssize_t raises OverflowError
+    n_s, n_p, n_i = (r.stop - r.start for r in (m_s_list, m_p_list, m_i_list))
+    if max((n_s + n_p + n_i) * n_steps, n_p * n_i) > MAX_GRID_CELLS:
         raise DomainError(
-            f"search grid of {n_lines} comb lines x {n_steps} temperatures "
-            f"({len(m_p_list)} pump x {len(m_i_list)} idler lines) exceeds "
-            f"{MAX_GRID_CELLS} cells"
+            f"search grid of {n_s + n_p + n_i} comb lines x {n_steps} temperatures "
+            f"({n_p} pump x {n_i} idler lines) exceeds {MAX_GRID_CELLS} cells"
         )
     t_grid = constraints.t_min_K + step * np.arange(n_steps)
     m_offset = device.ring.m_offset
@@ -387,7 +393,7 @@ def verify_match(device: Device, result: MatchResult) -> dict:
     lines disagrees with the stored one.
     """
     cons = result.constraints
-    modes = {"pump": result.pump, "signal": result.signal, "idler": result.idler}
+    modes = dict(result.carriers)
     residuals = resonance_residual(device, [ms.m for ms in modes.values()],
                                    [ms.lambda_nm for ms in modes.values()], result.t_ring_K)
     report = {}

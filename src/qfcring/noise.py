@@ -76,6 +76,8 @@ def snr_report(rate_Hz: float, delivered_signal_rate_Hz: float):
     """
     if rate_Hz < 0.0:
         raise DomainError("noise rate must be >= 0")
+    if not math.isfinite(rate_Hz):
+        raise DomainError(f"noise rate must be finite, got {rate_Hz} Hz")
     if rate_Hz == 0.0:
         if delivered_signal_rate_Hz > 0.0:
             return float("-inf"), float("inf")
@@ -83,12 +85,13 @@ def snr_report(rate_Hz: float, delivered_signal_rate_Hz: float):
     paper_fom = 10.0 * math.log10(rate_Hz)
     if delivered_signal_rate_Hz < 0.0:
         raise DomainError("signal rate must be >= 0")
-    snr = (
-        float("-inf")
-        if delivered_signal_rate_Hz == 0.0
-        else 10.0 * math.log10(delivered_signal_rate_Hz / rate_Hz)
-    )
-    return paper_fom, snr
+    if delivered_signal_rate_Hz == 0.0:
+        return paper_fom, float("-inf")
+    ratio = delivered_signal_rate_Hz / rate_Hz
+    if ratio == 0.0:
+        raise DomainError(f"SNR of a {delivered_signal_rate_Hz:g} Hz signal over "
+                          f"{rate_Hz:g} Hz of noise is below float range")
+    return paper_fom, 10.0 * math.log10(ratio)
 
 
 @dataclass(frozen=True)

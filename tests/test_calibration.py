@@ -16,11 +16,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import src_env
-from qfcring import cli
+from qfcring import calibration, cli
 from qfcring.builders import build_constraints, build_device
 from qfcring.calibration import _grid_nearest_first, calibrate_config, solve_width_couplings
 from qfcring.config import apply_overrides
-from qfcring.constants import TWO_PI
+from qfcring.constants import TWO_PI, db_per_m_to_kappa
 from qfcring.dispersion import U_SCALE_NM, DispersionModel
 from qfcring.errors import CalibrationInfeasible
 from qfcring.matching import find_triple_resonance
@@ -50,7 +50,7 @@ def reference_scan(cfg, device, match):
                      (match.pump, "eta_pump")):
         eta = float(targets[key])
         vg = float(model.group_velocity(sol.lambda_nm, match.t_ring_K, width))
-        kappa_0 = float(ring.kappa_0(model, sol.lambda_nm, match.t_ring_K))
+        kappa_0 = db_per_m_to_kappa(ring.alpha_prop_dB_per_m, vg)
         lams.append(sol.lambda_nm)
         ks.append(kappa_0 * eta / (1.0 - eta) * ring.length_m / vg)
 
@@ -225,6 +225,42 @@ def test_astronomical_heater_bound_keeps_the_capped_span(cfg, bare_points):
         "[0.25, 262144.0] um (the 1048576 grid points nearest the base, where the search "
         "stops) places the pump near an envelope null while keeping the signal/idler "
         "envelopes strong")
+
+
+def test_unscreened_walk_rejects_before_and_at_the_lc_check(cfg, bare_points, monkeypatch):
+    # With a screen that keeps every point, the scalar checks decide the whole
+    # grid, and the walk must still land where the screened walk and the
+    # reference do.
+    screened = {width: solve_width_couplings(cfg, *bare_points[width]) for width in WIDTHS}
+    chunks, lc_calls = [], []
+    real_lc = calibration._lc_quadratic
+
+    def keep_all(js, *args):
+        chunks.append(js)
+        return np.ones(js.size, dtype=bool)
+
+    def counting_lc(*args):
+        lc_calls.append(args)
+        return real_lc(*args)
+
+    monkeypatch.setattr(calibration, "_screen", keep_all)
+    monkeypatch.setattr(calibration, "_lc_quadratic", counting_lc)
+    base_um = float(cfg["device"]["mzi_heater_length_um"])
+    before = at_lc = 0
+    for width in WIDTHS:
+        device, match = bare_points[width]
+        chunks.clear()
+        lc_calls.clear()
+        got = solve_width_couplings(cfg, device, match)
+        assert got == screened[width] == reference_scan(cfg, device, match)
+        # The walk tried the grid in order up to its winner.  A try that never
+        # reached _lc_quadratic failed the envelope or the x ordering; every
+        # L_c quadratic but the winner's failed the L_c check.
+        winner = round(got["heater_scale"] * base_um / 0.25)
+        tried = np.concatenate(chunks).tolist().index(winner) + 1
+        before += tried - len(lc_calls)
+        at_lc += len(lc_calls) - 1
+    assert before > 0 and at_lc > 0
 
 
 # (base_um, max_um, mzi_delta_T_K): the packaged heater, then a midway tie and

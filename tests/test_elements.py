@@ -13,7 +13,7 @@ from scipy.optimize import brentq
 
 from qfcring.builders import build_constraints, build_device
 from qfcring.config import apply_overrides
-from qfcring.constants import C_M_PER_S, TWO_PI, freq_hz
+from qfcring.constants import C_M_PER_S, TWO_PI, db_per_m_to_kappa, freq_hz
 from qfcring.dispersion import default_model
 from qfcring.elements import (
     RESIDUAL_TOL,
@@ -285,7 +285,7 @@ def test_spectrum_linewidth_matches_rate_model():
         lam0 = comb[len(comb) // 2][1]
         vg = float(model.group_velocity(lam0, 350.0, WIDTH))
         kappa_ex = float(mzi.cross_coupling(lam0, delta_T_K=0.0)) * vg / ring.length_m
-        kappa_0 = float(ring.kappa_0(model, lam0, 350.0))
+        kappa_0 = db_per_m_to_kappa(ring.alpha_prop_dB_per_m, vg)
         kappa_tot = kappa_ex + kappa_0
         fsr = float(model.fsr_hz(lam0, 350.0, WIDTH, ring.length_m))
         assert kappa_tot / TWO_PI < fsr / 10.0  # resolved-resonance regime

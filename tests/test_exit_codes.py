@@ -136,6 +136,19 @@ def test_failed_verification_exits_4(monkeypatch, tmp_path):
     # more digits than Python turns into an int from text
     ("match", "device.ring_length_um=1" + "0" * 5000, "ConfigError", 2,
      "override 'device.ring_length_um=1000"),
+    # the signal's x root rounds to 0, which would need an infinite coupling length
+    ("calibrate", "calibration_targets.eta_signal=1e-30", "CalibrationInfeasible", 3,
+     "anchor 'coupling ratios at the operating MZI drive': no heater length up to 1000.0 um"),
+    # the arm phase overflows to inf on most of the heater grid
+    ("calibrate", "device.mzi_delta_T_K=1.0e+305", "CalibrationInfeasible", 3,
+     "anchor 'coupling ratios at the operating MZI drive': no heater length up to 1000.0 um"),
+    # ~1e300 comb lines: more than a Python range's len() can count
+    ("match", "device.ring_length_um=1e300", "DomainError", 2,
+     "search grid of "),
+    ("tradeoff", "experiment.power_max_mW=1e300", "DomainError", 2,
+     "SNR of a "),
+    ("tradeoff", "experiment.power_min_mW=1e300", "DomainError", 2,
+     "noise rate must be finite, got inf Hz"),
 ], ids=["no-widths", "repeated-width", "width-key-beyond-float", "missing-table",
         "zero-power-max", "match-power-spacing-case",
         "match-zero-power-min", "match-negative-pump-power", "match-tiny-negative-pump-power",
@@ -146,7 +159,8 @@ def test_failed_verification_exits_4(monkeypatch, tmp_path):
         "int-ring-length-beyond-float", "int-t-max-beyond-float",
         "int-fwm-rate-beyond-float", "int-input-rate-beyond-float",
         "int-power-points-beyond-float", "huge-spectrum-points", "huge-power-points",
-        "int-beyond-str-limit"])
+        "int-beyond-str-limit", "vanishing-eta-signal", "huge-mzi-drive", "huge-ring-length",
+        "huge-power-max", "huge-power-min"])
 def test_unusable_value_exits_with_its_family_code(tmp_path, experiment, override, error,
                                                   code, message):
     override, message = (s.replace("{tmp}", str(tmp_path)) for s in (override, message))
