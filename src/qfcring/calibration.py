@@ -108,7 +108,7 @@ def _grid_nearest_first(base_um: float, n_grid: int):
     chunks stop after _MAX_HEATER_CANDIDATES indices in all, so numpy sees
     no index farther than that from the split.
     """
-    split = min(max(math.floor(base_um / _HEATER_GRID_UM), 0), n_grid)
+    split = int(min(max(base_um / _HEATER_GRID_UM, 0), n_grid))  # floor; inf -> n_grid
     below = above = 0  # indices taken from each run so far
     left = min(n_grid, _MAX_HEATER_CANDIDATES)
     size = _FIRST_CHUNK
@@ -224,7 +224,7 @@ def solve_width_couplings(cfg: dict, device: Device, match: MatchResult) -> dict
     forms = _endpoint_forms(lams, model.lambda_ref_nm, u[0], u[-1])
     screen_args = (np.array(geos), np.array(thermals), np.array(ks), dc_len_um, forms)
 
-    n_grid = min(int(max_um / _HEATER_GRID_UM), _MAX_GRID_POINTS)
+    n_grid = int(min(max(max_um / _HEATER_GRID_UM, 0), _MAX_GRID_POINTS))
     j_lo, j_hi = n_grid + 1, 0  # the span of grid indices tried so far
     for chunk in _grid_nearest_first(base_um, n_grid):
         j_lo, j_hi = min(j_lo, int(chunk.min())), max(j_hi, int(chunk.max()))

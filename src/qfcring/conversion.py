@@ -35,6 +35,23 @@ from .errors import (
 ROLES = ("pump", "signal", "idler")
 
 
+def _check_rate_powers(owner: str, power: int, rates: dict) -> None:
+    """DomainError naming the first rate whose power-th power is not a finite float.
+
+    The closed forms raise Python floats to powers, and float ** raises
+    OverflowError where numpy would give inf, so each channel checks its
+    rates once, where it is built.
+    """
+    for name, value in rates.items():
+        try:
+            finite = math.isfinite(value**power)
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise DomainError(f"{owner} {name}={value:.6g} rad/s is beyond float range"
+                              + (f" at power {power}" if power > 1 else ""))
+
+
 @dataclass(frozen=True)
 class ModeChannel:
     """One interacting cavity mode.
@@ -60,6 +77,10 @@ class ModeChannel:
             raise NonphysicalRate("decay rates must be >= 0")
         if self.kappa_tot <= 0.0:
             raise NonphysicalRate("total decay rate must be positive")
+        owner = f"{self.role} mode"
+        _check_rate_powers(owner, 1, {"omega": self.omega})
+        _check_rate_powers(owner, 2, {"kappa_ex": self.kappa_ex, "kappa_0": self.kappa_0,
+                                     "kappa_tot": self.kappa_tot, "delta": self.delta})
 
     @property
     def kappa_tot(self) -> float:
@@ -91,6 +112,8 @@ class TwmSystem:
             raise DomainError(f"channels must be (pump, signal, idler), got {roles}")
         if self.g0 < 0.0:
             raise DomainError("vacuum coupling rate must be >= 0")
+        _check_rate_powers("conversion system", 1, {"mismatch": self.mismatch})
+        _check_rate_powers("conversion system", 2, {"g0": self.g0})
         if self.pump_power_W < 0.0:
             raise DomainError("pump power must be >= 0")
 
@@ -162,6 +185,9 @@ def pump_power_unity_cooperativity(sys: TwmSystem) -> float:
         16.0 * sys.g0**2 * etas["pump"] * (1.0 - etas["pump"])
         * (1.0 - etas["signal"]) * (1.0 - etas["idler"])
     )
+    if den == 0.0:
+        raise DegenerateCoupling(f"g0={sys.g0:g} rad/s is so small that the unity-cooperativity "
+                                 "power is beyond float range")
     return num / den * HBAR_J_S * sys.pump.omega
 
 

@@ -263,6 +263,9 @@ def _m_range(device: Device, band_nm, t_K) -> range:
     lam = np.asarray(band_nm, dtype=float)[:, None]
     t = np.asarray(t_K, dtype=float).reshape(1, -1)
     m = device.dispersion.n_eff(lam, t, device.width_nm) * _length_nm(device) / lam
+    if not np.isfinite(m).all():
+        raise DomainError(f"mode numbers of a {device.ring.length_um:g} um ring "
+                          f"in band {tuple(band_nm)} nm are beyond float range")
     return range(int(math.floor(m.min())), int(math.ceil(m.max())) + 1)
 
 

@@ -25,6 +25,7 @@ from .matching import sweep_step_K
 from .noise import TradeoffVariant, efficiency_snr_tradeoff, noise_vs_power
 
 _FMT = "%.12g"
+_BLOCK_ROWS = 128
 _CONVENTIONS = {
     "rates": "kappa are total energy decay rates in rad/s; reported as /2pi",
     "companion_detuning": "config THz values are ordinary frequency, "
@@ -40,13 +41,22 @@ class _Outputs:
     JSON is written with sorted keys, indent 2, LF line endings and a
     trailing newline; CSV numbers as %.12g.  `paths` lists the files
     written, in write order.
+
+    A record is the bytes of json.dumps(record, sort_keys=True, indent=2),
+    written member by member: each value is encoded on its own the same way
+    and its newlines are re-indented by two spaces, which is safe because a
+    JSON string never holds a raw newline.  The resolved config's encoding
+    is a one-entry memo keyed by its config hash, so consecutive runs of one
+    config encode it once.  A CSV body is one `%` per block of _BLOCK_ROWS
+    rows over the flattened values.
     """
 
     def __init__(self, name, cfg, out_dir):
         self.out_dir, self.paths = out_dir, []
-        self.base = {"config_hash": config_hash(cfg), "tool_version": __version__,
-                     "experiment": name, "resolved_config": cfg,
-                     "conventions": _CONVENTIONS}
+        digest = config_hash(cfg)
+        self.base = {"config_hash": _member(digest), "tool_version": _member(__version__),
+                     "experiment": _member(name), "conventions": _member(_CONVENTIONS),
+                     "resolved_config": _resolved_config_member(digest, cfg)}
 
     def text(self, filename, text):
         path = os.path.join(self.out_dir, filename)
@@ -58,15 +68,36 @@ class _Outputs:
         self.paths.append(path)
 
     def record(self, filename, **fields):
-        self.text(filename, json.dumps({**self.base, **fields}, sort_keys=True, indent=2) + "\n")
+        members = {**self.base, **{key: _member(value) for key, value in fields.items()}}
+        self.text(filename, "{\n" + ",\n".join(
+            f"  {json.dumps(key)}: {members[key]}" for key in sorted(members)) + "\n}\n")
 
     def table(self, name, header, rows, **fields):
         """name.csv with the header row, plus its sidecar name.meta.json."""
         rows = np.atleast_2d(np.asarray(rows, dtype=float))
-        line = ",".join([_FMT] * rows.shape[1]) + "\n"
-        self.text(name + ".csv", ",".join(header) + "\n"
-                  + "".join([line % tuple(row) for row in rows.tolist()]))
+        n_rows, width = rows.shape
+        line = ",".join([_FMT] * width) + "\n"
+        values = rows.ravel().tolist()
+        body = [(line * min(_BLOCK_ROWS, n_rows - start))
+                % tuple(values[start * width:(start + _BLOCK_ROWS) * width])
+                for start in range(0, n_rows, _BLOCK_ROWS)]
+        self.text(name + ".csv", ",".join(header) + "\n" + "".join(body))
         self.record(name + ".meta.json", output=name + ".csv", **fields)
+
+
+def _member(value):
+    """A record member's value as json.dumps(record, indent=2) writes it."""
+    return json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n  ")
+
+
+_resolved_config = ("", "")  # (config hash, its _member encoding)
+
+
+def _resolved_config_member(digest, cfg):
+    global _resolved_config
+    if _resolved_config[0] != digest:
+        _resolved_config = (digest, _member(cfg))
+    return _resolved_config[1]
 
 
 def _power_grid_W(cfg):

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
+from decimal import Decimal
 
 import numpy as np
 
@@ -309,6 +310,11 @@ def _scan(device, constraints, t_points, m_s_list, m_p_list, m_i_list, m_offset)
     return feasible, near
 
 
+def _count(n: int) -> str:
+    """A line or step count: exact up to 10**15, else to three digits."""
+    return str(n) if n <= 10**15 else format(Decimal(n), ".3g")
+
+
 def find_triple_resonance(device: Device, constraints: SearchConstraints):
     """Sweep the ring-tuner temperature and return all feasible matches.
 
@@ -348,8 +354,9 @@ def find_triple_resonance(device: Device, constraints: SearchConstraints):
     n_s, n_p, n_i = (r.stop - r.start for r in (m_s_list, m_p_list, m_i_list))
     if max((n_s + n_p + n_i) * n_steps, n_p * n_i) > MAX_GRID_CELLS:
         raise DomainError(
-            f"search grid of {n_s + n_p + n_i} comb lines x {n_steps} temperatures "
-            f"({n_p} pump x {n_i} idler lines) exceeds {MAX_GRID_CELLS} cells"
+            f"search grid of {_count(n_s + n_p + n_i)} comb lines x {_count(n_steps)} "
+            f"temperatures ({_count(n_p)} pump x {_count(n_i)} idler lines) exceeds "
+            f"{MAX_GRID_CELLS} cells"
         )
     t_grid = constraints.t_min_K + step * np.arange(n_steps)
     m_offset = device.ring.m_offset

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import HBAR_J_S
-from .conversion import TwmSystem, efficiency_vs_power
+from .conversion import TwmSystem, _check_rate_powers, efficiency_vs_power
 from .errors import DomainError
 
 LOG10 = math.log(10.0)
@@ -46,6 +46,10 @@ class FwmChannel:
                 raise DomainError(f"{name} must be positive")
         if self.kappa_p_ex > self.kappa_p:
             raise DomainError("kappa_p_ex cannot exceed kappa_p")
+        _check_rate_powers("FWM channel", 2, {
+            "g_chi3": self.g_chi3, "delta_comp": self.delta_comp, "kappa_p_ex": self.kappa_p_ex,
+            "kappa_idler + kappa_comp": self.kappa_idler + self.kappa_comp})
+        _check_rate_powers("FWM channel", 4, {"kappa_p": self.kappa_p})
 
 
 def fwm_noise_rate(ch: FwmChannel, pump_power_W):

@@ -8,6 +8,7 @@ subprocess path.
 import contextlib
 import io
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -149,6 +150,21 @@ def test_failed_verification_exits_4(monkeypatch, tmp_path):
      "SNR of a "),
     ("tradeoff", "experiment.power_min_mW=1e300", "DomainError", 2,
      "noise rate must be finite, got inf Hz"),
+    # rates whose powers in the closed forms overflow Python floats
+    ("convert", "physics.pump_detuning_MHz=-1e300", "DomainError", 2,
+     "pump mode delta=-6.28319e+306 rad/s is beyond float range at power 2"),
+    ("noise", "device.propagation_loss_dB_per_m=1e300", "DomainError", 2,
+     "pump mode kappa_0=3.26766e+307 rad/s is beyond float range at power 2"),
+    ("convert", "calibration.g0_full_over_2pi_MHz=1e300", "DomainError", 2,
+     "conversion system g0=2.82743e+306 rad/s is beyond float range at power 2"),
+    ("noise", "calibration.g_chi3_over_2pi_Hz=1e300", "DomainError", 2,
+     "FWM channel g_chi3=6.28319e+300 rad/s is beyond float range at power 2"),
+    # g0^2 underflows to 0 in the unity-cooperativity power
+    ("noise", "calibration.g0_full_over_2pi_MHz=1e-300", "DegenerateCoupling", 2,
+     "g0=2.82743e-294 rad/s is so small that the unity-cooperativity power"),
+    # the mode numbers n_eff L / lambda overflow to inf
+    ("match", "device.ring_length_um=1e305", "DomainError", 2,
+     "mode numbers of a 1e+305 um ring in band "),
 ], ids=["no-widths", "repeated-width", "width-key-beyond-float", "missing-table",
         "zero-power-max", "match-power-spacing-case",
         "match-zero-power-min", "match-negative-pump-power", "match-tiny-negative-pump-power",
@@ -160,7 +176,8 @@ def test_failed_verification_exits_4(monkeypatch, tmp_path):
         "int-fwm-rate-beyond-float", "int-input-rate-beyond-float",
         "int-power-points-beyond-float", "huge-spectrum-points", "huge-power-points",
         "int-beyond-str-limit", "vanishing-eta-signal", "huge-mzi-drive", "huge-ring-length",
-        "huge-power-max", "huge-power-min"])
+        "huge-power-max", "huge-power-min", "huge-pump-detuning", "huge-loss", "huge-g0",
+        "huge-g-chi3", "vanishing-g0", "ring-length-beyond-mode-numbers"])
 def test_unusable_value_exits_with_its_family_code(tmp_path, experiment, override, error,
                                                   code, message):
     override, message = (s.replace("{tmp}", str(tmp_path)) for s in (override, message))
@@ -306,7 +323,8 @@ def _is_numeric(expected):
 
 NUMERIC_KEYS = [f"{section}.{key}" for section, body in SCHEMA.items()
                 for key, expected in body.items() if _is_numeric(expected)]
-EXTREMES = ("0", "-1", "1.0e-9", "1.0e+9", ".nan", ".inf", "-.inf")
+EXTREMES = ("0", "-1", "1.0e-30", "1.0e-9", "1.0e+9", "1.0e+300", "-1.0e+300", ".nan", ".inf",
+            "-.inf")
 
 
 @settings(max_examples=120, derandomize=True, deadline=None, database=None,
@@ -337,6 +355,23 @@ EXTREMES = ("0", "-1", "1.0e-9", "1.0e+9", ".nan", ".inf", "-.inf")
 @example(key="calibration_targets.max_heater_length_um", value=".inf", experiment="calibrate")
 @example(key="calibration_targets.max_heater_length_um", value="-.inf", experiment="calibrate")
 @example(key="calibration.g_chi3_over_2pi_Hz", value=".inf", experiment="tradeoff")
+@example(key="device.propagation_loss_dB_per_m", value="1.0e+300", experiment="convert")
+@example(key="device.propagation_loss_dB_per_m", value="1.0e+300", experiment="noise")
+@example(key="device.propagation_loss_dB_per_m", value="1.0e+300", experiment="tradeoff")
+@example(key="physics.pump_detuning_MHz", value="1.0e+300", experiment="convert")
+@example(key="physics.pump_detuning_MHz", value="1.0e+300", experiment="tradeoff")
+@example(key="physics.pump_detuning_MHz", value="-1.0e+300", experiment="convert")
+@example(key="physics.pump_detuning_MHz", value="-1.0e+300", experiment="tradeoff")
+@example(key="calibration.g0_full_over_2pi_MHz", value="1.0e+300", experiment="convert")
+@example(key="calibration.g0_full_over_2pi_MHz", value="1.0e+300", experiment="noise")
+@example(key="calibration.g0_full_over_2pi_MHz", value="1.0e+300", experiment="tradeoff")
+@example(key="calibration.g_chi3_over_2pi_Hz", value="1.0e+300", experiment="noise")
+@example(key="calibration.g_chi3_over_2pi_Hz", value="1.0e+300", experiment="tradeoff")
+@example(key="calibration.g0_full_over_2pi_MHz", value="1.0e-300", experiment="convert")
+@example(key="device.ring_length_um", value="1.0e+305", experiment="spectrum")
+@example(key="device.mzi_heater_length_um", value="1.7e+308", experiment="calibrate")
+@example(key="calibration_targets.max_heater_length_um", value="1.7e+308", experiment="calibrate")
+@example(key="calibration_targets.max_heater_length_um", value="-1.7e+308", experiment="calibrate")
 def test_any_single_extreme_override_exits_with_a_documented_code(tmp_path, key, value,
                                                                   experiment):
     out_dir = tempfile.mkdtemp(dir=tmp_path)
@@ -347,3 +382,19 @@ def test_any_single_extreme_override_exits_with_a_documented_code(tmp_path, key,
         assert json.loads(out)["experiment"] == experiment
     else:
         error_record(code, err)
+
+
+def test_search_grid_counts_are_exact_until_they_are_huge(tmp_path):
+    def message(override):
+        code, _, err = run_main(["match", "--override", override,
+                                 "--out-dir", str(tmp_path / "out")])
+        record = error_record(code, err)
+        assert record["error"] == "DomainError"
+        return record["message"]
+
+    huge = message("device.ring_length_um=1e300")
+    assert huge.startswith("search grid of ") and len(huge) < 200, huge
+    exact = re.fullmatch(r"search grid of (\d+) comb lines x (\d+) temperatures "
+                         r"\((\d+) pump x (\d+) idler lines\) exceeds \d+ cells",
+                         message("constraints.t_step_mK=1.0e-9"))
+    assert exact and int(exact[2]) > 10**13, exact
