@@ -34,8 +34,7 @@ def main():
     header("2. Operating point from the triple-resonance search")
     match = find_triple_resonance(device, build_constraints(cfg))[0]
     print(f"  T_ring = {match.t_ring_K:.3f} K")
-    carriers = {"pump": match.pump, "signal": match.signal, "idler": match.idler}
-    for role, sol in carriers.items():
+    for role, sol in match.carriers:
         print(f"  {role:>7}: lambda = {sol.lambda_nm:9.3f} nm   eta = {sol.eta:.3f}")
 
     header(f"3. Coupling ratios versus MZI drive (operating at {dt_op} K)")
@@ -43,7 +42,7 @@ def main():
     print(f"{'dT (K)':>8} {'eta_pump':>9} {'eta_signal':>11} {'eta_idler':>10}")
     for dt in dts:
         etas = [coupling_ratio(device, sol.lambda_nm, match.t_ring_K, delta_T_K=float(dt))
-                for sol in (carriers["pump"], carriers["signal"], carriers["idler"])]
+                for _, sol in match.carriers]
         mark = "  <== operating drive" if abs(dt - dt_op) < 2.5 else ""
         print(f"{dt:8.1f} {etas[0]:9.3f} {etas[1]:11.3f} {etas[2]:10.3f}{mark}")
 
@@ -54,7 +53,7 @@ def main():
 
         dts = np.linspace(0.0, 60.0, 241)
         fig, ax = plt.subplots(figsize=(5.4, 3.4))
-        for role, sol in carriers.items():
+        for role, sol in match.carriers:
             eta = [coupling_ratio(device, sol.lambda_nm, match.t_ring_K, delta_T_K=float(d))
                    for d in dts]
             ax.plot(dts, eta, label=role)

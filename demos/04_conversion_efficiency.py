@@ -36,9 +36,8 @@ def main():
     header("1. Operating point")
     print(f"  g0/2pi = {system.g0 / TWO_PI / 1e6:.3f} MHz "
           f"(poled fraction {cfg['device']['ppln_fraction']})")
-    for role in ("pump", "signal", "idler"):
-        ch = getattr(system, role)
-        print(f"  {role:>7}: kappa/2pi = {ch.kappa_tot / TWO_PI / 1e9:6.3f} GHz, "
+    for ch in system.channels:
+        print(f"  {ch.role:>7}: kappa/2pi = {ch.kappa_tot / TWO_PI / 1e9:6.3f} GHz, "
               f"eta = {ch.eta:.3f}")
     p_max = pump_power_unity_cooperativity(system)
     print(f"  unity-cooperativity power: {p_max * 1e3:.4f} mW")

@@ -373,7 +373,7 @@ def main():
         fh.write(table_text(deficits))
 
     import qfcring.builders as builders
-    builders._load_model.cache_clear()
+    builders._packaged_model.cache_clear()
 
     validate_config(cfg)
     cfg = calibrate_config(cfg)
@@ -385,7 +385,7 @@ def main():
     with open(os.path.join(DATA_DIR, "default_config.yaml"), "w",
               encoding="utf-8", newline="\n") as fh:
         fh.write(emit_config(cfg, comments=DEFAULT_COMMENTS, header=header))
-    builders._load_model.cache_clear()
+    builders._packaged_model.cache_clear()
 
     # ---- summary + frozen regression constants ---------------------------
     regression = {"widths": {}}
@@ -397,7 +397,7 @@ def main():
         _, eta_ex = external_efficiency(system.with_power(p_max))
         channel, _ = fwm_channel_at(cfg, device, match)
         r_at_pmax = fwm_noise_rate(channel, p_max)
-        etas = {r: getattr(match, r).eta for r in ("pump", "signal", "idler")}
+        etas = {role: sol.eta for role, sol in match.carriers}
         print(
             f"width {width:.0f}: T_ring={match.t_ring_K:.4f} K  "
             f"pump={match.pump.lambda_nm:.4f} nm  "

@@ -6,6 +6,7 @@ writes or describes a file.
 
 from __future__ import annotations
 
+import warnings
 from functools import lru_cache
 
 from .config import width_key
@@ -21,20 +22,34 @@ from .noise import FwmChannel
 # Verified sweeps kept per process, least recently used dropped first: enough
 # for one config's widths plus its primary width, bare ring and coupled.
 _SWEEP_MEMO_SIZE = 8
+# Largest |eta - calibration target| at a matched carrier that still counts as
+# the calibrated coupler: the packaged config reads 1e-16, a changed device 1e-2.
+_DRIFT_TOL = 1e-3
+
+
+class CalibrationDrift(UserWarning):
+    """The calibrated coupler misses its coupling-ratio targets at a matched carrier."""
 
 
 @lru_cache(maxsize=8)
-def _load_model(table_file, fit_order: int) -> DispersionModel:
-    # A null table_file is the packaged table, fitted at fit_order like any other.
-    try:
-        return load_dispersion_table(table_file, order=fit_order)
-    except OSError as exc:
-        raise ConfigError(f"cannot read dispersion table {table_file}: {exc}") from None
+def _packaged_model(fit_order: int) -> DispersionModel:
+    return load_dispersion_table(None, order=fit_order)
 
 
 def build_dispersion_model(cfg: dict) -> DispersionModel:
+    """The config's dispersion model: a null table_file is the packaged table.
+
+    Only the packaged fit is cached (keyed by fit_order).  A table file is
+    read and fitted on every call, so a file edited in place, or a relative
+    name read from another working directory, is never answered by a stale fit.
+    """
     d = cfg["dispersion"]
-    return _load_model(d["table_file"], int(d["fit_order"]))
+    if d["table_file"] is None:
+        return _packaged_model(int(d["fit_order"]))
+    try:
+        return load_dispersion_table(d["table_file"], order=int(d["fit_order"]))
+    except OSError as exc:
+        raise ConfigError(f"cannot read dispersion table {d['table_file']}: {exc}") from None
 
 
 def _width_entry(mapping: dict, width_nm: float, what: str):
@@ -132,9 +147,23 @@ def operating_point(cfg: dict, width_nm=None, with_coupler=True):
     neither sweeps again nor re-emits the sweep's coverage warning.  Errors
     are not memoised.  The CLI runs one experiment per process, so it
     always sweeps.
+
+    On a coupled device every call compares each carrier's eta in the best
+    match with calibration_targets.eta_<role> and warns (CalibrationDrift)
+    once, naming the worst role, when one is off by more than _DRIFT_TOL.
     """
     device = build_device(cfg, width_nm=width_nm, with_coupler=with_coupler)
-    return device, _verified_matches(device, build_constraints(cfg))
+    matches = _verified_matches(device, build_constraints(cfg))
+    if with_coupler:
+        targets = cfg["calibration_targets"]
+        gap, role, eta = max((abs(sol.eta - float(targets[f"eta_{role}"])), role, sol.eta)
+                             for role, sol in matches[0].carriers)
+        if gap > _DRIFT_TOL:
+            warnings.warn(f"width {device.width_nm:g} nm: {role} eta {eta:.4f} misses its "
+                          f"calibration target {targets[f'eta_{role}']:g}; the calibration "
+                          "no longer fits this device, re-run `qfcring calibrate`",
+                          CalibrationDrift, stacklevel=2)
+    return device, matches
 
 
 def g0_from_config(cfg: dict) -> float:

@@ -107,7 +107,7 @@ class TwmSystem:
     pump_power_W: float = 0.0
 
     def __post_init__(self):
-        roles = (self.pump.role, self.signal.role, self.idler.role)
+        roles = tuple(ch.role for ch in self.channels)
         if roles != ROLES:
             raise DomainError(f"channels must be (pump, signal, idler), got {roles}")
         if self.g0 < 0.0:
@@ -116,6 +116,11 @@ class TwmSystem:
         _check_rate_powers("conversion system", 2, {"g0": self.g0})
         if self.pump_power_W < 0.0:
             raise DomainError("pump power must be >= 0")
+
+    @property
+    def channels(self) -> tuple:
+        """The pump, signal and idler ModeChannels, in that order."""
+        return (self.pump, self.signal, self.idler)
 
     def with_power(self, pump_power_W: float) -> "TwmSystem":
         return replace(self, pump_power_W=pump_power_W)
@@ -169,9 +174,7 @@ def _efficiencies(sys: TwmSystem, powers_W):
 
 def pump_power_unity_cooperativity(sys: TwmSystem) -> float:
     """Drive power (W) at which C = 1 with the pump on resonance."""
-    etas = {
-        "pump": sys.pump.eta, "signal": sys.signal.eta, "idler": sys.idler.eta,
-    }
+    etas = {ch.role: ch.eta for ch in sys.channels}
     for role, eta in etas.items():
         if eta <= 0.0 or eta >= 1.0:
             raise DegenerateCoupling(
@@ -236,6 +239,14 @@ def _detunings(sys: TwmSystem):
     return sys.pump.delta, sys.signal.delta, sys.signal.delta - sys.pump.delta - sys.mismatch
 
 
+def _fastest_rate(sys: TwmSystem, state=(0j, 0j, 0j)) -> float:
+    """The fastest rate an RK4 step resolves: each kappa_tot, |d_p|, |d_b|, |d_c|,
+    g|x| for each amplitude x of state and the pump bound g 4 sqrt(k_p_ex) s_in / k_p."""
+    return max(*(ch.kappa_tot for ch in sys.channels), *(abs(d) for d in _detunings(sys)),
+               *(sys.g0 * abs(x) for x in state),
+               sys.g0 * 4.0 * _pump_drive(sys) / sys.pump.kappa_tot)
+
+
 def _mean_field(sys: TwmSystem, signal_flux):
     """(rhs, jacobian) of the mean-field equations, the one implementation.
 
@@ -285,7 +296,7 @@ def evolve_mean_field(sys: TwmSystem, initial=(0j, 0j, 0j), dt=None, steps=None,
     conversion oracle.  The rotating-frame detunings are the channels'
     `delta` fields with d_c = d_s - d_p - mismatch for the idler.
 
-    Raises StepSizeTooLarge when dt * max(kappa, g|a|, |delta|) >= 0.1 and
+    Raises StepSizeTooLarge when dt * _fastest_rate(sys, initial) >= 0.1 and
     NonFinite if amplitudes overflow.  Bitwise deterministic for fixed dt; the
     last step is always sampled, so resuming from final() is bit-identical.
     converged: |f_x| < _RESIDUAL_TOL * min(kappa) * |x| at the end for x = a, b, c.
@@ -295,15 +306,10 @@ def evolve_mean_field(sys: TwmSystem, initial=(0j, 0j, 0j), dt=None, steps=None,
     if dt is None or dt <= 0.0:
         raise DomainError("dt must be positive")
 
-    kp, ks, ki = sys.pump.kappa_tot, sys.signal.kappa_tot, sys.idler.kappa_tot
-    dp, db_, dc_ = _detunings(sys)
-    g = sys.g0
-    drive_p = _pump_drive(sys)
     rhs, _ = _mean_field(sys, signal_flux)
 
     a, b, c = (complex(x) for x in initial)
-    a_scale = max(abs(a), abs(b), abs(c), 4.0 * drive_p / kp if kp > 0 else 0.0)
-    rate = max(kp, ks, ki, abs(dp), abs(db_), abs(dc_), g * a_scale)
+    rate = _fastest_rate(sys, (a, b, c))
     if dt * rate >= 0.1:
         raise StepSizeTooLarge(
             f"dt*max-rate = {dt * rate:.3g} >= 0.1; reduce dt below {0.1 / rate:.3g}"
@@ -331,7 +337,7 @@ def evolve_mean_field(sys: TwmSystem, initial=(0j, 0j, 0j), dt=None, steps=None,
             mags = (abs(a), abs(b), abs(c))
             if not all(math.isfinite(m) for m in mags):
                 raise NonFinite(f"amplitudes diverged at step {step}")
-            if dt * g * max(mags) >= 0.1:
+            if dt * sys.g0 * max(mags) >= 0.1:
                 raise StepSizeTooLarge(
                     f"nonlinear rate g|a| grew past the stability bound at step {step}"
                 )
@@ -340,7 +346,8 @@ def evolve_mean_field(sys: TwmSystem, initial=(0j, 0j, 0j), dt=None, steps=None,
             traj_a[idx], traj_b[idx], traj_c[idx] = a, b, c
             idx += 1
 
-    converged = _settled(rhs, (a, b, c), _RESIDUAL_TOL, min(kp, ks, ki))
+    converged = _settled(rhs, (a, b, c), _RESIDUAL_TOL,
+                         min(ch.kappa_tot for ch in sys.channels))
     return MeanFieldTrajectory(times, traj_a, traj_b, traj_c, converged)
 
 
@@ -388,30 +395,24 @@ def steady_state_conversion(sys: TwmSystem, steps=None):
     output-idler flux over the input-signal flux:
     eta_ex = kappa_i_ex |c_ss|^2 / signal_flux.
 
-    The step is dt = 0.09/fast, fast covering every rate the step-size guard
-    measures (d_c and g * 4 sqrt(k_p_ex) s_in / k_p too), so it stays under
-    the guard's 0.1; RK4's fixed point is the exact steady state at any
-    stable dt.  Chunks of _CHECK_EVERY steps resume from the last until one
-    ends converged (relative residual < _RESIDUAL_TOL).  A chunk that ends
-    with every relative residual below _POLISH_GATE = 1e-3 is polished by
-    Newton on the integrator's own right-hand side, with the 6x6 Jacobian in
-    (a, b, c, a*, b*, c*) solved in Python complex floats.  The polished state
-    is kept only if it passes the same _RESIDUAL_TOL test and every eigenvalue
-    of the Jacobian there has Re < 0; otherwise integration goes on.  steps
-    (default 320/slow of time, slow the smallest kappa) is the budget, then
-    NumericalFailure.
+    The step is dt = 0.09 / _fastest_rate(sys), the rule the step-size guard
+    applies, so it stays under the guard's 0.1; RK4's fixed point is the exact
+    steady state at any stable dt.  Chunks of _CHECK_EVERY steps resume from
+    the last until one ends converged (relative residual < _RESIDUAL_TOL).  A
+    chunk that ends with every relative residual below _POLISH_GATE = 1e-3 is
+    polished by Newton on the integrator's own right-hand side, with the 6x6
+    Jacobian in (a, b, c, a*, b*, c*) solved in Python complex floats.  The
+    polished state is kept only if it passes the same _RESIDUAL_TOL test and
+    every eigenvalue of the Jacobian there has Re < 0; otherwise integration
+    goes on.  steps (default 320/slow of time, slow the smallest kappa) is the
+    budget, then NumericalFailure.
     """
-    kp = sys.pump.kappa_tot
-    dp, ds, d_c = _detunings(sys)
-    drive_p = _pump_drive(sys)
     # target steady |b| ~ 1e-3 |alpha|, |alpha|^2 = s_in^2 / (d_p^2 + k_p^2/4)
-    n_pump = drive_p**2 / (dp**2 + 0.25 * kp**2)
+    n_pump = _pump_drive(sys)**2 / (sys.pump.delta**2 + 0.25 * sys.pump.kappa_tot**2)
     signal_flux = (1e-6 * n_pump * sys.signal.kappa_tot**2
                    / (4.0 * max(sys.signal.kappa_ex, 1e-300)))
-    slow = min(kp, sys.signal.kappa_tot, sys.idler.kappa_tot)
-    fast = max(kp, sys.signal.kappa_tot, sys.idler.kappa_tot, abs(dp), abs(ds), abs(d_c),
-               sys.g0 * 4.0 * drive_p / kp)
-    dt = 0.09 / fast
+    slow = min(ch.kappa_tot for ch in sys.channels)
+    dt = 0.09 / _fastest_rate(sys)
     steps = int(320.0 / (slow * dt)) + 1 if steps is None else steps
     rhs, jacobian = _mean_field(sys, signal_flux)
     state = (0j, 0j, 0j)

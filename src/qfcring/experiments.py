@@ -119,10 +119,8 @@ def _rates_meta(match, system):
         "operating_point": match.as_dict(),
         "rates": {
             "g0_over_2pi_MHz": system.g0 / TWO_PI / 1e6,
-            "kappa_over_2pi_GHz": {
-                role: getattr(system, role).kappa_tot / TWO_PI / 1e9
-                for role in ("pump", "signal", "idler")
-            },
+            "kappa_over_2pi_GHz": {ch.role: ch.kappa_tot / TWO_PI / 1e9
+                                   for ch in system.channels},
             "detunings_MHz": {
                 "signal": system.signal.delta / TWO_PI / 1e6,
                 "pump": system.pump.delta / TWO_PI / 1e6,

@@ -1,15 +1,20 @@
-"""The process-level memo of verified operating points in `builders`, and the
-one companion rule of the FWM noise channel (`builders.fwm_channel_at`)."""
+"""The process-level memo of verified operating points in `builders`, the
+dispersion fit cache, the calibration drift warning, and the one companion
+rule of the FWM noise channel (`builders.fwm_channel_at`)."""
 
 import contextlib
 import copy
 import dataclasses
+import json
+import os
+import re
+import warnings
 from importlib import resources
 from types import SimpleNamespace
 
 import pytest
 
-from qfcring import builders, matching
+from qfcring import builders, cli, matching
 from qfcring.config import apply_overrides, width_key
 from qfcring.constants import TWO_PI
 from qfcring.elements import Device
@@ -187,10 +192,58 @@ def test_memo_is_bounded_least_recently_used_first(cfg, sweeps):
 @pytest.mark.parametrize("with_coupler", [True, False], ids=["coupled", "bare"])
 def test_device_built_after_a_refit_equals_the_one_before(cfg, with_coupler):
     before = builders.build_device(cfg, with_coupler=with_coupler)
-    builders._load_model.cache_clear()
+    builders._packaged_model.cache_clear()
     after = builders.build_device(cfg, with_coupler=with_coupler)
     assert after.dispersion is not before.dispersion
     assert after == before and hash(after) == hash(before)
+
+
+def test_table_file_rewritten_in_place_is_refit(cfg, tmp_path):
+    path = _perturbed_table(tmp_path, 1.0)
+    table_cfg = _edited(cfg, ("dispersion", "table_file"), lambda _: path)
+    before = builders.build_dispersion_model(table_cfg).content_hash()
+    os.replace(_perturbed_table(tmp_path, 1.001), path)
+    assert builders.build_dispersion_model(table_cfg).content_hash() != before
+
+
+def test_relative_table_file_is_read_from_the_working_directory(cfg, tmp_path, monkeypatch):
+    relative = _edited(cfg, ("dispersion", "table_file"), lambda _: "table.csv")
+    hashes = []
+    for scale in (1.0, 1.001):
+        folder = tmp_path / f"scale_{scale!r}"
+        folder.mkdir()
+        os.replace(_perturbed_table(tmp_path, scale), folder / "table.csv")
+        monkeypatch.chdir(folder)
+        hashes.append(builders.build_dispersion_model(relative).content_hash())
+    assert hashes[0] != hashes[1]
+
+
+# --- the calibration drift warning -------------------------------------------
+
+# Each moves a matched carrier's eta by 1e-2 or more off its calibration target.
+DRIFTING = ["device.mzi_heater_length_um=120", "device.propagation_loss_dB_per_m=30",
+            "dispersion.dn_dT_per_K=4.0e-5", "device.mzi_delta_T_K=27"]
+
+
+@pytest.mark.parametrize("override", DRIFTING)
+def test_drifted_device_warns_once_per_swept_width(cfg, tmp_path, capsys, override):
+    assert cli.main(["tradeoff", "--override", override, "--out-dir", str(tmp_path)]) == 0
+    record = json.loads(capsys.readouterr().out)
+    drift = [w for w in record["warnings"] if "qfcring calibrate" in w]
+    pattern = r"width (\S+) nm: (pump|signal|idler) eta \S+ misses its calibration target "
+    assert [re.match(pattern, w).group(1) for w in drift] == [
+        f"{w:g}" for w in sorted(cfg["experiment"]["widths_nm"])]
+
+
+@pytest.mark.parametrize("overrides", [
+    [], ["constraints.t_step_mK=2"], ["constraints.t_step_mK=12"],
+    ["dispersion.fit_order=9"], ["physics.pump_detuning_MHz=100"],
+], ids=["packaged", "step-2mK", "step-12mK", "fit-order-9", "pump-detuning-100MHz"])
+def test_calibrated_device_does_not_warn_of_drift(cfg, tmp_path, overrides):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        run_experiment("tradeoff", apply_overrides(cfg, overrides), str(tmp_path))
+    assert not [w for w in caught if issubclass(w.category, builders.CalibrationDrift)]
 
 
 # --- the companion rule ----------------------------------------------------

@@ -79,8 +79,9 @@ def test_default_noise_curve_stays_low(cfg):
 
 def test_make_goldens_check_reproduces_committed_outputs(tmp_path):
     script = Path(__file__).resolve().parent.parent / "scripts" / "make_goldens.py"
-    proc = subprocess.run([sys.executable, str(script), "--check"], capture_output=True,
-                          text=True, cwd=tmp_path, env=src_env())
+    # As CI runs it: a new RuntimeWarning fails here, not only in CI.
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", str(script), "--check"],
+                          capture_output=True, text=True, cwd=tmp_path, env=src_env())
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "0 generated files differ" in proc.stdout
 
