@@ -33,13 +33,14 @@ import numpy as np
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from qfcring.calibration import CALIBRATION_COMMENTS, calibrate_config
+from qfcring.calibration import calibrate_config
 from qfcring.config import emit_config, validate_config, width_key
 from qfcring.constants import DB_TO_NEPERS_POWER, HBAR_J_S, TWO_PI, freq_hz
 from qfcring.conversion import external_efficiency, pump_power_unity_cooperativity
 from qfcring.builders import build_device, build_twm_system, fwm_channel_at, operating_point
 from qfcring.dispersion import fit_dispersion_table, parse_dispersion_table
 from qfcring.elements import Device, RingCavity
+from qfcring.experiments import CALIBRATION_COMMENTS
 from qfcring.matching import SearchConstraints, find_triple_resonance
 from qfcring.noise import fwm_noise_rate
 

@@ -329,15 +329,3 @@ def calibrate_config(cfg: dict) -> dict:
     out["calibration"]["g_chi3_over_2pi_Hz"] = solve_g_chi3_over_2pi_Hz(out, match)
     return out
 
-
-CALIBRATION_COMMENTS = {
-    "calibration": "Solved by the `calibrate` experiment; do not edit by hand.",
-    "calibration.g0_full_over_2pi_MHz":
-        "unpoled-ring vacuum rate: g0 target / poled fraction",
-    "calibration.g_chi3_over_2pi_Hz":
-        "chi(3) vacuum rate anchored to the noise-rate target at the anchor "
-        "power and companion detuning",
-    "calibration.by_width":
-        "per-width heater length (as a scale on the base) and coupling-length "
-        "quadratic hitting the coupling-ratio targets at the matched carriers",
-}

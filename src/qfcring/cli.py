@@ -48,7 +48,8 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         cfg = apply_overrides(cfg, args.overrides)
         with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
+            # once per message and source line: calibrate builds one ring twice
+            warnings.simplefilter("default")
             outputs = run_experiment(args.experiment, cfg, args.out_dir)
         record = {
             "experiment": args.experiment,

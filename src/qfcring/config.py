@@ -181,7 +181,7 @@ def _check_value(path: str, value, expected):
         if not isinstance(value, bool):
             raise ConfigError(f"config key '{path}' must be a boolean")
         return
-    if isinstance(value, bool) and bool not in (expected if isinstance(expected, tuple) else (expected,)):
+    if isinstance(value, bool) and int in (expected if isinstance(expected, tuple) else (expected,)):
         raise ConfigError(f"config key '{path}' must be a number, got boolean")
     if not isinstance(value, expected):
         raise ConfigError(f"config key '{path}' has wrong type {type(value).__name__}")

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import __version__
 from .builders import build_twm_system, fwm_channel_at, operating_point
-from .calibration import CALIBRATION_COMMENTS, calibrate_config
+from .calibration import calibrate_config
 from .config import config_hash, emit_config, width_key
 from .constants import C_M_PER_S, TWO_PI, freq_hz
 from .conversion import efficiency_vs_power, pump_power_unity_cooperativity
@@ -114,9 +114,26 @@ def _companion_meta(channel, source):
             "companion_detuning_over_2pi_THz": channel.delta_comp / TWO_PI / 1e12}
 
 
+def _match_record(match):
+    """A match's record: /2pi rates in GHz, offsets in MHz.  Only matches the
+    sweep returned are recorded, so each is feasible and violates nothing."""
+    return {
+        "t_ring_K": match.t_ring_K,
+        **{role: {"m": ms.m, "wavelength_nm": ms.lambda_nm,
+                  "kappa_ex_over_2pi_GHz": ms.kappa_ex / TWO_PI / 1e9,
+                  "kappa_0_over_2pi_GHz": ms.kappa_0 / TWO_PI / 1e9, "eta": ms.eta}
+           for role, ms in match.carriers},
+        "signal_detuning_MHz": match.signal_detuning_Hz / 1e6,
+        "mismatch_MHz": match.mismatch_Hz / 1e6,
+        "qpm_mismatch": match.qpm_mismatch,
+        "feasible": True,
+        "violations": [],
+    }
+
+
 def _rates_meta(match, system):
     return {
-        "operating_point": match.as_dict(),
+        "operating_point": _match_record(match),
         "rates": {
             "g0_over_2pi_MHz": system.g0 / TWO_PI / 1e6,
             "kappa_over_2pi_GHz": {ch.role: ch.kappa_tot / TWO_PI / 1e9
@@ -138,8 +155,8 @@ def run_match(cfg, out):
     best = results[0]
     constraints = best.constraints
     out.record("match.json",
-               best=best.as_dict(),
-               all_matches=[r.as_dict() for r in results],
+               best=_match_record(best),
+               all_matches=[_match_record(r) for r in results],
                sweep_step_mK=sweep_step_K(device, constraints) * 1e3,
                constraints=_constraints_dict(constraints),
                dispersion_model_hash=device.dispersion.content_hash())
@@ -257,6 +274,19 @@ def run_spectrum(cfg, out):
                   center_wavelength_nm=sol.lambda_nm,
                   t_ring_K=match.t_ring_K,
                   kappa_tot_over_2pi_GHz=sol.kappa_tot / TWO_PI / 1e9)
+
+
+CALIBRATION_COMMENTS = {
+    "calibration": "Solved by the `calibrate` experiment; do not edit by hand.",
+    "calibration.g0_full_over_2pi_MHz":
+        "unpoled-ring vacuum rate: g0 target / poled fraction",
+    "calibration.g_chi3_over_2pi_Hz":
+        "chi(3) vacuum rate anchored to the noise-rate target at the anchor "
+        "power and companion detuning",
+    "calibration.by_width":
+        "per-width heater length (as a scale on the base) and coupling-length "
+        "quadratic hitting the coupling-ratio targets at the matched carriers",
+}
 
 
 def run_calibrate(cfg, out):

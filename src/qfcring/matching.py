@@ -126,33 +126,11 @@ class MatchResult:
     mismatch_Hz: float
     qpm_mismatch: int
     constraints: SearchConstraints
-    feasible: bool = True
-    violations: tuple = ()
 
     @property
     def carriers(self) -> tuple:
         """(role, ModeSolution) of the three modes, in pump, signal, idler order."""
         return (("pump", self.pump), ("signal", self.signal), ("idler", self.idler))
-
-    def as_dict(self):
-        def mode(ms):
-            return {
-                "m": ms.m,
-                "wavelength_nm": ms.lambda_nm,
-                "kappa_ex_over_2pi_GHz": ms.kappa_ex / TWO_PI / 1e9,
-                "kappa_0_over_2pi_GHz": ms.kappa_0 / TWO_PI / 1e9,
-                "eta": ms.eta,
-            }
-
-        return {
-            "t_ring_K": self.t_ring_K,
-            **{role: mode(ms) for role, ms in self.carriers},
-            "signal_detuning_MHz": self.signal_detuning_Hz / 1e6,
-            "mismatch_MHz": self.mismatch_Hz / 1e6,
-            "qpm_mismatch": self.qpm_mismatch,
-            "feasible": self.feasible,
-            "violations": list(self.violations),
-        }
 
 
 def signal_shift_rate_hz_per_K(device: Device, constraints: SearchConstraints) -> float:
@@ -301,7 +279,7 @@ def _scan(device, constraints, t_points, m_s_list, m_p_list, m_i_list, m_offset)
                 signal=ModeSolution(int(m_s_hit[h]), float(lam_s_hit[h]), 0.0, 0.0),
                 idler=ModeSolution(int(m_i_arr[ji]), float(lam_i[ji, h]), 0.0, 0.0),
                 signal_detuning_Hz=float(det_hit[h]), mismatch_Hz=float(delta[jp, ji]),
-                qpm_mismatch=int(qpm[jp, ji]), constraints=constraints, feasible=is_ok,
+                qpm_mismatch=int(qpm[jp, ji]), constraints=constraints,
             )
             if is_ok:
                 feasible.append(match)
@@ -382,7 +360,7 @@ def find_triple_resonance(device: Device, constraints: SearchConstraints):
                      f"{constraints.max_mismatch_Hz / 1e6:g} MHz")
         raise NoFeasibleMatch(
             f"no mode triple satisfies all constraints; best candidate violates: {violation}",
-            best_candidate=rated(device, replace(near, violations=(violation,))),
+            best_candidate=rated(device, near),
             violations=[violation],
         )
     raise NoFeasibleMatch(

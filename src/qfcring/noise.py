@@ -20,8 +20,6 @@ from .constants import HBAR_J_S
 from .conversion import TwmSystem, _check_rate_powers, efficiency_vs_power
 from .errors import DomainError
 
-LOG10 = math.log(10.0)
-
 
 @dataclass(frozen=True)
 class FwmChannel:

@@ -163,14 +163,14 @@ def test_failed_verification_is_not_memoised(cfg, monkeypatch, sweeps):
 
 def test_returned_matches_cannot_be_changed(cfg):
     _, matches = builders.operating_point(cfg)
-    snapshot = [m.as_dict() for m in matches]
+    snapshot = copy.deepcopy(matches)
     assert isinstance(matches, tuple)
     with pytest.raises(TypeError):
         matches[0] = matches[-1]
     with pytest.raises(dataclasses.FrozenInstanceError):
         matches[0].t_ring_K = 0.0
     _, again = builders.operating_point(cfg)
-    assert [m.as_dict() for m in again] == snapshot
+    assert again == snapshot
 
 
 def test_memo_is_bounded_least_recently_used_first(cfg, sweeps):
@@ -244,6 +244,40 @@ def test_calibrated_device_does_not_warn_of_drift(cfg, tmp_path, overrides):
         warnings.simplefilter("always")
         run_experiment("tradeoff", apply_overrides(cfg, overrides), str(tmp_path))
     assert not [w for w in caught if issubclass(w.category, builders.CalibrationDrift)]
+
+
+# --- warnings in the CLI record ---------------------------------------------
+
+def _off_integer_poling(cfg):
+    """Every width's poling period 0.08 off its integer M: a RingCavity warning."""
+    device = cfg["device"]
+    turns = device["ppln_fraction"] * device["ring_length_um"]
+    periods = {w: turns / (round(turns / p) + 0.08)
+               for w, p in device["poling_period_um_by_width"].items()}
+    return "device.poling_period_um_by_width={%s}" % ", ".join(
+        f"{w}: {p!r}" for w, p in periods.items())
+
+
+@pytest.mark.parametrize("experiment, count", [("calibrate", 3), ("tradeoff", 3), ("match", 1)])
+def test_cli_record_lists_each_warning_once(cfg, tmp_path, capsys, experiment, count):
+    # calibrate builds the primary width's ring twice (bare sweep, then the
+    # g_chi3 anchor's coupled device); its warning is listed once.
+    override = _off_integer_poling(cfg)
+    assert cli.main([experiment, "--override", override, "--out-dir", str(tmp_path)]) == 0
+    listed = json.loads(capsys.readouterr().out)["warnings"]
+    poling = [w for w in listed if w.startswith("poling-compensated mode number")]
+    assert len(poling) == count
+    assert len(set(listed)) == len(listed)
+
+
+def test_every_cli_record_lists_its_warnings(tmp_path, capsys):
+    # Two runs in one process: the second must not take the first's warning
+    # as already shown.
+    for run in range(2):
+        assert cli.main(["match", "--override", "device.propagation_loss_dB_per_m=30",
+                         "--out-dir", str(tmp_path / str(run))]) == 0
+        listed = json.loads(capsys.readouterr().out)["warnings"]
+        assert len([w for w in listed if "qfcring calibrate" in w]) == 1
 
 
 # --- the companion rule ----------------------------------------------------

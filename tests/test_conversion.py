@@ -479,11 +479,29 @@ def _criterion_3_draws(n, seed=303):
         yield sys.with_power(rng.uniform(0.1, 3.0) * pump_power_unity_cooperativity(sys))
 
 
-def test_refused_polish_leaves_the_plain_integration(monkeypatch):
-    # With the stability test refusing every polish, the oracle is the chunked
-    # RK4 run to its 1e-9 residual, bit for bit.
-    refused = []
+def _unstable(monkeypatch, refused):
     monkeypatch.setattr(conversion, "_stable", lambda jac: refused.append(jac) or False)
+
+
+def _singular(monkeypatch, refused):
+    monkeypatch.setattr(conversion, "_solve", lambda m, v: refused.append(m) or None)
+
+
+def _no_iterations(monkeypatch, refused):
+    polish = conversion._newton_polish
+    monkeypatch.setattr(conversion, "_NEWTON_ITERATIONS", 0)
+    monkeypatch.setattr(conversion, "_newton_polish",
+                        lambda *args: refused.append(args) or polish(*args))
+
+
+@pytest.mark.parametrize("refuse", [_unstable, _singular, _no_iterations],
+                         ids=["unstable", "singular", "no-iterations"])
+def test_refused_polish_leaves_the_plain_integration(monkeypatch, refuse):
+    # With every polish refused (an unstable fixed point, a failed solve, or
+    # no Newton step left), the oracle is the chunked RK4 run to its 1e-9
+    # residual, bit for bit.
+    refused = []
+    refuse(monkeypatch, refused)
     for sys in _criterion_3_draws(3, seed=19):
         dt, flux = _oracle_inputs(sys)
         state = (0j, 0j, 0j)
@@ -497,6 +515,11 @@ def test_refused_polish_leaves_the_plain_integration(monkeypatch):
         expect = (eta_ex / (sys.signal.eta * sys.idler.eta), eta_ex)
         assert steady_state_conversion(sys) == expect
     assert refused
+
+
+def test_solve_returns_none_at_a_zero_pivot():
+    assert conversion._solve([[1.0, 2.0], [2.0, 4.0]], [1.0, 1.0]) is None
+    assert conversion._solve([[2.0, 0.0], [0.0, 4.0]], [1.0, 1.0]) == [0.5, 0.25]
 
 
 def test_polish_starts_only_past_the_gate(monkeypatch):

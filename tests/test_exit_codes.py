@@ -82,6 +82,13 @@ def test_failed_verification_exits_4(monkeypatch, tmp_path):
     # power-grid rules hold at load time, also for experiments without a power grid
     ("match", "experiment.power_spacing=LOG", "ConfigError", 2,
      "power_spacing must be 'log' or 'linear', got 'LOG'"),
+    # a boolean is "not a number" only where a number is expected
+    ("match", "dispersion.table_file=true", "ConfigError", 2,
+     "config key 'dispersion.table_file' has wrong type bool"),
+    ("match", "experiment.power_spacing=true", "ConfigError", 2,
+     "config key 'experiment.power_spacing' has wrong type bool"),
+    ("match", "device.ring_length_um=true", "ConfigError", 2,
+     "config key 'device.ring_length_um' must be a number, got boolean"),
     ("match", "experiment.power_min_mW=0", "ConfigError", 2,
      "power_min_mW must be positive for log spacing"),
     # a drive power below zero is rejected at load time, not by `convert` alone
@@ -166,7 +173,8 @@ def test_failed_verification_exits_4(monkeypatch, tmp_path):
     ("match", "device.ring_length_um=1e305", "DomainError", 2,
      "mode numbers of a 1e+305 um ring in band "),
 ], ids=["no-widths", "repeated-width", "width-key-beyond-float", "missing-table",
-        "zero-power-max", "match-power-spacing-case",
+        "zero-power-max", "match-power-spacing-case", "bool-table-file",
+        "bool-power-spacing", "bool-ring-length",
         "match-zero-power-min", "match-negative-pump-power", "match-tiny-negative-pump-power",
         "zero-heater", "negative-fwm-rate", "zero-fwm-rate", "zero-g0",
         "zero-fwm-power", "negative-fwm-power", "underflowing-fwm-power", "zero-loss",
