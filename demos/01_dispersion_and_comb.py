@@ -9,9 +9,10 @@ part of the pump-band resonance comb with its thermal tuning rate.
 
 import numpy as np
 
-from qfcring import default_model, resonance_comb
 from qfcring.builders import build_device
 from qfcring.config import default_config
+from qfcring.dispersion import default_model
+from qfcring.elements import resonance_comb
 
 
 def header(title):

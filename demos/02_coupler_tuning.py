@@ -9,9 +9,10 @@ while signal and idler stay overcoupled.
 
 import numpy as np
 
-from qfcring import coupling_ratio, find_triple_resonance
 from qfcring.builders import build_constraints, build_device
 from qfcring.config import default_config
+from qfcring.elements import coupling_ratio
+from qfcring.matching import find_triple_resonance
 
 
 def header(title):

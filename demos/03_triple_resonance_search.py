@@ -9,10 +9,9 @@ transition, (b) keeps the three-resonance frequency mismatch below
 re-verified from raw dispersion.
 """
 
-from qfcring import find_triple_resonance, verify_match
 from qfcring.builders import build_constraints, build_device
 from qfcring.config import default_config
-from qfcring.matching import sweep_step_K
+from qfcring.matching import find_triple_resonance, sweep_step_K, verify_match
 
 
 def header(title):

@@ -9,16 +9,16 @@ against the time-domain mean-field integrator.
 
 import numpy as np
 
-from qfcring import (
-    efficiency_vs_power,
-    external_efficiency,
-    find_triple_resonance,
-    pump_power_unity_cooperativity,
-    steady_state_conversion,
-)
 from qfcring.builders import build_constraints, build_device, build_twm_system
 from qfcring.config import default_config
 from qfcring.constants import TWO_PI
+from qfcring.conversion import (
+    efficiency_vs_power,
+    external_efficiency,
+    pump_power_unity_cooperativity,
+    steady_state_conversion,
+)
+from qfcring.matching import find_triple_resonance
 
 
 def header(title):

@@ -9,11 +9,16 @@ efficiency-versus-SNR trade-off.
 
 import numpy as np
 
-from qfcring import efficiency_snr_tradeoff, fwm_noise_rate, noise_vs_power, snr_report
 from qfcring.builders import build_twm_system, fwm_channel_at, operating_point
 from qfcring.config import default_config
 from qfcring.constants import TWO_PI
-from qfcring.noise import TradeoffVariant
+from qfcring.noise import (
+    TradeoffVariant,
+    efficiency_snr_tradeoff,
+    fwm_noise_rate,
+    noise_vs_power,
+    snr_report,
+)
 
 
 def header(title):

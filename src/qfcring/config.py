@@ -39,7 +39,7 @@ _Loader.add_implicit_resolver(
 
 # Schema: section -> key -> type; every key of a present section is required.
 # `dict` values hold width-keyed maps (see `_WIDTH_MAPS`); `list` values
-# are numeric arrays.
+# are numeric arrays, and a list of types is an array of exactly that length.
 _NUM = (int, float)
 SCHEMA = {
     "device": {
@@ -118,7 +118,8 @@ _OPTIONAL_SECTIONS = ("calibration",)
 _WIDTH_MAPS = {
     ("device", "poling_period_um_by_width"): _NUM,
     ("physics", "fwm_companion_detuning_THz_by_width"): _NUM,
-    ("calibration", "by_width"): {"heater_scale": _NUM, "lc_quad_um": list},
+    # the coupling length's quadratic in (lambda - lambda_ref): three coefficients
+    ("calibration", "by_width"): {"heater_scale": _NUM, "lc_quad_um": [_NUM] * 3},
 }
 
 
@@ -164,6 +165,12 @@ def _check_finite(path: str, values):
 
 
 def _check_value(path: str, value, expected):
+    if isinstance(expected, list):
+        _check_value(path, value, list)
+        if len(value) != len(expected):
+            raise ConfigError(f"config key '{path}' must list {len(expected)} numbers, "
+                              f"got {len(value)}")
+        return
     if expected is list:
         if not isinstance(value, list) or not all(isinstance(v, _NUM) for v in value):
             raise ConfigError(f"config key '{path}' must be a list of numbers")

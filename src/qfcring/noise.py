@@ -7,6 +7,11 @@ in the companion detuning:
 
     R = 64 g3^2 (P/hbar w_p)^2 (k_p_ex^2 / k_p^4)
         (k_i + k_comp) / (4 delta_comp^2 + (k_i + k_comp)^2)
+
+R is the total emission out of the noise mode, k_i <b+b>, not its
+bus-coupled part k_i_ex <b+b>: the weak-gain limit of the pair process
+hbar G (b+ c+ + b c) with G = g3 |alpha|^2 and the on-resonance pump
+|alpha|^2 = 4 k_p_ex P / (hbar w_p k_p^2).
 """
 
 from __future__ import annotations

@@ -235,11 +235,32 @@ def oracle_fixture_best(index):
     return brute_force_best(device, constraints, constraints.t_step_K / 10.0)
 
 
+def _bisect_roots(f, lo, hi, xtol=1e-12):
+    """Elementwise roots of f on [lo, hi] by plain bisection to xtol.
+
+    f maps an array of wavelengths to an array of its own shape (which may
+    broadcast lo and hi).  NaN where f(lo) and f(hi) have the same sign.
+    """
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    f_lo = f(lo)
+    bracketed = f_lo * f(hi) <= 0.0
+    while True:
+        active = bracketed & (hi - lo > xtol)
+        if not active.any():
+            return np.where(bracketed, 0.5 * (lo + hi), np.nan)
+        mid = 0.5 * (lo + hi)
+        f_mid = f(mid)
+        left = active & (np.sign(f_mid) != np.sign(f_lo))  # the root lies in [lo, mid]
+        right = active & ~left
+        hi, lo, f_lo = np.where(left, mid, hi), np.where(right, mid, lo), np.where(right, f_mid, f_lo)
+
+
 def brute_force_best(device, constraints, step_K):
-    """Independent exhaustive sweep: plain loops + bisection root solving.
+    """Independent exhaustive sweep: all grid temperatures at once, bisection roots.
 
     Returns (t_K, (m_s, m_p, m_i), signal_detuning_Hz, mismatch_Hz) of the
-    best candidate under the same (|mismatch|, |detuning|, T) order, or None.
+    best candidate under the same (|mismatch|, |detuning|, T) order, or None;
+    of equal keys the first in (T, m_p, m_i) order wins.
     """
     model = device.dispersion
     width = device.width_nm
@@ -248,57 +269,51 @@ def brute_force_best(device, constraints, step_K):
     tol_s = constraints.max_signal_detuning_Hz
     tol_d = constraints.max_mismatch_Hz
     m_off = device.ring.m_offset
+    lo_w, hi_w = model.lambda_window_nm
 
     def solve_lambda(m, t, lo, hi):
-        f = lambda lam: m * lam - float(model._n_eff_unchecked(lam, t, width)) * length_nm
-        if f(lo) * f(hi) > 0:
-            return None
-        return brentq(f, lo, hi, xtol=1e-12)
+        return _bisect_roots(
+            lambda lam: m * lam - model._n_eff_unchecked(lam, t, width) * length_nm, lo, hi)
 
-    lo_w, hi_w = model.lambda_window_nm
-    p_lo, p_hi = constraints.pump_window_nm
-    i_lo, i_hi = constraints.idler_window_nm
-    best = None
+    def lines(t, lo, hi):
+        """(m, lambda) of the comb lines in [lo, hi]: m ascending over columns,
+        lambda per (temperature, m), NaN where that line is not in the window."""
+        m_lo = np.ceil(model.n_eff(hi, t, width) * length_nm / hi).astype(int)
+        m_hi = np.floor(model.n_eff(lo, t, width) * length_nm / lo).astype(int)
+        m = np.arange(m_lo.min(), m_hi.max() + 1)
+        lam = solve_lambda(m, t[:, None], max(lo - 20.0, lo_w), min(hi + 20.0, hi_w))
+        inside = (m_lo[:, None] <= m) & (m <= m_hi[:, None]) & (lo <= lam) & (lam <= hi)
+        return m, np.where(inside, lam, np.nan)
+
     n_steps = int(math.floor((constraints.t_max_K - constraints.t_min_K) / step_K + 1e-9))
-    for j in range(n_steps + 1):
-        t = constraints.t_min_K + j * step_K
-        lam_t = constraints.signal_wavelength_nm
-        m_float = float(model.n_eff(lam_t, t, width)) * length_nm / lam_t
-        cand = None
-        for m_s in (int(math.floor(m_float)), int(math.ceil(m_float))):
-            lam = solve_lambda(m_s, t, lam_t - 30.0, lam_t + 30.0)
-            if lam is None:
-                continue
-            det = C_M_PER_S / (lam * 1e-9) - f_target
-            if cand is None or abs(det) < abs(cand[1]):
-                cand = (m_s, det, lam)
-        if cand is None or abs(cand[1]) > tol_s:
-            continue
-        m_s, det_s, lam_s = cand
-        f_s = C_M_PER_S / (lam_s * 1e-9)
-        pumps = []
-        m_plo = int(math.ceil(float(model.n_eff(p_hi, t, width)) * length_nm / p_hi))
-        m_phi = int(math.floor(float(model.n_eff(p_lo, t, width)) * length_nm / p_lo))
-        for m_p in range(m_plo, m_phi + 1):
-            lam = solve_lambda(m_p, t, max(p_lo - 20.0, lo_w), min(p_hi + 20.0, hi_w))
-            if lam is not None and p_lo <= lam <= p_hi:
-                pumps.append((m_p, lam))
-        idlers = []
-        m_ilo = int(math.ceil(float(model.n_eff(i_hi, t, width)) * length_nm / i_hi))
-        m_ihi = int(math.floor(float(model.n_eff(i_lo, t, width)) * length_nm / i_lo))
-        for m_i in range(m_ilo, m_ihi + 1):
-            lam = solve_lambda(m_i, t, max(i_lo - 20.0, lo_w), min(i_hi + 20.0, hi_w))
-            if lam is not None and i_lo <= lam <= i_hi:
-                idlers.append((m_i, lam))
-        for m_p, lam_p in pumps:
-            for m_i, lam_i in idlers:
-                if constraints.require_qpm and m_s - m_p - m_i - m_off != 0:
-                    continue
-                delta = f_s - C_M_PER_S / (lam_p * 1e-9) - C_M_PER_S / (lam_i * 1e-9)
-                if abs(delta) > tol_d:
-                    continue
-                # same 1 Hz mismatch quantum as the production sort
-                key = (round(abs(delta)), abs(det_s), t)
-                if best is None or key < best[0]:
-                    best = (key, (t, (m_s, m_p, m_i), det_s, delta))
-    return None if best is None else best[1]
+    t = constraints.t_min_K + np.arange(n_steps + 1) * step_K
+    lam_t = constraints.signal_wavelength_nm
+    m_float = model.n_eff(lam_t, t, width) * length_nm / lam_t
+    m_s = np.stack([np.floor(m_float), np.ceil(m_float)]).astype(int)
+    f_s = C_M_PER_S / (solve_lambda(m_s, t, lam_t - 30.0, lam_t + 30.0) * 1e-9)
+    det = f_s - f_target
+    # the floor line, unless it has no root or the ceil line is strictly closer
+    pick = (np.isnan(det[0]) | (np.abs(det[1]) < np.abs(det[0]))).astype(int)
+    cols = np.arange(t.size)
+    keep = np.abs(det[pick, cols]) <= tol_s
+    if not keep.any():
+        return None
+    pick, cols, t = pick[keep], cols[keep], t[keep]
+    m_s, f_s, det_s = m_s[pick, cols], f_s[pick, cols], det[pick, cols]
+    m_p, lam_p = lines(t, *constraints.pump_window_nm)
+    m_i, lam_i = lines(t, *constraints.idler_window_nm)
+    # axes (T, pump, idler); a NaN wavelength fails the mismatch bound
+    delta = (f_s[:, None, None] - (C_M_PER_S / (lam_p * 1e-9))[:, :, None]
+             - (C_M_PER_S / (lam_i * 1e-9))[:, None, :])
+    ok = np.abs(delta) <= tol_d
+    if constraints.require_qpm:
+        ok &= m_s[:, None, None] - m_p[None, :, None] - m_i[None, None, :] - m_off == 0
+    hits = np.flatnonzero(ok)  # in (T, m_p, m_i) scan order
+    if not hits.size:
+        return None
+    k, p, i = np.unravel_index(hits, delta.shape)
+    # same 1 Hz mismatch quantum as the production sort; the scan order breaks ties
+    j = np.lexsort((hits, t[k], np.abs(det_s[k]), np.rint(np.abs(delta[k, p, i]))))[0]
+    k, p, i = k[j], p[j], i[j]
+    return (float(t[k]), (int(m_s[k]), int(m_p[p]), int(m_i[i])),
+            float(det_s[k]), float(delta[k, p, i]))

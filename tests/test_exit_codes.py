@@ -89,6 +89,14 @@ def test_failed_verification_exits_4(monkeypatch, tmp_path):
      "config key 'experiment.power_spacing' has wrong type bool"),
     ("match", "device.ring_length_um=true", "ConfigError", 2,
      "config key 'device.ring_length_um' must be a number, got boolean"),
+    # the coupling length is a quadratic: exactly three coefficients
+    ("spectrum", "calibration.by_width.1500.lc_quad_um=[134.9]", "ConfigError", 2,
+     "config key 'calibration.by_width[1500].lc_quad_um' must list 3 numbers, got 1"),
+    ("convert", "calibration.by_width.1500.lc_quad_um=[134.9, -76.3, -70.7, 0.0, 0.0]",
+     "ConfigError", 2,
+     "config key 'calibration.by_width[1500].lc_quad_um' must list 3 numbers, got 5"),
+    ("match", "calibration.by_width.1500.lc_quad_um=[]", "ConfigError", 2,
+     "config key 'calibration.by_width[1500].lc_quad_um' must list 3 numbers, got 0"),
     ("match", "experiment.power_min_mW=0", "ConfigError", 2,
      "power_min_mW must be positive for log spacing"),
     # a drive power below zero is rejected at load time, not by `convert` alone
@@ -174,7 +182,8 @@ def test_failed_verification_exits_4(monkeypatch, tmp_path):
      "mode numbers of a 1e+305 um ring in band "),
 ], ids=["no-widths", "repeated-width", "width-key-beyond-float", "missing-table",
         "zero-power-max", "match-power-spacing-case", "bool-table-file",
-        "bool-power-spacing", "bool-ring-length",
+        "bool-power-spacing", "bool-ring-length", "one-lc-coefficient", "five-lc-coefficients",
+        "no-lc-coefficients",
         "match-zero-power-min", "match-negative-pump-power", "match-tiny-negative-pump-power",
         "zero-heater", "negative-fwm-rate", "zero-fwm-rate", "zero-g0",
         "zero-fwm-power", "negative-fwm-power", "underflowing-fwm-power", "zero-loss",

@@ -1,13 +1,16 @@
 """Four-wave-mixing noise rate, SNR reporting, and the width trade-off."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qfcring import noise
 from qfcring.constants import TWO_PI
-from qfcring.conversion import ModeChannel, TwmSystem
+from qfcring.conversion import ModeChannel, TwmSystem, _pump_drive
 from qfcring.errors import DomainError
 from qfcring.noise import (
     FwmChannel,
@@ -67,6 +70,58 @@ def test_monotone_in_pump_rates():
     assert more_ex == pytest.approx(base * (0.8 / 0.5) ** 2, rel=1e-12)
     wider = fwm_noise_rate(make_channel(kappa_p=TWO_PI * 0.44e9), 1e-3)
     assert wider < base
+
+
+def pump_photons(ch: FwmChannel, pump_power_W: float) -> float:
+    """On-resonance |alpha|^2 = (2 s / k_p)^2, with s the mean-field oracle's own
+    drive term (not `intracavity_pump`)."""
+    pump = ModeChannel(role="pump", omega=ch.omega_p, m=1, kappa_ex=ch.kappa_p_ex,
+                       kappa_0=ch.kappa_p - ch.kappa_p_ex)
+    system = TwmSystem(pump=pump, signal=replace(pump, role="signal"),
+                       idler=replace(pump, role="idler"), g0=0.0, pump_power_W=pump_power_W)
+    return (2.0 * _pump_drive(system) / ch.kappa_p) ** 2
+
+
+def pair_process_rate(ch: FwmChannel, pump_power_W: float) -> float:
+    """kappa_i <b+b> from the steady state of the linearised pair process.
+
+    The pump couples the noise mode b (kappa_idler) and the companion c
+    (kappa_comp, detuned by delta_comp) by hbar G (b+ c+ + b c) with
+    G = g_chi3 |alpha|^2; both inputs are vacuum.  The moments n_b = <b+b>,
+    n_c = <c+c> and m = <b c> = x + i y obey
+
+        dn_b/dt = -k_i n_b - 2 G y
+        dn_c/dt = -k_c n_c - 2 G y
+        dm/dt   = -(i delta_comp + (k_i + k_c)/2) m - i G (1 + n_b + n_c)
+
+    and their zero is one 4x4 real linear solve.
+    """
+    g = ch.g_chi3 * pump_photons(ch, pump_power_W)
+    k_b, k_c, d = ch.kappa_idler, ch.kappa_comp, ch.delta_comp
+    half = 0.5 * (k_b + k_c)
+    # unknowns (n_b, n_c, x, y)
+    a = np.array([[-k_b, 0.0, 0.0, -2.0 * g],
+                  [0.0, -k_c, 0.0, -2.0 * g],
+                  [0.0, 0.0, -half, d],
+                  [-g, -g, -d, -half]])
+    return k_b * np.linalg.solve(a, [0.0, 0.0, 0.0, g])[0]
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(kappa_i=st.floats(1e8, 1e11), comp_ratio=st.floats(0.05, 20.0),
+       detuning=st.floats(-20.0, 20.0), kappa_p=st.floats(1e8, 1e10),
+       eta_p=st.floats(0.05, 1.0), power_W=st.floats(1e-6, 1e-1), gain=st.floats(1e-7, 1e-4))
+def test_rate_is_the_weak_gain_limit_of_the_pair_process(kappa_i, comp_ratio, detuning,
+                                                        kappa_p, eta_p, power_W, gain):
+    """fwm_noise_rate is kappa_i <b+b>, the total emission out of the noise mode,
+    to 1e-6 relative on on-resonance pumps with G <= 1e-4 min(kappa_i, kappa_comp)."""
+    kappa_comp = comp_ratio * kappa_i
+    ch = FwmChannel(g_chi3=1.0, delta_comp=detuning * (kappa_i + kappa_comp),
+                    kappa_comp=kappa_comp, kappa_idler=kappa_i, kappa_p=kappa_p,
+                    kappa_p_ex=eta_p * kappa_p, omega_p=OMEGA_P)
+    # the g_chi3 that sets G to `gain` times the slower of the two modes
+    ch = replace(ch, g_chi3=gain * min(kappa_i, kappa_comp) / pump_photons(ch, power_W))
+    assert fwm_noise_rate(ch, power_W) == pytest.approx(pair_process_rate(ch, power_W), rel=1e-6)
 
 
 def test_snr_report_values():
