@@ -9,7 +9,7 @@ efficiency-versus-SNR trade-off.
 
 import numpy as np
 
-from qfcring.builders import build_twm_system, fwm_channel_at, operating_point
+from qfcring.builders import fwm_channel_at, operating_point
 from qfcring.config import default_config
 from qfcring.constants import TWO_PI
 from qfcring.noise import (
@@ -48,9 +48,8 @@ def main():
     for w in widths:
         device, matches = operating_point(cfg, width_nm=w)
         match = matches[0]
-        system = build_twm_system(cfg, match)
         ch, _ = fwm_channel_at(cfg, device, match)
-        variants.append(TradeoffVariant(w, system, ch))
+        variants.append(TradeoffVariant(w, ch))
         print(f"  width {w:6.0f} nm: T_ring = {match.t_ring_K:8.3f} K, "
               f"pump = {match.pump.lambda_nm:9.3f} nm, "
               f"|delta'| = {abs(ch.delta_comp) / TWO_PI / 1e12:.2f} THz")

@@ -193,15 +193,13 @@ def build_twm_system(cfg: dict, match: MatchResult) -> TwmSystem:
 
 
 def build_fwm_channel(cfg: dict, match: MatchResult, companion_rad_s: float) -> FwmChannel:
+    """FWM noise channel on the match's conversion system (build_twm_system)."""
     kappa_comp = TWO_PI * float(cfg["physics"]["fwm_companion_linewidth_over_2pi_GHz"]) * 1e9
     return FwmChannel(
         g_chi3=TWO_PI * float(_calibration(cfg)["g_chi3_over_2pi_Hz"]),
         delta_comp=float(companion_rad_s),
         kappa_comp=kappa_comp,
-        kappa_idler=match.idler.kappa_tot,
-        kappa_p=match.pump.kappa_tot,
-        kappa_p_ex=match.pump.kappa_ex,
-        omega_p=match.pump.omega,
+        system=build_twm_system(cfg, match),
     )
 
 

@@ -152,6 +152,11 @@ def external_efficiency(sys: TwmSystem):
     return float(eta_int), float(eta_ex)
 
 
+def _detunings(sys: TwmSystem):
+    """Rotating-frame detunings (d_p, d_b, d_c), d_c = d_s - d_p - mismatch."""
+    return sys.pump.delta, sys.signal.delta, sys.signal.delta - sys.pump.delta - sys.mismatch
+
+
 def _efficiencies(sys: TwmSystem, powers_W):
     """(C, eta_int, eta_ex) over an array of drive powers: the one closed form.
 
@@ -164,9 +169,8 @@ def _efficiencies(sys: TwmSystem, powers_W):
     )
     ks, ki = sys.signal.kappa_tot, sys.idler.kappa_tot
     C = 4.0 * sys.g0**2 * n_pump / (ks * ki)
-    d_s = sys.signal.delta
-    d_i_eff = d_s - sys.pump.delta - sys.mismatch
-    bracket = (1.0 + 2j * d_s / ks) * (1.0 + 2j * d_i_eff / ki)
+    _, d_s, d_c = _detunings(sys)
+    bracket = (1.0 + 2j * d_s / ks) * (1.0 + 2j * d_c / ki)
     eta_int = 4.0 * C / np.float_power(np.hypot(bracket.real + C, bracket.imag), 2.0)
     eta_ex = sys.signal.eta * sys.idler.eta * eta_int
     return C, eta_int, eta_ex
@@ -234,11 +238,6 @@ def _pump_drive(sys: TwmSystem) -> float:
     return math.sqrt(sys.pump.kappa_ex * sys.pump_power_W / (HBAR_J_S * sys.pump.omega))
 
 
-def _detunings(sys: TwmSystem):
-    """Rotating-frame detunings (d_p, d_b, d_c), d_c = d_s - d_p - mismatch."""
-    return sys.pump.delta, sys.signal.delta, sys.signal.delta - sys.pump.delta - sys.mismatch
-
-
 def _fastest_rate(sys: TwmSystem, state=(0j, 0j, 0j)) -> float:
     """The fastest rate an RK4 step resolves: each kappa_tot, |d_p|, |d_b|, |d_c|,
     g|x| for each amplitude x of state and the pump bound g 4 sqrt(k_p_ex) s_in / k_p."""
@@ -296,8 +295,9 @@ def evolve_mean_field(sys: TwmSystem, initial=(0j, 0j, 0j), dt=None, steps=None,
     conversion oracle.  The rotating-frame detunings are the channels'
     `delta` fields with d_c = d_s - d_p - mismatch for the idler.
 
-    Raises StepSizeTooLarge when dt * _fastest_rate(sys, initial) >= 0.1 and
-    NonFinite if amplitudes overflow.  Bitwise deterministic for fixed dt; the
+    Raises StepSizeTooLarge when dt * _fastest_rate(sys, state) >= 0.1, for the
+    initial state and every 1000th and the last step's, and NonFinite if
+    amplitudes overflow.  Bitwise deterministic for fixed dt; the
     last step is always sampled, so resuming from final() is bit-identical.
     converged: |f_x| < _RESIDUAL_TOL * min(kappa) * |x| at the end for x = a, b, c.
     """
@@ -334,10 +334,9 @@ def evolve_mean_field(sys: TwmSystem, initial=(0j, 0j, 0j), dt=None, steps=None,
         b = b + sixth * (k1b + 2.0 * (k2b + k3b) + k4b)
         c = c + sixth * (k1c + 2.0 * (k2c + k3c) + k4c)
         if step % 1000 == 0 or step == steps:
-            mags = (abs(a), abs(b), abs(c))
-            if not all(math.isfinite(m) for m in mags):
+            if not all(math.isfinite(abs(x)) for x in (a, b, c)):
                 raise NonFinite(f"amplitudes diverged at step {step}")
-            if dt * sys.g0 * max(mags) >= 0.1:
+            if dt * _fastest_rate(sys, (a, b, c)) >= 0.1:
                 raise StepSizeTooLarge(
                     f"nonlinear rate g|a| grew past the stability bound at step {step}"
                 )

@@ -200,12 +200,11 @@ def run_convert(cfg, out):
 def run_noise(cfg, out):
     device, matches = operating_point(cfg)
     match = matches[0]
-    system = build_twm_system(cfg, match)
     channel, source = fwm_channel_at(cfg, device, match)
     rows = noise_vs_power(channel, _power_grid_W(cfg))
     rows[:, 0] *= 1e3
     out.table("noise", ["power_mW", "R_FWM_Hz"], rows,
-              **_companion_meta(channel, source), **_rates_meta(match, system))
+              **_companion_meta(channel, source), **_rates_meta(match, channel.system))
 
 
 def run_tradeoff(cfg, out):
@@ -225,7 +224,7 @@ def run_tradeoff(cfg, out):
             raise UnmatchedVariant(f"width {width:g} nm: {exc}") from exc
         match = matches[0]
         channel, source = fwm_channel_at(cfg, device, match)
-        variants.append(TradeoffVariant(width, build_twm_system(cfg, match), channel))
+        variants.append(TradeoffVariant(width, channel))
         sources[width_key(width)] = {
             **_companion_meta(channel, source),
             "t_ring_K": match.t_ring_K,

@@ -28,31 +28,29 @@ from .errors import DomainError
 
 @dataclass(frozen=True)
 class FwmChannel:
-    """Everything the noise-rate formula needs, all rates in rad/s.
+    """The noise process at one operating point, all rates in rad/s.
 
-    delta_comp is the companion-mode detuning (sign allowed); kappa_comp its
-    total linewidth; kappa_idler the output idler linewidth; the pump block
-    (kappa_p, kappa_p_ex, omega_p) sets the intracavity pump buildup.
+    system is the conversion system the noise perturbs: its pump (omega,
+    kappa_tot, kappa_ex) sets the intracavity pump buildup and its idler
+    kappa_tot is the output-band linewidth.  delta_comp is the companion-mode
+    detuning (sign allowed); kappa_comp its total linewidth.
     """
 
     g_chi3: float
     delta_comp: float
     kappa_comp: float
-    kappa_idler: float
-    kappa_p: float
-    kappa_p_ex: float
-    omega_p: float
+    system: TwmSystem
 
     def __post_init__(self):
-        for name in ("g_chi3", "kappa_comp", "kappa_idler", "kappa_p", "kappa_p_ex", "omega_p"):
-            if getattr(self, name) <= 0.0:
+        pump = self.system.pump
+        for name, value in (("g_chi3", self.g_chi3), ("kappa_comp", self.kappa_comp),
+                            ("kappa_p_ex", pump.kappa_ex)):
+            if value <= 0.0:
                 raise DomainError(f"{name} must be positive")
-        if self.kappa_p_ex > self.kappa_p:
-            raise DomainError("kappa_p_ex cannot exceed kappa_p")
         _check_rate_powers("FWM channel", 2, {
-            "g_chi3": self.g_chi3, "delta_comp": self.delta_comp, "kappa_p_ex": self.kappa_p_ex,
-            "kappa_idler + kappa_comp": self.kappa_idler + self.kappa_comp})
-        _check_rate_powers("FWM channel", 4, {"kappa_p": self.kappa_p})
+            "g_chi3": self.g_chi3, "delta_comp": self.delta_comp,
+            "kappa_idler + kappa_comp": self.system.idler.kappa_tot + self.kappa_comp})
+        _check_rate_powers("FWM channel", 4, {"kappa_p": pump.kappa_tot})
 
 
 def fwm_noise_rate(ch: FwmChannel, pump_power_W):
@@ -60,10 +58,11 @@ def fwm_noise_rate(ch: FwmChannel, pump_power_W):
     p = np.asarray(pump_power_W, dtype=float)
     if np.any(p < 0.0):
         raise DomainError("pump power must be >= 0")
-    flux = p / (HBAR_J_S * ch.omega_p)
-    k_sum = ch.kappa_idler + ch.kappa_comp
+    pump = ch.system.pump
+    flux = p / (HBAR_J_S * pump.omega)
+    k_sum = ch.system.idler.kappa_tot + ch.kappa_comp
     lorentz = k_sum / (4.0 * ch.delta_comp**2 + k_sum**2)
-    out = 64.0 * ch.g_chi3**2 * flux**2 * (ch.kappa_p_ex**2 / ch.kappa_p**4) * lorentz
+    out = 64.0 * ch.g_chi3**2 * flux**2 * (pump.kappa_ex**2 / pump.kappa_tot**4) * lorentz
     return float(out) if np.isscalar(pump_power_W) else out
 
 
@@ -106,7 +105,6 @@ class TradeoffVariant:
     """One dispersion-engineered device entry for the efficiency/SNR sweep."""
 
     width_nm: float
-    system: TwmSystem
     channel: FwmChannel
 
 
@@ -125,7 +123,7 @@ def efficiency_snr_tradeoff(variants, powers_W, signal_input_rate_Hz: float):
     best = None
     for var in ordered:
         rates = fwm_noise_rate(var.channel, powers)
-        etas = efficiency_vs_power(var.system, powers)[:, 3]
+        etas = efficiency_vs_power(var.channel.system, powers)[:, 3]
         curve = [(var.width_nm, p, eta, rate,
                   *snr_report(float(rate), signal_input_rate_Hz * float(eta)))
                  for p, eta, rate in zip(powers, etas, rates)]

@@ -207,9 +207,8 @@ def test_criterion_7_dispersion_engineering_ordering():
     variants = []
     for width in (1400.0, 1500.0, 1600.0):
         device, matches = operating_point(cfg, width_nm=width)
-        system = build_twm_system(cfg, matches[0])
         channel, _ = fwm_channel_at(cfg, device, matches[0])
-        variants.append(TradeoffVariant(width, system, channel))
+        variants.append(TradeoffVariant(width, channel))
     powers = np.geomspace(0.01e-3, 10e-3, 121)
     rows, best_width = efficiency_snr_tradeoff(
         variants, powers, float(cfg["physics"]["signal_input_rate_Hz"]))

@@ -306,6 +306,14 @@ def test_fwm_channel_reads_the_table_for_the_packaged_config(cfg):
     assert channel.delta_comp == TWO_PI * 1.0e12
 
 
+@pytest.mark.parametrize("width", [1400.0, 1500.0, 1600.0])
+def test_fwm_channel_perturbs_the_conversion_system_of_its_match(cfg, width):
+    """One pump per operating point: the noise reads the system convert reads."""
+    device, matches = builders.operating_point(cfg, width_nm=width)
+    channel, _ = builders.fwm_channel_at(cfg, device, matches[0])
+    assert channel.system == builders.build_twm_system(cfg, matches[0])
+
+
 def test_fwm_channel_without_comb_line_or_table_entry_is_unmatched(cfg):
     device, matches = builders.operating_point(cfg)
     bare = _edited(cfg, ("physics", "fwm_companion_detuning_THz_by_width"),

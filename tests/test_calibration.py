@@ -2,6 +2,7 @@
 
 import contextlib
 import copy
+import dataclasses
 import io
 import json
 import math
@@ -261,6 +262,38 @@ def test_unscreened_walk_rejects_before_and_at_the_lc_check(cfg, bare_points, mo
         before += tried - len(lc_calls)
         at_lc += len(lc_calls) - 1
     assert before > 0 and at_lc > 0
+
+
+def test_walk_rejects_a_coupling_length_that_dips_below_zero(cfg, bare_points, monkeypatch):
+    # Every quadratic the unscreened walk fits is lowered until it dips to
+    # -1e-3 um at its smallest probe point; its slope is unchanged, so only the
+    # L_c curve check can refuse the walk's winner.  The window is trimmed to
+    # 700-1700 nm, off-centre on the reference, so that the check's u and -u
+    # give different curves.
+    real_lc = calibration._lc_quadratic
+    dip = []
+
+    def lowered(points_um, lambda_ref_nm):
+        c0, c1, c2 = real_lc(points_um, lambda_ref_nm)
+        curve = c0 + c1 * u + c2 * u**2
+        dip.append(curve.min())
+        return np.array([c0 - (curve.min() + 1e-3), c1, c2])
+
+    monkeypatch.setattr(calibration, "_screen", lambda js, *args: np.ones(js.size, dtype=bool))
+    for width in WIDTHS:
+        device, match = bare_points[width]
+        model = dataclasses.replace(device.dispersion, lambda_window_nm=(700.0, 1700.0))
+        trimmed = dataclasses.replace(device, dispersion=model)
+        u = (np.linspace(700.0, 1700.0, 97) - model.lambda_ref_nm) / U_SCALE_NM
+        assert solve_width_couplings(cfg, trimmed, match)["heater_scale"] > 0.0
+        monkeypatch.setattr(calibration, "_lc_quadratic", lowered)
+        dip.clear()
+        with pytest.raises(CalibrationInfeasible, match="^anchor 'coupling ratios at the "
+                                                        "operating MZI drive': no heater"):
+            solve_width_couplings(cfg, trimmed, match)
+        # some quadratics were positive over the whole window before lowering
+        assert max(dip) > 0.0
+        monkeypatch.setattr(calibration, "_lc_quadratic", real_lc)
 
 
 # (base_um, max_um, mzi_delta_T_K): the packaged heater, then a midway tie and

@@ -517,6 +517,43 @@ def test_refused_polish_leaves_the_plain_integration(monkeypatch, refuse):
     assert refused
 
 
+def _central_jacobian(rhs, state, h):
+    """d(f, f*)/d(a, b, c, a*, b*, c*) from central differences of rhs along the
+    real and imaginary axis of each amplitude (Wirtinger derivatives)."""
+    jac = np.zeros((6, 6), dtype=complex)
+    for k in range(3):
+        def diff(step):
+            up, down = list(state), list(state)
+            up[k] += step
+            down[k] -= step
+            return np.array([(p - m) / (2.0 * h) for p, m in zip(rhs(*up), rhs(*down))])
+
+        dx, dy = diff(h), diff(1j * h)
+        dz, dz_conj = (dx - 1j * dy) / 2.0, (dx + 1j * dy) / 2.0
+        jac[:3, k], jac[:3, 3 + k] = dz, dz_conj
+        jac[3:, k], jac[3:, 3 + k] = dz_conj.conj(), dz.conj()
+    return jac
+
+
+def test_jacobian_is_the_derivative_of_the_right_hand_side():
+    # rhs is quadratic in (a, b, c, a*, b*, c*), so central differences are
+    # exact up to rounding: a 200-state probe saw at most 1.6e-12 of the
+    # largest entry.  Large signal and idler amplitudes keep every g|x| entry
+    # above 1e-6 of the largest (asserted), so a wrong sign anywhere misses by
+    # far more than the 1e-9 tolerance.
+    sys = make_system(power=1e-3, delta_s=1e8, delta_p=-2e8, mismatch=3e7)
+    rhs, jacobian = conversion._mean_field(sys, 1e6)
+    rng = np.random.default_rng(11)
+    for _ in range(50):
+        mags = 10.0 ** rng.uniform([0.0, 1.0, 1.0], [4.0, 5.0, 5.0])
+        state = tuple(complex(m * np.exp(1j * rng.uniform(0.0, TWO_PI))) for m in mags)
+        exact = np.array(jacobian(*state))
+        scale = np.abs(exact).max()
+        assert sys.g0 * min(mags) > 1e-6 * scale
+        numeric = _central_jacobian(rhs, state, 1e-3 * max(mags))
+        assert np.abs(numeric - exact).max() <= 1e-9 * scale
+
+
 def test_solve_returns_none_at_a_zero_pivot():
     assert conversion._solve([[1.0, 2.0], [2.0, 4.0]], [1.0, 1.0]) is None
     assert conversion._solve([[2.0, 0.0], [0.0, 4.0]], [1.0, 1.0]) == [0.5, 0.25]

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from qfcring import cli, errors, matching
 from qfcring.config import SCHEMA, default_config_text
+from qfcring.constants import MAX_GRID_CELLS
 from qfcring.elements import solve_resonance_wavelength
 from qfcring.experiments import EXPERIMENTS
 
@@ -174,6 +175,12 @@ def test_failed_verification_exits_4(monkeypatch, tmp_path):
      "conversion system g0=2.82743e+306 rad/s is beyond float range at power 2"),
     ("noise", "calibration.g_chi3_over_2pi_Hz=1e300", "DomainError", 2,
      "FWM channel g_chi3=6.28319e+300 rad/s is beyond float range at power 2"),
+    # `calibrate` builds the conversion system its noise anchor perturbs, so it
+    # refuses what `convert` and `noise` would refuse in its output
+    ("calibrate", "physics.pump_detuning_MHz=1e300", "DomainError", 2,
+     "pump mode delta=6.28319e+306 rad/s is beyond float range at power 2"),
+    ("calibrate", "calibration_targets.g0_over_2pi_MHz=1e300", "DomainError", 2,
+     "conversion system g0=6.28319e+306 rad/s is beyond float range at power 2"),
     # g0^2 underflows to 0 in the unity-cooperativity power
     ("noise", "calibration.g0_full_over_2pi_MHz=1e-300", "DegenerateCoupling", 2,
      "g0=2.82743e-294 rad/s is so small that the unity-cooperativity power"),
@@ -194,7 +201,8 @@ def test_failed_verification_exits_4(monkeypatch, tmp_path):
         "int-power-points-beyond-float", "huge-spectrum-points", "huge-power-points",
         "int-beyond-str-limit", "vanishing-eta-signal", "huge-mzi-drive", "huge-ring-length",
         "huge-power-max", "huge-power-min", "huge-pump-detuning", "huge-loss", "huge-g0",
-        "huge-g-chi3", "vanishing-g0", "ring-length-beyond-mode-numbers"])
+        "huge-g-chi3", "calibrate-huge-pump-detuning", "calibrate-huge-g0-target",
+        "vanishing-g0", "ring-length-beyond-mode-numbers"])
 def test_unusable_value_exits_with_its_family_code(tmp_path, experiment, override, error,
                                                   code, message):
     override, message = (s.replace("{tmp}", str(tmp_path)) for s in (override, message))
@@ -204,6 +212,22 @@ def test_unusable_value_exits_with_its_family_code(tmp_path, experiment, overrid
     record = error_record(code, err)
     assert record["error"] == error
     assert record["message"].startswith(message)
+
+
+def test_pump_idler_pairs_alone_can_exceed_the_search_grid(tmp_path):
+    # A 10 cm ring, 25 nm half-windows and a 1 K sweep: 9,782 lines x 147
+    # temperatures is 1.4e6 cells, under MAX_GRID_CELLS = 2**24, while the
+    # 4,010 x 5,764 pump-idler pairs are 2.3e7.
+    code, out, err = run_main(["match", "--override", "device.ring_length_um=1e5",
+                               "--override", "constraints.half_window_nm=25",
+                               "--override", "constraints.t_ring_max_K=301",
+                               "--out-dir", str(tmp_path / "out")])
+    assert (code, out) == (2, "")
+    record = error_record(code, err)
+    assert record["error"] == "DomainError"
+    assert record["message"] == ("search grid of 9782 comb lines x 147 temperatures "
+                                 "(4010 pump x 5764 idler lines) exceeds 16777216 cells")
+    assert 9782 * 147 < MAX_GRID_CELLS < 4010 * 5764
 
 
 @pytest.mark.parametrize("key", ["power_min_mW", "power_max_mW"])

@@ -145,8 +145,16 @@ def test_out_of_domain_band():
 def test_coverage_warning_when_sweep_too_narrow():
     device, constraints, _ = planted_fixture_a()
     narrow = dataclasses.replace(constraints, t_min_K=349.0, t_max_K=351.0)
-    with pytest.warns(UserWarning, match="less than one FSR"):
+    with pytest.warns(UserWarning, match="less than one FSR") as caught:
         find_triple_resonance(device, narrow)
+    # the 2 K sweep's signal shift and the signal FSR at the sweep's centre
+    shift_GHz = 2.0 * matching.signal_shift_rate_hz_per_K(device, narrow) / 1e9
+    fsr_GHz = device.dispersion.fsr_hz(narrow.signal_wavelength_nm, 350.0, device.width_nm,
+                                       device.ring.length_m) / 1e9
+    assert [str(w.message) for w in caught] == [
+        f"sweep range covers {shift_GHz:.1f} GHz of signal shift, less than one FSR "
+        f"({fsr_GHz:.1f} GHz); coverage is incomplete"]
+    assert 0.1 < shift_GHz < fsr_GHz / 10.0
 
 
 def test_verify_match_round_trip_and_tamper():

@@ -24,17 +24,24 @@ from qfcring.noise import (
 OMEGA_P = TWO_PI * 184.7e12
 
 
-def make_channel(delta_thz=1.0, g_chi3=TWO_PI * 0.11, kappa_i=TWO_PI * 4.7e9,
-                 kappa_p=TWO_PI * 0.22e9, eta_p=0.5):
-    return FwmChannel(
-        g_chi3=g_chi3,
-        delta_comp=TWO_PI * delta_thz * 1e12,
-        kappa_comp=TWO_PI * 0.36e9,
-        kappa_idler=kappa_i,
-        kappa_p=kappa_p,
-        kappa_p_ex=eta_p * kappa_p,
-        omega_p=OMEGA_P,
+def make_system(kappa_p=TWO_PI * 0.22e9, eta_p=0.5, kappa_i=TWO_PI * 4.7e9):
+    """The conversion system a test channel perturbs: one pump, one idler."""
+    def ch(role, omega, kappa, eta):
+        return ModeChannel(role=role, omega=omega, m=50, kappa_ex=eta * kappa,
+                           kappa_0=(1 - eta) * kappa)
+
+    return TwmSystem(
+        pump=ch("pump", OMEGA_P, kappa_p, eta_p),
+        signal=ch("signal", TWO_PI * 406.8e12, 7e9, 0.92),
+        idler=ch("idler", TWO_PI * 222.1e12, kappa_i, 0.98),
+        g0=TWO_PI * 0.31e6,
     )
+
+
+def make_channel(delta_thz=1.0, g_chi3=TWO_PI * 0.11, kappa_comp=TWO_PI * 0.36e9, **rates):
+    """FwmChannel on make_system(**rates)."""
+    return FwmChannel(g_chi3=g_chi3, delta_comp=TWO_PI * delta_thz * 1e12,
+                      kappa_comp=kappa_comp, system=make_system(**rates))
 
 
 def test_zero_power_zero_rate():
@@ -51,14 +58,10 @@ def test_exact_quadratic_power_law():
 
 
 def test_lorentzian_in_companion_detuning():
-    k_sum = TWO_PI * (4.7e9 + 0.36e9)
-    peak = fwm_noise_rate(make_channel(delta_thz=0.0), 1e-3)
-    half = fwm_noise_rate(
-        FwmChannel(g_chi3=TWO_PI * 0.11, delta_comp=k_sum / 2.0,
-                   kappa_comp=TWO_PI * 0.36e9, kappa_idler=TWO_PI * 4.7e9,
-                   kappa_p=TWO_PI * 0.22e9, kappa_p_ex=TWO_PI * 0.11e9,
-                   omega_p=OMEGA_P),
-        1e-3)
+    on_peak = make_channel(delta_thz=0.0)
+    k_sum = on_peak.system.idler.kappa_tot + on_peak.kappa_comp
+    peak = fwm_noise_rate(on_peak, 1e-3)
+    half = fwm_noise_rate(replace(on_peak, delta_comp=k_sum / 2.0), 1e-3)
     assert half == pytest.approx(0.5 * peak, rel=1e-12)
     # maximized at zero detuning
     assert fwm_noise_rate(make_channel(delta_thz=0.3), 1e-3) < peak
@@ -72,14 +75,16 @@ def test_monotone_in_pump_rates():
     assert wider < base
 
 
+def test_channel_refuses_an_uncoupled_pump():
+    with pytest.raises(DomainError, match="^kappa_p_ex must be positive$"):
+        make_channel(eta_p=0.0)
+
+
 def pump_photons(ch: FwmChannel, pump_power_W: float) -> float:
-    """On-resonance |alpha|^2 = (2 s / k_p)^2, with s the mean-field oracle's own
-    drive term (not `intracavity_pump`)."""
-    pump = ModeChannel(role="pump", omega=ch.omega_p, m=1, kappa_ex=ch.kappa_p_ex,
-                       kappa_0=ch.kappa_p - ch.kappa_p_ex)
-    system = TwmSystem(pump=pump, signal=replace(pump, role="signal"),
-                       idler=replace(pump, role="idler"), g0=0.0, pump_power_W=pump_power_W)
-    return (2.0 * _pump_drive(system) / ch.kappa_p) ** 2
+    """On-resonance |alpha|^2 = (2 s / k_p)^2 of the channel's pump, with s the
+    mean-field oracle's own drive term (not `intracavity_pump`)."""
+    system = ch.system.with_power(pump_power_W)
+    return (2.0 * _pump_drive(system) / system.pump.kappa_tot) ** 2
 
 
 def pair_process_rate(ch: FwmChannel, pump_power_W: float) -> float:
@@ -97,7 +102,7 @@ def pair_process_rate(ch: FwmChannel, pump_power_W: float) -> float:
     and their zero is one 4x4 real linear solve.
     """
     g = ch.g_chi3 * pump_photons(ch, pump_power_W)
-    k_b, k_c, d = ch.kappa_idler, ch.kappa_comp, ch.delta_comp
+    k_b, k_c, d = ch.system.idler.kappa_tot, ch.kappa_comp, ch.delta_comp
     half = 0.5 * (k_b + k_c)
     # unknowns (n_b, n_c, x, y)
     a = np.array([[-k_b, 0.0, 0.0, -2.0 * g],
@@ -116,9 +121,9 @@ def test_rate_is_the_weak_gain_limit_of_the_pair_process(kappa_i, comp_ratio, de
     """fwm_noise_rate is kappa_i <b+b>, the total emission out of the noise mode,
     to 1e-6 relative on on-resonance pumps with G <= 1e-4 min(kappa_i, kappa_comp)."""
     kappa_comp = comp_ratio * kappa_i
-    ch = FwmChannel(g_chi3=1.0, delta_comp=detuning * (kappa_i + kappa_comp),
-                    kappa_comp=kappa_comp, kappa_idler=kappa_i, kappa_p=kappa_p,
-                    kappa_p_ex=eta_p * kappa_p, omega_p=OMEGA_P)
+    ch = replace(make_channel(g_chi3=1.0, kappa_comp=kappa_comp, kappa_p=kappa_p, eta_p=eta_p,
+                              kappa_i=kappa_i),
+                 delta_comp=detuning * (kappa_i + kappa_comp))
     # the g_chi3 that sets G to `gain` times the slower of the two modes
     ch = replace(ch, g_chi3=gain * min(kappa_i, kappa_comp) / pump_photons(ch, power_W))
     assert fwm_noise_rate(ch, power_W) == pytest.approx(pair_process_rate(ch, power_W), rel=1e-6)
@@ -161,18 +166,8 @@ def test_noise_point_record():
 
 # --- trade-off -------------------------------------------------------------
 
-def make_variant(width, delta_thz, power_scale=1.0):
-    def ch(role, omega, kappa, eta, delta=0.0):
-        return ModeChannel(role=role, omega=omega, m=50, kappa_ex=eta * kappa,
-                           kappa_0=(1 - eta) * kappa, delta=delta)
-
-    system = TwmSystem(
-        pump=ch("pump", OMEGA_P, power_scale * 1.4e9, 0.5),
-        signal=ch("signal", TWO_PI * 406.8e12, 7e9, 0.92),
-        idler=ch("idler", TWO_PI * 222.1e12, 3e10, 0.98),
-        g0=TWO_PI * 0.31e6,
-    )
-    return TradeoffVariant(width, system, make_channel(delta_thz=delta_thz))
+def make_variant(width, delta_thz):
+    return TradeoffVariant(width, make_channel(delta_thz=delta_thz))
 
 
 def test_larger_detuning_strictly_lower_rate():
