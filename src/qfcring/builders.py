@@ -9,12 +9,14 @@ from __future__ import annotations
 import warnings
 from functools import lru_cache
 
+import numpy as np
+
 from .config import width_key
 from .constants import TWO_PI
 from .conversion import ModeChannel, TwmSystem, g0_effective
 from .dispersion import DispersionModel, load_dispersion_table
-from .elements import Device, DirectionalCoupler, MziCoupler, RingCavity
-from .errors import ConfigError, UnmatchedVariant
+from .elements import MAX_ARM_PHASE_RAD, Device, DirectionalCoupler, MziCoupler, RingCavity
+from .errors import ConfigError, DomainError, UnmatchedVariant
 from .matching import (MatchResult, SearchConstraints, companion_detuning,
                        find_triple_resonance, verify_match)
 from .noise import FwmChannel
@@ -71,7 +73,8 @@ def build_device(cfg: dict, width_nm=None, with_coupler=True) -> Device:
     """Device for the given width (default: the config's device width).
 
     with_coupler=False builds the bare ring (used by matching before any
-    calibration exists).  A coupler requires the calibration block.
+    calibration exists).  A coupler requires the calibration block, and one
+    whose arm phase reaches MAX_ARM_PHASE_RAD raises DomainError.
     """
     dev = cfg["device"]
     width = float(dev["width_nm"] if width_nm is None else width_nm)
@@ -104,7 +107,24 @@ def build_device(cfg: dict, width_nm=None, with_coupler=True) -> Device:
             width_nm=width,
             t_base_K=float(dev["ambient_temperature_K"]),
         )
+        _check_arm_phase(mzi)
     return Device(dispersion=model, ring=ring, mzi=mzi)
+
+
+# Memoised because every operating_point call builds its device; an error is
+# not memoised, so a refused coupler is refused on every call.
+@lru_cache(maxsize=_SWEEP_MEMO_SIZE)
+def _check_arm_phase(mzi: MziCoupler) -> None:
+    """DomainError when |arm phase| >= MAX_ARM_PHASE_RAD at an edge of the window."""
+    window = mzi.dispersion.lambda_window_nm
+    with np.errstate(over="ignore", invalid="ignore"):
+        phase = np.abs(mzi.arm_phase(np.array(window)))
+    if not np.all(phase < MAX_ARM_PHASE_RAD):
+        raise DomainError(
+            f"MZI arm phase of {np.max(phase):.3g} rad at the edges of the {window} nm "
+            f"window is beyond float resolution (|phase| >= 2**32 rad): "
+            f"device.mzi_delta_T_K={mzi.delta_T_K:g} K with a {mzi.heater_len_um:g} um "
+            f"heater and device.mzi_arm_delta_um={mzi.delta_len_um:g}")
 
 
 def build_constraints(cfg: dict) -> SearchConstraints:

@@ -26,7 +26,7 @@ from .builders import build_device, build_fwm_channel, operating_point
 from .config import width_key
 from .constants import TWO_PI, db_per_m_to_kappa
 from .dispersion import U_SCALE_NM
-from .elements import Device
+from .elements import MAX_ARM_PHASE_RAD, Device
 from .errors import CalibrationInfeasible, NoFeasibleMatch
 from .matching import MatchResult, rated
 from .noise import fwm_noise_rate
@@ -154,11 +154,14 @@ def _screen(js, geos, thermals, ks, dc_len_um: float, forms):
     every correctly rounded step computing it, so the scalar x lies between
     the x of the two bounds.  The quadratic's end values are linear in L_c,
     so their bounds over the L_c box come from the forms' signed weights.
-    Any NaN or inf keeps the point for the scalar checks.
+    An arm phase that is NaN or has |phase| >= MAX_ARM_PHASE_RAD gives no
+    envelope (0.0), as in the scalar walk, so the point is dropped; any other
+    NaN or inf keeps the point for the scalar checks.
     """
     w, tol = forms
     with np.errstate(all="ignore"):
-        env = np.cos(0.5 * (geos + np.multiply.outer(js * _HEATER_GRID_UM, thermals) * 1e-6)) ** 2
+        phase = geos + np.multiply.outer(js * _HEATER_GRID_UM, thermals) * 1e-6
+        env = np.where(np.abs(phase) < MAX_ARM_PHASE_RAD, np.cos(0.5 * phase) ** 2, 0.0)
         drop = np.any(env * (1.0 + _SCREEN_RTOL) <= ks, axis=1)
         x_lo, x_hi = (0.5 * (1.0 - np.sqrt(np.maximum(1.0 - ks / (env * scale), 0.0)))
                       for scale in (1.0 + _SCREEN_RTOL, 1.0 - _SCREEN_RTOL))
@@ -232,8 +235,8 @@ def solve_width_couplings(cfg: dict, device: Device, match: MatchResult) -> dict
             heater = j * _HEATER_GRID_UM
             x = []
             for geo, thermal, k_req in zip(geos, thermals, ks):
-                phase = geo + thermal * heater * 1e-6  # beyond float range: no envelope
-                env = math.cos(0.5 * phase) ** 2 if math.isfinite(phase) else 0.0
+                phase = geo + thermal * heater * 1e-6  # beyond float resolution: no envelope
+                env = math.cos(0.5 * phase) ** 2 if abs(phase) < MAX_ARM_PHASE_RAD else 0.0
                 if env <= k_req:
                     break
                 # K = 4 x (1-x) env  ->  small root

@@ -10,6 +10,7 @@ outside the fitted window raises OutOfDomain rather than extrapolating.
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 from dataclasses import dataclass, field
 from importlib import resources
@@ -80,12 +81,12 @@ class DispersionModel:
             raise DomainError(f"empty temperature window {self.temperature_window_K}")
         if not self.coeffs_by_width:
             raise DomainError("model has no width entries")
-        object.__setattr__(
-            self,
-            "coeffs_by_width",
-            {float(w): np.asarray(c, dtype=float) for w, c in self.coeffs_by_width.items()},
-        )
+        coeffs = {float(w): np.array(c, dtype=float) for w, c in self.coeffs_by_width.items()}
+        for c in coeffs.values():
+            c.flags.writeable = False
+        object.__setattr__(self, "coeffs_by_width", coeffs)
         self._validate_physical()
+        object.__setattr__(self, "_content_hash", self._digest())
 
     # -- bookkeeping --------------------------------------------------------
 
@@ -94,9 +95,14 @@ class DispersionModel:
         return tuple(sorted(self.coeffs_by_width))
 
     def content_hash(self) -> str:
-        """sha256 over the model's numerical content (for run metadata)."""
-        import hashlib
+        """sha256 over the model's numerical content (for run metadata).
 
+        Computed once at construction; the fields are frozen and the
+        coefficient arrays read-only copies.
+        """
+        return self._content_hash
+
+    def _digest(self) -> str:
         h = hashlib.sha256()
         for w in self.widths_nm:
             h.update(repr(w).encode())

@@ -24,6 +24,11 @@ from .errors import DomainError, NoResonance, NumericalFailure, OutOfDomain
 # degrades and we warn rather than fail.
 WEAK_COUPLING_K_MAX = 0.5
 
+# At |arm phase| = 2**32 rad the float spacing reaches 1e-6 rad; beyond it the
+# phase's cosine rests on its last bits, which change with the numeric
+# backend, so such a phase counts as unusable.
+MAX_ARM_PHASE_RAD = 2.0**32
+
 
 @dataclass(frozen=True)
 class DirectionalCoupler:
@@ -275,24 +280,36 @@ def resonance_comb(device: Device, band_nm, t_ring_K):
     Each pair satisfies m * lambda_m = n_eff(lambda_m, T) * L to machine
     precision; consecutive azimuthal numbers differ by 1.
     """
-    lo, hi = float(band_nm[0]), float(band_nm[1])
-    if not lo < hi:
-        raise DomainError(f"empty wavelength band {band_nm}")
+    return resonance_combs(device, [band_nm], t_ring_K)[0]
+
+
+def resonance_combs(device: Device, bands_nm, t_ring_K):
+    """resonance_comb of each band in bands_nm, with every line root-solved in one call."""
     model, ring = device.dispersion, device.ring
-    model._check_domain(np.array([lo, hi]), t_ring_K)
-    ms = np.asarray(_m_range(device, (lo, hi), t_ring_K))
-    lam = solve_resonance_wavelength(device, ms, t_ring_K)
-    inside = (lam >= lo) & (lam <= hi)
-    pairs = sorted(zip(ms[inside].tolist(), lam[inside].tolist()), key=lambda p: p[1])
-    if not pairs:
-        fsr = model.fsr_hz(0.5 * (lo + hi), t_ring_K, ring.width_nm, ring.length_m)
-        band_hz = freq_hz(lo) - freq_hz(hi)
-        if band_hz < fsr:
-            raise NoResonance(
-                f"band [{lo}, {hi}] nm is narrower than one FSR and contains no resonance"
-            )
-        raise NoResonance(f"band [{lo}, {hi}] nm contains no resonance")
-    return pairs
+    bands, ms = [], []
+    for band_nm in bands_nm:
+        lo, hi = float(band_nm[0]), float(band_nm[1])
+        if not lo < hi:
+            raise DomainError(f"empty wavelength band {band_nm}")
+        model._check_domain(np.array([lo, hi]), t_ring_K)
+        bands.append((lo, hi))
+        ms.append(np.asarray(_m_range(device, (lo, hi), t_ring_K)))
+    lams = solve_resonance_wavelength(device, np.concatenate(ms), t_ring_K)
+    ends = np.cumsum([band_ms.size for band_ms in ms])
+    combs = []
+    for (lo, hi), m, lam in zip(bands, ms, np.split(lams, ends[:-1])):
+        inside = (lam >= lo) & (lam <= hi)
+        pairs = sorted(zip(m[inside].tolist(), lam[inside].tolist()), key=lambda p: p[1])
+        if not pairs:
+            fsr = model.fsr_hz(0.5 * (lo + hi), t_ring_K, ring.width_nm, ring.length_m)
+            band_hz = freq_hz(lo) - freq_hz(hi)
+            if band_hz < fsr:
+                raise NoResonance(
+                    f"band [{lo}, {hi}] nm is narrower than one FSR and contains no resonance"
+                )
+            raise NoResonance(f"band [{lo}, {hi}] nm contains no resonance")
+        combs.append(pairs)
+    return combs
 
 
 def resonance_residual(device: Device, m, lambda_nm, t_K):

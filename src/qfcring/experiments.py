@@ -19,7 +19,7 @@ from .calibration import calibrate_config
 from .config import config_hash, emit_config, width_key
 from .constants import C_M_PER_S, TWO_PI, freq_hz
 from .conversion import efficiency_vs_power, pump_power_unity_cooperativity
-from .elements import coupling_ratio, resonance_comb, ring_spectrum
+from .elements import coupling_ratio, resonance_combs, ring_spectrum
 from .errors import ConfigError, NoFeasibleMatch, NumericalFailure, UnmatchedVariant
 from .matching import sweep_step_K
 from .noise import TradeoffVariant, efficiency_snr_tradeoff, noise_vs_power
@@ -161,13 +161,15 @@ def run_match(cfg, out):
                constraints=_constraints_dict(constraints),
                dispersion_model_hash=device.dispersion.content_hash())
 
-    for label, window in (
-        ("signal", (constraints.signal_wavelength_nm - constraints.half_window_nm,
-                    constraints.signal_wavelength_nm + constraints.half_window_nm)),
-        ("idler", constraints.idler_window_nm),
-        ("pump", constraints.pump_window_nm),
-    ):
-        ms, lams = np.array(resonance_comb(device, window, best.t_ring_K)).T
+    windows = {
+        "signal": (constraints.signal_wavelength_nm - constraints.half_window_nm,
+                   constraints.signal_wavelength_nm + constraints.half_window_nm),
+        "idler": constraints.idler_window_nm,
+        "pump": constraints.pump_window_nm,
+    }
+    combs = resonance_combs(device, windows.values(), best.t_ring_K)
+    for label, comb in zip(windows, combs):
+        ms, lams = np.array(comb).T
         fsr = device.dispersion.fsr_hz(lams, best.t_ring_K, device.width_nm,
                                        device.ring.length_m)
         out.table(f"comb_{label}", ["m", "wavelength_nm", "fsr_GHz"],

@@ -24,8 +24,8 @@ from .elements import (
     RESIDUAL_TOL,
     Device,
     _m_range,
+    _rates,
     _temperature_at,
-    mode_rates,
     qpm_mismatch,
     resonance_residual,
     solve_resonance_wavelength,
@@ -209,21 +209,27 @@ def rated(device: Device, match: MatchResult) -> MatchResult:
 
     Lines, T and integers depend on the dispersion model and the ring alone,
     so a match swept on the bare ring is rated on the coupled device as is.
+    The three carriers are read in one rate call.
     """
-    def mode(ms):
-        kappa_ex, kappa_0 = mode_rates(device, ms.lambda_nm, match.t_ring_K)
-        return replace(ms, kappa_ex=kappa_ex, kappa_0=kappa_0)
-
-    return replace(match, **{role: mode(ms) for role, ms in match.carriers})
+    lams = np.array([ms.lambda_nm for _, ms in match.carriers])
+    _, kappa_ex, kappa_0 = _rates(device, lams, match.t_ring_K)
+    kappa_ex = np.broadcast_to(kappa_ex, lams.shape)
+    return replace(match, **{
+        role: replace(ms, kappa_ex=float(ex), kappa_0=float(k0))
+        for (role, ms), ex, k0 in zip(match.carriers, kappa_ex, kappa_0)
+    })
 
 
 def _scan(device, constraints, t_points, m_s_list, m_p_list, m_i_list, m_offset):
     """Scan the given temperatures; returns (feasible, near), unrated (rates 0.0).
 
-    feasible holds every window+QPM pair within the mismatch bound.  A hit
-    temperature without one offers its first pair of least |mismatch| / tol_d
-    as a near miss (|signal detuning| <= tol_s at every hit, so the mismatch
-    alone sets how near a pair is); near is the first least of those, or None.
+    feasible holds every window+QPM pair within the mismatch bound, in
+    (hit, pump line, idler line) order.  A hit temperature without one offers
+    its first pair of least |mismatch| / tol_d as a near miss (|signal
+    detuning| <= tol_s at every hit, so the mismatch alone sets how near a
+    pair is); near is the first least of those, or None.  The pairs of all
+    hits are formed in one broadcast, in chunks of hits that keep each array
+    within MAX_GRID_CELLS cells.
     """
     tol_s = constraints.max_signal_detuning_Hz
     tol_d = constraints.max_mismatch_Hz
@@ -246,45 +252,48 @@ def _scan(device, constraints, t_points, m_s_list, m_p_list, m_i_list, m_offset)
     lam_s_hit = lam_s[pick[hit], cols[hit]]
     det_hit = det_best[hit]
 
-    lam_p = solve_resonance_wavelength(device, m_p_arr[:, None], t_hit)     # (n_mp, n_hit)
-    lam_i = solve_resonance_wavelength(device, m_i_arr[:, None], t_hit)
-    f_p, f_i = freq_hz(lam_p), freq_hz(lam_i)
+    # (n_hit, n_mp) and (n_hit, n_mi)
+    lam_p = solve_resonance_wavelength(device, m_p_arr[:, None], t_hit).T
+    lam_i = solve_resonance_wavelength(device, m_i_arr[:, None], t_hit).T
+    f_s, f_p, f_i = freq_hz(lam_s_hit), freq_hz(lam_p), freq_hz(lam_i)
     in_p = (lam_p >= p_lo) & (lam_p <= p_hi)
     in_i = (lam_i >= i_lo) & (lam_i <= i_hi)
+    m_pi = np.add.outer(m_p_arr, m_i_arr)                    # (n_mp, n_mi)
+
+    def match(h, jp, ji, delta, qpm):
+        return MatchResult(
+            t_ring_K=float(t_hit[h]),
+            pump=ModeSolution(int(m_p_arr[jp]), float(lam_p[h, jp]), 0.0, 0.0),
+            signal=ModeSolution(int(m_s_hit[h]), float(lam_s_hit[h]), 0.0, 0.0),
+            idler=ModeSolution(int(m_i_arr[ji]), float(lam_i[h, ji]), 0.0, 0.0),
+            signal_detuning_Hz=float(det_hit[h]), mismatch_Hz=float(delta),
+            qpm_mismatch=int(qpm), constraints=constraints,
+        )
 
     feasible, near, near_score = [], None, None
-    for h in range(t_hit.size):
-        f_s_h = freq_hz(lam_s_hit[h])
-        delta = f_s_h - np.add.outer(f_p[:, h], f_i[:, h])   # (n_mp, n_mi)
-        window_ok = np.logical_and.outer(in_p[:, h], in_i[:, h])
-        qpm = int(m_s_hit[h]) - np.add.outer(m_p_arr, m_i_arr) - m_offset
-        qpm_ok = (qpm == 0) if constraints.require_qpm else np.ones_like(qpm, bool)
-        base = window_ok & qpm_ok
-        if not np.any(base):
-            continue
+    chunk = max(1, MAX_GRID_CELLS // m_pi.size)
+    for start in range(0, t_hit.size, chunk):
+        h = slice(start, start + chunk)
+        delta = f_s[h, None, None] - (f_p[h, :, None] + f_i[h, None, :])
+        qpm = m_s_hit[h, None, None] - m_pi - m_offset
+        base = in_p[h, :, None] & in_i[h, None, :]
+        if constraints.require_qpm:
+            base &= qpm == 0
         ok = base & (np.abs(delta) <= tol_d)
-        is_ok = bool(np.any(ok))
-        if is_ok:
-            pairs = zip(*np.nonzero(ok))
-        else:
-            score = np.abs(delta) / tol_d
-            pair = np.unravel_index(np.argmin(np.where(base, score, np.inf)), base.shape)
-            if near is not None and not score[pair] < near_score:
-                continue
-            pairs, near_score = [pair], score[pair]
-        for jp, ji in pairs:
-            match = MatchResult(
-                t_ring_K=float(t_hit[h]),
-                pump=ModeSolution(int(m_p_arr[jp]), float(lam_p[jp, h]), 0.0, 0.0),
-                signal=ModeSolution(int(m_s_hit[h]), float(lam_s_hit[h]), 0.0, 0.0),
-                idler=ModeSolution(int(m_i_arr[ji]), float(lam_i[ji, h]), 0.0, 0.0),
-                signal_detuning_Hz=float(det_hit[h]), mismatch_Hz=float(delta[jp, ji]),
-                qpm_mismatch=int(qpm[jp, ji]), constraints=constraints,
-            )
-            if is_ok:
-                feasible.append(match)
-            else:
-                near = match
+        for k, jp, ji in zip(*np.nonzero(ok)):
+            feasible.append(match(start + k, jp, ji, delta[k, jp, ji], qpm[k, jp, ji]))
+
+        miss = base.any(axis=(1, 2)) & ~ok.any(axis=(1, 2))
+        if not np.any(miss):
+            continue
+        score = np.where(base, np.abs(delta) / tol_d, np.inf).reshape(miss.size, -1)
+        pair = np.argmin(score, axis=1)                      # first least per hit
+        least = np.where(miss, score[np.arange(miss.size), pair], np.inf)
+        k = int(np.argmin(least))                            # first least hit
+        if near is None or least[k] < near_score:
+            jp, ji = np.unravel_index(pair[k], m_pi.shape)
+            near = match(start + k, jp, ji, delta[k, jp, ji], qpm[k, jp, ji])
+            near_score = least[k]
     return feasible, near
 
 

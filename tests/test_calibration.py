@@ -65,7 +65,8 @@ def reference_scan(cfg, device, match):
             beta = float(model.propagation_constant(lam, t_base, width))
             phase = (beta * delta_len_um * 1e-6
                      + TWO_PI / (lam * 1e-9) * dn_dT * delta_T * heater * 1e-6)
-            env = math.cos(0.5 * phase) ** 2
+            # beyond 2**32 rad the phase's cosine rests on its last bits: no envelope
+            env = math.cos(0.5 * phase) ** 2 if abs(phase) < 2.0**32 else 0.0
             if env <= k_req:
                 break
             x.append(0.5 * (1.0 - math.sqrt(1.0 - k_req / env)))
@@ -120,6 +121,24 @@ def test_heater_scan_matches_full_grid_reference(cfg, bare_points, width, base_u
     variant = _variant(cfg, base_um, max_um)
     assert solve_width_couplings(variant, device, match) == \
         reference_scan(variant, device, match)
+
+
+# At these drives the signal carrier's arm phase reaches 2**32 rad near 129,
+# 43 and 1.3 um of heater, so the walk must stop short of it; at 1e13 K
+# nothing is left.
+@pytest.mark.parametrize("delta_T", [1e11, 3e11, 1e13])
+def test_heater_scan_stops_at_the_arm_phase_resolution(cfg, bare_points, delta_T):
+    device, match = bare_points[1500.0]
+    variant = copy.deepcopy(cfg)
+    variant["device"]["mzi_delta_T_K"] = delta_T
+    outcomes = []
+    for scan in (reference_scan, solve_width_couplings):
+        try:
+            outcomes.append(scan(variant, device, match))
+        except CalibrationInfeasible as exc:
+            outcomes.append(str(exc))
+    assert outcomes[0] == outcomes[1]
+    assert isinstance(outcomes[0], str) == (delta_T == 1e13)
 
 
 @pytest.mark.parametrize("width", WIDTHS)

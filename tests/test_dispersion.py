@@ -1,6 +1,7 @@
 """Effective-index model and table-ingestion tests."""
 
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -260,6 +261,26 @@ def test_two_fits_of_one_table_are_equal_and_hash_alike(model):
     # the fit residuals record how the fit went; they are not model content
     assert dataclasses.replace(again, fit_residuals_by_width={}) == model
     assert model.__eq__(model.content_hash()) is NotImplemented
+
+
+def test_model_coefficients_are_read_only_copies(model):
+    with pytest.raises(ValueError):
+        model.coeffs_by_width[WIDTH][0] = 0.0
+    given = model.coeffs_by_width[WIDTH].copy()
+    narrowed = dataclasses.replace(model, coeffs_by_width={WIDTH: given})
+    given[0] += 1.0  # the caller's array stays the caller's and writable
+    assert narrowed.coeffs_by_width[WIDTH][0] == model.coeffs_by_width[WIDTH][0]
+
+
+def test_content_hash_is_the_digest_of_the_fields(model):
+    h = hashlib.sha256()
+    for w in sorted(model.coeffs_by_width):
+        h.update(repr(w).encode())
+        h.update(model.coeffs_by_width[w].tobytes())
+    for v in (model.dn_dT_per_K, 0.0, model.lambda_ref_nm, model.t_ref_K,
+              *model.lambda_window_nm, *model.temperature_window_K):
+        h.update(repr(float(v)).encode())
+    assert model.content_hash() == h.hexdigest()
 
 
 def _one_coefficient_moved(m):

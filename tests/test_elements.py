@@ -11,6 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
+from qfcring import elements
 from qfcring.builders import build_constraints, build_device
 from qfcring.config import apply_overrides
 from qfcring.constants import C_M_PER_S, TWO_PI, db_per_m_to_kappa, freq_hz
@@ -27,6 +28,7 @@ from qfcring.elements import (
     mode_rates,
     qpm_mismatch,
     resonance_comb,
+    resonance_combs,
     resonance_residual,
     ring_spectrum,
     solve_resonance_wavelength,
@@ -359,6 +361,36 @@ def test_comb_empty_narrow_band_raises(cfg):
 
 COMB_BANDS = {"signal": (727.0, 747.0), "pump": (1613.0, 1633.0), "idler": (1340.0, 1360.0)}
 COMB_TEMPS_K = (300.0, 347.25, 400.0)
+
+
+@pytest.mark.parametrize("width", [1400.0, 1500.0, 1600.0])
+def test_combs_of_three_bands_equal_three_combs_in_one_solve(cfg, width, monkeypatch):
+    device = build_device(cfg, width_nm=width, with_coupler=False)
+    bands = list(COMB_BANDS.values())
+    solves = []
+
+    def counted(*args):
+        solves.append(args)
+        return solve_resonance_wavelength(*args)
+
+    for t in COMB_TEMPS_K:
+        one_by_one = [resonance_comb(device, band, t) for band in bands]
+        with monkeypatch.context() as m:
+            m.setattr(elements, "solve_resonance_wavelength", counted)
+            assert resonance_combs(device, bands, t) == one_by_one
+        assert len(solves) == 1
+        solves.clear()
+
+
+def test_empty_band_raises_the_same_text_through_both_calls(cfg):
+    device = build_device(cfg, with_coupler=False)
+    lams = [lam for _, lam in resonance_comb(device, (1610.0, 1640.0), 350.0)]
+    gap = (0.5 * (lams[3] + lams[4]) - 0.05, 0.5 * (lams[3] + lams[4]) + 0.05)
+    with pytest.raises(NoResonance) as one:
+        resonance_comb(device, gap, 350.0)
+    with pytest.raises(NoResonance) as many:
+        resonance_combs(device, [COMB_BANDS["pump"], gap, COMB_BANDS["idler"]], 350.0)
+    assert str(many.value) == str(one.value)
 
 
 def _scalar_lines(device, ms, t_K):

@@ -156,9 +156,14 @@ def test_failed_verification_exits_4(monkeypatch, tmp_path):
     # the signal's x root rounds to 0, which would need an infinite coupling length
     ("calibrate", "calibration_targets.eta_signal=1e-30", "CalibrationInfeasible", 3,
      "anchor 'coupling ratios at the operating MZI drive': no heater length up to 1000.0 um"),
-    # the arm phase overflows to inf on most of the heater grid
+    # the arm phase is beyond float resolution or overflows on the whole heater grid
     ("calibrate", "device.mzi_delta_T_K=1.0e+305", "CalibrationInfeasible", 3,
      "anchor 'coupling ratios at the operating MZI drive': no heater length up to 1000.0 um"),
+    # a coupled device refuses such an arm phase when it is built
+    ("convert", "device.mzi_delta_T_K=1.0e+305", "DomainError", 2,
+     "MZI arm phase of 5.6e+303 rad at the edges of the (650.0, 1700.0) nm window is "
+     "beyond float resolution (|phase| >= 2**32 rad): device.mzi_delta_T_K=1e+305 K "
+     "with a 148.5 um heater"),
     # ~1e300 comb lines: more than a Python range's len() can count
     ("match", "device.ring_length_um=1e300", "DomainError", 2,
      "search grid of "),
@@ -199,7 +204,8 @@ def test_failed_verification_exits_4(monkeypatch, tmp_path):
         "int-ring-length-beyond-float", "int-t-max-beyond-float",
         "int-fwm-rate-beyond-float", "int-input-rate-beyond-float",
         "int-power-points-beyond-float", "huge-spectrum-points", "huge-power-points",
-        "int-beyond-str-limit", "vanishing-eta-signal", "huge-mzi-drive", "huge-ring-length",
+        "int-beyond-str-limit", "vanishing-eta-signal", "huge-mzi-drive",
+        "coupled-huge-mzi-drive", "huge-ring-length",
         "huge-power-max", "huge-power-min", "huge-pump-detuning", "huge-loss", "huge-g0",
         "huge-g-chi3", "calibrate-huge-pump-detuning", "calibrate-huge-g0-target",
         "vanishing-g0", "ring-length-beyond-mode-numbers"])

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from qfcring import matching
 from qfcring.builders import build_constraints, build_device, operating_point
 from qfcring.config import apply_overrides
-from qfcring.constants import C_M_PER_S, TWO_PI
+from qfcring.constants import C_M_PER_S, TWO_PI, freq_hz
 from qfcring.elements import Device, _m_range, solve_resonance_wavelength
 from qfcring.errors import (
     NoFeasibleMatch,
@@ -355,3 +355,187 @@ def test_companion_comb_path_wide_window():
     assert got is not None
     # long-range second difference of the strongly curved comb: THz scale
     assert 0.0 < abs(got) / TWO_PI < 2e13
+
+
+# --- pairing oracle ----------------------------------------------------------
+
+def _reference_scan(device, constraints, t_points, m_s_list, m_p_list, m_i_list, m_offset,
+                    hits=None):
+    """matching._scan as a loop over hit temperatures, one (pump, idler) grid each.
+
+    The independent reference of the one-pass pairing.  hits, when given,
+    collects the number of hit temperatures of each call.
+    """
+    tol_s = constraints.max_signal_detuning_Hz
+    tol_d = constraints.max_mismatch_Hz
+    p_lo, p_hi = constraints.pump_window_nm
+    i_lo, i_hi = constraints.idler_window_nm
+
+    m_s_arr, m_p_arr, m_i_arr = (np.asarray(ms) for ms in (m_s_list, m_p_list, m_i_list))
+    lam_s = solve_resonance_wavelength(device, m_s_arr[:, None], t_points)
+    det_s = freq_hz(lam_s) - constraints.signal_target_hz
+    pick = np.argmin(np.abs(det_s), axis=0)
+    cols = np.arange(t_points.size)
+    det_best = det_s[pick, cols]
+    hit = np.abs(det_best) <= tol_s
+    if hits is not None:
+        hits.append(int(np.count_nonzero(hit)))
+    if not np.any(hit):
+        return [], None
+
+    t_hit = t_points[hit]
+    m_s_hit = m_s_arr[pick[hit]]
+    lam_s_hit = lam_s[pick[hit], cols[hit]]
+    det_hit = det_best[hit]
+
+    lam_p = solve_resonance_wavelength(device, m_p_arr[:, None], t_hit)
+    lam_i = solve_resonance_wavelength(device, m_i_arr[:, None], t_hit)
+    f_p, f_i = freq_hz(lam_p), freq_hz(lam_i)
+    in_p = (lam_p >= p_lo) & (lam_p <= p_hi)
+    in_i = (lam_i >= i_lo) & (lam_i <= i_hi)
+
+    feasible, near, near_score = [], None, None
+    for h in range(t_hit.size):
+        f_s_h = freq_hz(lam_s_hit[h])
+        delta = f_s_h - np.add.outer(f_p[:, h], f_i[:, h])
+        window_ok = np.logical_and.outer(in_p[:, h], in_i[:, h])
+        qpm = int(m_s_hit[h]) - np.add.outer(m_p_arr, m_i_arr) - m_offset
+        qpm_ok = (qpm == 0) if constraints.require_qpm else np.ones_like(qpm, bool)
+        base = window_ok & qpm_ok
+        if not np.any(base):
+            continue
+        ok = base & (np.abs(delta) <= tol_d)
+        is_ok = bool(np.any(ok))
+        if is_ok:
+            pairs = zip(*np.nonzero(ok))
+        else:
+            score = np.abs(delta) / tol_d
+            pair = np.unravel_index(np.argmin(np.where(base, score, np.inf)), base.shape)
+            if near is not None and not score[pair] < near_score:
+                continue
+            pairs, near_score = [pair], score[pair]
+        for jp, ji in pairs:
+            match = matching.MatchResult(
+                t_ring_K=float(t_hit[h]),
+                pump=matching.ModeSolution(int(m_p_arr[jp]), float(lam_p[jp, h]), 0.0, 0.0),
+                signal=matching.ModeSolution(int(m_s_hit[h]), float(lam_s_hit[h]), 0.0, 0.0),
+                idler=matching.ModeSolution(int(m_i_arr[ji]), float(lam_i[ji, h]), 0.0, 0.0),
+                signal_detuning_Hz=float(det_hit[h]), mismatch_Hz=float(delta[jp, ji]),
+                qpm_mismatch=int(qpm[jp, ji]), constraints=constraints,
+            )
+            if is_ok:
+                feasible.append(match)
+            else:
+                near = match
+    return feasible, near
+
+
+def _sweep_outcome(device, constraints, scan):
+    """The matches of a sweep that pairs with scan, or its error's class, text and near miss."""
+    with pytest.MonkeyPatch.context() as m, warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        m.setattr(matching, "_scan", scan)
+        try:
+            return find_triple_resonance(device, constraints)
+        except QfcError as exc:
+            return type(exc).__name__, str(exc), getattr(exc, "best_candidate", None)
+
+
+def _chunked(scan, hits_per_chunk):
+    """scan with the pairing's cell bound set to hits_per_chunk hits' worth of pairs."""
+    def chunked(*args):
+        cells = hits_per_chunk * len(args[4]) * len(args[5])
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(matching, "MAX_GRID_CELLS", cells)
+            return scan(*args)
+    return chunked
+
+
+def _assert_pairing_equals_reference(device, constraints, hits_per_chunk=None):
+    """Asserts the sweep's outcome equals the reference loop's; returns that outcome."""
+    hits = []
+    expected = _sweep_outcome(device, constraints,
+                              lambda *args: _reference_scan(*args, hits=hits))
+    scan = matching._scan
+    if hits_per_chunk is not None:
+        scan = _chunked(scan, hits_per_chunk)
+    assert _sweep_outcome(device, constraints, scan) == expected
+    return expected, sum(hits)
+
+
+@settings(max_examples=120, derandomize=True, deadline=None, database=None)
+@given(device=random_rings(), signal_nm=st.floats(650.0, 700.0),
+       pump_share=st.floats(0.4, 0.6), half_window=st.floats(2.0, 20.0),
+       t_min=st.floats(260.0, 430.0), span=st.floats(0.5, 10.0),
+       tol_s_MHz=st.floats(50.0, 2000.0), log_tol_d=st.floats(4.0, 12.0),
+       require_qpm=st.booleans())
+def test_pairing_equals_the_per_hit_loop_on_random_rings(device, signal_nm, pump_share,
+                                                          half_window, t_min, span,
+                                                          tol_s_MHz, log_tol_d, require_qpm):
+    # The target is a signal line at mid-sweep, so the sweep has hits.  With
+    # f_p = pump_share * f_s and f_i = f_s - f_p both windows sit near energy
+    # conservation, and the poling makes the window centres' lines
+    # quasi-phase matched, so the hits have pairs.
+    t_mid = min(t_min + 0.5 * span, 450.0)
+
+    def line(lam):
+        return round(float(device.dispersion.n_eff(lam, t_mid, WIDTH))
+                     * device.ring.length_um * 1e3 / lam)
+
+    signal_nm = solve_resonance_wavelength(device, line(signal_nm), t_mid)
+    assume(650.0 <= signal_nm <= 700.0)
+    pump_nm, idler_nm = signal_nm / pump_share, signal_nm / (1.0 - pump_share)
+    m_offset = line(signal_nm) - line(pump_nm) - line(idler_nm)
+    if m_offset > 0:
+        device = dataclasses.replace(device, ring=dataclasses.replace(
+            device.ring, ppln_fraction=0.25,
+            poling_period_um=0.25 * device.ring.length_um / m_offset))
+    constraints = SearchConstraints(
+        signal_wavelength_nm=signal_nm, pump_base_nm=pump_nm,
+        idler_base_nm=idler_nm, half_window_nm=half_window,
+        t_min_K=t_min, t_max_K=min(t_min + span, 450.0),
+        max_signal_detuning_Hz=tol_s_MHz * 1e6, max_mismatch_Hz=10.0**log_tol_d,
+        require_qpm=require_qpm)
+    _assert_pairing_equals_reference(device, constraints)
+
+
+@pytest.mark.parametrize("hits_per_chunk", [None, 1, 3])
+@pytest.mark.parametrize("require_qpm", [True, False])
+def test_pairing_equals_the_per_hit_loop_on_the_packaged_config(cfg, require_qpm,
+                                                                 hits_per_chunk):
+    matched = near_misses = 0
+    for width in (1400.0, 1500.0, 1600.0):
+        for bound_MHz in ("1.0e-3", "0.5", "20", "150"):
+            narrow = apply_overrides(cfg, [f"constraints.max_mismatch_MHz={bound_MHz}",
+                                           f"constraints.require_qpm={require_qpm}"])
+            outcome, hits = _assert_pairing_equals_reference(
+                build_device(narrow, width_nm=width, with_coupler=False),
+                build_constraints(narrow), hits_per_chunk)
+            if isinstance(outcome, list):
+                matched += 1
+            elif outcome[2] is not None:
+                near_misses += 1
+            if hits_per_chunk is not None:
+                assert hits > 2 * hits_per_chunk  # the pairing runs in several chunks
+    assert matched and near_misses
+
+
+@pytest.mark.parametrize("hits_per_chunk", [None, 1, 3])
+@pytest.mark.parametrize("require_qpm", [True, False])
+def test_pairing_breaks_ties_as_the_per_hit_loop(require_qpm, hits_per_chunk):
+    # Lines that stand still (dn/dT = 0) give every grid temperature the same
+    # pairs, and the poling offset M = 1 leaves every QPM pair one FSR off:
+    # the near miss is then a tie across all hits, which the first hit wins.
+    device, constraints, _ = planted_fixture_a()
+    still = Device(dispersion=simple_model([2.0], dn_dt=0.0),
+                   ring=dataclasses.replace(device.ring, ppln_fraction=0.25,
+                                            poling_period_um=125.0))
+    assert still.ring.m_offset == 1
+    outcome, hits = _assert_pairing_equals_reference(
+        still, dataclasses.replace(constraints, half_window_nm=6.0, t_step_K=0.5,
+                                   require_qpm=require_qpm), hits_per_chunk)
+    assert hits == 41
+    if require_qpm:
+        assert outcome[2].t_ring_K == constraints.t_min_K
+    else:
+        assert len(outcome) == 5
