@@ -9,8 +9,11 @@ For each label and workload, the untraced records give the median and
 quartiles of every end-to-end metric, with the seeds, commits and CPU
 models behind them.  Seeds run under both `parent` and `change` are pairs,
 and `wins` counts the pairs whose change is better ("better" as
-BENCHMARK.json declares it).  Writes BENCH_<N>.json at the repo root.
-Stdlib only.
+BENCHMARK.json declares it).  For a workload with pairs, `ratio` is the
+change median over the parent median of each metric (None when the
+parent's is 0), and `beyond_bound` lists the metrics whose change median
+is worse than the parent's by more than the metric's `bound` in
+BENCHMARK.json.  Writes BENCH_<N>.json at the repo root.  Stdlib only.
 """
 
 import glob
@@ -28,8 +31,9 @@ def spread(values):
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def summarise(runs, better):
-    """runs: {label: [record]}; better: {metric: "higher" | "lower"}."""
+def summarise(runs, better, bounds):
+    """runs: {label: [record]}; better: {metric: "higher" | "lower"};
+    bounds: {metric: largest relative worsening}."""
     out = {}
     for label, records in runs.items():
         for rec in records:
@@ -49,9 +53,17 @@ def summarise(runs, better):
         seeds = sorted(set(paired.get("parent", ())) & set(paired.get("change", ())))
         if seeds:
             sign = {m: 1.0 if b == "higher" else -1.0 for m, b in better.items()}
-            by_label["pairs"] = {"seeds": seeds, "wins": {
-                m: sum(sign[m] * (paired["change"][s][m] - paired["parent"][s][m]) > 0
-                       for s in seeds) for m in better}}
+            med = {label: {m: by_label[label]["metrics"][m]["median"] for m in better}
+                   for label in ("parent", "change")}
+            by_label["pairs"] = {
+                "seeds": seeds,
+                "wins": {m: sum(sign[m] * (paired["change"][s][m] - paired["parent"][s][m]) > 0
+                                for s in seeds) for m in better},
+                "ratio": {m: med["change"][m] / med["parent"][m] if med["parent"][m] else None
+                          for m in better},
+                "beyond_bound": [m for m in better if sign[m] * (
+                    med["change"][m] - med["parent"][m]) < -bounds[m] * abs(med["parent"][m])],
+            }
     return out
 
 
@@ -63,10 +75,12 @@ def main(argv, root=ROOT):
             with open(path, encoding="utf-8") as fh:
                 runs.setdefault(label, []).append(json.load(fh))
     with open(os.path.join(root, "BENCHMARK.json"), encoding="utf-8") as fh:
-        better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
+        end_to_end = json.load(fh)["end_to_end"]
+    better = {m["name"]: m["better"] for m in end_to_end}
+    bounds = {m["name"]: m["bound"] for m in end_to_end}
     path = os.path.join(root, f"BENCH_{int(n)}.json")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(summarise(runs, better), fh, indent=1, sort_keys=True)
+        json.dump(summarise(runs, better, bounds), fh, indent=1, sort_keys=True)
         fh.write("\n")
     print(path)
 

@@ -12,8 +12,9 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from importlib import resources
+from types import MappingProxyType
 
 import numpy as np
 
@@ -55,7 +56,8 @@ class DispersionModel:
     n_eff(lambda, T, w) = P_w(u) + dn_dT_per_K * (T - t_ref_K),
     u = (lambda_nm - lambda_ref_nm) / 1000.
 
-    coeffs_by_width maps width (nm) to ascending polynomial coefficients.
+    coeffs_by_width maps width (nm) to ascending polynomial coefficients;
+    the model keeps a read-only mapping of read-only copies.
     dn_dT_per_K is one thermo-optic coefficient (1/K) shared by every
     width and wavelength, so n_eff is linear in T and dn_eff/dlambda does
     not depend on T.  fit_residuals_by_width records the max abs fit
@@ -84,9 +86,17 @@ class DispersionModel:
         coeffs = {float(w): np.array(c, dtype=float) for w, c in self.coeffs_by_width.items()}
         for c in coeffs.values():
             c.flags.writeable = False
-        object.__setattr__(self, "coeffs_by_width", coeffs)
+        object.__setattr__(self, "coeffs_by_width", MappingProxyType(coeffs))
         self._validate_physical()
         object.__setattr__(self, "_content_hash", self._digest())
+
+    def __reduce__(self):
+        # A mapping proxy cannot be pickled: rebuild from every field, with
+        # the widths as a plain dict (and so re-check and re-hash), which
+        # also serves copy.deepcopy.
+        args = {f.name: getattr(self, f.name) for f in fields(self)}
+        args["coeffs_by_width"] = dict(self.coeffs_by_width)
+        return (DispersionModel, tuple(args.values()))
 
     # -- bookkeeping --------------------------------------------------------
 
@@ -97,8 +107,8 @@ class DispersionModel:
     def content_hash(self) -> str:
         """sha256 over the model's numerical content (for run metadata).
 
-        Computed once at construction; the fields are frozen and the
-        coefficient arrays read-only copies.
+        Computed once at construction; the fields are frozen, the
+        coefficient mapping read-only and its arrays read-only copies.
         """
         return self._content_hash
 

@@ -227,9 +227,12 @@ def _scan(device, constraints, t_points, m_s_list, m_p_list, m_i_list, m_offset)
     (hit, pump line, idler line) order.  A hit temperature without one offers
     its first pair of least |mismatch| / tol_d as a near miss (|signal
     detuning| <= tol_s at every hit, so the mismatch alone sets how near a
-    pair is); near is the first least of those, or None.  The pairs of all
-    hits are formed in one broadcast, in chunks of hits that keep each array
-    within MAX_GRID_CELLS cells.
+    pair is); near is the first least of those, or None.  Every signal, pump
+    and idler line is root-solved at every temperature in one call; the
+    signal rows pick the hits, and the pump and idler rows are read at them.
+    So a NumericalFailure may name any line at any of the given temperatures,
+    hit or not.  The pairs of all hits are formed in one broadcast, in chunks
+    of hits that keep each array within MAX_GRID_CELLS cells.
     """
     tol_s = constraints.max_signal_detuning_Hz
     tol_d = constraints.max_mismatch_Hz
@@ -238,7 +241,10 @@ def _scan(device, constraints, t_points, m_s_list, m_p_list, m_i_list, m_offset)
     i_lo, i_hi = constraints.idler_window_nm
 
     m_s_arr, m_p_arr, m_i_arr = (np.asarray(ms) for ms in (m_s_list, m_p_list, m_i_list))
-    lam_s = solve_resonance_wavelength(device, m_s_arr[:, None], t_points)   # (n_ms, n_t)
+    n_s, n_p = m_s_arr.size, m_p_arr.size
+    m_all = np.concatenate((m_s_arr, m_p_arr, m_i_arr))
+    lam_all = solve_resonance_wavelength(device, m_all[:, None], t_points)   # (n_m, n_t)
+    lam_s = lam_all[:n_s]
     det_s = freq_hz(lam_s) - f_target
     pick = np.argmin(np.abs(det_s), axis=0)                  # nearest line per T
     cols = np.arange(t_points.size)
@@ -253,8 +259,8 @@ def _scan(device, constraints, t_points, m_s_list, m_p_list, m_i_list, m_offset)
     det_hit = det_best[hit]
 
     # (n_hit, n_mp) and (n_hit, n_mi)
-    lam_p = solve_resonance_wavelength(device, m_p_arr[:, None], t_hit).T
-    lam_i = solve_resonance_wavelength(device, m_i_arr[:, None], t_hit).T
+    lam_p = lam_all[n_s:n_s + n_p][:, hit].T
+    lam_i = lam_all[n_s + n_p:][:, hit].T
     f_s, f_p, f_i = freq_hz(lam_s_hit), freq_hz(lam_p), freq_hz(lam_i)
     in_p = (lam_p >= p_lo) & (lam_p <= p_hi)
     in_i = (lam_i >= i_lo) & (lam_i <= i_hi)
@@ -339,6 +345,8 @@ def find_triple_resonance(device: Device, constraints: SearchConstraints):
     m_i_list = _m_range(device, constraints.idler_window_nm, t_ends)
     # stop - start, as len() of a range beyond ssize_t raises OverflowError
     n_s, n_p, n_i = (r.stop - r.start for r in (m_s_list, m_p_list, m_i_list))
+    # The first term bounds _scan's one root solve of every line at every kept
+    # temperature, the second its (pump x idler) pair arrays.
     if max((n_s + n_p + n_i) * n_steps, n_p * n_i) > MAX_GRID_CELLS:
         raise DomainError(
             f"search grid of {_count(n_s + n_p + n_i)} comb lines x {_count(n_steps)} "

@@ -1,8 +1,10 @@
 """Effective-index model and table-ingestion tests."""
 
+import copy
 import dataclasses
 import hashlib
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -270,6 +272,22 @@ def test_model_coefficients_are_read_only_copies(model):
     narrowed = dataclasses.replace(model, coeffs_by_width={WIDTH: given})
     given[0] += 1.0  # the caller's array stays the caller's and writable
     assert narrowed.coeffs_by_width[WIDTH][0] == model.coeffs_by_width[WIDTH][0]
+
+
+def test_width_mapping_is_read_only_and_copies_keep_the_hash(model):
+    # The hash is computed once, so an entry replaced in place would go unhashed.
+    with pytest.raises(TypeError):
+        model.coeffs_by_width[1500.0] = model.coeffs_by_width[WIDTH]
+    with pytest.raises(TypeError):
+        del model.coeffs_by_width[WIDTH]
+    for twin in (copy.deepcopy(model), pickle.loads(pickle.dumps(model))):
+        assert twin is not model and twin == model
+        assert twin.content_hash() == model.content_hash() == twin._digest()
+        for f in dataclasses.fields(model):  # every field travels, not just the hashed ones
+            if f.name != "coeffs_by_width":
+                assert getattr(twin, f.name) == getattr(model, f.name), f.name
+        with pytest.raises(TypeError):
+            twin.coeffs_by_width[WIDTH] = np.zeros(3)
 
 
 def test_content_hash_is_the_digest_of_the_fields(model):

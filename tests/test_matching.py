@@ -330,6 +330,29 @@ def test_verified_sweep_equals_direct_sweep(cfg, width):
     assert list(matches) == direct
 
 
+@pytest.mark.parametrize("width", [1400.0, 1500.0, 1600.0])
+def test_a_sweep_solves_every_line_in_one_call(cfg, monkeypatch, width):
+    device = build_device(cfg, width_nm=width, with_coupler=False)
+    constraints = build_constraints(cfg)
+    calls = []
+
+    def spy(dev, m, t_K):
+        calls.append((np.shape(m), np.shape(t_K)))
+        return solve_resonance_wavelength(dev, m, t_K)
+
+    monkeypatch.setattr(matching, "solve_resonance_wavelength", spy)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert find_triple_resonance(device, constraints)
+    t_ends = (constraints.t_min_K, constraints.t_max_K)
+    target = constraints.signal_wavelength_nm
+    n_lines = sum(len(_m_range(device, band, t_ends)) for band in (
+        (target, target), constraints.pump_window_nm, constraints.idler_window_nm))
+    assert len(calls) == 1
+    (m_shape, t_shape), = calls
+    assert m_shape == (n_lines, 1) and len(t_shape) == 1 and t_shape[0] > 0
+
+
 def test_sweep_propagates_infeasible_width(cfg):
     impossible = apply_overrides(cfg, ["constraints.max_mismatch_MHz=1.0e-9"])
     for width in (1400.0, 1500.0):
