@@ -36,10 +36,15 @@ _DOMAIN_EPS = 1e-9
 _MAX_FIT_RESIDUAL = 1e-3
 
 
-def _polyval(coeffs: np.ndarray, u):
-    """Horner evaluation of ascending-power coefficients."""
-    out = np.zeros_like(np.asarray(u, dtype=float))
-    for c in coeffs[::-1]:
+def _polyval(coeffs, u):
+    """Horner evaluation of ascending-power coefficients (a sequence of floats).
+
+    0.0 * u + c_n is a zeros start's first step: an inf or NaN in u gives NaN.
+    """
+    if len(coeffs) == 0:
+        return np.zeros_like(np.asarray(u, dtype=float))
+    out = 0.0 * u + coeffs[-1]
+    for c in coeffs[-2::-1]:
         out = out * u + c
     return out
 
@@ -47,6 +52,13 @@ def _polyval(coeffs: np.ndarray, u):
 def _polyder(coeffs: np.ndarray) -> np.ndarray:
     n = np.arange(1, len(coeffs))
     return coeffs[1:] * n
+
+
+def _fsr_hz(ng, ring_length_m: float):
+    """Free spectral range c/(n_g L) in ordinary Hz at group index ng."""
+    if ring_length_m <= 0.0:
+        raise DomainError(f"ring length must be positive, got {ring_length_m}")
+    return C_M_PER_S / (ng * ring_length_m)
 
 
 @dataclass(frozen=True)
@@ -87,6 +99,8 @@ class DispersionModel:
         for c in coeffs.values():
             c.flags.writeable = False
         object.__setattr__(self, "coeffs_by_width", MappingProxyType(coeffs))
+        object.__setattr__(self, "_horner", {
+            w: (tuple(c.tolist()), tuple(_polyder(c).tolist())) for w, c in coeffs.items()})
         self._validate_physical()
         object.__setattr__(self, "_content_hash", self._digest())
 
@@ -133,8 +147,9 @@ class DispersionModel:
     def __hash__(self):
         return hash(self.content_hash())
 
-    def _coeffs(self, width_nm: float) -> np.ndarray:
-        c = self.coeffs_by_width.get(float(width_nm))
+    def _coeffs(self, width_nm: float) -> tuple:
+        """(P_w, dP_w/du) of a width, each a tuple of Python floats for _polyval."""
+        c = self._horner.get(float(width_nm))
         if c is not None:
             return c
         raise UnknownWidth(
@@ -147,14 +162,14 @@ class DispersionModel:
         lo, hi = self.lambda_window_nm
         lam = np.asarray(lambda_nm, dtype=float)
         pad = _DOMAIN_EPS * (hi - lo)
-        if np.any(lam < lo - pad) or np.any(lam > hi + pad):
+        if ((lam < lo - pad) | (lam > hi + pad)).any():
             raise OutOfDomain(
                 f"wavelength {lambda_nm} nm outside validity window [{lo}, {hi}] nm"
             )
         tlo, thi = self.temperature_window_K
         t = np.asarray(t_K, dtype=float)
         tpad = _DOMAIN_EPS * max(thi - tlo, 1.0)
-        if np.any(t < tlo - tpad) or np.any(t > thi + tpad):
+        if ((t < tlo - tpad) | (t > thi + tpad)).any():
             raise OutOfDomain(
                 f"temperature {t_K} K outside validity window [{tlo}, {thi}] K"
             )
@@ -187,15 +202,15 @@ class DispersionModel:
     def _n_eff_unchecked(self, lambda_nm, t_K, width_nm: float):
         # Internal: resonance root-solvers may probe a whisker outside the
         # window mid-iteration; final results are always domain-masked.
-        c = self._coeffs(width_nm)
+        c, _ = self._coeffs(width_nm)
         u = (np.asarray(lambda_nm, dtype=float) - self.lambda_ref_nm) / U_SCALE_NM
         n = _polyval(c, u)
         return n + self.dn_dT_per_K * (np.asarray(t_K, dtype=float) - self.t_ref_K)
 
     def _dn_dlambda_unchecked(self, lambda_nm, t_K, width_nm: float):
-        c = self._coeffs(width_nm)
+        _, dc = self._coeffs(width_nm)
         u = (np.asarray(lambda_nm, dtype=float) - self.lambda_ref_nm) / U_SCALE_NM
-        return _polyval(_polyder(c), u) / U_SCALE_NM
+        return _polyval(dc, u) / U_SCALE_NM
 
     def group_index(self, lambda_nm, t_K, width_nm: float):
         """n_g = n_eff - lambda * dn_eff/dlambda (analytic derivative)."""
@@ -211,10 +226,7 @@ class DispersionModel:
 
     def fsr_hz(self, lambda_nm, t_K, width_nm: float, ring_length_m: float):
         """Free spectral range c/(n_g L) in ordinary Hz."""
-        if ring_length_m <= 0.0:
-            raise DomainError(f"ring length must be positive, got {ring_length_m}")
-        ng = self.group_index(lambda_nm, t_K, width_nm)
-        return C_M_PER_S / (ng * ring_length_m)
+        return _fsr_hz(self.group_index(lambda_nm, t_K, width_nm), ring_length_m)
 
     def group_velocity(self, lambda_nm, t_K, width_nm: float):
         """v_g = c / n_g (m/s)."""

@@ -50,14 +50,14 @@ class DirectionalCoupler:
     def _check(self, lambda_nm):
         lo, hi = self.lambda_window_nm
         lam = np.asarray(lambda_nm, dtype=float)
-        if np.any(lam < lo) or np.any(lam > hi):
+        if ((lam < lo) | (lam > hi)).any():
             raise OutOfDomain(f"wavelength {lambda_nm} nm outside coupler window [{lo}, {hi}] nm")
 
     def coupling_length_um(self, lambda_nm):
         """Full-transfer beat half-length L_c (um) at the given wavelength."""
         self._check(lambda_nm)
         u = (np.asarray(lambda_nm, dtype=float) - self.lambda_ref_nm) / U_SCALE_NM
-        lc = _polyval(np.asarray(self.lc_coeffs_um, dtype=float), u)
+        lc = _polyval(self.lc_coeffs_um, u)
         if np.any(lc <= 0.0):
             raise DomainError(f"coupling-length model non-positive at {lambda_nm} nm")
         return lc
@@ -66,6 +66,11 @@ class DirectionalCoupler:
         """Power cross-transmission |k|^2 = sin^2(pi L_dc / (2 L_c))."""
         lc = self.coupling_length_um(lambda_nm)
         return np.sin(math.pi * self.length_um / (2.0 * lc)) ** 2
+
+
+def _m10(k, t, ph):
+    """Bus-to-ring element M10 of the composite MZI transfer matrix."""
+    return 1j * (t * k * ph + k * t)
 
 
 @dataclass(frozen=True)
@@ -102,6 +107,13 @@ class MziCoupler:
         )
         return geo + thermal
 
+    def _field_terms(self, lambda_nm, delta_T_K):
+        """(k, t, e^{i dtheta}): field cross and through amplitudes of C, arm phasor."""
+        lam = np.asarray(lambda_nm, dtype=float)
+        k = np.sqrt(self.dc.cross_coupling(lam))
+        t = np.sqrt(1.0 - k**2)
+        return k, t, np.exp(1j * self.arm_phase(lam, delta_T_K))
+
     def transfer(self, lambda_nm, delta_T_K=None):
         """Composite 2x2 matrix C . diag(e^{i dtheta}, 1) . C of the coupler C.
 
@@ -109,13 +121,10 @@ class MziCoupler:
         belongs to the ring round trip.  Returns shape (2, 2) for scalar
         input, (n, 2, 2) for an n-vector of wavelengths.
         """
-        lam = np.asarray(lambda_nm, dtype=float)
-        k = np.sqrt(self.dc.cross_coupling(lam))
-        t = np.sqrt(1.0 - k**2)
-        ph = np.exp(1j * self.arm_phase(lam, delta_T_K))
+        k, t, ph = self._field_terms(lambda_nm, delta_T_K)
         m00 = t * t * ph - k * k
         m01 = 1j * (k * t * ph + t * k)
-        m10 = 1j * (t * k * ph + k * t)
+        m10 = _m10(k, t, ph)
         m11 = -k * k * ph + t * t
         out = np.stack(
             [np.stack([m00, m01], axis=-1), np.stack([m10, m11], axis=-1)], axis=-2
@@ -124,7 +133,7 @@ class MziCoupler:
 
     def cross_coupling(self, lambda_nm, delta_T_K=None):
         """Composite power cross-coupling K(lambda, dT) = |M10|^2 in [0, 1]."""
-        return np.abs(self.transfer(lambda_nm, delta_T_K=delta_T_K)[..., 1, 0]) ** 2
+        return np.abs(_m10(*self._field_terms(lambda_nm, delta_T_K))) ** 2
 
 
 @dataclass(frozen=True)

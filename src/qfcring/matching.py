@@ -20,6 +20,7 @@ from decimal import Decimal
 import numpy as np
 
 from .constants import C_M_PER_S, MAX_GRID_CELLS, TWO_PI, freq_hz
+from .dispersion import _fsr_hz
 from .elements import (
     RESIDUAL_TOL,
     Device,
@@ -133,19 +134,27 @@ class MatchResult:
         return (("pump", self.pump), ("signal", self.signal), ("idler", self.idler))
 
 
+def _signal_tuning(device: Device, constraints: SearchConstraints):
+    """(n_g, |d f_resonance / dT|) of the signal mode at the target and mid-sweep T."""
+    model, t_mid = device.dispersion, 0.5 * (constraints.t_min_K + constraints.t_max_K)
+    ng = model.group_index(constraints.signal_wavelength_nm, t_mid, device.width_nm)
+    return ng, constraints.signal_target_hz * abs(model.dn_dT_per_K) / float(ng)
+
+
 def signal_shift_rate_hz_per_K(device: Device, constraints: SearchConstraints) -> float:
     """|d f_resonance / dT| of the signal mode, evaluated at the target."""
-    lam = constraints.signal_wavelength_nm
-    t_mid = 0.5 * (constraints.t_min_K + constraints.t_max_K)
-    ng = float(device.dispersion.group_index(lam, t_mid, device.width_nm))
-    return constraints.signal_target_hz * abs(device.dispersion.dn_dT_per_K) / ng
+    return _signal_tuning(device, constraints)[1]
 
 
 def sweep_step_K(device: Device, constraints: SearchConstraints) -> float:
     """Adaptive step: one step moves the signal resonance by tol/4 (floor 1 mK)."""
+    return _step_at(constraints, signal_shift_rate_hz_per_K(device, constraints))
+
+
+def _step_at(constraints: SearchConstraints, rate: float) -> float:
+    """t_step_K, or the adaptive step at signal shift rate `rate` (Hz/K)."""
     if constraints.t_step_K is not None:
         return constraints.t_step_K
-    rate = signal_shift_rate_hz_per_K(device, constraints)
     if rate == 0.0:
         # Lines that do not move with T: one step spans the range.
         return constraints.t_max_K - constraints.t_min_K
@@ -318,18 +327,15 @@ def find_triple_resonance(device: Device, constraints: SearchConstraints):
     (carrying the best near-miss) when nothing passes.
     """
     _check_domain(device, constraints)
-    step = sweep_step_K(device, constraints)
-    rate = signal_shift_rate_hz_per_K(device, constraints)
+    ng, rate = _signal_tuning(device, constraints)
+    step = _step_at(constraints, rate)
     if step * rate > 0.5 * constraints.max_signal_detuning_Hz:
         raise SweepStepTooCoarse(
             f"step {step} K shifts the signal resonance by {step * rate / 1e6:.1f} MHz "
             f"> tolerance/2 = {constraints.max_signal_detuning_Hz / 2e6:.1f} MHz"
         )
     span = constraints.t_max_K - constraints.t_min_K
-    fsr_s = device.dispersion.fsr_hz(
-        constraints.signal_wavelength_nm, 0.5 * (constraints.t_min_K + constraints.t_max_K),
-        device.width_nm, device.ring.length_m,
-    )
+    fsr_s = _fsr_hz(ng, device.ring.length_m)
     if rate * span < fsr_s:
         warnings.warn(
             f"sweep range covers {rate * span / 1e9:.1f} GHz of signal shift, "

@@ -8,13 +8,20 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from qfcring.constants import C_M_PER_S
 from qfcring.dispersion import (
+    _DOMAIN_EPS,
+    U_SCALE_NM,
+    _polyval,
     default_model,
     fit_dispersion_table,
     parse_dispersion_table,
 )
+from qfcring.elements import DirectionalCoupler
 from qfcring.errors import DomainError, FitError, OutOfDomain, ParseError, UnknownWidth
 
 from conftest import WIDTH, simple_model
@@ -283,6 +290,7 @@ def test_width_mapping_is_read_only_and_copies_keep_the_hash(model):
     for twin in (copy.deepcopy(model), pickle.loads(pickle.dumps(model))):
         assert twin is not model and twin == model
         assert twin.content_hash() == model.content_hash() == twin._digest()
+        assert all(twin._coeffs(w) == model._coeffs(w) for w in model.widths_nm)
         for f in dataclasses.fields(model):  # every field travels, not just the hashed ones
             if f.name != "coeffs_by_width":
                 assert getattr(twin, f.name) == getattr(model, f.name), f.name
@@ -331,3 +339,132 @@ def test_model_construction_validates_physics():
         simple_model([3.5])            # n_eff outside (1, 3)
     with pytest.raises(DomainError):
         simple_model([2.0, 4.0])       # n_g < 0 at long wavelengths
+
+
+# --- evaluation kernels against their array forms -----------------------------
+#
+# _polyval runs Horner on tuples of Python floats from a first step 0.0 * u + c_n,
+# and the domain checks take one fused comparison per window.  The references
+# below are the forms they replace: a zeros start over a float array, and two
+# np.any calls per window.  Every result must keep its bits.
+
+def _polyval_from_zeros(coeffs, u):
+    out = np.zeros_like(np.asarray(u, dtype=float))
+    for c in np.asarray(coeffs, dtype=float)[::-1]:
+        out = out * u + c
+    return out
+
+
+def _same_bits(a, b):
+    """Same shape and values, NaN at the same places, and the same sign on zeros."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return (a.shape == b.shape and np.array_equal(a, b, equal_nan=True)
+            and np.array_equal(np.signbit(a) & ~np.isnan(a), np.signbit(b) & ~np.isnan(b)))
+
+
+_ANY_FLOAT = st.one_of(st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan]),
+                       st.floats(allow_nan=True, allow_infinity=True))
+_SHAPES = hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=5)
+
+
+@settings(max_examples=400, derandomize=True, deadline=None, database=None)
+@given(coeffs=st.lists(_ANY_FLOAT, max_size=10),
+       u=st.one_of(_ANY_FLOAT, hnp.arrays(np.float64, _SHAPES, elements=_ANY_FLOAT)))
+def test_polyval_keeps_the_bits_of_the_zeros_start(coeffs, u):
+    with np.errstate(all="ignore"):
+        got = _polyval(tuple(coeffs), u)
+        ref = _polyval_from_zeros(coeffs, u)
+    assert _same_bits(got, ref)
+
+
+def _reference_evaluations(model, lam, t, w):
+    """(n_eff, dn_eff/dlambda, n_g) from the model's coefficient arrays."""
+    c = model.coeffs_by_width[w]
+    lam = np.asarray(lam, dtype=float)
+    u = (lam - model.lambda_ref_nm) / U_SCALE_NM
+    n = _polyval_from_zeros(c, u) + model.dn_dT_per_K * (np.asarray(t, dtype=float) - model.t_ref_K)
+    dn = _polyval_from_zeros(c[1:] * np.arange(1, len(c)), u) / U_SCALE_NM
+    return n, dn, n - lam * dn
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(data=st.data(), w=st.sampled_from([1400.0, 1500.0, 1600.0]),
+       shape=hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=4))
+def test_model_evaluations_keep_the_bits_of_the_array_coefficients(model, data, w, shape):
+    lam = data.draw(hnp.arrays(np.float64, shape, elements=st.floats(*model.lambda_window_nm)))
+    t = data.draw(st.floats(*model.temperature_window_K))
+    n, dn, ng = _reference_evaluations(model, lam, t, w)
+    assert _same_bits(model.n_eff(lam, t, w), n)
+    assert _same_bits(model._dn_dlambda_unchecked(lam, t, w), dn)
+    assert _same_bits(model.group_index(lam, t, w), ng)
+    if shape == ():
+        assert _same_bits(model.group_index(float(lam), t, w), ng)
+
+
+def test_coupler_with_no_length_coefficients_still_raises():
+    dc = DirectionalCoupler(length_um=10.0, lc_coeffs_um=(), lambda_ref_nm=1200.0,
+                            lambda_window_nm=(600.0, 1800.0))
+    with pytest.raises(DomainError, match="coupling-length model non-positive"):
+        dc.coupling_length_um(1000.0)
+    with pytest.raises(DomainError, match="coupling-length model non-positive"):
+        dc.cross_coupling(np.array([700.0, 1500.0]))
+
+
+def _model_check_two_any(model, lambda_nm, t_K):
+    lo, hi = model.lambda_window_nm
+    lam = np.asarray(lambda_nm, dtype=float)
+    pad = _DOMAIN_EPS * (hi - lo)
+    if np.any(lam < lo - pad) or np.any(lam > hi + pad):
+        raise OutOfDomain(f"wavelength {lambda_nm} nm outside validity window [{lo}, {hi}] nm")
+    tlo, thi = model.temperature_window_K
+    t = np.asarray(t_K, dtype=float)
+    tpad = _DOMAIN_EPS * max(thi - tlo, 1.0)
+    if np.any(t < tlo - tpad) or np.any(t > thi + tpad):
+        raise OutOfDomain(f"temperature {t_K} K outside validity window [{tlo}, {thi}] K")
+
+
+def _coupler_check_two_any(dc, lambda_nm):
+    lo, hi = dc.lambda_window_nm
+    lam = np.asarray(lambda_nm, dtype=float)
+    if np.any(lam < lo) or np.any(lam > hi):
+        raise OutOfDomain(f"wavelength {lambda_nm} nm outside coupler window [{lo}, {hi}] nm")
+
+
+def _outcome(check, *args):
+    try:
+        check(*args)
+    except OutOfDomain as exc:
+        return str(exc)
+    return None
+
+
+def _near(lo, hi):
+    """Floats about a window: inside, at and a pad beyond each edge, outside, NaN."""
+    pad = 2 * _DOMAIN_EPS * (hi - lo)
+    return st.one_of(st.floats(lo - 0.1 * (hi - lo), hi + 0.1 * (hi - lo)),
+                     st.sampled_from([lo, hi, lo - pad, hi + pad, math.nan]))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(data=st.data(), lam_shape=_SHAPES, t_shape=_SHAPES)
+def test_fused_domain_checks_raise_as_the_two_any_checks(model, data, lam_shape, t_shape):
+    lam = data.draw(hnp.arrays(np.float64, lam_shape, elements=_near(*model.lambda_window_nm)))
+    t = data.draw(hnp.arrays(np.float64, t_shape, elements=_near(*model.temperature_window_K)))
+    assert _outcome(model._check_domain, lam, t) == _outcome(_model_check_two_any, model, lam, t)
+    dc = DirectionalCoupler(length_um=10.0, lc_coeffs_um=(25.0,),
+                            lambda_ref_nm=model.lambda_ref_nm,
+                            lambda_window_nm=model.lambda_window_nm)
+    assert _outcome(dc._check, lam) == _outcome(_coupler_check_two_any, dc, lam)
+
+
+def test_nan_wavelength_passes_the_domain_checks(model):
+    # A NaN compares false with both edges, so it passes, as it always has;
+    # raising here instead would move exit codes.
+    dc = DirectionalCoupler(length_um=10.0, lc_coeffs_um=(25.0,), lambda_ref_nm=1200.0,
+                            lambda_window_nm=(600.0, 1800.0))
+    for lam in (math.nan, np.array(math.nan), np.array([700.0, math.nan])):
+        assert model._check_domain(lam, 350.0) is None
+        assert dc._check(lam) is None
+    for t in (math.nan, np.array([350.0, math.nan])):
+        assert model._check_domain(700.0, t) is None
+    assert np.isnan(model.n_eff(math.nan, 350.0, WIDTH))

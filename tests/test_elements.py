@@ -160,6 +160,25 @@ def test_mzi_cross_coupling_bounded():
         assert 0.0 <= K <= 1.0
 
 
+@pytest.mark.parametrize("width", [1400.0, 1500.0, 1600.0])
+def test_cross_coupling_is_the_bits_of_the_transfer_element(cfg, width):
+    # cross_coupling forms only M10; it must equal |M10|^2 read from the full
+    # matrix, bit for bit, at scalar and array wavelengths and random drives.
+    rng = np.random.default_rng(29)
+    mzis = [build_device(cfg, width_nm=width).mzi,
+            make_mzi(k2=rng.uniform(0.05, 0.95), delta_len_um=rng.uniform(0.0, 3.0),
+                     model=simple_model([2.0, -0.1, 0.05]))]
+    for mzi in mzis:
+        lo, hi = mzi.dispersion.lambda_window_nm
+        for drive in (None, 0.0, *rng.uniform(-80.0, 80.0, size=6)):
+            for lam in (rng.uniform(lo, hi), rng.uniform(lo, hi, size=1),
+                        rng.uniform(lo, hi, size=1300), np.linspace(lo, hi, 7)):
+                got = mzi.cross_coupling(lam, drive)
+                ref = np.abs(mzi.transfer(lam, drive)[..., 1, 0]) ** 2
+                assert np.shape(got) == np.shape(ref)
+                assert np.asarray(got).tobytes() == np.asarray(ref).tobytes()
+
+
 # --- coupling ratio --------------------------------------------------------
 
 def ring_500(alpha=30.0, f=0.0):

@@ -1,6 +1,7 @@
 """Triple-resonance search: planted solutions, oracle equivalence, verification."""
 
 import dataclasses
+import json
 import math
 import warnings
 
@@ -13,6 +14,7 @@ from qfcring import matching
 from qfcring.builders import build_constraints, build_device, operating_point
 from qfcring.config import apply_overrides
 from qfcring.constants import C_M_PER_S, TWO_PI, freq_hz
+from qfcring.dispersion import DispersionModel
 from qfcring.elements import Device, _m_range, solve_resonance_wavelength
 from qfcring.errors import (
     NoFeasibleMatch,
@@ -21,6 +23,7 @@ from qfcring.errors import (
     StaleResult,
     SweepStepTooCoarse,
 )
+from qfcring.experiments import run_experiment
 from qfcring.matching import (
     SearchConstraints,
     _signal_bracket,
@@ -155,6 +158,46 @@ def test_coverage_warning_when_sweep_too_narrow():
         f"sweep range covers {shift_GHz:.1f} GHz of signal shift, less than one FSR "
         f"({fsr_GHz:.1f} GHz); coverage is incomplete"]
     assert 0.1 < shift_GHz < fsr_GHz / 10.0
+
+
+@pytest.mark.parametrize("width", [1400.0, 1500.0, 1600.0])
+def test_one_signal_group_index_per_sweep(cfg, width, monkeypatch):
+    # The step, the shift rate and the coverage warning's FSR share one n_g.
+    device = build_device(cfg, width_nm=width, with_coupler=False)
+    constraints = build_constraints(cfg)
+    signal_at = (constraints.signal_wavelength_nm,
+                 0.5 * (constraints.t_min_K + constraints.t_max_K))
+    calls = []
+    group_index = DispersionModel.group_index
+
+    def spy(self, lambda_nm, t_K, width_nm):
+        calls.append((lambda_nm, t_K))
+        return group_index(self, lambda_nm, t_K, width_nm)
+
+    monkeypatch.setattr(DispersionModel, "group_index", spy)
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "sweep range covers", UserWarning)
+        find_triple_resonance(device, constraints)
+    assert [c for c in calls if np.shape(c[0]) == () and c == signal_at] == [signal_at]
+
+
+@pytest.mark.parametrize("step_mK", [0.0, 7.0])
+def test_recorded_sweep_step_is_the_step_the_sweep_used(cfg, step_mK, tmp_path, monkeypatch):
+    used = []
+    bracket = matching._signal_bracket
+
+    def spy(device, constraints, m_s_list, t_grid, step):
+        used.append(step)
+        return bracket(device, constraints, m_s_list, t_grid, step)
+
+    monkeypatch.setattr(matching, "_signal_bracket", spy)
+    run_experiment("match", apply_overrides(cfg, [f"constraints.t_step_mK={step_mK}"]),
+                   str(tmp_path))
+    record = json.loads((tmp_path / "match.json").read_text())
+    assert len(used) == 1
+    assert record["sweep_step_mK"] == used[0] * 1e3
+    if step_mK:
+        assert used[0] == step_mK * 1e-3
 
 
 def test_verify_match_round_trip_and_tamper():
