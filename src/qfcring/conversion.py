@@ -247,10 +247,15 @@ def _fastest_rate(sys: TwmSystem, state=(0j, 0j, 0j)) -> float:
 
 
 def _mean_field(sys: TwmSystem, signal_flux):
-    """(rhs, jacobian) of the mean-field equations, the one implementation.
+    """(rhs, jacobian, rk4) of the mean-field equations, the one implementation.
 
     rhs(a, b, c) is (da/dt, db/dt, dc/dt); jacobian(a, b, c) is the 6x6
     d(f, f*)/d(a, b, c, a*, b*, c*) as nested lists of Python complex.
+    rk4(a, b, c, dt, n) is the state after n RK4 steps of rhs, with rhs
+    written inline in its own operation order.  Its step constants are
+    complex: on CPython <= 3.13, float * complex converts the float to
+    (x, 0.0) first, so the bits are rhs's while the float's NotImplemented
+    round trip is skipped.
     """
     d_p, d_b, d_c = _detunings(sys)
     cp = 1j * d_p - 0.5 * sys.pump.kappa_tot
@@ -273,7 +278,30 @@ def _mean_field(sys: TwmSystem, signal_flux):
                [0j, -ig * ya.conjugate(), cc, -ig * yb, 0j, 0j]]
         return top + [[x.conjugate() for x in row[3:] + row[:3]] for row in top]
 
-    return rhs, jacobian
+    def rk4(ya, yb, yc, dt, n):
+        half, full, sixth, two = complex(0.5 * dt), complex(dt), complex(dt / 6.0), 2 + 0j
+        for _ in range(n):
+            k1a = cp * ya - ig * yb * yc.conjugate() + drive_p
+            k1b = cb * yb - ig * ya * yc + drive_b
+            k1c = cc * yc - ig * ya.conjugate() * yb
+            ta, tb, tc = ya + half * k1a, yb + half * k1b, yc + half * k1c
+            k2a = cp * ta - ig * tb * tc.conjugate() + drive_p
+            k2b = cb * tb - ig * ta * tc + drive_b
+            k2c = cc * tc - ig * ta.conjugate() * tb
+            ta, tb, tc = ya + half * k2a, yb + half * k2b, yc + half * k2c
+            k3a = cp * ta - ig * tb * tc.conjugate() + drive_p
+            k3b = cb * tb - ig * ta * tc + drive_b
+            k3c = cc * tc - ig * ta.conjugate() * tb
+            ta, tb, tc = ya + full * k3a, yb + full * k3b, yc + full * k3c
+            k4a = cp * ta - ig * tb * tc.conjugate() + drive_p
+            k4b = cb * tb - ig * ta * tc + drive_b
+            k4c = cc * tc - ig * ta.conjugate() * tb
+            ya = ya + sixth * (k1a + two * (k2a + k3a) + k4a)
+            yb = yb + sixth * (k1b + two * (k2b + k3b) + k4b)
+            yc = yc + sixth * (k1c + two * (k2c + k3c) + k4c)
+        return ya, yb, yc
+
+    return rhs, jacobian, rk4
 
 
 def _settled(rhs, state, rel, kappa_min):
@@ -297,16 +325,19 @@ def evolve_mean_field(sys: TwmSystem, initial=(0j, 0j, 0j), dt=None, steps=None,
 
     Raises StepSizeTooLarge when dt * _fastest_rate(sys, state) >= 0.1, for the
     initial state and every 1000th and the last step's, and NonFinite if
-    amplitudes overflow.  Bitwise deterministic for fixed dt; the
+    amplitudes overflow; DomainError unless steps and sample_stride are
+    integers >= 1.  Bitwise deterministic for fixed dt; the
     last step is always sampled, so resuming from final() is bit-identical.
     converged: |f_x| < _RESIDUAL_TOL * min(kappa) * |x| at the end for x = a, b, c.
     """
-    if steps is None or steps < 1:
-        raise DomainError("steps must be >= 1")
+    for name, count in (("steps", steps), ("sample_stride", sample_stride)):
+        if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 1:
+            raise DomainError(f"{name} must be an integer >= 1, got {count!r}")
+    steps, sample_stride = int(steps), int(sample_stride)
     if dt is None or dt <= 0.0:
         raise DomainError("dt must be positive")
 
-    rhs, _ = _mean_field(sys, signal_flux)
+    rhs, _, rk4 = _mean_field(sys, signal_flux)
 
     a, b, c = (complex(x) for x in initial)
     rate = _fastest_rate(sys, (a, b, c))
@@ -322,17 +353,13 @@ def evolve_mean_field(sys: TwmSystem, initial=(0j, 0j, 0j), dt=None, steps=None,
     traj_c = np.empty(n_samples, dtype=complex)
     times[0], traj_a[0], traj_b[0], traj_c[0] = 0.0, a, b, c
 
-    half = 0.5 * dt
-    sixth = dt / 6.0
     idx = 1
-    for step in range(1, steps + 1):
-        k1a, k1b, k1c = rhs(a, b, c)
-        k2a, k2b, k2c = rhs(a + half * k1a, b + half * k1b, c + half * k1c)
-        k3a, k3b, k3c = rhs(a + half * k2a, b + half * k2b, c + half * k2c)
-        k4a, k4b, k4c = rhs(a + dt * k3a, b + dt * k3b, c + dt * k3c)
-        a = a + sixth * (k1a + 2.0 * (k2a + k3a) + k4a)
-        b = b + sixth * (k1b + 2.0 * (k2b + k3b) + k4b)
-        c = c + sixth * (k1c + 2.0 * (k2c + k3c) + k4c)
+    step = 0
+    while step < steps:
+        # run to the next sample, the next 1000th step or the last step
+        end = min(steps, step - step % 1000 + 1000, step - step % sample_stride + sample_stride)
+        a, b, c = rk4(a, b, c, dt, end - step)
+        step = end
         if step % 1000 == 0 or step == steps:
             if not all(math.isfinite(abs(x)) for x in (a, b, c)):
                 raise NonFinite(f"amplitudes diverged at step {step}")
@@ -404,8 +431,12 @@ def steady_state_conversion(sys: TwmSystem, steps=None):
     polished state is kept only if it passes the same _RESIDUAL_TOL test and
     every eigenvalue of the Jacobian there has Re < 0; otherwise integration
     goes on.  steps (default 320/slow of time, slow the smallest kappa) is the
-    budget, then NumericalFailure.
+    budget, then NumericalFailure.  A pump power of 0 is refused up front
+    (DomainError): the probe flux scales with it, so no budget could help.
     """
+    if sys.pump_power_W == 0.0:
+        raise DomainError("pump power is 0 W: the oracle's probe signal flux scales with it "
+                          "and would be 0 photons/s; the steady-state oracle needs a pump power > 0")
     # target steady |b| ~ 1e-3 |alpha|, |alpha|^2 = s_in^2 / (d_p^2 + k_p^2/4)
     n_pump = _pump_drive(sys)**2 / (sys.pump.delta**2 + 0.25 * sys.pump.kappa_tot**2)
     signal_flux = (1e-6 * n_pump * sys.signal.kappa_tot**2
@@ -413,7 +444,7 @@ def steady_state_conversion(sys: TwmSystem, steps=None):
     slow = min(ch.kappa_tot for ch in sys.channels)
     dt = 0.09 / _fastest_rate(sys)
     steps = int(320.0 / (slow * dt)) + 1 if steps is None else steps
-    rhs, jacobian = _mean_field(sys, signal_flux)
+    rhs, jacobian, _ = _mean_field(sys, signal_flux)
     state = (0j, 0j, 0j)
     for _ in range(-(-steps // _CHECK_EVERY)):
         traj = evolve_mean_field(sys, initial=state, dt=dt, steps=_CHECK_EVERY,

@@ -30,6 +30,7 @@ from qfcring.conversion import (
 from qfcring.errors import (
     DegenerateCoupling,
     DomainError,
+    NonFinite,
     NonphysicalRate,
     NumericalFailure,
     StepSizeTooLarge,
@@ -452,6 +453,126 @@ def test_trajectory_deterministic():
         and np.array_equal(a.c, b.c)
 
 
+def test_steady_state_refuses_zero_pump_power():
+    # The probe flux is 1e-6 n_pump k_s^2 / (4 k_s_ex), which is 0 at 0 W, so no
+    # step budget reaches a steady state and eta_ex would divide by it.
+    sys = make_system(power=1e-3)
+    with pytest.raises(DomainError, match="pump power is 0 W.*probe signal flux"):
+        steady_state_conversion(sys.with_power(0.0))
+    with pytest.raises(DomainError, match="pump power must be >= 0"):
+        sys.with_power(-1e-3)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("steps", None), ("steps", 0), ("steps", -3), ("steps", 2.5), ("steps", 10.0),
+    ("steps", True), ("sample_stride", 0), ("sample_stride", -1), ("sample_stride", 2.5),
+    ("sample_stride", None), ("sample_stride", False),
+])
+def test_step_counts_must_be_positive_integers(name, value):
+    kwargs = {"dt": 1e-12, "steps": 10, name: value}
+    with pytest.raises(DomainError, match=f"{name} must be an integer >= 1"):
+        evolve_mean_field(make_system(power=1e-3), **kwargs)
+
+
+def test_numpy_integer_step_counts_are_accepted():
+    sys = make_system(power=5e-4, delta_s=1e8)
+    plain = evolve_mean_field(sys, dt=1e-12, steps=30, signal_flux=1e3, sample_stride=7)
+    wide = evolve_mean_field(sys, dt=1e-12, steps=np.int64(30), signal_flux=1e3,
+                             sample_stride=np.int32(7))
+    assert np.array_equal(plain.times, wide.times) and plain.final() == wide.final()
+
+
+def _rk4_on_rhs(rhs, state, dt, n):
+    """n classic RK4 steps written on rhs alone, one call per stage, with
+    float step constants."""
+    half, sixth = 0.5 * dt, dt / 6.0
+    for _ in range(n):
+        k1 = rhs(*state)
+        k2 = rhs(*(y + half * k for y, k in zip(state, k1)))
+        k3 = rhs(*(y + half * k for y, k in zip(state, k2)))
+        k4 = rhs(*(y + dt * k for y, k in zip(state, k3)))
+        state = tuple(y + sixth * (p + 2.0 * (q + r) + s)
+                      for y, p, q, r, s in zip(state, k1, k2, k3, k4))
+    return state
+
+
+_PHASES = st.floats(0.0, TWO_PI)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5),
+       exps=st.tuples(st.floats(-3.0, 4.0), st.floats(-3.0, 4.0), st.floats(-3.0, 4.0)),
+       phases=st.tuples(_PHASES, _PHASES, _PHASES))
+def test_fused_stepper_is_rk4_on_rhs(seed, n, exps, phases):
+    # rk4 writes rhs inline and multiplies by complex step constants; it must
+    # give the bits of RK4 built on rhs.  Systems are criterion-3 draws; the
+    # amplitudes reach 1e4, far past the steady state, where dt g|x| exceeds
+    # RK4's stability bound and every term is large.
+    sys = next(_criterion_3_draws(1, seed=seed))
+    dt, flux = _oracle_inputs(sys)
+    rhs, _, rk4 = conversion._mean_field(sys, flux)
+    state = tuple(complex(10.0**e * np.exp(1j * p)) for e, p in zip(exps, phases))
+    fused = rk4(*state, dt, n)
+    assert all(math.isfinite(abs(x)) for x in fused)
+    assert fused == _rk4_on_rhs(rhs, state, dt, n)
+
+
+_SEGMENT_STEPS = 3000
+
+
+@pytest.fixture(scope="module")
+def segment_reference():
+    """(sys, dt, flux, initial, states): the RK4 state after every step up to
+    _SEGMENT_STEPS, one step at a time on rhs."""
+    sys = next(_criterion_3_draws(1, seed=23))
+    dt, flux = _oracle_inputs(sys)
+    rhs, _, _ = conversion._mean_field(sys, flux)
+    initial = (0.3 + 0.1j, 2.0 - 1.0j, -3.0j)
+    states = [initial]
+    for _ in range(_SEGMENT_STEPS):
+        states.append(_rk4_on_rhs(rhs, states[-1], dt, 1))
+    return sys, dt, flux, initial, states
+
+
+@pytest.mark.parametrize("stride", [1, 7, 200, 300, 1000, 1500])
+@pytest.mark.parametrize("steps", [1, 1001, 2100, 3000])
+def test_segmented_integration_samples_the_step_by_step_reference(segment_reference,
+                                                                   stride, steps):
+    # 3000 is a multiple of 1000 and of every stride but 7; 2100 of 7 and 300
+    # only; 1001 of 7 only.
+    sys, dt, flux, initial, states = segment_reference
+    traj = evolve_mean_field(sys, initial=initial, dt=dt, steps=steps, signal_flux=flux,
+                             sample_stride=stride)
+    kept = [0, *range(stride, steps + 1, stride)]
+    kept += [steps] if kept[-1] != steps else []
+    assert traj.times.tolist() == [k * dt for k in kept]
+    for role, got in enumerate((traj.a, traj.b, traj.c)):
+        assert got.tolist() == [states[k][role] for k in kept]
+
+
+def _toy_system():
+    def ch(role, omega):
+        return ModeChannel(role=role, omega=omega, m=100, kappa_ex=0.5, kappa_0=0.5)
+
+    return TwmSystem(pump=ch("pump", 1.0), signal=ch("signal", 3.0), idler=ch("idler", 2.0),
+                     g0=1.0)
+
+
+@pytest.mark.parametrize("stride", [1, 7, 1500])
+@pytest.mark.parametrize("steps", [450, 999, 1000, 1001, 2500])
+@pytest.mark.parametrize("error, flux, initial, text", [
+    # the signal drive alone lifts g|b| past the bound within a few hundred steps
+    (StepSizeTooLarge, 800.0, (0j, 0j, 0j), "grew past the stability bound"),
+    # with a pump amplitude seeded, the stiff a-c exchange overflows RK4
+    (NonFinite, 8e8, (1e-3, 0j, 0j), "amplitudes diverged"),
+])
+def test_in_loop_guards_name_the_checked_step(error, flux, initial, text, steps, stride):
+    # The guards run at every 1000th step and the last, not at a sample.
+    with pytest.raises(error, match=f"{text} at step {min(steps, 1000)}$"):
+        evolve_mean_field(_toy_system(), initial=initial, dt=0.05, steps=steps,
+                          signal_flux=flux, sample_stride=stride)
+
+
 # --- Newton polish of the steady-state oracle --------------------------------
 
 def _oracle_inputs(sys):
@@ -542,7 +663,7 @@ def test_jacobian_is_the_derivative_of_the_right_hand_side():
     # above 1e-6 of the largest (asserted), so a wrong sign anywhere misses by
     # far more than the 1e-9 tolerance.
     sys = make_system(power=1e-3, delta_s=1e8, delta_p=-2e8, mismatch=3e7)
-    rhs, jacobian = conversion._mean_field(sys, 1e6)
+    rhs, jacobian, _ = conversion._mean_field(sys, 1e6)
     rng = np.random.default_rng(11)
     for _ in range(50):
         mags = 10.0 ** rng.uniform([0.0, 1.0, 1.0], [4.0, 5.0, 5.0])
