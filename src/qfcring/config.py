@@ -37,6 +37,19 @@ _Loader.add_implicit_resolver(
     list("-+.0123456789"),
 )
 
+if yaml.__with_libyaml__:
+    class _CLoader(yaml.CSafeLoader):
+        """libyaml's parser with _Loader's resolvers."""
+
+        yaml_implicit_resolvers = _Loader.yaml_implicit_resolvers
+else:
+    _CLoader = None
+
+# Text for the pure-Python loader only: libyaml reads tags, block scalars,
+# "?", tabs, CR and non-ASCII text unlike it (`!` as '' for None, `[1, 2? 3]`
+# as a list); a fuzz of both parsers found no difference on other text.
+_PURE_ONLY = re.compile(r"[^\n -~]|[!|>?]")
+
 # Schema: section -> key -> type; every key of a present section is required.
 # `dict` values hold width-keyed maps (see `_WIDTH_MAPS`); `list` values
 # are numeric arrays, and a list of types is an array of exactly that length.
@@ -128,9 +141,20 @@ def _load_yaml(text: str, where: str = ""):
 
     PyYAML keeps the last of two equal keys, and `1500:` equals `1500.0:`,
     so a repeated width would otherwise drop a value silently.  `where` is
-    the config path of the text's root (an override's key).
+    the config path of the text's root (an override's key).  libyaml parses
+    when PyYAML has it, unless the text is `_PURE_ONLY`; text it refuses is
+    parsed again by the pure-Python loader, so error texts stay that loader's.
     """
-    loader = _Loader(text)
+    if _CLoader is not None and not _PURE_ONLY.search(text):
+        try:
+            return _load_with(_CLoader, text, where)
+        except yaml.YAMLError:
+            pass
+    return _load_with(_Loader, text, where)
+
+
+def _load_with(loader_cls, text: str, where: str):
+    loader = loader_cls(text)
     try:
         node = loader.get_single_node()
         _check_unique_keys(loader, node, where)

@@ -310,6 +310,13 @@ def _settled(rhs, state, rel, kappa_min):
     return all(abs(f) < tol * abs(x) for f, x in zip(rhs(*state), state))
 
 
+def _count(name: str, count) -> int:
+    """count as an int; DomainError unless it is an integer >= 1 (not a bool)."""
+    if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 1:
+        raise DomainError(f"{name} must be an integer >= 1, got {count!r}")
+    return int(count)
+
+
 def evolve_mean_field(sys: TwmSystem, initial=(0j, 0j, 0j), dt=None, steps=None,
                       signal_flux=0.0, sample_stride=1):
     """Fixed-step RK4 integration of the mean-field equations of motion.
@@ -325,17 +332,15 @@ def evolve_mean_field(sys: TwmSystem, initial=(0j, 0j, 0j), dt=None, steps=None,
 
     Raises StepSizeTooLarge when dt * _fastest_rate(sys, state) >= 0.1, for the
     initial state and every 1000th and the last step's, and NonFinite if
-    amplitudes overflow; DomainError unless steps and sample_stride are
-    integers >= 1.  Bitwise deterministic for fixed dt; the
-    last step is always sampled, so resuming from final() is bit-identical.
+    amplitudes overflow; DomainError unless dt is positive and finite and
+    steps and sample_stride are integers >= 1.  Bitwise deterministic for
+    fixed dt; the last step is always sampled, so resuming from final() is
+    bit-identical.
     converged: |f_x| < _RESIDUAL_TOL * min(kappa) * |x| at the end for x = a, b, c.
     """
-    for name, count in (("steps", steps), ("sample_stride", sample_stride)):
-        if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 1:
-            raise DomainError(f"{name} must be an integer >= 1, got {count!r}")
-    steps, sample_stride = int(steps), int(sample_stride)
-    if dt is None or dt <= 0.0:
-        raise DomainError("dt must be positive")
+    steps, sample_stride = _count("steps", steps), _count("sample_stride", sample_stride)
+    if dt is None or not dt > 0.0 or not math.isfinite(dt):
+        raise DomainError(f"dt must be positive and finite, got {dt!r}")
 
     rhs, _, rk4 = _mean_field(sys, signal_flux)
 
@@ -431,7 +436,8 @@ def steady_state_conversion(sys: TwmSystem, steps=None):
     polished state is kept only if it passes the same _RESIDUAL_TOL test and
     every eigenvalue of the Jacobian there has Re < 0; otherwise integration
     goes on.  steps (default 320/slow of time, slow the smallest kappa) is the
-    budget, then NumericalFailure.  A pump power of 0 is refused up front
+    budget, then NumericalFailure; a steps that is not an integer >= 1 is a
+    DomainError.  A pump power of 0 is refused up front
     (DomainError): the probe flux scales with it, so no budget could help.
     """
     if sys.pump_power_W == 0.0:
@@ -443,7 +449,7 @@ def steady_state_conversion(sys: TwmSystem, steps=None):
                    / (4.0 * max(sys.signal.kappa_ex, 1e-300)))
     slow = min(ch.kappa_tot for ch in sys.channels)
     dt = 0.09 / _fastest_rate(sys)
-    steps = int(320.0 / (slow * dt)) + 1 if steps is None else steps
+    steps = int(320.0 / (slow * dt)) + 1 if steps is None else _count("steps", steps)
     rhs, jacobian, _ = _mean_field(sys, signal_flux)
     state = (0j, 0j, 0j)
     for _ in range(-(-steps // _CHECK_EVERY)):

@@ -40,12 +40,14 @@ def _polyval(coeffs, u):
     """Horner evaluation of ascending-power coefficients (a sequence of floats).
 
     0.0 * u + c_n is a zeros start's first step: an inf or NaN in u gives NaN.
+    It makes a new array, so the later steps run in place.
     """
     if len(coeffs) == 0:
         return np.zeros_like(np.asarray(u, dtype=float))
     out = 0.0 * u + coeffs[-1]
     for c in coeffs[-2::-1]:
-        out = out * u + c
+        out *= u
+        out += c
     return out
 
 
@@ -202,15 +204,18 @@ class DispersionModel:
     def _n_eff_unchecked(self, lambda_nm, t_K, width_nm: float):
         # Internal: resonance root-solvers may probe a whisker outside the
         # window mid-iteration; final results are always domain-masked.
+        # Python floats skip the 0-d array round trip: the same IEEE operations.
         c, _ = self._coeffs(width_nm)
-        u = (np.asarray(lambda_nm, dtype=float) - self.lambda_ref_nm) / U_SCALE_NM
-        n = _polyval(c, u)
-        return n + self.dn_dT_per_K * (np.asarray(t_K, dtype=float) - self.t_ref_K)
+        if type(lambda_nm) is not float or type(t_K) is not float:
+            lambda_nm, t_K = np.asarray(lambda_nm, dtype=float), np.asarray(t_K, dtype=float)
+        n = _polyval(c, (lambda_nm - self.lambda_ref_nm) / U_SCALE_NM)
+        return n + self.dn_dT_per_K * (t_K - self.t_ref_K)
 
     def _dn_dlambda_unchecked(self, lambda_nm, t_K, width_nm: float):
         _, dc = self._coeffs(width_nm)
-        u = (np.asarray(lambda_nm, dtype=float) - self.lambda_ref_nm) / U_SCALE_NM
-        return _polyval(dc, u) / U_SCALE_NM
+        if type(lambda_nm) is not float:
+            lambda_nm = np.asarray(lambda_nm, dtype=float)
+        return _polyval(dc, (lambda_nm - self.lambda_ref_nm) / U_SCALE_NM) / U_SCALE_NM
 
     def group_index(self, lambda_nm, t_K, width_nm: float):
         """n_g = n_eff - lambda * dn_eff/dlambda (analytic derivative)."""

@@ -114,6 +114,11 @@ class MziCoupler:
         t = np.sqrt(1.0 - k**2)
         return k, t, np.exp(1j * self.arm_phase(lam, delta_T_K))
 
+    def _entries(self, lambda_nm, delta_T_K=None):
+        """(M00, M01, M10, M11) of the composite matrix, each shaped like lambda_nm."""
+        k, t, ph = self._field_terms(lambda_nm, delta_T_K)
+        return t * t * ph - k * k, 1j * (k * t * ph + t * k), _m10(k, t, ph), -k * k * ph + t * t
+
     def transfer(self, lambda_nm, delta_T_K=None):
         """Composite 2x2 matrix C . diag(e^{i dtheta}, 1) . C of the coupler C.
 
@@ -121,15 +126,10 @@ class MziCoupler:
         belongs to the ring round trip.  Returns shape (2, 2) for scalar
         input, (n, 2, 2) for an n-vector of wavelengths.
         """
-        k, t, ph = self._field_terms(lambda_nm, delta_T_K)
-        m00 = t * t * ph - k * k
-        m01 = 1j * (k * t * ph + t * k)
-        m10 = _m10(k, t, ph)
-        m11 = -k * k * ph + t * t
-        out = np.stack(
+        m00, m01, m10, m11 = self._entries(lambda_nm, delta_T_K)
+        return np.stack(
             [np.stack([m00, m01], axis=-1), np.stack([m10, m11], axis=-1)], axis=-2
         )
-        return out
 
     def cross_coupling(self, lambda_nm, delta_T_K=None):
         """Composite power cross-coupling K(lambda, dT) = |M10|^2 in [0, 1]."""
@@ -251,9 +251,7 @@ def ring_spectrum(device: Device, lambda_grid_nm, t_ring_K):
     amp = 10.0 ** (-ring.alpha_prop_dB_per_m * ring.length_m / 20.0)
     rt = amp * np.exp(1j * phi)
 
-    m = device.mzi.transfer(lam)
-    m00, m01 = m[..., 0, 0], m[..., 0, 1]
-    m10, m11 = m[..., 1, 0], m[..., 1, 1]
+    m00, m01, m10, m11 = device.mzi._entries(lam)
     out = m00 + m01 * m10 * rt / (1.0 - m11 * rt)
     return np.abs(out) ** 2
 
@@ -261,6 +259,9 @@ def ring_spectrum(device: Device, lambda_grid_nm, t_ring_K):
 # m * lambda = n_eff(lambda, T) * L, solved below for m, lambda and T.  The
 # solver's roots and verify_match's stored lines keep |residual| <= RESIDUAL_TOL.
 RESIDUAL_TOL = 1e-9
+
+# Scalar (m, T) types that solve_resonance_wavelength runs in Python floats.
+_REAL = (int, float, np.integer, np.floating)
 
 
 def _length_nm(device: Device) -> float:
@@ -334,8 +335,14 @@ def solve_resonance_wavelength(device: Device, m, t_K):
     Vectorized over t_K (and m when both are arrays of equal shape).
     Fixed-point iterations then two Newton polishes; NumericalFailure names
     the worst (m, T) when a root's |resonance_residual| exceeds RESIDUAL_TOL
-    or is NaN (the fixed point need not contract).
+    or is NaN (the fixed point need not contract).  A scalar (m, T) runs the
+    same steps in Python floats, with the same bits, unless _scalar_root
+    hands it to the array steps, whose errors and RuntimeWarnings stand.
     """
+    if isinstance(m, _REAL) and isinstance(t_K, _REAL):
+        lam = _scalar_root(device, m, t_K)
+        if lam is not None:
+            return lam
     model, width_nm, length_nm = device.dispersion, device.width_nm, _length_nm(device)
     m_arr = np.asarray(m, dtype=float)
     lo, hi = model.lambda_window_nm
@@ -343,12 +350,7 @@ def solve_resonance_wavelength(device: Device, m, t_K):
     # crude seed (n ~ 2), clipped into the window so the first n_eff
     # evaluations stay inside the fitted basin
     lam = np.clip(lam + length_nm * 2.0 / m_arr, lo, hi)
-    for _ in range(13):
-        lam = model._n_eff_unchecked(lam, t_K, width_nm) * length_nm / m_arr
-    for _ in range(2):
-        f = m_arr * lam - model._n_eff_unchecked(lam, t_K, width_nm) * length_nm
-        fp = m_arr - model._dn_dlambda_unchecked(lam, t_K, width_nm) * length_nm
-        lam = lam - f / fp
+    lam, _ = _root_steps(model, width_nm, length_nm, m_arr, t_K, lam)
     r = np.abs(resonance_residual(device, m_arr, lam, t_K))
     if not np.all(r <= RESIDUAL_TOL):
         k = np.argmax(np.where(np.isnan(r), np.inf, r))
@@ -358,6 +360,43 @@ def solve_resonance_wavelength(device: Device, m, t_K):
     if np.isscalar(m) and np.isscalar(t_K):
         return float(lam)
     return lam
+
+
+def _root_steps(model, width_nm, length_nm, m, t_K, lam):
+    """13 fixed-point steps, then 2 Newton steps; (lambda, the last Newton slope)."""
+    for _ in range(13):
+        lam = model._n_eff_unchecked(lam, t_K, width_nm) * length_nm / m
+    for _ in range(2):
+        f = m * lam - model._n_eff_unchecked(lam, t_K, width_nm) * length_nm
+        fp = m - model._dn_dlambda_unchecked(lam, t_K, width_nm) * length_nm
+        lam = lam - f / fp
+    return lam, fp
+
+
+def _scalar_root(device: Device, m, t_K):
+    """The solver's root of one (m, T) in Python floats, or None for the array steps.
+
+    Python floats do not warn where numpy does, so None wherever numpy would
+    have: an overflow or invalid value leaves an inf or NaN that the later
+    steps carry to the root, except through the seed's clip and a Newton
+    step over an infinite slope (which leaves lambda, so the next slope, as
+    it was), both checked.  None also where the root fails its check.
+    """
+    model, width_nm, length_nm = device.dispersion, device.width_nm, _length_nm(device)
+    lo, hi = model.lambda_window_nm
+    try:
+        m, t = float(m), float(t_K)
+        seed = length_nm * 2.0 / m
+        if not math.isfinite(seed):
+            return None
+        lam, fp = _root_steps(model, width_nm, length_nm, m, t, float(min(max(seed, lo), hi)))
+    except (OverflowError, ZeroDivisionError):
+        return None
+    if not (0.0 < lam < math.inf and math.isfinite(fp)):
+        return None
+    if not abs(resonance_residual(device, m, lam, t)) <= RESIDUAL_TOL:
+        return None
+    return float(lam)
 
 
 def _temperature_at(device: Device, m, lambda_nm):

@@ -119,16 +119,18 @@ def efficiency_snr_tradeoff(variants, powers_W, signal_input_rate_Hz: float):
         raise DomainError("signal input rate must be positive")
     powers = np.asarray(powers_W, dtype=float)
     ordered = sorted(variants, key=lambda v: v.width_nm)
-    rows = []
+    n = powers.size
+    rows = np.empty((len(ordered) * n, 6))
     best = None
-    for var in ordered:
+    for i, var in enumerate(ordered):
         rates = fwm_noise_rate(var.channel, powers)
         etas = efficiency_vs_power(var.channel.system, powers)[:, 3]
-        curve = [(var.width_nm, p, eta, rate,
-                  *snr_report(float(rate), signal_input_rate_Hz * float(eta)))
-                 for p, eta, rate in zip(powers, etas, rates)]
-        rows += curve
-        snr_at_peak = curve[int(np.argmax(etas))][5]
+        snrs = [snr_report(rate, signal_input_rate_Hz * eta)
+                for eta, rate in zip(etas.tolist(), rates.tolist())]
+        block = rows[i * n:(i + 1) * n]
+        block[:, 0], block[:, 1], block[:, 2], block[:, 3] = var.width_nm, powers, etas, rates
+        block[:, 4:] = snrs
+        snr_at_peak = snrs[int(np.argmax(etas))][1]
         if best is None or snr_at_peak > best[1]:
             best = (var.width_nm, snr_at_peak)
-    return np.asarray(rows, dtype=float), best[0]
+    return rows, best[0]

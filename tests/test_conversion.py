@@ -474,6 +474,23 @@ def test_step_counts_must_be_positive_integers(name, value):
         evolve_mean_field(make_system(power=1e-3), **kwargs)
 
 
+@pytest.mark.parametrize("steps", [0, -5, 2.5, 10.0, True, "10"])
+def test_steady_state_step_budget_must_be_a_positive_integer(steps):
+    with pytest.raises(DomainError, match="steps must be an integer >= 1"):
+        steady_state_conversion(make_system(power=1e-3), steps=steps)
+
+
+def test_steady_state_accepts_a_numpy_integer_step_budget():
+    sys = make_system(power=1e-3)
+    assert steady_state_conversion(sys, steps=np.int64(10**6)) == steady_state_conversion(sys)
+
+
+@pytest.mark.parametrize("dt", [0.0, -1e-12, math.nan, math.inf, -math.inf, None])
+def test_step_size_must_be_positive_and_finite(dt):
+    with pytest.raises(DomainError, match="dt must be positive and finite"):
+        evolve_mean_field(make_system(power=1e-3), dt=dt, steps=10)
+
+
 def test_numpy_integer_step_counts_are_accepted():
     sys = make_system(power=5e-4, delta_s=1e8)
     plain = evolve_mean_field(sys, dt=1e-12, steps=30, signal_flux=1e3, sample_stride=7)

@@ -338,6 +338,21 @@ def test_changed_content_makes_models_unequal(model, change):
     assert hash(changed) != hash(refit)
 
 
+@pytest.mark.parametrize("window, t_window", [
+    ((1200.0, 1200.0), (250.0, 450.0)),   # one wavelength: an empty window
+    ((1300.0, 1200.0), (250.0, 450.0)),
+])
+def test_model_refuses_an_empty_wavelength_window(window, t_window):
+    with pytest.raises(DomainError, match="empty wavelength window"):
+        simple_model([2.0], window=window, t_window=t_window)
+
+
+def test_model_refuses_a_reversed_temperature_window_but_takes_one_temperature():
+    with pytest.raises(DomainError, match="empty temperature window"):
+        simple_model([2.0], t_window=(450.0, 250.0))
+    assert simple_model([2.0], t_window=(350.0, 350.0)).temperature_window_K == (350.0, 350.0)
+
+
 def test_model_construction_validates_physics():
     with pytest.raises(DomainError):
         simple_model([3.5])            # n_eff outside (1, 3)

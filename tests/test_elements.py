@@ -37,6 +37,7 @@ from qfcring.errors import NoResonance, NumericalFailure, OutOfDomain
 from qfcring.experiments import run_experiment
 from qfcring.matching import find_triple_resonance
 
+import reference_solver
 from conftest import WIDTH, random_rings, simple_model
 
 WINDOW = (600.0, 1800.0)
@@ -317,6 +318,26 @@ def test_spectrum_linewidth_matches_rate_model():
         assert fwhm == pytest.approx(kappa_tot / TWO_PI, rel=0.05)
 
 
+@pytest.mark.parametrize("width", [1400.0, 1500.0, 1600.0])
+def test_spectrum_equals_the_stacked_transfer_formula(cfg, width):
+    # ring_spectrum reads the four matrix entries without stacking them; the
+    # result must keep the bits of the formula on the stacked transfer.
+    device = build_device(cfg, width_nm=width)
+    ring, mzi = device.ring, device.mzi
+    lo, hi = device.dispersion.lambda_window_nm
+    for lam in (np.linspace(lo, hi, 4001), np.linspace(1549.0, 1551.0, 7)):
+        for t_K in (300.0, 350.0, 372.5):
+            n = device.dispersion.n_eff(lam, t_K, ring.width_nm)
+            rt = 10.0 ** (-ring.alpha_prop_dB_per_m * ring.length_m / 20.0) * np.exp(
+                1j * (TWO_PI * n * ring.length_m / (lam * 1e-9)))
+            m = mzi.transfer(lam)
+            ref = np.abs(m[..., 0, 0] + m[..., 0, 1] * m[..., 1, 0] * rt
+                         / (1.0 - m[..., 1, 1] * rt)) ** 2
+            got = ring_spectrum(device, lam, t_K)
+            assert got.shape == ref.shape and np.array_equal(got, ref)
+            assert got.tobytes() == ref.tobytes()
+
+
 # --- resonance comb --------------------------------------------------------
 
 def test_comb_dispersionless_closed_form():
@@ -523,6 +544,94 @@ def test_non_contracting_model_raises_instead_of_a_wrong_root(m):
     device = Device(dispersion=simple_model([2.0, -1.2, -0.5, 0.0]), ring=ring)
     with pytest.raises(NumericalFailure, match=f"m={m} at T=350.0 K"):
         solve_resonance_wavelength(device, m, 350.0)
+
+
+# --- the scalar root path against the array-only reference ------------------
+#
+# A scalar (m, T) runs the solver's steps in Python floats; every other input,
+# and every scalar input on which numpy would warn or the root fails, runs the
+# array steps.  tests/reference_solver.py keeps the array-only solver: roots
+# must keep their bytes and type, and errors and RuntimeWarnings their text.
+
+def _solve_outcome(solve, device, m, t_K):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            lam = solve(device, m, t_K)
+            result = ("root", type(lam), np.shape(lam), np.asarray(lam).tobytes())
+        except (NumericalFailure, OverflowError, ZeroDivisionError) as exc:
+            result = ("error", type(exc), str(exc))
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+def _assert_same_solve(device, m, t_K):
+    got = _solve_outcome(solve_resonance_wavelength, device, m, t_K)
+    assert got == _solve_outcome(reference_solver.solve_resonance_wavelength, device, m, t_K)
+    return got[0]
+
+
+def _line_near(device, lam, t_K):
+    return round(float(device.dispersion.n_eff(lam, t_K, WIDTH)) * device.ring.length_m * 1e9 / lam)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(device=random_rings(), lam0=st.floats(*WINDOW), t_K=st.floats(250.0, 450.0),
+       offsets=st.lists(st.integers(-40, 40), min_size=1, max_size=6),
+       temps=st.lists(st.floats(250.0, 450.0), min_size=1, max_size=5))
+def test_solver_keeps_the_bits_of_the_array_reference_on_random_models(
+        device, lam0, t_K, offsets, temps):
+    m = _line_near(device, lam0, t_K)
+    ms = [m + d for d in offsets]
+    for m_k in ms:
+        _assert_same_solve(device, m_k, t_K)          # Python int and float T
+        _assert_same_solve(device, float(m_k), int(t_K))
+        _assert_same_solve(device, np.int64(m_k), np.float64(t_K))
+    _assert_same_solve(device, np.array(ms), t_K)      # 1-D m
+    _assert_same_solve(device, m, np.array(temps))     # 1-D T
+    _assert_same_solve(device, np.array(ms, dtype=float)[:, None], np.array(temps))  # (m, T)
+    _assert_same_solve(device, np.asarray(float(m)), np.asarray(t_K))  # 0-d arrays
+
+
+@pytest.mark.parametrize("m", [450, 340, 600, 900.5])
+def test_solver_failures_keep_the_text_of_the_array_reference(m):
+    # The non-contracting model of the test above: the scalar path fails its
+    # residual check and the array steps raise the reference's text.
+    ring = RingCavity(length_um=500.0, width_nm=WIDTH, alpha_prop_dB_per_m=30.0,
+                      ppln_fraction=0.0, poling_period_um=5.0)
+    device = Device(dispersion=simple_model([2.0, -1.2, -0.5, 0.0]), ring=ring)
+    for args in ((m, 350.0), (np.int64(m), 300), (np.array([m, 700]), 350.0)):
+        kind = _assert_same_solve(device, *args)[0]
+        if m in (450, 340):
+            assert kind == "error"
+
+
+@pytest.mark.parametrize("m", [0, -1, 0.5, 1e-310, 5e-324, 1e300, 1.7e308, math.inf,
+                               -math.inf, math.nan, 10**400, True, 2**63])
+@pytest.mark.parametrize("t_K", [350.0, -1e308, 1e308, math.inf, math.nan, 1e20])
+def test_solver_edge_inputs_keep_the_outcome_of_the_array_reference(m, t_K):
+    # Values on which numpy warns (overflow, invalid, divide) or the root
+    # fails: the scalar path hands them to the array steps, so the warnings,
+    # errors and roots are the reference's.
+    for length_um, coeffs in ((628.3, [2.0, -0.1, 0.05, 0.01]), (1e300, [2.0]),
+                              (1e-3, [2.0, 0.3])):
+        ring = RingCavity(length_um=length_um, width_nm=WIDTH, alpha_prop_dB_per_m=30.0,
+                          ppln_fraction=0.0, poling_period_um=5.0)
+        _assert_same_solve(Device(dispersion=simple_model(coeffs), ring=ring), m, t_K)
+
+
+def test_solver_hands_a_hidden_overflow_or_a_zero_slope_to_the_array_steps():
+    ring = RingCavity(length_um=1e-3, width_nm=WIDTH, alpha_prop_dB_per_m=30.0,
+                      ppln_fraction=0.0, poling_period_um=5.0)
+    # The seed 2 L / m overflows (numpy warns) and the clip hides it; at
+    # n_eff = 1.5 every later value is finite and the root passes its check.
+    assert _assert_same_solve(Device(dispersion=simple_model([1.5]), ring=ring),
+                              ring.length_m * 1e9 / 1e308, 350.0)[0] == "root"
+    # With dn/dlambda * L equal to m the Newton slope is exactly 0: numpy
+    # divides by zero (and warns) where Python floats would raise.
+    ring = RingCavity(length_um=628.3, width_nm=WIDTH, alpha_prop_dB_per_m=30.0,
+                      ppln_fraction=0.0, poling_period_um=5.0)
+    m = 0.3 / 1000.0 * (ring.length_m * 1e9)
+    _assert_same_solve(Device(dispersion=simple_model([2.0, 0.3]), ring=ring), m, 350.0)
 
 
 # --- QPM -------------------------------------------------------------------

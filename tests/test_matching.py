@@ -138,6 +138,13 @@ def test_sweep_step_guard():
         find_triple_resonance(device, coarse)
 
 
+def test_sweep_step_text_names_half_the_tolerance_in_MHz():
+    device, constraints, _ = planted_fixture_a()
+    coarse = dataclasses.replace(constraints, t_step_K=1.0, max_signal_detuning_Hz=3.0e6)
+    with pytest.raises(SweepStepTooCoarse, match=r"> tolerance/2 = 1\.5 MHz$"):
+        find_triple_resonance(device, coarse)
+
+
 def test_out_of_domain_band():
     device, constraints, _ = planted_fixture_a()
     bad = dataclasses.replace(constraints, pump_base_nm=2500.0)

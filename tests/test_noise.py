@@ -9,6 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qfcring import noise
+from qfcring.builders import fwm_channel_at, operating_point
+from qfcring.config import apply_overrides
+from qfcring.conversion import efficiency_vs_power
+from qfcring.experiments import _power_grid_W
 from qfcring.constants import TWO_PI
 from qfcring.conversion import ModeChannel, TwmSystem, _pump_drive
 from qfcring.errors import DomainError
@@ -215,6 +219,42 @@ def test_tradeoff_reports_each_row_once(monkeypatch):
     curves = {w: rows[rows[:, 0] == w] for w in (1400.0, 1600.0)}
     peak_snr = {w: curve[np.argmax(curve[:, 2]), 5] for w, curve in curves.items()}
     assert best == max(peak_snr, key=peak_snr.get)
+
+
+def _tradeoff_from_tuples(variants, powers_W, signal_input_rate_Hz):
+    """efficiency_snr_tradeoff's rows as tuples of numpy scalars, as the reference."""
+    powers = np.asarray(powers_W, dtype=float)
+    rows, best = [], None
+    for var in sorted(variants, key=lambda v: v.width_nm):
+        rates = fwm_noise_rate(var.channel, powers)
+        etas = efficiency_vs_power(var.channel.system, powers)[:, 3]
+        curve = [(var.width_nm, p, eta, rate,
+                  *snr_report(float(rate), signal_input_rate_Hz * float(eta)))
+                 for p, eta, rate in zip(powers, etas, rates)]
+        rows += curve
+        snr_at_peak = curve[int(np.argmax(etas))][5]
+        if best is None or snr_at_peak > best[1]:
+            best = (var.width_nm, snr_at_peak)
+    return np.asarray(rows, dtype=float), best[0]
+
+
+@pytest.mark.parametrize("overrides", [
+    [], ["experiment.power_spacing=linear"], ["experiment.pump_power_mW=1.7"],
+    ["experiment.power_spacing=linear", "experiment.power_min_mW=0.25"],
+])
+def test_tradeoff_rows_equal_the_tuple_reference_on_the_packaged_widths(cfg, overrides):
+    run = apply_overrides(cfg, overrides)
+    variants = []
+    for width in sorted(float(w) for w in run["experiment"]["widths_nm"]):
+        device, matches = operating_point(run, width_nm=width)
+        variants.append(TradeoffVariant(width, fwm_channel_at(run, device, matches[0])[0]))
+    powers = _power_grid_W(run)
+    rate = float(run["physics"]["signal_input_rate_Hz"])
+    rows, best = efficiency_snr_tradeoff(variants, powers, rate)
+    ref_rows, ref_best = _tradeoff_from_tuples(variants, powers, rate)
+    assert rows.shape == ref_rows.shape == (len(variants) * powers.size, 6)
+    assert np.array_equal(rows, ref_rows) and rows.tobytes() == ref_rows.tobytes()
+    assert best == ref_best
 
 
 def test_negative_power_in_a_noise_grid_raises():
