@@ -164,18 +164,29 @@ def _load_with(loader_cls, text: str, where: str):
 
 
 def _check_unique_keys(loader, node, where: str):
-    if not isinstance(node, yaml.MappingNode):
-        return
-    seen = set()
-    for key_node, value_node in node.value:
-        if not isinstance(key_node, yaml.ScalarNode) or key_node.tag.endswith(":merge"):
+    """ConfigError naming the first mapping at or below node that lists a key twice."""
+    # One visit per node, on a stack: any depth ends, and so does an alias to an enclosing node.
+    stack, visited = [(node, where)], set()
+    while stack:
+        node, where = stack.pop()
+        if id(node) in visited:
             continue
-        key = loader.construct_object(key_node)
-        if key in seen:
-            owner = f"config key '{where}'" if where else "the config root"
-            raise ConfigError(f"{owner} lists {key!r} more than once")
-        seen.add(key)
-        _check_unique_keys(loader, value_node, f"{where}.{key}" if where else str(key))
+        visited.add(id(node))
+        if isinstance(node, yaml.SequenceNode):
+            stack.extend((v, f"{where}[{i}]") for i, v in reversed(list(enumerate(node.value))))
+        if not isinstance(node, yaml.MappingNode):
+            continue
+        seen, children = set(), []
+        for key_node, value_node in node.value:
+            if not isinstance(key_node, yaml.ScalarNode) or key_node.tag.endswith(":merge"):
+                continue
+            key = loader.construct_object(key_node)
+            if key in seen:
+                owner = f"config key '{where}'" if where else "the config root"
+                raise ConfigError(f"{owner} lists {key!r} more than once")
+            seen.add(key)
+            children.append((value_node, f"{where}.{key}" if where else str(key)))
+        stack.extend(reversed(children))
 
 
 def _check_finite(path: str, values):

@@ -30,8 +30,6 @@ TABLE_HEADER = ("wavelength_nm", "width_nm", "temperature_K", "n_eff")
 # Physical sanity bounds for TFLN-on-insulator effective indices.
 N_EFF_MIN, N_EFF_MAX = 1.0, 3.0
 
-_DOMAIN_EPS = 1e-9
-
 # Largest max-abs residual a table fit may leave before it raises FitError.
 _MAX_FIT_RESIDUAL = 1e-3
 
@@ -163,15 +161,13 @@ class DispersionModel:
     def _check_domain(self, lambda_nm, t_K):
         lo, hi = self.lambda_window_nm
         lam = np.asarray(lambda_nm, dtype=float)
-        pad = _DOMAIN_EPS * (hi - lo)
-        if ((lam < lo - pad) | (lam > hi + pad)).any():
+        if ((lam < lo) | (lam > hi)).any():
             raise OutOfDomain(
                 f"wavelength {lambda_nm} nm outside validity window [{lo}, {hi}] nm"
             )
         tlo, thi = self.temperature_window_K
         t = np.asarray(t_K, dtype=float)
-        tpad = _DOMAIN_EPS * max(thi - tlo, 1.0)
-        if ((t < tlo - tpad) | (t > thi + tpad)).any():
+        if ((t < tlo) | (t > thi)).any():
             raise OutOfDomain(
                 f"temperature {t_K} K outside validity window [{tlo}, {thi}] K"
             )

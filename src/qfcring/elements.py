@@ -115,21 +115,9 @@ class MziCoupler:
         return k, t, np.exp(1j * self.arm_phase(lam, delta_T_K))
 
     def _entries(self, lambda_nm, delta_T_K=None):
-        """(M00, M01, M10, M11) of the composite matrix, each shaped like lambda_nm."""
+        """(M00, M01, M10, M11) of C . diag(e^{i dtheta}, 1) . C, each shaped like lambda_nm."""
         k, t, ph = self._field_terms(lambda_nm, delta_T_K)
         return t * t * ph - k * k, 1j * (k * t * ph + t * k), _m10(k, t, ph), -k * k * ph + t * t
-
-    def transfer(self, lambda_nm, delta_T_K=None):
-        """Composite 2x2 matrix C . diag(e^{i dtheta}, 1) . C of the coupler C.
-
-        Only the differential arm phase is modeled; the common arm phase
-        belongs to the ring round trip.  Returns shape (2, 2) for scalar
-        input, (n, 2, 2) for an n-vector of wavelengths.
-        """
-        m00, m01, m10, m11 = self._entries(lambda_nm, delta_T_K)
-        return np.stack(
-            [np.stack([m00, m01], axis=-1), np.stack([m10, m11], axis=-1)], axis=-2
-        )
 
     def cross_coupling(self, lambda_nm, delta_T_K=None):
         """Composite power cross-coupling K(lambda, dT) = |M10|^2 in [0, 1]."""

@@ -135,30 +135,21 @@ class MatchResult:
 
 
 def _signal_tuning(device: Device, constraints: SearchConstraints):
-    """(n_g, |d f_resonance / dT|) of the signal mode at the target and mid-sweep T."""
+    """(n_g, |d f_resonance / dT|, sweep step) of the signal mode at the target and mid-sweep T."""
     model, t_mid = device.dispersion, 0.5 * (constraints.t_min_K + constraints.t_max_K)
     ng = model.group_index(constraints.signal_wavelength_nm, t_mid, device.width_nm)
-    return ng, constraints.signal_target_hz * abs(model.dn_dT_per_K) / float(ng)
-
-
-def signal_shift_rate_hz_per_K(device: Device, constraints: SearchConstraints) -> float:
-    """|d f_resonance / dT| of the signal mode, evaluated at the target."""
-    return _signal_tuning(device, constraints)[1]
+    rate = constraints.signal_target_hz * abs(model.dn_dT_per_K) / float(ng)
+    step = constraints.t_step_K
+    if step is None:
+        # Lines that do not move with T: one step spans the range.
+        step = (constraints.t_max_K - constraints.t_min_K if rate == 0.0
+                else max(1e-3, 0.25 * constraints.max_signal_detuning_Hz / rate))
+    return ng, rate, step
 
 
 def sweep_step_K(device: Device, constraints: SearchConstraints) -> float:
-    """Adaptive step: one step moves the signal resonance by tol/4 (floor 1 mK)."""
-    return _step_at(constraints, signal_shift_rate_hz_per_K(device, constraints))
-
-
-def _step_at(constraints: SearchConstraints, rate: float) -> float:
-    """t_step_K, or the adaptive step at signal shift rate `rate` (Hz/K)."""
-    if constraints.t_step_K is not None:
-        return constraints.t_step_K
-    if rate == 0.0:
-        # Lines that do not move with T: one step spans the range.
-        return constraints.t_max_K - constraints.t_min_K
-    return max(1e-3, 0.25 * constraints.max_signal_detuning_Hz / rate)
+    """t_step_K, or the adaptive step that moves the signal resonance by tol/4 (floor 1 mK)."""
+    return _signal_tuning(device, constraints)[2]
 
 
 def _check_domain(device: Device, constraints: SearchConstraints):
@@ -327,8 +318,7 @@ def find_triple_resonance(device: Device, constraints: SearchConstraints):
     (carrying the best near-miss) when nothing passes.
     """
     _check_domain(device, constraints)
-    ng, rate = _signal_tuning(device, constraints)
-    step = _step_at(constraints, rate)
+    ng, rate, step = _signal_tuning(device, constraints)
     if step * rate > 0.5 * constraints.max_signal_detuning_Hz:
         raise SweepStepTooCoarse(
             f"step {step} K shifts the signal resonance by {step * rate / 1e6:.1f} MHz "

@@ -49,6 +49,15 @@ def simple_model(coeffs, dn_dt=3.9e-5, lambda_ref=1200.0, t_ref=350.0,
     )
 
 
+def mzi_transfer(mzi, lambda_nm, delta_T_K=None):
+    """The MZI coupler's composite 2x2 matrix stacked from its entries.
+
+    Shape (2, 2) for a scalar wavelength, (n, 2, 2) for an n-vector.
+    """
+    m00, m01, m10, m11 = mzi._entries(lambda_nm, delta_T_K)
+    return np.stack([np.stack([m00, m01], axis=-1), np.stack([m10, m11], axis=-1)], axis=-2)
+
+
 # The solver iterates lambda -> n_eff(lambda) L / m, which contracts by
 # q = |dn/dlambda| lambda / n = |n - n_g| / n per step.  Where it does not
 # contract (q >~ 0.73) the solver's residual check raises NumericalFailure

@@ -29,7 +29,7 @@ from qfcring.experiments import EXPERIMENTS, run_experiment
 from qfcring.matching import find_triple_resonance
 from qfcring.noise import TradeoffVariant, efficiency_snr_tradeoff, fwm_noise_rate, noise_vs_power
 
-from conftest import oracle_fixture_best, oracle_fixtures
+from conftest import mzi_transfer, oracle_fixture_best, oracle_fixtures
 from test_conversion import make_system
 from test_elements import make_mzi
 
@@ -156,7 +156,7 @@ def test_criterion_5_coupler_algebra():
         mzi = make_mzi(k2=k2, delta_len_um=rng.uniform(0.0, 3.0))
         lam = rng.uniform(650.0, 1750.0)
         dT = rng.uniform(0.0, 60.0)
-        m = mzi.transfer(lam, delta_T_K=dT)
+        m = mzi_transfer(mzi, lam, delta_T_K=dT)
         worst_unit = max(worst_unit, float(np.max(np.abs(m.conj().T @ m - np.eye(2)))))
         K = abs(m[1, 0]) ** 2
         closed = 4.0 * k2 * (1.0 - k2) * math.cos(float(mzi.arm_phase(lam, dT)) / 2.0) ** 2

@@ -14,8 +14,8 @@ from hypothesis.extra import numpy as hnp
 
 from qfcring.constants import C_M_PER_S
 from qfcring.dispersion import (
-    _DOMAIN_EPS,
     U_SCALE_NM,
+    DispersionModel,
     _polyval,
     default_model,
     fit_dispersion_table,
@@ -165,6 +165,27 @@ def test_out_of_domain_raises(model):
         model.n_eff(1550.0, model.temperature_window_K[1] + 5.0, WIDTH)
     with pytest.raises(UnknownWidth):
         model.n_eff(1550.0, 350.0, 1450.0)
+
+
+@pytest.mark.parametrize("make, exc, message", [
+    (lambda: default_model().fsr_hz(1550.0, 350.0, WIDTH, 0.0),
+     DomainError, r"^ring length must be positive, got 0.0$"),
+    (lambda: DispersionModel({}, 3.9e-5, 1200.0, 350.0, (600.0, 1800.0), (250.0, 450.0)),
+     DomainError, r"^model has no width entries$"),
+    # n_eff stays in (1, 3), but n_g = n - lambda dn/dlambda < 0 at the window's edges
+    (lambda: simple_model([2.0, 0.0, 0.0, 20.0], window=(1000.0, 1400.0)),
+     DomainError, r"^group index non-positive for width 1500.0 nm at T=250.0 K$"),
+    (lambda: parse_dispersion_table("wavelength_nm,width_nm,n_eff\n", source="t.csv"),
+     ParseError, r"^t.csv: bad header \('wavelength_nm', 'width_nm', 'n_eff'\), expected "),
+    (lambda: parse_dispersion_table("# comments only\n\n", source="t.csv"),
+     ParseError, r"^t.csv: empty table \(no header\)$"),
+    (lambda: parse_dispersion_table("wavelength_nm,width_nm,temperature_K,n_eff\n", source="t.csv"),
+     ParseError, r"^t.csv: table has a header but no data rows$"),
+], ids=["zero-ring-length", "no-widths", "negative-group-index", "bad-header", "no-header",
+        "no-rows"])
+def test_dispersion_refusals(make, exc, message):
+    with pytest.raises(exc, match=message):
+        make()
 
 
 # --- table ingestion -------------------------------------------------------
@@ -432,13 +453,11 @@ def test_coupler_with_no_length_coefficients_still_raises():
 def _model_check_two_any(model, lambda_nm, t_K):
     lo, hi = model.lambda_window_nm
     lam = np.asarray(lambda_nm, dtype=float)
-    pad = _DOMAIN_EPS * (hi - lo)
-    if np.any(lam < lo - pad) or np.any(lam > hi + pad):
+    if np.any(lam < lo) or np.any(lam > hi):
         raise OutOfDomain(f"wavelength {lambda_nm} nm outside validity window [{lo}, {hi}] nm")
     tlo, thi = model.temperature_window_K
     t = np.asarray(t_K, dtype=float)
-    tpad = _DOMAIN_EPS * max(thi - tlo, 1.0)
-    if np.any(t < tlo - tpad) or np.any(t > thi + tpad):
+    if np.any(t < tlo) or np.any(t > thi):
         raise OutOfDomain(f"temperature {t_K} K outside validity window [{tlo}, {thi}] K")
 
 
@@ -458,10 +477,14 @@ def _outcome(check, *args):
 
 
 def _near(lo, hi):
-    """Floats about a window: inside, at and a pad beyond each edge, outside, NaN."""
-    pad = 2 * _DOMAIN_EPS * (hi - lo)
+    """Floats about a window: inside, at, one float inside and beyond each edge, outside, NaN."""
     return st.one_of(st.floats(lo - 0.1 * (hi - lo), hi + 0.1 * (hi - lo)),
-                     st.sampled_from([lo, hi, lo - pad, hi + pad, math.nan]))
+                     st.sampled_from([lo, hi, *_beside(lo), *_beside(hi), math.nan]))
+
+
+def _beside(x):
+    """The floats just below and just above x."""
+    return np.nextafter(x, -math.inf), np.nextafter(x, math.inf)
 
 
 @settings(max_examples=300, derandomize=True, deadline=None, database=None)
@@ -474,6 +497,32 @@ def test_fused_domain_checks_raise_as_the_two_any_checks(model, data, lam_shape,
                             lambda_ref_nm=model.lambda_ref_nm,
                             lambda_window_nm=model.lambda_window_nm)
     assert _outcome(dc._check, lam) == _outcome(_coupler_check_two_any, dc, lam)
+
+
+@pytest.mark.parametrize("t_window", [(250.0, 450.0), (350.0, 350.0)])
+def test_domain_windows_are_closed_with_no_tolerance(t_window):
+    # An edge is inside; the next float beyond it is outside, on every check.
+    model = simple_model([2.0, -0.1], t_window=t_window)
+    dc = DirectionalCoupler(length_um=10.0, lc_coeffs_um=(25.0,), lambda_ref_nm=1200.0,
+                            lambda_window_nm=model.lambda_window_nm)
+    (lo, hi), (tlo, thi) = model.lambda_window_nm, model.temperature_window_K
+    (lo_out, lo_in), (hi_in, hi_out) = _beside(lo), _beside(hi)
+    (tlo_out, tlo_in), (thi_in, thi_out) = _beside(tlo), _beside(thi)
+    t_in = [tlo, thi] + ([tlo_in, thi_in] if tlo < thi else [])
+    for lam in (lo, lo_in, hi_in, hi, np.array([lo, hi])):
+        for t in t_in:
+            assert model._check_domain(lam, t) is None
+            assert np.all(np.isfinite(model.group_index(lam, t, WIDTH)))
+        assert dc._check(lam) is None
+        assert np.all(dc.cross_coupling(lam) >= 0.0)
+    for lam in (lo_out, hi_out, np.array([lo, hi_out])):
+        with pytest.raises(OutOfDomain, match="wavelength .* outside validity window"):
+            model.n_eff(lam, tlo, WIDTH)
+        with pytest.raises(OutOfDomain, match="outside coupler window"):
+            dc.cross_coupling(lam)
+    for t in (tlo_out, thi_out, np.array([tlo, thi_out])):
+        with pytest.raises(OutOfDomain, match="temperature .* outside validity window"):
+            model.n_eff(lo, t, WIDTH)
 
 
 def test_nan_wavelength_passes_the_domain_checks(model):

@@ -33,12 +33,12 @@ from qfcring.elements import (
     ring_spectrum,
     solve_resonance_wavelength,
 )
-from qfcring.errors import NoResonance, NumericalFailure, OutOfDomain
+from qfcring.errors import DomainError, NoResonance, NumericalFailure, OutOfDomain
 from qfcring.experiments import run_experiment
 from qfcring.matching import find_triple_resonance
 
 import reference_solver
-from conftest import WIDTH, random_rings, simple_model
+from conftest import WIDTH, mzi_transfer, random_rings, simple_model
 
 WINDOW = (600.0, 1800.0)
 
@@ -100,7 +100,7 @@ def test_mzi_unitarity_1000_draws():
         mzi = make_mzi(k2=rng.uniform(0.02, 0.98),
                        delta_len_um=rng.uniform(0.0, 3.0))
         lam = rng.uniform(*WINDOW)
-        m = mzi.transfer(lam, delta_T_K=rng.uniform(0.0, 60.0))
+        m = mzi_transfer(mzi, lam, delta_T_K=rng.uniform(0.0, 60.0))
         dev = np.max(np.abs(m.conj().T @ m - np.eye(2)))
         worst = max(worst, dev)
     assert worst < 1e-12
@@ -114,7 +114,7 @@ def test_mzi_composite_closed_form():
         mzi = make_mzi(k2=k2, delta_len_um=rng.uniform(0.0, 2.0))
         lam = rng.uniform(*WINDOW)
         dT = rng.uniform(0.0, 50.0)
-        m = mzi.transfer(lam, delta_T_K=dT)
+        m = mzi_transfer(mzi, lam, delta_T_K=dT)
         k_matrix = abs(m[1, 0]) ** 2
         dtheta = float(mzi.arm_phase(lam, dT))
         k_closed = 4.0 * k2 * (1.0 - k2) * math.cos(dtheta / 2.0) ** 2
@@ -175,7 +175,7 @@ def test_cross_coupling_is_the_bits_of_the_transfer_element(cfg, width):
             for lam in (rng.uniform(lo, hi), rng.uniform(lo, hi, size=1),
                         rng.uniform(lo, hi, size=1300), np.linspace(lo, hi, 7)):
                 got = mzi.cross_coupling(lam, drive)
-                ref = np.abs(mzi.transfer(lam, drive)[..., 1, 0]) ** 2
+                ref = np.abs(mzi_transfer(mzi, lam, drive)[..., 1, 0]) ** 2
                 assert np.shape(got) == np.shape(ref)
                 assert np.asarray(got).tobytes() == np.asarray(ref).tobytes()
 
@@ -330,7 +330,7 @@ def test_spectrum_equals_the_stacked_transfer_formula(cfg, width):
             n = device.dispersion.n_eff(lam, t_K, ring.width_nm)
             rt = 10.0 ** (-ring.alpha_prop_dB_per_m * ring.length_m / 20.0) * np.exp(
                 1j * (TWO_PI * n * ring.length_m / (lam * 1e-9)))
-            m = mzi.transfer(lam)
+            m = mzi_transfer(mzi, lam)
             ref = np.abs(m[..., 0, 0] + m[..., 0, 1] * m[..., 1, 0] * rt
                          / (1.0 - m[..., 1, 1] * rt)) ** 2
             got = ring_spectrum(device, lam, t_K)
@@ -651,3 +651,37 @@ def test_poling_offset_rounding_warns():
         warnings.simplefilter("error")
         RingCavity(length_um=500.0, width_nm=WIDTH, alpha_prop_dB_per_m=30.0,
                    ppln_fraction=0.0, poling_period_um=5.0)
+
+
+def _ring(**change):
+    return RingCavity(**{"length_um": 500.0, "width_nm": WIDTH, "alpha_prop_dB_per_m": 30.0,
+                         "ppln_fraction": 0.0, "poling_period_um": 5.0, **change})
+
+
+def _cubic_ring_device():
+    # n_g peaks at 1200 nm, so [1108, 1248.5] nm spans one FSR at its centre but
+    # lies between the m = 9 and m = 8 lines of a 5 um ring.
+    return Device(dispersion=simple_model([2.0, 0.0, 0.0, 12.0], window=(1000.0, 1400.0)),
+                  ring=_ring(length_um=5.0))
+
+
+@pytest.mark.parametrize("make, exc, message", [
+    (lambda: DirectionalCoupler(length_um=-1.0, lc_coeffs_um=(25.0,), lambda_ref_nm=1200.0,
+                                lambda_window_nm=WINDOW),
+     DomainError, r"^coupler interaction length must be >= 0$"),
+    (lambda: _ring(ppln_fraction=1.5), DomainError, r"^ppln_fraction must lie in \[0, 1\]$"),
+    (lambda: _ring(poling_period_um=0.0), DomainError, r"^poling period must be positive$"),
+    (lambda: _ring(alpha_prop_dB_per_m=-1.0), DomainError, r"^propagation loss must be >= 0$"),
+    (lambda: ring_spectrum(Device(dispersion=simple_model([2.0]), ring=_ring()), [1550.0], 350.0),
+     DomainError, r"^spectrum needs at least 2 wavelength samples$"),
+    (lambda: resonance_comb(Device(dispersion=simple_model([2.0]), ring=_ring()),
+                            (1500.0, 1400.0), 350.0),
+     DomainError, r"^empty wavelength band \(1500.0, 1400.0\)$"),
+    (lambda: resonance_comb(_cubic_ring_device(), (1108.0, 1248.5), 350.0),
+     NoResonance, r"^band \[1108.0, 1248.5\] nm contains no resonance$"),
+], ids=["coupler-length", "ppln-fraction", "poling-period", "propagation-loss",
+        "one-sample-spectrum", "empty-band", "band-of-one-fsr-without-a-line"])
+def test_element_refusals(make, exc, message):
+    with pytest.raises(exc, match=message):
+        make()
+

@@ -158,7 +158,7 @@ def test_coverage_warning_when_sweep_too_narrow():
     with pytest.warns(UserWarning, match="less than one FSR") as caught:
         find_triple_resonance(device, narrow)
     # the 2 K sweep's signal shift and the signal FSR at the sweep's centre
-    shift_GHz = 2.0 * matching.signal_shift_rate_hz_per_K(device, narrow) / 1e9
+    shift_GHz = 2.0 * matching._signal_tuning(device, narrow)[1] / 1e9
     fsr_GHz = device.dispersion.fsr_hz(narrow.signal_wavelength_nm, 350.0, device.width_nm,
                                        device.ring.length_m) / 1e9
     assert [str(w.message) for w in caught] == [

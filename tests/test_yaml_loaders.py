@@ -107,6 +107,7 @@ MALFORMED = [
     "\ta: 1", "[1, 2? 3]", "a: |#",
     "a: 1\na: 2", "device:\n  x: 1\n  x: 2", "{1500: 1, 1500.0: 2}",
     "a:\n  b: 1\n  c:\n    d: 1\n    d: 2", "x: 1" + "0" * 5000,
+    "[{a: 1, a: 2}]", "x: [1, [{a: 1}, {b: 2, b: 3}]]",
 ]
 
 
@@ -128,6 +129,31 @@ def test_malformed_and_repeated_key_yaml_refused_alike(text, monkeypatch):
             monkeypatch.undo()
 
     assert config_error() == config_error(pure=True)
+
+
+@pytest.mark.parametrize("text, where, message", [
+    ("[{a: 1, a: 2}]", "", "config key '[0]' lists 'a' more than once"),
+    ("[{a: 1, a: 2}]", "k", "config key 'k[0]' lists 'a' more than once"),
+    ("x: [1, [{a: 1}, {b: 2, b: 3}]]", "k", "config key 'k.x[1][1]' lists 'b' more than once"),
+    ("a: &m {x: 1, x: 2}\nb: [*m]", "", "config key 'a' lists 'x' more than once"),
+])
+def test_repeated_key_inside_a_sequence_names_its_path(text, where, message):
+    assert _outcome(config._load_yaml, text, where) == (ConfigError, message)
+    assert _outcome(_pure, text, where) == (ConfigError, message)
+
+
+def test_an_alias_to_an_enclosing_node_loads_without_recursing():
+    for load in (config._load_yaml, _pure):
+        seq = load("&a [1, {b: [*a]}]", "k")
+        assert seq[1]["b"][0] is seq
+        mapping = load("&a {b: *a}", "k")
+        assert mapping["b"] is mapping
+
+
+@needs_libyaml
+def test_deep_nesting_does_not_recurse_in_the_key_check():
+    for text in ("x: " + "[" * 3000 + "]" * 3000, "x: " + "{a: " * 3000 + "1" + "}" * 3000):
+        assert isinstance(config._load_yaml(text, "k"), dict)
 
 
 @needs_libyaml
