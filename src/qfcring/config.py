@@ -324,7 +324,9 @@ def load_config(path=None) -> dict:
 def _parse_config(text: str, source: str) -> dict:
     try:
         cfg = _load_yaml(text)
-    except (yaml.YAMLError, ValueError) as exc:  # ValueError: an int of > 4300 digits
+    # ValueError: an int of > 4300 digits; RecursionError: the pure-Python
+    # composer on deeply nested text
+    except (yaml.YAMLError, ValueError, RecursionError) as exc:
         raise ConfigError(f"{source}: YAML parse error: {exc}") from None
     return validate_config(cfg)
 
@@ -362,7 +364,7 @@ def apply_overrides(cfg: dict, overrides) -> dict:
         key = key.strip()
         try:
             value = _load_yaml(raw, key)
-        except (yaml.YAMLError, ValueError):
+        except (yaml.YAMLError, ValueError, RecursionError):
             raise ConfigError(f"override '{item}': unparseable value") from None
         path = key.split(".")
         if len(path) == 1:

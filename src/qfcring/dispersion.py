@@ -200,18 +200,15 @@ class DispersionModel:
     def _n_eff_unchecked(self, lambda_nm, t_K, width_nm: float):
         # Internal: resonance root-solvers may probe a whisker outside the
         # window mid-iteration; final results are always domain-masked.
-        # Python floats skip the 0-d array round trip: the same IEEE operations.
         c, _ = self._coeffs(width_nm)
-        if type(lambda_nm) is not float or type(t_K) is not float:
-            lambda_nm, t_K = np.asarray(lambda_nm, dtype=float), np.asarray(t_K, dtype=float)
-        n = _polyval(c, (lambda_nm - self.lambda_ref_nm) / U_SCALE_NM)
-        return n + self.dn_dT_per_K * (t_K - self.t_ref_K)
+        u = (np.asarray(lambda_nm, dtype=float) - self.lambda_ref_nm) / U_SCALE_NM
+        n = _polyval(c, u)
+        return n + self.dn_dT_per_K * (np.asarray(t_K, dtype=float) - self.t_ref_K)
 
     def _dn_dlambda_unchecked(self, lambda_nm, t_K, width_nm: float):
         _, dc = self._coeffs(width_nm)
-        if type(lambda_nm) is not float:
-            lambda_nm = np.asarray(lambda_nm, dtype=float)
-        return _polyval(dc, (lambda_nm - self.lambda_ref_nm) / U_SCALE_NM) / U_SCALE_NM
+        u = (np.asarray(lambda_nm, dtype=float) - self.lambda_ref_nm) / U_SCALE_NM
+        return _polyval(dc, u) / U_SCALE_NM
 
     def group_index(self, lambda_nm, t_K, width_nm: float):
         """n_g = n_eff - lambda * dn_eff/dlambda (analytic derivative)."""

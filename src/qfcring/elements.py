@@ -248,9 +248,6 @@ def ring_spectrum(device: Device, lambda_grid_nm, t_ring_K):
 # solver's roots and verify_match's stored lines keep |residual| <= RESIDUAL_TOL.
 RESIDUAL_TOL = 1e-9
 
-# Scalar (m, T) types that solve_resonance_wavelength runs in Python floats.
-_REAL = (int, float, np.integer, np.floating)
-
 
 def _length_nm(device: Device) -> float:
     return device.ring.length_m * 1e9
@@ -323,14 +320,8 @@ def solve_resonance_wavelength(device: Device, m, t_K):
     Vectorized over t_K (and m when both are arrays of equal shape).
     Fixed-point iterations then two Newton polishes; NumericalFailure names
     the worst (m, T) when a root's |resonance_residual| exceeds RESIDUAL_TOL
-    or is NaN (the fixed point need not contract).  A scalar (m, T) runs the
-    same steps in Python floats, with the same bits, unless _scalar_root
-    hands it to the array steps, whose errors and RuntimeWarnings stand.
+    or is NaN (the fixed point need not contract).
     """
-    if isinstance(m, _REAL) and isinstance(t_K, _REAL):
-        lam = _scalar_root(device, m, t_K)
-        if lam is not None:
-            return lam
     model, width_nm, length_nm = device.dispersion, device.width_nm, _length_nm(device)
     m_arr = np.asarray(m, dtype=float)
     lo, hi = model.lambda_window_nm
@@ -338,7 +329,12 @@ def solve_resonance_wavelength(device: Device, m, t_K):
     # crude seed (n ~ 2), clipped into the window so the first n_eff
     # evaluations stay inside the fitted basin
     lam = np.clip(lam + length_nm * 2.0 / m_arr, lo, hi)
-    lam, _ = _root_steps(model, width_nm, length_nm, m_arr, t_K, lam)
+    for _ in range(13):
+        lam = model._n_eff_unchecked(lam, t_K, width_nm) * length_nm / m_arr
+    for _ in range(2):
+        f = m_arr * lam - model._n_eff_unchecked(lam, t_K, width_nm) * length_nm
+        fp = m_arr - model._dn_dlambda_unchecked(lam, t_K, width_nm) * length_nm
+        lam = lam - f / fp
     r = np.abs(resonance_residual(device, m_arr, lam, t_K))
     if not np.all(r <= RESIDUAL_TOL):
         k = np.argmax(np.where(np.isnan(r), np.inf, r))
@@ -348,43 +344,6 @@ def solve_resonance_wavelength(device: Device, m, t_K):
     if np.isscalar(m) and np.isscalar(t_K):
         return float(lam)
     return lam
-
-
-def _root_steps(model, width_nm, length_nm, m, t_K, lam):
-    """13 fixed-point steps, then 2 Newton steps; (lambda, the last Newton slope)."""
-    for _ in range(13):
-        lam = model._n_eff_unchecked(lam, t_K, width_nm) * length_nm / m
-    for _ in range(2):
-        f = m * lam - model._n_eff_unchecked(lam, t_K, width_nm) * length_nm
-        fp = m - model._dn_dlambda_unchecked(lam, t_K, width_nm) * length_nm
-        lam = lam - f / fp
-    return lam, fp
-
-
-def _scalar_root(device: Device, m, t_K):
-    """The solver's root of one (m, T) in Python floats, or None for the array steps.
-
-    Python floats do not warn where numpy does, so None wherever numpy would
-    have: an overflow or invalid value leaves an inf or NaN that the later
-    steps carry to the root, except through the seed's clip and a Newton
-    step over an infinite slope (which leaves lambda, so the next slope, as
-    it was), both checked.  None also where the root fails its check.
-    """
-    model, width_nm, length_nm = device.dispersion, device.width_nm, _length_nm(device)
-    lo, hi = model.lambda_window_nm
-    try:
-        m, t = float(m), float(t_K)
-        seed = length_nm * 2.0 / m
-        if not math.isfinite(seed):
-            return None
-        lam, fp = _root_steps(model, width_nm, length_nm, m, t, float(min(max(seed, lo), hi)))
-    except (OverflowError, ZeroDivisionError):
-        return None
-    if not (0.0 < lam < math.inf and math.isfinite(fp)):
-        return None
-    if not abs(resonance_residual(device, m, lam, t)) <= RESIDUAL_TOL:
-        return None
-    return float(lam)
 
 
 def _temperature_at(device: Device, m, lambda_nm):

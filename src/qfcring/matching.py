@@ -429,13 +429,14 @@ def companion_detuning(device: Device, match: MatchResult):
     The four-wave-mixing companion carries azimuthal number 2 m_p - m_i;
     delta' is its comb line's frequency minus 2 w_p - w_i.  None when that
     line leaves the dispersion window (`builders.fwm_channel_at` then reads
-    the config's table).
+    the config's table); the line is solved only when its m is one of the
+    window's `_m_range`, so a line far outside is never root-solved.
     """
     m_comp = 2 * match.pump.m - match.idler.m
     f_target = 2.0 * match.pump.freq_hz - match.idler.freq_hz
-    if f_target > 0.0 and m_comp > 0:
+    window = device.dispersion.lambda_window_nm
+    if f_target > 0.0 and m_comp > 0 and m_comp in _m_range(device, window, match.t_ring_K):
         lam = solve_resonance_wavelength(device, m_comp, match.t_ring_K)
-        lo, hi = device.dispersion.lambda_window_nm
-        if lo <= lam <= hi:
+        if window[0] <= lam <= window[1]:
             return TWO_PI * (freq_hz(lam) - f_target)
     return None

@@ -1,11 +1,11 @@
-"""The array-only resonance solver, kept as the reference for the scalar path.
+"""The array-only resonance solver, frozen as the reference for the solver.
 
-`solve_resonance_wavelength` below is `qfcring.elements.solve_resonance_wavelength`
-as it was before scalar (m, T) inputs ran in Python floats: every input goes
-through 0-d or n-d numpy arrays, with the Horner loop, the evaluators and
-the residual written out here so that no later change to `qfcring` moves
-the reference.  The tests compare roots by their bytes, and errors and
-RuntimeWarnings by their text.
+`solve_resonance_wavelength` below is a copy of
+`qfcring.elements.solve_resonance_wavelength`: every input goes through 0-d
+or n-d numpy arrays, with the Horner loop, the evaluators and the residual
+written out here so that no later change to `qfcring` moves the reference.
+The tests compare roots by their bytes, and errors and RuntimeWarnings by
+their text.
 """
 
 from __future__ import annotations

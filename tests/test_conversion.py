@@ -56,6 +56,33 @@ def make_system(eta_p=0.5, eta_s=0.92, eta_i=0.98, kappa_p=1.3e9, kappa_s=7e9,
     )
 
 
+def _channel(role="pump", omega=OMEGA_P, kappa_ex=1e9, kappa_0=1e9):
+    return ModeChannel(role=role, omega=omega, m=100, kappa_ex=kappa_ex, kappa_0=kappa_0)
+
+
+@pytest.mark.parametrize("make, exc, message", [
+    (lambda: _channel(role="drive"), DomainError,
+     r"^role must be one of \('pump', 'signal', 'idler'\), got 'drive'$"),
+    (lambda: _channel(omega=0.0), DomainError, r"^carrier frequency must be positive$"),
+    (lambda: _channel(kappa_ex=-1.0), NonphysicalRate, r"^decay rates must be >= 0$"),
+    (lambda: _channel(kappa_ex=0.0, kappa_0=0.0), NonphysicalRate,
+     r"^total decay rate must be positive$"),
+    (lambda: TwmSystem(pump=make_system().signal, signal=make_system().pump,
+                       idler=make_system().idler, g0=1.0), DomainError,
+     r"^channels must be \(pump, signal, idler\), got \('signal', 'pump', 'idler'\)$"),
+    (lambda: make_system(g0=-1.0), DomainError, r"^vacuum coupling rate must be >= 0$"),
+    (lambda: intracavity_pump(1e-3, OMEGA_P, 0.0, 0.0), NonphysicalRate,
+     r"^kappa_p must be positive$"),
+    (lambda: pump_power_unity_cooperativity(make_system(g0=0.0)), DegenerateCoupling,
+     r"^g0 must be positive for a finite pump power$"),
+    (lambda: g0_effective(1.0, 1.5), DomainError, r"^ppln_fraction must lie in \[0, 1\]$"),
+], ids=["role", "zero-omega", "negative-rate", "zero-total-rate", "channel-order",
+        "negative-g0", "zero-kappa-p", "zero-g0-unity-power", "ppln-fraction"])
+def test_conversion_refusals(make, exc, message):
+    with pytest.raises(exc, match=message):
+        make()
+
+
 def test_intracavity_no_drive():
     assert intracavity_pump(0.0, OMEGA_P, 1e9, 5e8) == 0.0
 

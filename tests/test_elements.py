@@ -546,12 +546,11 @@ def test_non_contracting_model_raises_instead_of_a_wrong_root(m):
         solve_resonance_wavelength(device, m, 350.0)
 
 
-# --- the scalar root path against the array-only reference ------------------
+# --- the root solver against its frozen array-only reference ---------------
 #
-# A scalar (m, T) runs the solver's steps in Python floats; every other input,
-# and every scalar input on which numpy would warn or the root fails, runs the
-# array steps.  tests/reference_solver.py keeps the array-only solver: roots
-# must keep their bytes and type, and errors and RuntimeWarnings their text.
+# Every input, scalar or array, runs the solver's array steps.
+# tests/reference_solver.py keeps a frozen copy of them: roots must keep
+# their bytes and type, and errors and RuntimeWarnings their text.
 
 def _solve_outcome(solve, device, m, t_K):
     with warnings.catch_warnings(record=True) as caught:
@@ -594,8 +593,8 @@ def test_solver_keeps_the_bits_of_the_array_reference_on_random_models(
 
 @pytest.mark.parametrize("m", [450, 340, 600, 900.5])
 def test_solver_failures_keep_the_text_of_the_array_reference(m):
-    # The non-contracting model of the test above: the scalar path fails its
-    # residual check and the array steps raise the reference's text.
+    # The non-contracting model of the test above: the solver fails its
+    # residual check and raises the reference's text.
     ring = RingCavity(length_um=500.0, width_nm=WIDTH, alpha_prop_dB_per_m=30.0,
                       ppln_fraction=0.0, poling_period_um=5.0)
     device = Device(dispersion=simple_model([2.0, -1.2, -0.5, 0.0]), ring=ring)
@@ -610,8 +609,7 @@ def test_solver_failures_keep_the_text_of_the_array_reference(m):
 @pytest.mark.parametrize("t_K", [350.0, -1e308, 1e308, math.inf, math.nan, 1e20])
 def test_solver_edge_inputs_keep_the_outcome_of_the_array_reference(m, t_K):
     # Values on which numpy warns (overflow, invalid, divide) or the root
-    # fails: the scalar path hands them to the array steps, so the warnings,
-    # errors and roots are the reference's.
+    # fails: the warnings, errors and roots are the reference's.
     for length_um, coeffs in ((628.3, [2.0, -0.1, 0.05, 0.01]), (1e300, [2.0]),
                               (1e-3, [2.0, 0.3])):
         ring = RingCavity(length_um=length_um, width_nm=WIDTH, alpha_prop_dB_per_m=30.0,
@@ -627,7 +625,7 @@ def test_solver_hands_a_hidden_overflow_or_a_zero_slope_to_the_array_steps():
     assert _assert_same_solve(Device(dispersion=simple_model([1.5]), ring=ring),
                               ring.length_m * 1e9 / 1e308, 350.0)[0] == "root"
     # With dn/dlambda * L equal to m the Newton slope is exactly 0: numpy
-    # divides by zero (and warns) where Python floats would raise.
+    # divides by zero and warns, with the reference's text.
     ring = RingCavity(length_um=628.3, width_nm=WIDTH, alpha_prop_dB_per_m=30.0,
                       ppln_fraction=0.0, poling_period_um=5.0)
     m = 0.3 / 1000.0 * (ring.length_m * 1e9)

@@ -11,8 +11,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qfcring import matching
-from qfcring.builders import build_constraints, build_device, operating_point
-from qfcring.config import apply_overrides
+from qfcring.builders import build_constraints, build_device, fwm_channel_at, operating_point
+from qfcring.config import apply_overrides, width_key
 from qfcring.constants import C_M_PER_S, TWO_PI, freq_hz
 from qfcring.dispersion import DispersionModel
 from qfcring.elements import Device, _m_range, solve_resonance_wavelength
@@ -428,6 +428,27 @@ def test_companion_comb_path_wide_window():
     assert got is not None
     # long-range second difference of the strongly curved comb: THz scale
     assert 0.0 < abs(got) / TWO_PI < 2e13
+
+
+FAR_COMPANION = ["constraints.pump_base_wavelength_nm=1680",
+                 "constraints.idler_base_wavelength_nm=1313.0",
+                 "constraints.require_qpm=false", "constraints.half_window_nm=15",
+                 "constraints.max_mismatch_MHz=50000"]
+
+
+def test_far_out_companion_falls_back_to_the_table(cfg):
+    # The companion's m = 2 m_p - m_i lies far outside the window's mode
+    # numbers; its root solve diverges (NaN residual), so it must not run.
+    run = apply_overrides(cfg, FAR_COMPANION)
+    device, matches = operating_point(run)
+    m_comp = 2 * matches[0].pump.m - matches[0].idler.m
+    assert m_comp not in _m_range(device, device.dispersion.lambda_window_nm,
+                                  matches[0].t_ring_K)
+    assert companion_detuning(device, matches[0]) is None
+    channel, source = fwm_channel_at(run, device, matches[0])
+    assert source == "table"
+    table = run["physics"]["fwm_companion_detuning_THz_by_width"]
+    assert channel.delta_comp == TWO_PI * float(table[width_key(device.width_nm)]) * 1e12
 
 
 # --- pairing oracle ----------------------------------------------------------

@@ -260,3 +260,14 @@ def test_tradeoff_rows_equal_the_tuple_reference_on_the_packaged_widths(cfg, ove
 def test_negative_power_in_a_noise_grid_raises():
     with pytest.raises(DomainError):
         noise_vs_power(make_channel(), [1e-3, -1e-9])
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: snr_report(-1.0, 1.0), r"^noise rate must be >= 0$"),
+    (lambda: snr_report(1.0, -1.0), r"^signal rate must be >= 0$"),
+    (lambda: efficiency_snr_tradeoff([TradeoffVariant(1500.0, make_channel())], [1e-3], 0.0),
+     r"^signal input rate must be positive$"),
+], ids=["negative-noise-rate", "negative-signal-rate", "zero-input-rate"])
+def test_noise_refusals(make, message):
+    with pytest.raises(DomainError, match=message):
+        make()

@@ -194,3 +194,46 @@ def test_without_libyaml_the_same_config_loads(cfg):
     out = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True,
                          env=src_env(), check=True).stdout
     assert json.loads(out) == config.apply_overrides(cfg, overrides)
+
+
+# Text the pure-Python loader reads (" #!" is _PURE_ONLY) nested deeper than
+# the recursion limit: its composer recurses, and both entry points must turn
+# the RecursionError into a ConfigError (exit 2).
+DEEP_VALUE = "[" * 3000 + "]" * 3000 + " #!"
+
+
+def _deep_argvs(tmp_path):
+    """`match` argvs that pass DEEP_VALUE as an override and in a --config file."""
+    deep = tmp_path / "deep.yaml"
+    deep.write_text("device:\n  x: " + DEEP_VALUE + "\n", encoding="utf-8")
+    out_dir = str(tmp_path / "out")
+    return [["match", "--override", "device.x=" + DEEP_VALUE, "--out-dir", out_dir],
+            ["match", "--config", str(deep), "--out-dir", out_dir]]
+
+
+def test_deep_nesting_for_the_pure_loader_is_a_config_error(tmp_path, capsys):
+    from qfcring import cli
+
+    assert [cli.main(argv) for argv in _deep_argvs(tmp_path)] == [2, 2]
+    records = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+    assert [r["error"] for r in records] == ["ConfigError", "ConfigError"]
+    assert records[0]["message"].endswith(" #!': unparseable value")
+    assert records[1]["message"].endswith("deep.yaml: YAML parse error: "
+                                          "maximum recursion depth exceeded "
+                                          "while calling a Python object")
+
+
+def test_deep_nesting_without_libyaml_is_a_config_error(tmp_path):
+    child = (
+        "import json, sys\n"
+        "sys.modules['yaml._yaml'] = None\n"
+        "import yaml\n"
+        "from qfcring import cli, config\n"
+        "assert not yaml.__with_libyaml__ and config._CLoader is None\n"
+        f"print(json.dumps([cli.main(argv) for argv in {_deep_argvs(tmp_path)!r}]))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True,
+                         env=src_env(), check=True)
+    assert json.loads(out.stdout) == [2, 2]
+    assert [json.loads(line)["error"] for line in out.stderr.splitlines()] == [
+        "ConfigError", "ConfigError"]
