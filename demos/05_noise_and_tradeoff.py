@@ -12,13 +12,7 @@ import numpy as np
 from qfcring.builders import fwm_channel_at, operating_point
 from qfcring.config import default_config
 from qfcring.constants import TWO_PI
-from qfcring.noise import (
-    TradeoffVariant,
-    efficiency_snr_tradeoff,
-    fwm_noise_rate,
-    noise_vs_power,
-    snr_report,
-)
+from qfcring.noise import efficiency_snr_tradeoff, fwm_noise_rate, noise_vs_power, snr_report
 
 
 def header(title):
@@ -44,19 +38,19 @@ def main():
 
     header("2. Efficiency / SNR trade-off across ring widths")
     widths = sorted(float(w) for w in cfg["experiment"]["widths_nm"])
-    variants = []
+    channels = {}
     for w in widths:
         device, matches = operating_point(cfg, width_nm=w)
         match = matches[0]
         ch, _ = fwm_channel_at(cfg, device, match)
-        variants.append(TradeoffVariant(w, ch))
+        channels[w] = ch
         print(f"  width {w:6.0f} nm: T_ring = {match.t_ring_K:8.3f} K, "
               f"pump = {match.pump.lambda_nm:9.3f} nm, "
               f"|delta'| = {abs(ch.delta_comp) / TWO_PI / 1e12:.2f} THz")
 
     powers = np.geomspace(0.01e-3, 10e-3, 121)
     rate_in = float(cfg["physics"]["signal_input_rate_Hz"])
-    rows, best = efficiency_snr_tradeoff(variants, powers, rate_in)
+    rows, best = efficiency_snr_tradeoff(channels, powers, rate_in)
 
     print(f"\n{'width':>7} {'peak eta_ex':>12} {'R at peak (Hz)':>15} {'SNR (dB)':>9}")
     for w in widths:

@@ -186,19 +186,15 @@ def operating_point(cfg: dict, width_nm=None, with_coupler=True):
     return device, matches
 
 
-def g0_from_config(cfg: dict) -> float:
-    """Effective vacuum coupling rate g0 (rad/s) from the calibration block."""
-    g0_full = TWO_PI * float(_calibration(cfg)["g0_full_over_2pi_MHz"]) * 1e6
-    return g0_effective(g0_full, float(cfg["device"]["ppln_fraction"]))
-
-
 def build_twm_system(cfg: dict, match: MatchResult) -> TwmSystem:
     """Conversion system at a matched operating point.
 
     The signal drive sits at the memory transition, so its detuning is
     -(signal resonance - target); the pump laser detuning comes from the
-    config (default 0: locked on the pump resonance).
+    config (default 0: locked on the pump resonance).  g0 is the calibration's
+    unpoled-ring rate scaled by the poled fraction (g0_effective).
     """
+    g0_full = TWO_PI * float(_calibration(cfg)["g0_full_over_2pi_MHz"]) * 1e6
     delta = {"pump": TWO_PI * float(cfg["physics"]["pump_detuning_MHz"]) * 1e6,
              "signal": -TWO_PI * match.signal_detuning_Hz, "idler": 0.0}
     channels = {role: ModeChannel(role=role, omega=sol.omega, m=sol.m, kappa_ex=sol.kappa_ex,
@@ -206,7 +202,7 @@ def build_twm_system(cfg: dict, match: MatchResult) -> TwmSystem:
                 for role, sol in match.carriers}
     return TwmSystem(
         **channels,
-        g0=g0_from_config(cfg),
+        g0=g0_effective(g0_full, float(cfg["device"]["ppln_fraction"])),
         mismatch=TWO_PI * match.mismatch_Hz,
         pump_power_W=0.0,
     )

@@ -352,41 +352,40 @@ def default_config() -> dict:
 def apply_overrides(cfg: dict, overrides) -> dict:
     """Apply `key=value` strings; equivalent to editing the file by hand.
 
-    Keys are dotted paths (`physics.signal_wavelength_nm=727`); a bare key
-    is accepted when it is unique across the schema.  Values are parsed as
+    Keys are dotted paths (`physics.signal_wavelength_nm=727`) or bare keys,
+    which name the one section that holds them.  Values are parsed as
     YAML scalars.  The result is re-validated.
     """
     out = json.loads(json.dumps(cfg))  # deep copy, plain types only
     for item in overrides or []:
         if "=" not in item:
-            raise ConfigError(f"override '{item}' is not of the form key=value")
+            raise ConfigError(f"override '{_echo(item)}' is not of the form key=value")
         key, _, raw = item.partition("=")
         key = key.strip()
         try:
             value = _load_yaml(raw, key)
         except (yaml.YAMLError, ValueError, RecursionError):
-            raise ConfigError(f"override '{item}': unparseable value") from None
+            raise ConfigError(f"override '{_echo(item)}': unparseable value") from None
         path = key.split(".")
-        if len(path) == 1:
-            hits = [s for s, keys in SCHEMA.items() if path[0] in keys]
-            if len(hits) == 1:
-                path = [hits[0], path[0]]
-            elif not hits:
-                raise ConfigError(f"unknown config key '{key}'")
-            else:
-                raise ConfigError(
-                    f"override key '{key}' is ambiguous (sections {hits}); "
-                    "use section.key"
-                )
+        if len(path) == 1:  # a bare key: no key name is in two sections
+            path = [next((s for s, keys in SCHEMA.items() if key in keys), None), key]
         node = out
         for part in path[:-1]:
-            if not isinstance(node, dict) or part not in node:
-                raise ConfigError(f"unknown config key '{key}'")
-            node = node[part]
+            node = node.get(part) if isinstance(node, dict) else None
         if not isinstance(node, dict) or path[-1] not in node:
-            raise ConfigError(f"unknown config key '{key}'")
+            raise ConfigError(f"unknown config key '{_echo(key)}'")
         node[path[-1]] = value
     return validate_config(out)
+
+
+# Longest override text an error message quotes whole.
+_ECHO_CHARS = 120
+
+
+def _echo(text: str) -> str:
+    """Override text as a message quotes it: whole, or its head and tail around an ellipsis."""
+    half = _ECHO_CHARS // 2
+    return text if len(text) <= _ECHO_CHARS else f"{text[:half]}\u2026{text[-half:]}"
 
 
 def config_hash(cfg: dict) -> str:
@@ -413,23 +412,20 @@ def _fmt_scalar(v) -> str:
 
 def _emit(node, indent: int, lines, comments, path):
     pad = "  " * indent
-    if isinstance(node, dict):
-        for key, value in node.items():
-            kpath = f"{path}.{key}" if path else key
-            note = comments.get(kpath)
-            if note:
-                for line in note.splitlines():
-                    lines.append(f"{pad}# {line}")
-            if isinstance(value, dict):
-                lines.append(f"{pad}{key}:")
-                _emit(value, indent + 1, lines, comments, kpath)
-            elif isinstance(value, list):
-                body = ", ".join(_fmt_scalar(v) for v in value)
-                lines.append(f"{pad}{key}: [{body}]")
-            else:
-                lines.append(f"{pad}{key}: {_fmt_scalar(value)}")
-    else:
-        lines.append(f"{pad}{_fmt_scalar(node)}")
+    for key, value in node.items():
+        kpath = f"{path}.{key}" if path else key
+        note = comments.get(kpath)
+        if note:
+            for line in note.splitlines():
+                lines.append(f"{pad}# {line}")
+        if isinstance(value, dict):
+            lines.append(f"{pad}{key}:")
+            _emit(value, indent + 1, lines, comments, kpath)
+        elif isinstance(value, list):
+            body = ", ".join(_fmt_scalar(v) for v in value)
+            lines.append(f"{pad}{key}: [{body}]")
+        else:
+            lines.append(f"{pad}{key}: {_fmt_scalar(value)}")
 
 
 def emit_config(cfg: dict, comments=None, header: str = "") -> str:

@@ -437,16 +437,20 @@ def steady_state_conversion(sys: TwmSystem, steps=None):
     every eigenvalue of the Jacobian there has Re < 0; otherwise integration
     goes on.  steps (default 320/slow of time, slow the smallest kappa) is the
     budget, then NumericalFailure; a steps that is not an integer >= 1 is a
-    DomainError.  A pump power of 0 is refused up front
-    (DomainError): the probe flux scales with it, so no budget could help.
+    DomainError.  A pump power of 0 and a carrier with kappa_ex = 0 are refused
+    up front (DomainError): the probe flux scales with the first and is driven
+    and read through the bus by the second, so no budget could help.
     """
     if sys.pump_power_W == 0.0:
         raise DomainError("pump power is 0 W: the oracle's probe signal flux scales with it "
                           "and would be 0 photons/s; the steady-state oracle needs a pump power > 0")
+    for ch in sys.channels:
+        if ch.kappa_ex == 0.0:
+            raise DomainError(f"{ch.role} kappa_ex is 0: the steady-state oracle drives and "
+                              "reads every carrier through the bus and needs kappa_ex > 0")
     # target steady |b| ~ 1e-3 |alpha|, |alpha|^2 = s_in^2 / (d_p^2 + k_p^2/4)
     n_pump = _pump_drive(sys)**2 / (sys.pump.delta**2 + 0.25 * sys.pump.kappa_tot**2)
-    signal_flux = (1e-6 * n_pump * sys.signal.kappa_tot**2
-                   / (4.0 * max(sys.signal.kappa_ex, 1e-300)))
+    signal_flux = 1e-6 * n_pump * sys.signal.kappa_tot**2 / (4.0 * sys.signal.kappa_ex)
     slow = min(ch.kappa_tot for ch in sys.channels)
     dt = 0.09 / _fastest_rate(sys)
     steps = int(320.0 / (slow * dt)) + 1 if steps is None else _count("steps", steps)

@@ -73,14 +73,13 @@ class NoResonance(Infeasible):
 class NoFeasibleMatch(Infeasible):
     """Triple-resonance search found no candidate satisfying all constraints.
 
-    Carries the best infeasible candidate and its violated constraints for
-    diagnostics.
+    Carries the best infeasible candidate for diagnostics; the message names
+    the constraint it violates.
     """
 
-    def __init__(self, message, best_candidate=None, violations=None):
+    def __init__(self, message, best_candidate=None):
         super().__init__(message)
         self.best_candidate = best_candidate
-        self.violations = violations or []
 
 
 class UnmatchedVariant(Infeasible):

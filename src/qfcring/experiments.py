@@ -20,9 +20,9 @@ from .config import config_hash, emit_config, width_key
 from .constants import C_M_PER_S, TWO_PI, freq_hz
 from .conversion import efficiency_vs_power, pump_power_unity_cooperativity
 from .elements import coupling_ratio, resonance_combs, ring_spectrum
-from .errors import ConfigError, NoFeasibleMatch, NumericalFailure, UnmatchedVariant
+from .errors import ConfigError, NoFeasibleMatch, UnmatchedVariant
 from .matching import sweep_step_K
-from .noise import TradeoffVariant, efficiency_snr_tradeoff, noise_vs_power
+from .noise import efficiency_snr_tradeoff, noise_vs_power
 
 _FMT = "%.12g"
 _BLOCK_ROWS = 128
@@ -217,8 +217,7 @@ def run_tradeoff(cfg, out):
                else "power_min_mW" if exp["power_min_mW"] == 0.0 else "power_max_mW")
         raise ConfigError(f"config key 'experiment.{key}' is 0, and the trade-off's "
                           "SNR is undefined at zero pump power")
-    variants = []
-    sources = {}
+    channels, sources = {}, {}
     for width in sorted(float(w) for w in cfg["experiment"]["widths_nm"]):
         try:
             device, matches = operating_point(cfg, width_nm=width)
@@ -226,14 +225,14 @@ def run_tradeoff(cfg, out):
             raise UnmatchedVariant(f"width {width:g} nm: {exc}") from exc
         match = matches[0]
         channel, source = fwm_channel_at(cfg, device, match)
-        variants.append(TradeoffVariant(width, channel))
+        channels[width] = channel
         sources[width_key(width)] = {
             **_companion_meta(channel, source),
             "t_ring_K": match.t_ring_K,
             "pump_wavelength_nm": match.pump.lambda_nm,
         }
     rows, best_width = efficiency_snr_tradeoff(
-        variants, powers, float(cfg["physics"]["signal_input_rate_Hz"]))
+        channels, powers, float(cfg["physics"]["signal_input_rate_Hz"]))
     rows[:, 1] *= 1e3
     out.table("tradeoff", ["width_nm", "power_mW", "eta_ext", "R_FWM_Hz", "paper_fom_dB",
                            "snr_dB"], rows, best_width_nm=best_width, per_width=sources)
@@ -324,7 +323,4 @@ def run_experiment(name, cfg, out_dir):
         raise ConfigError(f"cannot write output {out_dir}: {exc}") from None
     out = _Outputs(name, cfg, out_dir)
     _RUNNERS[name](cfg, out)
-    for path in out.paths:
-        if not os.path.isfile(path) or os.path.getsize(path) == 0:
-            raise NumericalFailure(f"experiment output {path} missing or empty")
     return out.paths

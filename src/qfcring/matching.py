@@ -369,12 +369,10 @@ def find_triple_resonance(device: Device, constraints: SearchConstraints):
     # Diagnostics: a near miss passes the windows, QPM and the signal
     # tolerance (it sits at a hit), so only its mismatch violates.
     if near is not None:
-        violation = (f"mismatch {near.mismatch_Hz / 1e6:.3f} MHz exceeds "
-                     f"{constraints.max_mismatch_Hz / 1e6:g} MHz")
         raise NoFeasibleMatch(
-            f"no mode triple satisfies all constraints; best candidate violates: {violation}",
+            "no mode triple satisfies all constraints; best candidate violates: mismatch "
+            f"{near.mismatch_Hz / 1e6:.3f} MHz exceeds {constraints.max_mismatch_Hz / 1e6:g} MHz",
             best_candidate=rated(device, near),
-            violations=[violation],
         )
     raise NoFeasibleMatch(
         "no signal resonance enters the detuning tolerance anywhere in the sweep "

@@ -100,37 +100,29 @@ def snr_report(rate_Hz: float, delivered_signal_rate_Hz: float):
     return paper_fom, 10.0 * math.log10(ratio)
 
 
-@dataclass(frozen=True)
-class TradeoffVariant:
-    """One dispersion-engineered device entry for the efficiency/SNR sweep."""
+def efficiency_snr_tradeoff(channels, powers_W, signal_input_rate_Hz: float):
+    """Per-width (width, P, eta_ex, R, paper_fom_dB, snr_dB) curves.
 
-    width_nm: float
-    channel: FwmChannel
-
-
-def efficiency_snr_tradeoff(variants, powers_W, signal_input_rate_Hz: float):
-    """Per-variant (width, P, eta_ex, R, paper_fom_dB, snr_dB) curves.
-
-    Returns (rows, best_width) where rows is a (n_variants * n_powers, 6)
-    array ordered by (width, power) and best_width maximizes snr_dB at the
-    power of its own peak eta_ex.
+    channels maps width_nm -> FwmChannel.  Returns (rows, best_width) where
+    rows is a (n_widths * n_powers, 6) array ordered by (width, power) and
+    best_width maximizes snr_dB at the power of its own peak eta_ex (on a
+    tie, the narrowest such width).
     """
     if signal_input_rate_Hz <= 0.0:
         raise DomainError("signal input rate must be positive")
     powers = np.asarray(powers_W, dtype=float)
-    ordered = sorted(variants, key=lambda v: v.width_nm)
     n = powers.size
-    rows = np.empty((len(ordered) * n, 6))
+    rows = np.empty((len(channels) * n, 6))
     best = None
-    for i, var in enumerate(ordered):
-        rates = fwm_noise_rate(var.channel, powers)
-        etas = efficiency_vs_power(var.channel.system, powers)[:, 3]
+    for i, (width, channel) in enumerate(sorted(channels.items())):
+        rates = fwm_noise_rate(channel, powers)
+        etas = efficiency_vs_power(channel.system, powers)[:, 3]
         snrs = [snr_report(rate, signal_input_rate_Hz * eta)
                 for eta, rate in zip(etas.tolist(), rates.tolist())]
         block = rows[i * n:(i + 1) * n]
-        block[:, 0], block[:, 1], block[:, 2], block[:, 3] = var.width_nm, powers, etas, rates
+        block[:, 0], block[:, 1], block[:, 2], block[:, 3] = width, powers, etas, rates
         block[:, 4:] = snrs
         snr_at_peak = snrs[int(np.argmax(etas))][1]
         if best is None or snr_at_peak > best[1]:
-            best = (var.width_nm, snr_at_peak)
+            best = (width, snr_at_peak)
     return rows, best[0]

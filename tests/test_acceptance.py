@@ -27,7 +27,7 @@ from qfcring.conversion import (
 )
 from qfcring.experiments import EXPERIMENTS, run_experiment
 from qfcring.matching import find_triple_resonance
-from qfcring.noise import TradeoffVariant, efficiency_snr_tradeoff, fwm_noise_rate, noise_vs_power
+from qfcring.noise import efficiency_snr_tradeoff, fwm_noise_rate, noise_vs_power
 
 from conftest import mzi_transfer, oracle_fixture_best, oracle_fixtures
 from test_conversion import make_system
@@ -204,14 +204,13 @@ def test_criterion_6_matcher_correctness():
 def test_criterion_7_dispersion_engineering_ordering():
     """1.4 um width achieves the best noise figure at its peak efficiency."""
     cfg = default_config()
-    variants = []
+    channels = {}
     for width in (1400.0, 1500.0, 1600.0):
         device, matches = operating_point(cfg, width_nm=width)
-        channel, _ = fwm_channel_at(cfg, device, matches[0])
-        variants.append(TradeoffVariant(width, channel))
+        channels[width], _ = fwm_channel_at(cfg, device, matches[0])
     powers = np.geomspace(0.01e-3, 10e-3, 121)
     rows, best_width = efficiency_snr_tradeoff(
-        variants, powers, float(cfg["physics"]["signal_input_rate_Hz"]))
+        channels, powers, float(cfg["physics"]["signal_input_rate_Hz"]))
     assert best_width == 1400.0
     _report(7, f"best noise figure at peak eta_ex: width {best_width:.0f} nm "
                f"among (1400, 1500, 1600)")

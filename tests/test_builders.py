@@ -18,7 +18,8 @@ from qfcring import builders, cli, matching
 from qfcring.config import apply_overrides, width_key
 from qfcring.constants import TWO_PI
 from qfcring.elements import Device
-from qfcring.errors import NoFeasibleMatch, QfcError, StaleResult, UnmatchedVariant
+from qfcring.errors import (ConfigError, NoFeasibleMatch, QfcError, StaleResult,
+                             UnmatchedVariant)
 from qfcring.experiments import run_experiment
 
 from conftest import WIDTH, planted_fixture_curved, simple_model
@@ -321,3 +322,17 @@ def test_fwm_channel_without_comb_line_or_table_entry_is_unmatched(cfg):
     with pytest.raises(UnmatchedVariant, match="^width 1500 nm: companion line outside "
                                                "window and no table entry$"):
         builders.fwm_channel_at(bare, device, matches[0])
+
+
+@pytest.mark.parametrize("build", [
+    lambda cfg, match: builders.build_device(cfg),
+    lambda cfg, match: builders.build_twm_system(cfg, match),
+    lambda cfg, match: builders.build_fwm_channel(cfg, match, TWO_PI * 1.0e12),
+], ids=["device", "twm-system", "fwm-channel"])
+def test_every_reader_of_the_calibration_refuses_a_config_without_one(cfg, build):
+    bare = copy.deepcopy(cfg)
+    del bare["calibration"]
+    _, matches = builders.operating_point(bare, with_coupler=False)
+    with pytest.raises(ConfigError, match=r"^no calibration block in the config; run the "
+                                          r"`calibrate` experiment first$"):
+        build(bare, matches[0])

@@ -377,3 +377,18 @@ def test_screened_walk_matches_reference_without_avx512():
     if "refused" in report:
         pytest.skip(f"numpy refused NPY_DISABLE_CPU_FEATURES: {report['refused']}")
     assert report == {"checked": len(WIDTHS) * len(BACKEND_DRAWS), "differ": []}
+
+
+@pytest.mark.parametrize("overrides, message", [
+    (["device.ppln_fraction=0", "constraints.require_qpm=false"],
+     r"^anchor 'g0': poled fraction is zero, no finite g0_full exists$"),
+    (["calibration_targets.eta_pump=1.5"],
+     r"^anchor 'coupling ratios': target eta_pump=1.5 must be in \(0, 1\)$"),
+    (["calibration_targets.eta_signal=1"],
+     r"^anchor 'coupling ratios': target eta_signal=1.0 must be in \(0, 1\)$"),
+    (["calibration_targets.eta_idler=0"],
+     r"^anchor 'coupling ratios': target eta_idler=0.0 must be in \(0, 1\)$"),
+], ids=["unpoled", "eta-above-1", "eta-1", "eta-0"])
+def test_calibration_refusals(cfg, overrides, message):
+    with pytest.raises(CalibrationInfeasible, match=message):
+        calibrate_config(apply_overrides(cfg, overrides))

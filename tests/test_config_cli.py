@@ -14,7 +14,9 @@ import yaml
 
 from qfcring.builders import build_device
 from qfcring.calibration import calibrate_config
+from qfcring import config
 from qfcring.config import (
+    SCHEMA,
     apply_overrides,
     config_hash,
     default_config,
@@ -134,8 +136,76 @@ def test_override_bare_key_resolution(cfg):
     assert a["physics"]["signal_wavelength_nm"] == 727.0
     with pytest.raises(ConfigError, match="unknown config key"):
         apply_overrides(cfg, ["nonexistent_key=1"])
-    with pytest.raises(ConfigError, match="key=value"):
+    with pytest.raises(ConfigError, match=r"^override 'oops' is not of the form key=value$"):
         apply_overrides(cfg, ["oops"])
+
+
+def test_no_key_name_is_in_two_schema_sections():
+    # a bare override key names its section by this
+    names = [key for keys in SCHEMA.values() for key in keys]
+    assert len(names) == len(set(names))
+
+
+@pytest.mark.parametrize("item, message", [
+    ("device.ring_length_um=1" + "0" * 5000, "': unparseable value"),
+    ("x" * 5000, "' is not of the form key=value"),
+    ("device." + "x" * 5000 + "=1", "'"),
+], ids=["unparseable", "not-key-value", "unknown-key"])
+def test_override_messages_quote_a_long_item_by_its_head_and_tail(cfg, item, message):
+    with pytest.raises(ConfigError) as err:
+        apply_overrides(cfg, [item])
+    text = str(err.value)
+    quoted = item.partition("=")[0] if text.startswith("unknown") else item
+    assert len(text) < 200
+    assert text.endswith(f"{quoted[-60:]}{message}") and quoted[:60] + "\u2026" in text
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda cfg: apply_overrides(cfg, ["experiment.widths_nm=[a]"]),
+     "config key 'experiment.widths_nm' must be a list of numbers"),
+    (lambda cfg: apply_overrides(cfg, ["device.poling_period_um_by_width=3"]),
+     "config key 'device.poling_period_um_by_width' must be a mapping"),
+    (lambda cfg: apply_overrides(cfg, ["constraints.require_qpm=1"]),
+     "config key 'constraints.require_qpm' must be a boolean"),
+    (lambda cfg: validate_config([]), "config root must be a mapping of sections"),
+    (lambda cfg: validate_config({k: v for k, v in cfg.items() if k != "device"}),
+     "missing config section 'device'"),
+    (lambda cfg: validate_config({**cfg, "device": 1}), "config section 'device' must be a mapping"),
+    (lambda cfg: apply_overrides(cfg, ["device.nope.x=1"]), "unknown config key 'device.nope.x'"),
+    (lambda cfg: apply_overrides(cfg, ["device.width_nm.x=1"]),
+     "unknown config key 'device.width_nm.x'"),
+    (lambda cfg: apply_overrides(cfg, ["nope.x=1"]), "unknown config key 'nope.x'"),
+], ids=["list-of-numbers", "mapping", "boolean", "root", "missing-section",
+        "section-not-mapping", "unknown-nested", "under-a-number", "unknown-section"])
+def test_config_refusals(cfg, make, message):
+    with pytest.raises(ConfigError) as err:
+        make(copy.deepcopy(cfg))
+    assert str(err.value) == message
+
+
+def test_unreadable_config_file_is_a_config_error(tmp_path):
+    path = tmp_path / "absent.yaml"
+    with pytest.raises(ConfigError, match=f"^cannot read config {re.escape(str(path))}: "):
+        load_config(path)
+
+
+@pytest.mark.parametrize("load", [config._load_yaml,
+                                  lambda text: config._load_with(config._Loader, text, "")],
+                         ids=["entry", "pure"])
+def test_the_key_check_skips_merge_keys_and_visits_an_aliased_mapping_once(load):
+    assert load("a: &x {b: 1}\nc: *x") == {"a": {"b": 1}, "c": {"b": 1}}
+    assert load("a: &x {b: 1}\nc: {<<: *x, d: 2}") == {"a": {"b": 1}, "c": {"b": 1, "d": 2}}
+    with pytest.raises(ConfigError, match=r"^config key 'a' lists 'b' more than once$"):
+        load("a: &x {b: 1, b: 2}\nc: *x")
+
+
+def test_emit_config_writes_keys_outside_the_schema_after_its_own(cfg):
+    # validate_config refuses such keys; emit_config still writes what it is given
+    edited = copy.deepcopy(cfg)
+    edited["device"] = {"extra_um": 1.5, **edited["device"]}
+    device = emit_config(edited).split("dispersion:")[0].splitlines()
+    assert device[-1] == "  extra_um: 1.5"
+    assert device[1:-1] == emit_config(cfg).split("dispersion:")[0].splitlines()[1:]
 
 
 def test_emit_round_trip(cfg):

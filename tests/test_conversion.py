@@ -490,6 +490,16 @@ def test_steady_state_refuses_zero_pump_power():
         sys.with_power(-1e-3)
 
 
+@pytest.mark.parametrize("role", ["pump", "signal", "idler"])
+def test_steady_state_refuses_an_uncoupled_carrier(role):
+    # The closed form gives eta_ex = 0, but the oracle drives the pump and the
+    # probe signal through the bus and reads the idler there: no budget helps.
+    sys = make_system(power=1e-3, **{f"eta_{role[0]}": 0.0})
+    assert external_efficiency(sys)[1] == 0.0
+    with pytest.raises(DomainError, match=f"^{role} kappa_ex is 0: "):
+        steady_state_conversion(sys)
+
+
 @pytest.mark.parametrize("name, value", [
     ("steps", None), ("steps", 0), ("steps", -3), ("steps", 2.5), ("steps", 10.0),
     ("steps", True), ("sample_stride", 0), ("sample_stride", -1), ("sample_stride", 2.5),

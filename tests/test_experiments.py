@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from qfcring import __version__, builders, matching
 from qfcring.config import config_hash, default_config
+from qfcring.errors import ConfigError
 from qfcring.experiments import _CONVENTIONS, _Outputs, run_experiment
 
 from conftest import src_env
@@ -124,3 +125,13 @@ def test_each_sidecar_carries_its_own_resolved_config(tmp_path):
             meta = json.loads((out_dir / name).read_text())
             assert meta["resolved_config"] == run_cfg, (i, name)
             assert meta["config_hash"] == hashes[i], (i, name)
+
+
+@pytest.mark.parametrize("name", ["nope", "Match", "", "calibrated_config"])
+def test_unknown_experiment_is_refused_before_any_output(cfg, tmp_path, name):
+    out_dir = tmp_path / "out"
+    with pytest.raises(ConfigError, match=rf"^unknown experiment '{name}'; choose one of "
+                                          "spectrum, couplings, match, convert, noise, "
+                                          "tradeoff, calibrate$"):
+        run_experiment(name, cfg, str(out_dir))
+    assert not out_dir.exists()

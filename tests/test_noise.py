@@ -18,7 +18,6 @@ from qfcring.conversion import ModeChannel, TwmSystem, _pump_drive
 from qfcring.errors import DomainError
 from qfcring.noise import (
     FwmChannel,
-    TradeoffVariant,
     efficiency_snr_tradeoff,
     fwm_noise_rate,
     noise_vs_power,
@@ -159,6 +158,12 @@ def test_snr_zero_rate_sentinel():
         snr_report(0.0, 0.0)
 
 
+@pytest.mark.parametrize("rate", [1e-30, 0.08, 1e30])
+def test_snr_of_no_delivered_signal_is_minus_infinity(rate):
+    fom, snr = snr_report(rate, 0.0)
+    assert fom == 10.0 * math.log10(rate) and snr == float("-inf")
+
+
 def test_noise_point_record():
     ch = make_channel()
     rate = fwm_noise_rate(ch, 1e-3)
@@ -170,8 +175,9 @@ def test_noise_point_record():
 
 # --- trade-off -------------------------------------------------------------
 
-def make_variant(width, delta_thz):
-    return TradeoffVariant(width, make_channel(delta_thz=delta_thz))
+def make_channels(*widths_and_detunings):
+    """The trade-off's input, {width_nm: channel}, in the order given."""
+    return {width: make_channel(delta_thz=delta_thz) for width, delta_thz in widths_and_detunings}
 
 
 def test_larger_detuning_strictly_lower_rate():
@@ -182,10 +188,9 @@ def test_larger_detuning_strictly_lower_rate():
 
 
 def test_tradeoff_best_width_and_ordering():
-    variants = [make_variant(1600.0, 0.7), make_variant(1400.0, 1.35),
-                make_variant(1500.0, 1.0)]
+    channels = make_channels((1600.0, 0.7), (1400.0, 1.35), (1500.0, 1.0))
     powers = np.geomspace(1e-4, 5e-3, 30)
-    rows, best = efficiency_snr_tradeoff(variants, powers, 1.0e4)
+    rows, best = efficiency_snr_tradeoff(channels, powers, 1.0e4)
     assert best == 1400.0
     # ordered by (width, power)
     assert np.all(np.diff(rows[:, 0]) >= 0.0)
@@ -197,9 +202,11 @@ def test_tradeoff_best_width_and_ordering():
 
 
 def test_tradeoff_identical_variants_bitwise():
-    variants = [make_variant(1500.0, 1.0), make_variant(1500.0, 1.0)]
+    # two widths with equal channels: a mapping cannot hold one width twice
+    channels = make_channels((1500.0, 1.0), (1600.0, 1.0))
     powers = np.geomspace(1e-4, 5e-3, 10)
-    rows, _ = efficiency_snr_tradeoff(variants, powers, 1.0e4)
+    rows, best = efficiency_snr_tradeoff(channels, powers, 1.0e4)
+    assert best == 1500.0  # a tie goes to the narrower width
     a, b = rows[:10, 1:], rows[10:, 1:]
     assert np.array_equal(a, b)
 
@@ -212,8 +219,8 @@ def test_tradeoff_reports_each_row_once(monkeypatch):
         return snr_report(rate_Hz, delivered_signal_rate_Hz)
 
     monkeypatch.setattr(noise, "snr_report", counting)
-    variants = [make_variant(1600.0, 0.7), make_variant(1400.0, 1.35)]
-    rows, best = efficiency_snr_tradeoff(variants, np.geomspace(1e-4, 5e-3, 30), 1.0e4)
+    channels = make_channels((1600.0, 0.7), (1400.0, 1.35))
+    rows, best = efficiency_snr_tradeoff(channels, np.geomspace(1e-4, 5e-3, 30), 1.0e4)
     assert len(calls) == len(rows) == 60
     # the best width is still read at each width's own peak eta_ex
     curves = {w: rows[rows[:, 0] == w] for w in (1400.0, 1600.0)}
@@ -221,20 +228,20 @@ def test_tradeoff_reports_each_row_once(monkeypatch):
     assert best == max(peak_snr, key=peak_snr.get)
 
 
-def _tradeoff_from_tuples(variants, powers_W, signal_input_rate_Hz):
+def _tradeoff_from_tuples(channels, powers_W, signal_input_rate_Hz):
     """efficiency_snr_tradeoff's rows as tuples of numpy scalars, as the reference."""
     powers = np.asarray(powers_W, dtype=float)
     rows, best = [], None
-    for var in sorted(variants, key=lambda v: v.width_nm):
-        rates = fwm_noise_rate(var.channel, powers)
-        etas = efficiency_vs_power(var.channel.system, powers)[:, 3]
-        curve = [(var.width_nm, p, eta, rate,
+    for width, channel in sorted(channels.items()):
+        rates = fwm_noise_rate(channel, powers)
+        etas = efficiency_vs_power(channel.system, powers)[:, 3]
+        curve = [(width, p, eta, rate,
                   *snr_report(float(rate), signal_input_rate_Hz * float(eta)))
                  for p, eta, rate in zip(powers, etas, rates)]
         rows += curve
         snr_at_peak = curve[int(np.argmax(etas))][5]
         if best is None or snr_at_peak > best[1]:
-            best = (var.width_nm, snr_at_peak)
+            best = (width, snr_at_peak)
     return np.asarray(rows, dtype=float), best[0]
 
 
@@ -244,15 +251,15 @@ def _tradeoff_from_tuples(variants, powers_W, signal_input_rate_Hz):
 ])
 def test_tradeoff_rows_equal_the_tuple_reference_on_the_packaged_widths(cfg, overrides):
     run = apply_overrides(cfg, overrides)
-    variants = []
+    channels = {}
     for width in sorted(float(w) for w in run["experiment"]["widths_nm"]):
         device, matches = operating_point(run, width_nm=width)
-        variants.append(TradeoffVariant(width, fwm_channel_at(run, device, matches[0])[0]))
+        channels[width] = fwm_channel_at(run, device, matches[0])[0]
     powers = _power_grid_W(run)
     rate = float(run["physics"]["signal_input_rate_Hz"])
-    rows, best = efficiency_snr_tradeoff(variants, powers, rate)
-    ref_rows, ref_best = _tradeoff_from_tuples(variants, powers, rate)
-    assert rows.shape == ref_rows.shape == (len(variants) * powers.size, 6)
+    rows, best = efficiency_snr_tradeoff(channels, powers, rate)
+    ref_rows, ref_best = _tradeoff_from_tuples(channels, powers, rate)
+    assert rows.shape == ref_rows.shape == (len(channels) * powers.size, 6)
     assert np.array_equal(rows, ref_rows) and rows.tobytes() == ref_rows.tobytes()
     assert best == ref_best
 
@@ -265,7 +272,7 @@ def test_negative_power_in_a_noise_grid_raises():
 @pytest.mark.parametrize("make, message", [
     (lambda: snr_report(-1.0, 1.0), r"^noise rate must be >= 0$"),
     (lambda: snr_report(1.0, -1.0), r"^signal rate must be >= 0$"),
-    (lambda: efficiency_snr_tradeoff([TradeoffVariant(1500.0, make_channel())], [1e-3], 0.0),
+    (lambda: efficiency_snr_tradeoff({1500.0: make_channel()}, [1e-3], 0.0),
      r"^signal input rate must be positive$"),
 ], ids=["negative-noise-rate", "negative-signal-rate", "zero-input-rate"])
 def test_noise_refusals(make, message):
