@@ -50,7 +50,7 @@ def build_dispersion_model(cfg: dict) -> DispersionModel:
         return _packaged_model(int(d["fit_order"]))
     try:
         return load_dispersion_table(d["table_file"], order=int(d["fit_order"]))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read dispersion table {d['table_file']}: {exc}") from None
 
 

@@ -320,11 +320,7 @@ def calibrate_config(cfg: dict) -> dict:
 
     g0_full = solve_g0_full_over_2pi_MHz(cfg["calibration_targets"],
                                          float(cfg["device"]["ppln_fraction"]))
-    out["calibration"] = {
-        "g0_full_over_2pi_MHz": g0_full,
-        "g_chi3_over_2pi_Hz": 0.0,  # placeholder until pump coupling is known
-        "by_width": by_width,
-    }
+    out["calibration"] = {"g0_full_over_2pi_MHz": g0_full, "by_width": by_width}
 
     # g_chi3 needs the calibrated pump rates: the primary bare-ring match,
     # rated on the device with its fresh coupler.

@@ -51,8 +51,10 @@ else:
 _PURE_ONLY = re.compile(r"[^\n -~]|[!|>?]")
 
 # Schema: section -> key -> type; every key of a present section is required.
-# `dict` values hold width-keyed maps (see `_WIDTH_MAPS`); `list` values
-# are numeric arrays, and a list of types is an array of exactly that length.
+# A key ending in `by_width` is a width-keyed map (keys spelled by `width_key`)
+# and its value here is the type of each entry: a type, or a key -> type table
+# checked like a section.  `list` values are numeric arrays, and a list of
+# types is an array of exactly that length.
 _NUM = (int, float)
 SCHEMA = {
     "device": {
@@ -65,7 +67,7 @@ SCHEMA = {
         "mzi_delta_T_K": _NUM,
         "ambient_temperature_K": _NUM,
         "ppln_fraction": _NUM,
-        "poling_period_um_by_width": dict,
+        "poling_period_um_by_width": _NUM,
         "propagation_loss_dB_per_m": _NUM,
     },
     "dispersion": {
@@ -78,7 +80,7 @@ SCHEMA = {
         "signal_input_rate_Hz": _NUM,
         "pump_detuning_MHz": _NUM,
         "fwm_companion_linewidth_over_2pi_GHz": _NUM,
-        "fwm_companion_detuning_THz_by_width": dict,
+        "fwm_companion_detuning_THz_by_width": _NUM,
     },
     "constraints": {
         "max_signal_detuning_MHz": _NUM,
@@ -117,22 +119,14 @@ SCHEMA = {
         "fwm_anchor_detuning_over_2pi_THz": _NUM,
         "max_heater_length_um": _NUM,
     },
-    # Produced by the `calibrate` experiment; optional until then.
+    # Produced by the `calibrate` experiment; the one section that may be
+    # absent until then (validate_config).
     "calibration": {
         "g0_full_over_2pi_MHz": _NUM,
         "g_chi3_over_2pi_Hz": _NUM,
-        "by_width": dict,
+        # the coupling length's quadratic in (lambda - lambda_ref): three coefficients
+        "by_width": {"heater_scale": _NUM, "lc_quad_um": [_NUM] * 3},
     },
-}
-_OPTIONAL_SECTIONS = ("calibration",)
-
-# Width-keyed maps (keys spelled by `width_key`) and the schema of each entry:
-# a type, or a key -> type table checked like a section.
-_WIDTH_MAPS = {
-    ("device", "poling_period_um_by_width"): _NUM,
-    ("physics", "fwm_companion_detuning_THz_by_width"): _NUM,
-    # the coupling length's quadratic in (lambda - lambda_ref): three coefficients
-    ("calibration", "by_width"): {"heater_scale": _NUM, "lc_quad_um": [_NUM] * 3},
 }
 
 
@@ -212,12 +206,8 @@ def _check_value(path: str, value, expected):
         _check_finite(path, value)
         return
     if isinstance(expected, dict):  # an entry schema: checked like a section
-        _check_value(path, value, dict)
+        _check_mapping(path, value)
         _check_keys(path, value, expected)
-        return
-    if expected is dict:
-        if not isinstance(value, dict):
-            raise ConfigError(f"config key '{path}' must be a mapping")
         return
     if expected is bool:
         if not isinstance(value, bool):
@@ -230,19 +220,31 @@ def _check_value(path: str, value, expected):
     _check_finite(path, (value,))
 
 
+def _check_mapping(path: str, value):
+    if not isinstance(value, dict):
+        raise ConfigError(f"config key '{path}' must be a mapping")
+
+
 def _check_keys(where: str, body: dict, keys: dict):
     """Unknown, missing and mistyped keys of one mapping (a section or an entry)."""
     for key in body:
         if key not in keys:
             raise ConfigError(f"unknown config key '{where}.{key}'")
     for key, expected in keys.items():
+        path = f"{where}.{key}"
         if key not in body:
-            raise ConfigError(f"missing config key '{where}.{key}'")
-        _check_value(f"{where}.{key}", body[key], expected)
+            raise ConfigError(f"missing config key '{path}'")
+        if not key.endswith("by_width"):
+            _check_value(path, body[key], expected)
+            continue
+        _check_mapping(path, body[key])
+        body[key] = dict(zip(_width_keys(body[key], path), body[key].values()))
+        for w, value in body[key].items():
+            _check_value(f"{path}[{w}]", value, expected)
 
 
 def validate_config(cfg: dict) -> dict:
-    """Validate against the strict schema; returns the config unchanged."""
+    """Validate against the strict schema; returns cfg, its width-map keys respelled in place."""
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a mapping of sections")
     for section in cfg:
@@ -250,9 +252,9 @@ def validate_config(cfg: dict) -> dict:
             raise ConfigError(f"unknown config section '{section}'")
     for section, keys in SCHEMA.items():
         if section not in cfg:
-            if section in _OPTIONAL_SECTIONS:
-                continue
-            raise ConfigError(f"missing config section '{section}'")
+            if section != "calibration":
+                raise ConfigError(f"missing config section '{section}'")
+            continue
         if not isinstance(cfg[section], dict):
             raise ConfigError(f"config section '{section}' must be a mapping")
         _check_keys(section, cfg[section], keys)
@@ -270,12 +272,6 @@ def validate_config(cfg: dict) -> dict:
     if not cfg["experiment"]["widths_nm"]:
         raise ConfigError("config key 'experiment.widths_nm' must list at least one width")
     _width_keys(cfg["experiment"]["widths_nm"], "experiment.widths_nm")
-    for (section, key), entry in _WIDTH_MAPS.items():
-        if section in cfg:
-            mapping, where = cfg[section][key], f"{section}.{key}"
-            cfg[section][key] = dict(zip(_width_keys(mapping, where), mapping.values()))
-            for w, value in cfg[section][key].items():
-                _check_value(f"{where}[{w}]", value, entry)
     return cfg
 
 
@@ -316,7 +312,7 @@ def load_config(path=None) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     return _parse_config(text, str(path))
 
@@ -429,19 +425,13 @@ def _emit(node, indent: int, lines, comments, path):
 
 
 def emit_config(cfg: dict, comments=None, header: str = "") -> str:
-    """Serialize a config to YAML with optional per-key comments.
+    """Serialize a validated config to YAML with optional per-key comments.
 
-    Sections and keys are emitted in schema order so output is stable.
+    Only SCHEMA's sections and keys are written, in schema order, so output
+    is stable; a comment is written only at a path the emitter visits.
     """
-    ordered = {}
-    for section in SCHEMA:
-        if section not in cfg:
-            continue
-        body = cfg[section]
-        ordered[section] = {k: body[k] for k in SCHEMA[section] if k in body}
-        for k in body:
-            if k not in ordered[section]:
-                ordered[section][k] = body[k]
+    ordered = {section: {k: cfg[section][k] for k in keys}
+               for section, keys in SCHEMA.items() if section in cfg}
     lines = []
     if header:
         lines.extend(f"# {line}" for line in header.splitlines())

@@ -117,7 +117,8 @@ class MziCoupler:
     def _entries(self, lambda_nm, delta_T_K=None):
         """(M00, M01, M10, M11) of C . diag(e^{i dtheta}, 1) . C, each shaped like lambda_nm."""
         k, t, ph = self._field_terms(lambda_nm, delta_T_K)
-        return t * t * ph - k * k, 1j * (k * t * ph + t * k), _m10(k, t, ph), -k * k * ph + t * t
+        m10 = _m10(k, t, ph)  # M01 = M10: the couplers are identical and k t = t k
+        return t * t * ph - k * k, m10, m10, -k * k * ph + t * t
 
     def cross_coupling(self, lambda_nm, delta_T_K=None):
         """Composite power cross-coupling K(lambda, dT) = |M10|^2 in [0, 1]."""
@@ -129,8 +130,8 @@ class RingCavity:
     """Ring resonator with a periodically poled section.
 
     The poling-compensated mode-number offset M = f_ppln * L_ring / Lambda
-    is stored exactly; `m_offset` is its nearest integer and
-    `m_offset_residual` the rounding gap (a warning is emitted beyond 0.05).
+    is stored exactly; `m_offset` is its nearest integer (a warning is
+    emitted when they differ by more than 0.05).
     """
 
     length_um: float
@@ -148,10 +149,11 @@ class RingCavity:
             raise DomainError("poling period must be positive")
         if self.alpha_prop_dB_per_m < 0.0:
             raise DomainError("propagation loss must be >= 0")
-        if abs(self.m_offset_residual) > 0.05:
+        residual = self.m_offset_exact - self.m_offset
+        if abs(residual) > 0.05:
             warnings.warn(
                 f"poling-compensated mode number {self.m_offset_exact:.4f} is "
-                f"{self.m_offset_residual:+.3f} away from integer {self.m_offset}; "
+                f"{residual:+.3f} away from integer {self.m_offset}; "
                 "quasi-phase matching treats it as the rounded integer",
                 stacklevel=2,
             )
@@ -167,10 +169,6 @@ class RingCavity:
     @property
     def m_offset(self) -> int:
         return int(round(self.m_offset_exact))
-
-    @property
-    def m_offset_residual(self) -> float:
-        return self.m_offset_exact - self.m_offset
 
 
 @dataclass(frozen=True)

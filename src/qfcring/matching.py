@@ -221,14 +221,15 @@ def rated(device: Device, match: MatchResult) -> MatchResult:
 
 
 def _scan(device, constraints, t_points, m_s_list, m_p_list, m_i_list, m_offset):
-    """Scan the given temperatures; returns (feasible, near), unrated (rates 0.0).
+    """Scan the given temperatures; returns (feasible, near, paired), unrated (rates 0.0).
 
     feasible holds every window+QPM pair within the mismatch bound, in
     (hit, pump line, idler line) order.  A hit temperature without one offers
     its first pair of least |mismatch| / tol_d as a near miss (|signal
     detuning| <= tol_s at every hit, so the mismatch alone sets how near a
-    pair is); near is the first least of those, or None.  Every signal, pump
-    and idler line is root-solved at every temperature in one call; the
+    pair is); near is the first least of those, or None.  paired says whether
+    any hit has a pump and an idler line inside their windows.  Every signal,
+    pump and idler line is root-solved at every temperature in one call; the
     signal rows pick the hits, and the pump and idler rows are read at them.
     So a NumericalFailure may name any line at any of the given temperatures,
     hit or not.  The pairs of all hits are formed in one broadcast, in chunks
@@ -251,7 +252,7 @@ def _scan(device, constraints, t_points, m_s_list, m_p_list, m_i_list, m_offset)
     det_best = det_s[pick, cols]
     hit = np.abs(det_best) <= tol_s
     if not np.any(hit):
-        return [], None
+        return [], None, False
 
     t_hit = t_points[hit]
     m_s_hit = m_s_arr[pick[hit]]
@@ -300,7 +301,7 @@ def _scan(device, constraints, t_points, m_s_list, m_p_list, m_i_list, m_offset)
             jp, ji = np.unravel_index(pair[k], m_pi.shape)
             near = match(start + k, jp, ji, delta[k, jp, ji], qpm[k, jp, ji])
             near_score = least[k]
-    return feasible, near
+    return feasible, near, bool((in_p.any(axis=1) & in_i.any(axis=1)).any())
 
 
 def _count(n: int) -> str:
@@ -353,8 +354,8 @@ def find_triple_resonance(device: Device, constraints: SearchConstraints):
     m_offset = device.ring.m_offset
 
     keep = _signal_bracket(device, constraints, m_s_list, t_grid, step)
-    feasible, near = _scan(device, constraints, t_grid[keep], m_s_list, m_p_list,
-                           m_i_list, m_offset)
+    feasible, near, paired = _scan(device, constraints, t_grid[keep], m_s_list, m_p_list,
+                                   m_i_list, m_offset)
 
     best_by_triple = {}
     for match in feasible:
@@ -374,6 +375,10 @@ def find_triple_resonance(device: Device, constraints: SearchConstraints):
             f"{near.mismatch_Hz / 1e6:.3f} MHz exceeds {constraints.max_mismatch_Hz / 1e6:g} MHz",
             best_candidate=rated(device, near),
         )
+    if paired:  # without QPM every windowed pair would be a match or a near miss
+        raise NoFeasibleMatch(
+            "no pump/idler pair inside their windows is quasi-phase matched at any signal "
+            f"hit: m_s - m_p - m_i never equals the poling offset M = {m_offset}")
     raise NoFeasibleMatch(
         "no signal resonance enters the detuning tolerance anywhere in the sweep "
         "range, or no pump/idler lines fall inside their windows",

@@ -5,6 +5,7 @@ from __future__ import annotations
 import functools
 import math
 import os
+import random
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from qfcring import builders
-from qfcring.config import default_config
+from qfcring.config import SCHEMA, default_config
 from qfcring.constants import C_M_PER_S, freq_hz
 from qfcring.dispersion import DispersionModel
 from qfcring.elements import Device, RingCavity, solve_resonance_wavelength
@@ -84,6 +85,28 @@ def random_rings(draw):
     ring = RingCavity(length_um=draw(st.floats(100.0, 2000.0)), width_nm=WIDTH,
                       alpha_prop_dB_per_m=30.0, ppln_fraction=0.0, poling_period_um=5.0)
     return Device(dispersion=model, ring=ring)
+
+
+def multi_key_draws(count=100, seed=5):
+    """Override lists of the multi-key design fuzz, each changing 2-5 numeric packaged keys.
+
+    A key's packaged value is scaled by e^U(-1.2, 1.2), a zero-valued key
+    draws U(-50, 50) instead, and an integer key is rounded.  The same count
+    and seed give the same lists.
+    """
+    cfg = default_config()
+    keys = [(section, key) for section, body in SCHEMA.items() for key in body
+            if type(cfg[section][key]) in (int, float)]
+    rng = random.Random(seed)
+    draws = []
+    for _ in range(count):
+        overrides = []
+        for section, key in rng.sample(keys, rng.randint(2, 5)):
+            old = cfg[section][key]
+            new = old * math.exp(rng.uniform(-1.2, 1.2)) if old else rng.uniform(-50.0, 50.0)
+            overrides.append(f"{section}.{key}={round(new) if type(old) is int else repr(new)}")
+        draws.append(overrides)
+    return draws
 
 
 @pytest.fixture(autouse=True)
@@ -219,6 +242,15 @@ def planted_fixture_curved(n2=0.30, length_um=500.0, n0=2.0,
     planted = {"t_ring_K": t_star, "m": (m_s, m_p, m_i),
                "mismatch_Hz": delta_target_hz, "n2": n2, "lambda_nm": lams}
     return device, constraints, planted
+
+
+def partial_sweep():
+    """Asserts the coverage warning of a sweep over less than one FSR of signal shift.
+
+    The planted and oracle fixtures sweep a few kelvin around their planted
+    temperature, and every sweep of them warns so.
+    """
+    return pytest.warns(UserWarning, match=r"less than one FSR \(.*\); coverage is incomplete")
 
 
 def oracle_fixtures():

@@ -29,7 +29,7 @@ from qfcring.experiments import EXPERIMENTS, run_experiment
 from qfcring.matching import find_triple_resonance
 from qfcring.noise import efficiency_snr_tradeoff, fwm_noise_rate, noise_vs_power
 
-from conftest import mzi_transfer, oracle_fixture_best, oracle_fixtures
+from conftest import mzi_transfer, oracle_fixture_best, oracle_fixtures, partial_sweep
 from test_conversion import make_system
 from test_elements import make_mzi
 
@@ -174,14 +174,16 @@ def test_criterion_6_matcher_correctness():
     fixtures = oracle_fixtures()
 
     device, constraints, planted = fixtures[0]
-    best = find_triple_resonance(device, constraints)[0]
+    with partial_sweep():
+        best = find_triple_resonance(device, constraints)[0]
     assert (best.signal.m, best.pump.m, best.idler.m) == planted["m"]
     assert abs(best.signal_detuning_Hz) < 1e3
     assert abs(best.mismatch_Hz) < 1e3
 
     agree = 0
     for k, (device, constraints, _) in enumerate(fixtures):
-        coarse = find_triple_resonance(device, constraints)
+        with partial_sweep():
+            coarse = find_triple_resonance(device, constraints)
         oracle = oracle_fixture_best(k)
         assert oracle is not None
         t_o, m_o, _, _ = oracle

@@ -22,7 +22,7 @@ from qfcring.errors import (ConfigError, NoFeasibleMatch, QfcError, StaleResult,
                              UnmatchedVariant)
 from qfcring.experiments import run_experiment
 
-from conftest import WIDTH, planted_fixture_curved, simple_model
+from conftest import WIDTH, partial_sweep, planted_fixture_curved, simple_model
 
 EXPLORE = ("spectrum", "couplings", "match", "convert", "noise", "tradeoff")
 
@@ -82,24 +82,27 @@ def test_explore_experiments_sweep_each_width_once(cfg, tmp_path, sweeps):
         assert any(v is best for v in sweeps.verified), f"width {width:g} nm not verified"
 
 
+# (path, change, whether the changed device misses its calibrated coupling ratios)
 SWEEP_INPUTS = [
-    (("device", "ring_length_um"), lambda v: v + 0.01),
-    (("device", "mzi_heater_length_um"), lambda v: v * 1.01),
-    (("device", "propagation_loss_dB_per_m"), lambda v: v * 1.1),
-    (("dispersion", "dn_dT_per_K"), lambda v: v * 1.01),
-    (("constraints", "t_ring_min_K"), lambda v: v + 1.0),
-    (("constraints", "max_mismatch_MHz"), lambda v: v * 2.0),
-    (("physics", "signal_wavelength_nm"), lambda v: v + 1e-4),
-    (("calibration", "by_width", "1500", "heater_scale"), lambda v: v * 1.001),
-    (("calibration", "by_width", "1500", "lc_quad_um"), lambda v: [v[0] + 0.1, *v[1:]]),
+    (("device", "ring_length_um"), lambda v: v + 0.01, True),
+    (("device", "mzi_heater_length_um"), lambda v: v * 1.01, True),
+    (("device", "propagation_loss_dB_per_m"), lambda v: v * 1.1, True),
+    (("dispersion", "dn_dT_per_K"), lambda v: v * 1.01, True),
+    (("constraints", "t_ring_min_K"), lambda v: v + 1.0, False),
+    (("constraints", "max_mismatch_MHz"), lambda v: v * 2.0, False),
+    (("physics", "signal_wavelength_nm"), lambda v: v + 1e-4, False),
+    (("calibration", "by_width", "1500", "heater_scale"), lambda v: v * 1.001, True),
+    (("calibration", "by_width", "1500", "lc_quad_um"), lambda v: [v[0] + 0.1, *v[1:]], False),
 ]
 
 
-@pytest.mark.parametrize("path, change", SWEEP_INPUTS,
-                         ids=[".".join(p) for p, _ in SWEEP_INPUTS])
-def test_changed_sweep_input_sweeps_again(cfg, sweeps, path, change):
+@pytest.mark.parametrize("path, change, drifts", SWEEP_INPUTS,
+                         ids=[".".join(p) for p, _, _ in SWEEP_INPUTS])
+def test_changed_sweep_input_sweeps_again(cfg, sweeps, path, change, drifts):
     builders.operating_point(cfg)
-    with contextlib.suppress(QfcError):
+    drift = (pytest.warns(builders.CalibrationDrift, match="re-run `qfcring calibrate`$")
+             if drifts else contextlib.nullcontext())
+    with drift, contextlib.suppress(QfcError):
         builders.operating_point(_edited(cfg, path, change))
     assert len(sweeps.widths) == 2
 
@@ -289,7 +292,8 @@ def test_fwm_channel_comb_line_wins_over_the_table(cfg):
     model = simple_model([2.0, 0.0, device.dispersion.coeffs_by_width[WIDTH][2]],
                          window=(600.0, 2400.0))
     wide = Device(dispersion=model, ring=device.ring)
-    match = matching.find_triple_resonance(wide, constraints)[0]
+    with partial_sweep():
+        match = matching.find_triple_resonance(wide, constraints)[0]
     # The bare ring leaves the pump uncoupled; the channel needs a coupled pump.
     match = dataclasses.replace(match, pump=dataclasses.replace(
         match.pump, kappa_ex=match.pump.kappa_0))

@@ -1,6 +1,7 @@
 """Configuration schema, overrides, calibration workflow, and CLI contract."""
 
 import copy
+import importlib.util
 import json
 import os
 import re
@@ -26,6 +27,7 @@ from qfcring.config import (
     validate_config,
 )
 from qfcring.errors import ConfigError
+from qfcring.experiments import CALIBRATION_COMMENTS
 
 from conftest import src_env
 
@@ -120,6 +122,26 @@ def test_width_keys_are_lossless(cfg, widths):
         assert device.ring.poling_period_um == period
 
 
+def test_a_by_width_key_added_to_the_schema_is_a_width_map(cfg, monkeypatch):
+    # the key's suffix alone makes it a width map: keys respelled, entries typed
+    monkeypatch.setitem(config.SCHEMA["physics"], "extra_by_width", config._NUM)
+
+    def validated(mapping):
+        edited = copy.deepcopy(cfg)
+        edited["physics"]["extra_by_width"] = mapping
+        return validate_config(edited)["physics"]["extra_by_width"]
+
+    assert validated({1500.0: 1, 1400.125: 2.5}) == {"1500": 1, "1400.125": 2.5}
+    for mapping, message in [
+        ({"x": 1}, "'physics.extra_by_width' keys must be widths in nm, got 'x'"),
+        ({1500: "a"}, "config key 'physics.extra_by_width[1500]' has wrong type str"),
+        (3, "config key 'physics.extra_by_width' must be a mapping"),
+    ]:
+        with pytest.raises(ConfigError) as err:
+            validated(mapping)
+        assert str(err.value) == message
+
+
 def test_override_equivalent_to_editing(cfg):
     edited = copy.deepcopy(cfg)
     edited["physics"]["signal_wavelength_nm"] = 727.0
@@ -165,6 +187,10 @@ def test_override_messages_quote_a_long_item_by_its_head_and_tail(cfg, item, mes
      "config key 'experiment.widths_nm' must be a list of numbers"),
     (lambda cfg: apply_overrides(cfg, ["device.poling_period_um_by_width=3"]),
      "config key 'device.poling_period_um_by_width' must be a mapping"),
+    (lambda cfg: apply_overrides(cfg, ["calibration.by_width=3"]),
+     "config key 'calibration.by_width' must be a mapping"),
+    (lambda cfg: apply_overrides(cfg, ["calibration.by_width.1500=3"]),
+     "config key 'calibration.by_width[1500]' must be a mapping"),
     (lambda cfg: apply_overrides(cfg, ["constraints.require_qpm=1"]),
      "config key 'constraints.require_qpm' must be a boolean"),
     (lambda cfg: validate_config([]), "config root must be a mapping of sections"),
@@ -175,7 +201,8 @@ def test_override_messages_quote_a_long_item_by_its_head_and_tail(cfg, item, mes
     (lambda cfg: apply_overrides(cfg, ["device.width_nm.x=1"]),
      "unknown config key 'device.width_nm.x'"),
     (lambda cfg: apply_overrides(cfg, ["nope.x=1"]), "unknown config key 'nope.x'"),
-], ids=["list-of-numbers", "mapping", "boolean", "root", "missing-section",
+], ids=["list-of-numbers", "mapping", "width-map-mapping", "width-entry-mapping", "boolean",
+        "root", "missing-section",
         "section-not-mapping", "unknown-nested", "under-a-number", "unknown-section"])
 def test_config_refusals(cfg, make, message):
     with pytest.raises(ConfigError) as err:
@@ -199,13 +226,24 @@ def test_the_key_check_skips_merge_keys_and_visits_an_aliased_mapping_once(load)
         load("a: &x {b: 1, b: 2}\nc: *x")
 
 
-def test_emit_config_writes_keys_outside_the_schema_after_its_own(cfg):
-    # validate_config refuses such keys; emit_config still writes what it is given
+def test_emit_config_writes_only_the_schema_keys(cfg):
+    # validate_config refuses a key outside SCHEMA, and emit_config does not write one
     edited = copy.deepcopy(cfg)
     edited["device"] = {"extra_um": 1.5, **edited["device"]}
-    device = emit_config(edited).split("dispersion:")[0].splitlines()
-    assert device[-1] == "  extra_um: 1.5"
-    assert device[1:-1] == emit_config(cfg).split("dispersion:")[0].splitlines()[1:]
+    assert emit_config(edited) == emit_config(cfg)
+    assert "extra_um" not in emit_config(edited, comments={"device.extra_um": "a note"})
+
+
+def test_every_config_comment_names_a_schema_path():
+    # emit_config writes a comment only at a section or key it visits, so a
+    # comment keyed by a renamed key would vanish from the written config
+    spec = importlib.util.spec_from_file_location(
+        "make_defaults", Path(__file__).resolve().parent.parent / "scripts" / "make_defaults.py")
+    make_defaults = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(make_defaults)
+    paths = set(SCHEMA) | {f"{section}.{key}" for section, keys in SCHEMA.items() for key in keys}
+    assert set(CALIBRATION_COMMENTS) <= paths
+    assert set(make_defaults.DEFAULT_COMMENTS) <= paths
 
 
 def test_emit_round_trip(cfg):

@@ -10,6 +10,9 @@ import io
 import json
 import re
 import tempfile
+import warnings
+from collections import Counter
+from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -17,10 +20,14 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from qfcring import cli, errors, matching
-from qfcring.config import SCHEMA, default_config_text
+from qfcring.builders import build_twm_system, operating_point
+from qfcring.config import SCHEMA, apply_overrides, default_config, default_config_text
 from qfcring.constants import MAX_GRID_CELLS
+from qfcring.conversion import external_efficiency, steady_state_conversion
 from qfcring.elements import solve_resonance_wavelength
-from qfcring.experiments import EXPERIMENTS
+from qfcring.experiments import EXPERIMENTS, _power_grid_W, run_experiment
+
+from conftest import multi_key_draws
 
 FAMILIES = {errors.InputError: 2, errors.Infeasible: 3, errors.NumericalError: 4}
 
@@ -220,6 +227,27 @@ def test_unusable_value_exits_with_its_family_code(tmp_path, experiment, overrid
     assert record["message"].startswith(message)
 
 
+@pytest.mark.parametrize("what", ["config", "table"])
+def test_a_file_that_is_not_utf8_exits_2(tmp_path, what):
+    # A 0xff byte is an unreadable file, not a UnicodeDecodeError traceback.
+    if what == "config":
+        path = tmp_path / "bad.yaml"
+        path.write_bytes(default_config_text().encode().replace(
+            b"ring_length_um: ", b"ring_length_um: \xff", 1))
+        args, owner = ["--config", str(path)], "config"
+    else:
+        path = tmp_path / "bad.csv"
+        table = resources.files("qfcring.data").joinpath("default_dispersion.csv")
+        path.write_bytes(table.read_bytes() + b"\xff\n")
+        args, owner = ["--override", f"dispersion.table_file={path}"], "dispersion table"
+    code, out, err = run_main(["match", *args, "--out-dir", str(tmp_path / "out")])
+    assert (code, out) == (2, "")
+    record = error_record(code, err)
+    assert record["error"] == "ConfigError"
+    assert record["message"].startswith(f"cannot read {owner} {path}: 'utf-8' codec can't "
+                                        "decode byte 0xff")
+
+
 def test_pump_idler_pairs_alone_can_exceed_the_search_grid(tmp_path):
     # A 10 cm ring, 25 nm half-windows and a 1 K sweep: 9,782 lines x 147
     # temperatures is 1.4e6 cells, under MAX_GRID_CELLS = 2**24, while the
@@ -368,8 +396,10 @@ def _is_numeric(expected):
     return bool({int, float} & set(expected if isinstance(expected, tuple) else (expected,)))
 
 
+# A width map's SCHEMA value is the type of its entries, not of the key.
 NUMERIC_KEYS = [f"{section}.{key}" for section, body in SCHEMA.items()
-                for key, expected in body.items() if _is_numeric(expected)]
+                for key, expected in body.items()
+                if not key.endswith("by_width") and _is_numeric(expected)]
 EXTREMES = ("0", "-1", "1.0e-30", "1.0e-9", "1.0e+9", "1.0e+300", "-1.0e+300", ".nan", ".inf",
             "-.inf")
 
@@ -429,6 +459,50 @@ def test_any_single_extreme_override_exits_with_a_documented_code(tmp_path, key,
         assert json.loads(out)["experiment"] == experiment
     else:
         error_record(code, err)
+
+
+@contextlib.contextmanager
+def _warnings_as_the_cli_records_them():
+    """Warnings recorded as cli.main records them, except that a RuntimeWarning raises."""
+    with warnings.catch_warnings(record=True):
+        warnings.simplefilter("default")
+        warnings.simplefilter("error", RuntimeWarning)
+        yield
+
+
+def _outcome(experiment, overrides, out_dir):
+    """(exit code, error class name or None) of one in-process run, as cli.main returns it."""
+    with _warnings_as_the_cli_records_them():
+        try:
+            run_experiment(experiment, apply_overrides(default_config(), overrides), out_dir)
+        except errors.QfcError as exc:
+            return exc.exit_code, type(exc).__name__
+    return 0, None
+
+
+def test_multi_key_draws_exit_with_a_family_code_and_match_the_oracle(tmp_path):
+    # Every experiment of every draw ends 0 or with its family's code, and on
+    # each matched draw the closed form equals the RK4 steady state within
+    # criterion 3's bound at the first, middle and last grid power.
+    outcomes, worst = Counter(), 0.0
+    for overrides in multi_key_draws():
+        runs = {name: _outcome(name, overrides, str(tmp_path / name)) for name in EXPERIMENTS}
+        assert all(code in {0, 2, 3, 4} for code, _ in runs.values()), (overrides, runs)
+        code, error = runs["convert"]
+        outcomes[error or "matched"] += 1
+        if code != 0:
+            continue
+        cfg = apply_overrides(default_config(), overrides)
+        with _warnings_as_the_cli_records_them():
+            system = build_twm_system(cfg, operating_point(cfg)[1][0])
+            powers = _power_grid_W(cfg)
+            for power in (powers[0], powers[powers.size // 2], powers[-1]):
+                at = system.with_power(float(power))
+                for closed, oracle in zip(external_efficiency(at), steady_state_conversion(at)):
+                    worst = max(worst, abs(oracle / closed - 1.0))
+    assert worst < 1e-5, worst
+    # a change that refuses every draw must not pass as a clean run
+    assert outcomes["matched"] >= 20, outcomes
 
 
 def test_search_grid_counts_are_exact_until_they_are_huge(tmp_path):

@@ -11,7 +11,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qfcring import matching
-from qfcring.builders import build_constraints, build_device, fwm_channel_at, operating_point
+from qfcring.builders import (CalibrationDrift, build_constraints, build_device,
+                              fwm_channel_at, operating_point)
 from qfcring.config import apply_overrides, width_key
 from qfcring.constants import C_M_PER_S, TWO_PI, freq_hz
 from qfcring.dispersion import DispersionModel
@@ -37,6 +38,7 @@ from conftest import (
     WIDTH,
     oracle_fixture_best,
     oracle_fixtures,
+    partial_sweep,
     planted_fixture_a,
     planted_fixture_curved,
     random_rings,
@@ -46,7 +48,8 @@ from conftest import (
 
 def test_planted_dispersionless_solution_recovered():
     device, constraints, planted = planted_fixture_a()
-    results = find_triple_resonance(device, constraints)
+    with partial_sweep():
+        results = find_triple_resonance(device, constraints)
     best = results[0]
     assert (best.signal.m, best.pump.m, best.idler.m) == planted["m"]
     assert best.t_ring_K == pytest.approx(planted["t_ring_K"], abs=1e-9)
@@ -57,13 +60,14 @@ def test_planted_dispersionless_solution_recovered():
 
 def test_planted_curved_solution_and_tightened_bound():
     device, constraints, planted = planted_fixture_curved()
-    best = find_triple_resonance(device, constraints)[0]
+    with partial_sweep():
+        best = find_triple_resonance(device, constraints)[0]
     assert (best.signal.m, best.pump.m, best.idler.m) == planted["m"]
     assert best.mismatch_Hz == pytest.approx(planted["mismatch_Hz"], abs=2e4)
 
     tight = dataclasses.replace(constraints,
                                 max_mismatch_Hz=abs(planted["mismatch_Hz"]) / 5.0)
-    with pytest.raises(NoFeasibleMatch) as err:
+    with partial_sweep(), pytest.raises(NoFeasibleMatch) as err:
         find_triple_resonance(device, tight)
     assert "best candidate violates: mismatch " in str(err.value)
     cand = err.value.best_candidate
@@ -72,7 +76,7 @@ def test_planted_curved_solution_and_tightened_bound():
 
     # Without QPM every in-window pair competes; the near miss is the pair of
     # least mismatch, not the first pair in (pump, idler) order.
-    with pytest.raises(NoFeasibleMatch) as err:
+    with partial_sweep(), pytest.raises(NoFeasibleMatch) as err:
         find_triple_resonance(device, dataclasses.replace(tight, require_qpm=False))
     cand = err.value.best_candidate
     assert (cand.signal.m, cand.pump.m, cand.idler.m) == planted["m"]
@@ -83,14 +87,30 @@ def test_planted_curved_solution_and_tightened_bound():
 def test_near_miss_names_a_sub_MHz_bound():
     # a bound below 0.05 MHz must not print as "0.0 MHz"
     device, constraints, _ = planted_fixture_curved()
-    with pytest.raises(NoFeasibleMatch) as err:
+    with partial_sweep(), pytest.raises(NoFeasibleMatch) as err:
         find_triple_resonance(device, dataclasses.replace(constraints, max_mismatch_Hz=1e4))
     assert str(err.value).endswith(" MHz exceeds 0.01 MHz")
 
 
+def test_a_sweep_that_qpm_alone_refuses_names_qpm(cfg):
+    # A poled fraction of 0 makes M = 0: the sweep has signal hits with pump
+    # and idler lines inside their windows, and no pair meets M = 0.
+    run = apply_overrides(cfg, ["device.ppln_fraction=0"])
+    with pytest.raises(NoFeasibleMatch) as err:
+        find_triple_resonance(build_device(run, with_coupler=False), build_constraints(run))
+    assert str(err.value) == ("no pump/idler pair inside their windows is quasi-phase matched "
+                              "at any signal hit: m_s - m_p - m_i never equals the poling "
+                              "offset M = 0")
+    assert err.value.best_candidate is None and err.value.exit_code == 3
+    free = apply_overrides(run, ["constraints.require_qpm=false"])
+    assert find_triple_resonance(build_device(free, with_coupler=False), build_constraints(free))
+
+
 def test_accepted_matches_satisfy_all_constraints():
     for device, constraints, _ in oracle_fixtures():
-        for res in find_triple_resonance(device, constraints):
+        with partial_sweep():
+            results = find_triple_resonance(device, constraints)
+        for res in results:
             assert abs(res.signal_detuning_Hz) <= constraints.max_signal_detuning_Hz
             assert abs(res.mismatch_Hz) <= constraints.max_mismatch_Hz
             p_lo, p_hi = constraints.pump_window_nm
@@ -106,7 +126,8 @@ def test_accepted_matches_satisfy_all_constraints():
 
 def test_oracle_equivalence_on_fixtures():
     for k, (device, constraints, _) in enumerate(oracle_fixtures()):
-        coarse = find_triple_resonance(device, constraints)[0]
+        with partial_sweep():
+            coarse = find_triple_resonance(device, constraints)[0]
         oracle = oracle_fixture_best(k)
         assert oracle is not None
         t_o, m_o, det_o, delta_o = oracle
@@ -120,8 +141,10 @@ def test_oracle_equivalence_on_fixtures():
 
 def test_determinism():
     device, constraints, _ = planted_fixture_curved()
-    a = find_triple_resonance(device, constraints)
-    b = find_triple_resonance(device, constraints)
+    with partial_sweep():
+        a = find_triple_resonance(device, constraints)
+    with partial_sweep():
+        b = find_triple_resonance(device, constraints)
     assert len(a) == len(b)
     for x, y in zip(a, b):
         assert x.t_ring_K == y.t_ring_K
@@ -250,7 +273,8 @@ def test_verify_match_catches_shifted_solver(monkeypatch):
         return solve_resonance_wavelength(*args) + 1e-4
 
     monkeypatch.setattr(matching, "solve_resonance_wavelength", shifted)
-    best = find_triple_resonance(device, constraints)[0]
+    with partial_sweep():
+        best = find_triple_resonance(device, constraints)[0]
     with pytest.raises(StaleResult, match="closed form"):
         verify_match(device, best)
 
@@ -267,7 +291,8 @@ def test_verify_match_catches_a_wrong_pump_or_idler_root(monkeypatch, role):
         return solve_resonance_wavelength(device, m, t_K) + 1e-4 * np.isin(m, role_ms)
 
     monkeypatch.setattr(matching, "solve_resonance_wavelength", shifted)
-    best = find_triple_resonance(device, constraints)[0]
+    with partial_sweep():
+        best = find_triple_resonance(device, constraints)[0]
     with pytest.raises(StaleResult, match=f"^{role} line m={getattr(best, role).m} "):
         verify_match(device, best)
 
@@ -275,8 +300,10 @@ def test_verify_match_catches_a_wrong_pump_or_idler_root(monkeypatch, role):
 def test_verify_step_independence():
     device, constraints, _ = planted_fixture_curved()
     fine = dataclasses.replace(constraints, t_step_K=constraints.t_step_K / 2.0)
-    best_coarse = find_triple_resonance(device, constraints)[0]
-    best_fine = find_triple_resonance(device, fine)[0]
+    with partial_sweep():
+        best_coarse = find_triple_resonance(device, constraints)[0]
+    with partial_sweep():
+        best_fine = find_triple_resonance(device, fine)[0]
     assert (best_coarse.signal.m, best_coarse.pump.m, best_coarse.idler.m) == \
         (best_fine.signal.m, best_fine.pump.m, best_fine.idler.m)
     verify_match(device, best_coarse)
@@ -421,7 +448,8 @@ def test_companion_comb_path_wide_window():
     model = simple_model([2.0, 0.0, device.dispersion.coeffs_by_width[WIDTH][2]],
                          window=(600.0, 2400.0))
     wide = Device(dispersion=model, ring=device.ring)
-    match = find_triple_resonance(wide, constraints)[0]
+    with partial_sweep():
+        match = find_triple_resonance(wide, constraints)[0]
     got = companion_detuning(wide, match)
     assert got is not None
     # long-range second difference of the strongly curved comb: THz scale
@@ -438,7 +466,8 @@ def test_far_out_companion_falls_back_to_the_table(cfg):
     # The companion's m = 2 m_p - m_i lies far outside the window's mode
     # numbers; its root solve diverges (NaN residual), so it must not run.
     run = apply_overrides(cfg, FAR_COMPANION)
-    device, matches = operating_point(run)
+    with pytest.warns(CalibrationDrift, match="pump eta 0.0112 misses its calibration target"):
+        device, matches = operating_point(run)
     m_comp = 2 * matches[0].pump.m - matches[0].idler.m
     assert m_comp not in _m_range(device, device.dispersion.lambda_window_nm,
                                   matches[0].t_ring_K)
@@ -473,7 +502,7 @@ def _reference_scan(device, constraints, t_points, m_s_list, m_p_list, m_i_list,
     if hits is not None:
         hits.append(int(np.count_nonzero(hit)))
     if not np.any(hit):
-        return [], None
+        return [], None, False
 
     t_hit = t_points[hit]
     m_s_hit = m_s_arr[pick[hit]]
@@ -486,11 +515,12 @@ def _reference_scan(device, constraints, t_points, m_s_list, m_p_list, m_i_list,
     in_p = (lam_p >= p_lo) & (lam_p <= p_hi)
     in_i = (lam_i >= i_lo) & (lam_i <= i_hi)
 
-    feasible, near, near_score = [], None, None
+    feasible, near, near_score, paired = [], None, None, False
     for h in range(t_hit.size):
         f_s_h = freq_hz(lam_s_hit[h])
         delta = f_s_h - np.add.outer(f_p[:, h], f_i[:, h])
         window_ok = np.logical_and.outer(in_p[:, h], in_i[:, h])
+        paired = paired or bool(np.any(window_ok))
         qpm = int(m_s_hit[h]) - np.add.outer(m_p_arr, m_i_arr) - m_offset
         qpm_ok = (qpm == 0) if constraints.require_qpm else np.ones_like(qpm, bool)
         base = window_ok & qpm_ok
@@ -519,7 +549,7 @@ def _reference_scan(device, constraints, t_points, m_s_list, m_p_list, m_i_list,
                 feasible.append(match)
             else:
                 near = match
-    return feasible, near
+    return feasible, near, paired
 
 
 def _sweep_outcome(device, constraints, scan):
