@@ -48,8 +48,9 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         cfg = apply_overrides(cfg, args.overrides)
         with warnings.catch_warnings(record=True) as caught:
-            # once per message and source line: calibrate builds one ring twice
-            warnings.simplefilter("default")
+            # the package's own warnings, once per message and source line (calibrate
+            # builds one ring twice); every other category follows the interpreter's -W
+            warnings.simplefilter("default", UserWarning)
             outputs = run_experiment(args.experiment, cfg, args.out_dir)
         record = {
             "experiment": args.experiment,

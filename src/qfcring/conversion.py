@@ -221,18 +221,6 @@ _POLISH_GATE = 1e-3   # relative residual a chunk must reach before a Newton pol
 _NEWTON_ITERATIONS = 4
 
 
-@dataclass(frozen=True)
-class MeanFieldTrajectory:
-    times: np.ndarray
-    a: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
-    converged: bool
-
-    def final(self):
-        return self.a[-1], self.b[-1], self.c[-1]
-
-
 def _pump_drive(sys: TwmSystem) -> float:
     """sqrt(k_p_ex) s_in, the pump's drive term, with s_in = sqrt(P/hbar w_p)."""
     return math.sqrt(sys.pump.kappa_ex * sys.pump_power_W / (HBAR_J_S * sys.pump.omega))
@@ -318,7 +306,7 @@ def _count(name: str, count) -> int:
 
 
 def evolve_mean_field(sys: TwmSystem, initial=(0j, 0j, 0j), dt=None, steps=None,
-                      signal_flux=0.0, sample_stride=1):
+                      signal_flux=0.0):
     """Fixed-step RK4 integration of the mean-field equations of motion.
 
         da/dt = (i d_p - k_p/2) a - i g b c* + sqrt(k_p_ex) s_in
@@ -330,15 +318,15 @@ def evolve_mean_field(sys: TwmSystem, initial=(0j, 0j, 0j), dt=None, steps=None,
     conversion oracle.  The rotating-frame detunings are the channels'
     `delta` fields with d_c = d_s - d_p - mismatch for the idler.
 
-    Raises StepSizeTooLarge when dt * _fastest_rate(sys, state) >= 0.1, for the
-    initial state and every 1000th and the last step's, and NonFinite if
-    amplitudes overflow; DomainError unless dt is positive and finite and
-    steps and sample_stride are integers >= 1.  Bitwise deterministic for
-    fixed dt; the last step is always sampled, so resuming from final() is
-    bit-identical.
-    converged: |f_x| < _RESIDUAL_TOL * min(kappa) * |x| at the end for x = a, b, c.
+    Returns ((a, b, c), converged): the state after `steps` steps, in Python
+    complex, and whether |f_x| < _RESIDUAL_TOL * min(kappa) * |x| there for
+    x = a, b, c.  Raises StepSizeTooLarge when dt * _fastest_rate(sys, state)
+    >= 0.1, for the initial state and every 1000th and the last step's, and
+    NonFinite if amplitudes overflow; DomainError unless dt is positive and
+    finite and steps is an integer >= 1.  Bitwise deterministic for fixed dt;
+    resuming from the returned state is bit-identical to one longer run.
     """
-    steps, sample_stride = _count("steps", steps), _count("sample_stride", sample_stride)
+    steps = _count("steps", steps)
     if dt is None or not dt > 0.0 or not math.isfinite(dt):
         raise DomainError(f"dt must be positive and finite, got {dt!r}")
 
@@ -351,35 +339,19 @@ def evolve_mean_field(sys: TwmSystem, initial=(0j, 0j, 0j), dt=None, steps=None,
             f"dt*max-rate = {dt * rate:.3g} >= 0.1; reduce dt below {0.1 / rate:.3g}"
         )
 
-    n_samples = -(-steps // sample_stride) + 1  # every stride-th step and the last
-    times = np.empty(n_samples)
-    traj_a = np.empty(n_samples, dtype=complex)
-    traj_b = np.empty(n_samples, dtype=complex)
-    traj_c = np.empty(n_samples, dtype=complex)
-    times[0], traj_a[0], traj_b[0], traj_c[0] = 0.0, a, b, c
-
-    idx = 1
-    step = 0
-    while step < steps:
-        # run to the next sample, the next 1000th step or the last step
-        end = min(steps, step - step % 1000 + 1000, step - step % sample_stride + sample_stride)
-        a, b, c = rk4(a, b, c, dt, end - step)
-        step = end
-        if step % 1000 == 0 or step == steps:
-            if not all(math.isfinite(abs(x)) for x in (a, b, c)):
-                raise NonFinite(f"amplitudes diverged at step {step}")
-            if dt * _fastest_rate(sys, (a, b, c)) >= 0.1:
-                raise StepSizeTooLarge(
-                    f"nonlinear rate g|a| grew past the stability bound at step {step}"
-                )
-        if step % sample_stride == 0 or step == steps:
-            times[idx] = step * dt
-            traj_a[idx], traj_b[idx], traj_c[idx] = a, b, c
-            idx += 1
+    for start in range(0, steps, 1000):  # segments end at every 1000th step and the last
+        step = min(steps, start + 1000)
+        a, b, c = rk4(a, b, c, dt, step - start)
+        if not all(math.isfinite(abs(x)) for x in (a, b, c)):
+            raise NonFinite(f"amplitudes diverged at step {step}")
+        if dt * _fastest_rate(sys, (a, b, c)) >= 0.1:
+            raise StepSizeTooLarge(
+                f"nonlinear rate g|a| grew past the stability bound at step {step}"
+            )
 
     converged = _settled(rhs, (a, b, c), _RESIDUAL_TOL,
                          min(ch.kappa_tot for ch in sys.channels))
-    return MeanFieldTrajectory(times, traj_a, traj_b, traj_c, converged)
+    return (a, b, c), converged
 
 
 def _solve(m, v):
@@ -457,10 +429,9 @@ def steady_state_conversion(sys: TwmSystem, steps=None):
     rhs, jacobian, _ = _mean_field(sys, signal_flux)
     state = (0j, 0j, 0j)
     for _ in range(-(-steps // _CHECK_EVERY)):
-        traj = evolve_mean_field(sys, initial=state, dt=dt, steps=_CHECK_EVERY,
-                                 signal_flux=signal_flux, sample_stride=_CHECK_EVERY)
-        state = tuple(complex(x) for x in traj.final())
-        if traj.converged:
+        state, converged = evolve_mean_field(sys, initial=state, dt=dt, steps=_CHECK_EVERY,
+                                             signal_flux=signal_flux)
+        if converged:
             break
         if _settled(rhs, state, _POLISH_GATE, slow):
             polished = _newton_polish(rhs, jacobian, state, slow)

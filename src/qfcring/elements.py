@@ -252,7 +252,7 @@ def _length_nm(device: Device) -> float:
 
 
 def _m_range(device: Device, band_nm, t_K) -> range:
-    """Azimuthal numbers whose resonance can fall inside band_nm at temperatures t_K.
+    """Azimuthal numbers m >= 1 whose resonance can fall inside band_nm at temperatures t_K.
 
     m(lambda, T) = n_eff(lambda, T) * L / lambda falls with lambda (n_g > 0)
     and is linear in T, so its values at the band edges and the extreme
@@ -260,11 +260,12 @@ def _m_range(device: Device, band_nm, t_K) -> range:
     """
     lam = np.asarray(band_nm, dtype=float)[:, None]
     t = np.asarray(t_K, dtype=float).reshape(1, -1)
-    m = device.dispersion.n_eff(lam, t, device.width_nm) * _length_nm(device) / lam
+    with np.errstate(over="ignore"):  # a ring too long overflows m to inf, refused below
+        m = device.dispersion.n_eff(lam, t, device.width_nm) * _length_nm(device) / lam
     if not np.isfinite(m).all():
         raise DomainError(f"mode numbers of a {device.ring.length_um:g} um ring "
                           f"in band {tuple(band_nm)} nm are beyond float range")
-    return range(int(math.floor(m.min())), int(math.ceil(m.max())) + 1)
+    return range(max(1, int(math.floor(m.min()))), int(math.ceil(m.max())) + 1)
 
 
 def resonance_comb(device: Device, band_nm, t_ring_K):

@@ -115,8 +115,10 @@ def efficiency_snr_tradeoff(channels, powers_W, signal_input_rate_Hz: float):
     rows = np.empty((len(channels) * n, 6))
     best = None
     for i, (width, channel) in enumerate(sorted(channels.items())):
-        rates = fwm_noise_rate(channel, powers)
-        etas = efficiency_vs_power(channel.system, powers)[:, 3]
+        # a drive whose photon flux overflows gives an inf rate, which snr_report refuses
+        with np.errstate(over="ignore", invalid="ignore"):
+            rates = fwm_noise_rate(channel, powers)
+            etas = efficiency_vs_power(channel.system, powers)[:, 3]
         snrs = [snr_report(rate, signal_input_rate_Hz * eta)
                 for eta, rate in zip(etas.tolist(), rates.tolist())]
         block = rows[i * n:(i + 1) * n]

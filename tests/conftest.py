@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import csv
 import functools
+import json
 import math
 import os
 import random
@@ -17,6 +19,7 @@ from scipy.optimize import brentq
 from qfcring import builders
 from qfcring.config import SCHEMA, default_config
 from qfcring.constants import C_M_PER_S, freq_hz
+from qfcring.conversion import evolve_mean_field
 from qfcring.dispersion import DispersionModel
 from qfcring.elements import Device, RingCavity, solve_resonance_wavelength
 from qfcring.errors import DomainError
@@ -57,6 +60,77 @@ def mzi_transfer(mzi, lambda_nm, delta_T_K=None):
     """
     m00, m01, m10, m11 = mzi._entries(lambda_nm, delta_T_K)
     return np.stack([np.stack([m00, m01], axis=-1), np.stack([m10, m11], axis=-1)], axis=-2)
+
+
+def resumed_run(sys, dt, steps, stride, initial=(0j, 0j, 0j), signal_flux=0.0):
+    """(kept, states, converged) of a `steps`-step RK4 run, sampled at step 0,
+    every stride-th step and the last by resuming evolve_mean_field in chunks
+    of stride steps, which is bit-identical to one run.
+
+    kept lists the sampled step numbers, states is the (len(kept), 3) complex
+    array of (a, b, c) there, and converged is the last chunk's flag.
+    """
+    kept, states, converged = [0], [tuple(complex(x) for x in initial)], False
+    while kept[-1] < steps:
+        n = min(stride, steps - kept[-1])
+        state, converged = evolve_mean_field(sys, states[-1], dt, n, signal_flux)
+        kept.append(kept[-1] + n)
+        states.append(state)
+    return kept, np.array(states), converged
+
+
+def _csv(path):
+    """A written table as (header, rows of text cells)."""
+    with open(path, newline="") as f:
+        header, *rows = csv.reader(f)
+    return header, rows
+
+
+def assert_outputs_agree(run_dir):
+    """Assert that one run's files agree with each other as written text; returns
+    the names of the identities whose files are present, each of which held.
+
+    - "convert", "noise": convert.csv's (power_mW, eta_ext) and noise.csv's
+      (power_mW, R_FWM_Hz) rows are tradeoff.csv's at the device width, when
+      that width is one of experiment.widths_nm;
+    - "couplings": the coupling_ratios.csv row at device.mzi_delta_T_K, when
+      the sweep has that row, holds the three eta of match.json's best match;
+    - "combs": each (m, wavelength) of the best match is a row of its comb;
+    - "operating point": convert.meta.json's operating point is match.json's best.
+    """
+    run_dir, checked = Path(run_dir), set()
+    have = {path.name for path in run_dir.iterdir()}
+    best = json.loads((run_dir / "match.json").read_text())["best"] if "match.json" in have else None
+    if "tradeoff.csv" in have:
+        cfg = json.loads((run_dir / "tradeoff.meta.json").read_text())["resolved_config"]
+        width = cfg["device"]["width_nm"]
+        at_width = [row for row in _csv(run_dir / "tradeoff.csv")[1] if float(row[0]) == width]
+        for name, ours, theirs in (("convert", 3, 2), ("noise", 1, 3)):
+            if f"{name}.csv" in have and width in cfg["experiment"]["widths_nm"]:
+                rows = [(row[0], row[ours]) for row in _csv(run_dir / f"{name}.csv")[1]]
+                assert rows and rows == [(row[1], row[theirs]) for row in at_width], name
+                checked.add(name)
+    if best is None:
+        return checked
+    if "coupling_ratios.csv" in have:
+        meta = json.loads((run_dir / "coupling_ratios.meta.json").read_text())
+        header, rows = _csv(run_dir / "coupling_ratios.csv")
+        drive = "%.12g" % meta["operating_delta_T_K"]
+        at = [row[1:] for row in rows if row[0] == drive]
+        if at:
+            etas = ["%.12g" % best[h.removeprefix("eta_")]["eta"] for h in header[1:]]
+            assert at == [etas], (at, etas)
+            checked.add("couplings")
+    for role in ("pump", "signal", "idler"):
+        if f"comb_{role}.csv" in have:
+            line = [str(best[role]["m"]), "%.12g" % best[role]["wavelength_nm"]]
+            assert line in [row[:2] for row in _csv(run_dir / f"comb_{role}.csv")[1]], role
+            checked.add("combs")
+    if "convert.meta.json" in have:
+        meta = json.loads((run_dir / "convert.meta.json").read_text())
+        assert meta["operating_point"] == best
+        checked.add("operating point")
+    return checked
 
 
 # The solver iterates lambda -> n_eff(lambda) L / m, which contracts by

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import src_env
+from conftest import resumed_run, src_env
 from qfcring import conversion
 from qfcring.builders import build_twm_system, operating_point
 from qfcring.config import default_config
@@ -365,9 +365,9 @@ def test_pure_decay():
     kappa = sys.signal.kappa_tot
     dt = 0.02 / kappa
     steps = 4000
-    traj = evolve_mean_field(sys, initial=(0.0, 1.0, 0.0), dt=dt, steps=steps)
-    expect = np.exp(-kappa * traj.times)
-    got = np.abs(traj.b) ** 2
+    kept, states, _ = resumed_run(sys, dt, steps, 1, initial=(0.0, 1.0, 0.0))
+    expect = np.exp(-kappa * np.array(kept) * dt)
+    got = np.abs(states[:, 1]) ** 2
     assert np.max(np.abs(got - expect) / expect.clip(1e-30)) < 1e-6
 
 
@@ -379,9 +379,8 @@ def test_manley_rowe_invariants():
         idler=ModeChannel("idler", OMEGA_I, 100, 0.0, 1e-300, delta=0.1),
         g0=1.0, mismatch=0.0, pump_power_W=0.0,
     )
-    traj = evolve_mean_field(sys, initial=(0.8, 0.5 + 0.2j, 0.3j), dt=1e-3,
-                             steps=100_000, sample_stride=100)
-    na, nb, nc = np.abs(traj.a) ** 2, np.abs(traj.b) ** 2, np.abs(traj.c) ** 2
+    _, states, _ = resumed_run(sys, 1e-3, 100_000, 100, initial=(0.8, 0.5 + 0.2j, 0.3j))
+    na, nb, nc = (np.abs(states) ** 2).T
     for inv in (na + nb, nb + nc, na - nc):
         drift = np.max(np.abs(inv - inv[0])) / abs(inv[0])
         assert drift < 1e-9
@@ -420,10 +419,10 @@ def test_step_covers_idler_detuning_and_guard_amplitude():
     assert eta_ex_sim == pytest.approx(eta_ex_ref, rel=1e-5)
 
 
-def _tail_flat(traj):
+def _tail_flat(states):
     """Populations move by < 1e-10 (rel) over the last 1% of the samples."""
-    tail = max(2, int(0.01 * traj.times.size))
-    pops = np.abs(traj.a[-tail:]) ** 2 + np.abs(traj.b[-tail:]) ** 2 + np.abs(traj.c[-tail:]) ** 2
+    tail = max(2, int(0.01 * len(states)))
+    pops = (np.abs(states[-tail:]) ** 2).sum(axis=1)
     return (pops.max() - pops.min()) / pops.max() < 1e-10
 
 
@@ -439,25 +438,22 @@ def test_residual_stop_rejects_truncated_horizon():
     flux = 1e-6 * n_pump * sys.signal.kappa_tot**2 / (4.0 * sys.signal.kappa_ex)
     dt = 0.05 / sys.pump.kappa_tot
     steps = int(15.0 / (sys.signal.kappa_tot * dt)) + 1
-    traj = evolve_mean_field(sys, dt=dt, steps=steps, signal_flux=flux,
-                             sample_stride=steps // 400)
+    _, states, converged = resumed_run(sys, dt, steps, steps // 400, signal_flux=flux)
     _, eta_ex_ref = external_efficiency(sys)
-    eta_ex_cut = sys.idler.kappa_ex * abs(traj.c[-1]) ** 2 / flux
-    assert _tail_flat(traj)
+    eta_ex_cut = sys.idler.kappa_ex * abs(states[-1, 2]) ** 2 / flux
+    assert _tail_flat(states)
     assert abs(eta_ex_cut / eta_ex_ref - 1.0) > 1e-3
-    assert not traj.converged
+    assert not converged
     assert steady_state_conversion(sys)[1] == pytest.approx(eta_ex_ref, rel=1e-5)
 
 
 def test_resumed_integration_is_bit_identical():
     sys = make_system(power=5e-4, delta_s=1e8)
-    whole = evolve_mean_field(sys, dt=1e-12, steps=1000, signal_flux=1e3)
+    whole, _ = evolve_mean_field(sys, dt=1e-12, steps=1000, signal_flux=1e3)
     state = (0j, 0j, 0j)
     for _ in range(5):
-        # a stride that does not divide the chunk: final() is still its last step
-        state = evolve_mean_field(sys, initial=state, dt=1e-12, steps=200,
-                                  signal_flux=1e3, sample_stride=150).final()
-    assert state == whole.final()
+        state, _ = evolve_mean_field(sys, initial=state, dt=1e-12, steps=200, signal_flux=1e3)
+    assert state == whole
 
 
 def test_steady_state_budget_exhausted():
@@ -474,10 +470,9 @@ def test_step_size_guard():
 
 def test_trajectory_deterministic():
     sys = make_system(power=5e-4, delta_s=1e8)
-    a = evolve_mean_field(sys, dt=1e-12, steps=2000, signal_flux=1e3)
-    b = evolve_mean_field(sys, dt=1e-12, steps=2000, signal_flux=1e3)
-    assert np.array_equal(a.a, b.a) and np.array_equal(a.b, b.b) \
-        and np.array_equal(a.c, b.c)
+    a = resumed_run(sys, 1e-12, 2000, 1, signal_flux=1e3)
+    b = resumed_run(sys, 1e-12, 2000, 1, signal_flux=1e3)
+    assert a[0] == b[0] and np.array_equal(a[1], b[1]) and a[2] == b[2]
 
 
 def test_steady_state_refuses_zero_pump_power():
@@ -502,8 +497,7 @@ def test_steady_state_refuses_an_uncoupled_carrier(role):
 
 @pytest.mark.parametrize("name, value", [
     ("steps", None), ("steps", 0), ("steps", -3), ("steps", 2.5), ("steps", 10.0),
-    ("steps", True), ("sample_stride", 0), ("sample_stride", -1), ("sample_stride", 2.5),
-    ("sample_stride", None), ("sample_stride", False),
+    ("steps", True),
 ])
 def test_step_counts_must_be_positive_integers(name, value):
     kwargs = {"dt": 1e-12, "steps": 10, name: value}
@@ -530,10 +524,8 @@ def test_step_size_must_be_positive_and_finite(dt):
 
 def test_numpy_integer_step_counts_are_accepted():
     sys = make_system(power=5e-4, delta_s=1e8)
-    plain = evolve_mean_field(sys, dt=1e-12, steps=30, signal_flux=1e3, sample_stride=7)
-    wide = evolve_mean_field(sys, dt=1e-12, steps=np.int64(30), signal_flux=1e3,
-                             sample_stride=np.int32(7))
-    assert np.array_equal(plain.times, wide.times) and plain.final() == wide.final()
+    plain = evolve_mean_field(sys, dt=1e-12, steps=30, signal_flux=1e3)
+    assert evolve_mean_field(sys, dt=1e-12, steps=np.int64(30), signal_flux=1e3) == plain
 
 
 def _rk4_on_rhs(rhs, state, dt, n):
@@ -593,15 +585,14 @@ def segment_reference():
 def test_segmented_integration_samples_the_step_by_step_reference(segment_reference,
                                                                    stride, steps):
     # 3000 is a multiple of 1000 and of every stride but 7; 2100 of 7 and 300
-    # only; 1001 of 7 only.
+    # only; 1001 of 7 only.  Each chunk of stride steps ends at its own last
+    # step; a chunk longer than 1000 steps runs in segments of 1000.
     sys, dt, flux, initial, states = segment_reference
-    traj = evolve_mean_field(sys, initial=initial, dt=dt, steps=steps, signal_flux=flux,
-                             sample_stride=stride)
-    kept = [0, *range(stride, steps + 1, stride)]
-    kept += [steps] if kept[-1] != steps else []
-    assert traj.times.tolist() == [k * dt for k in kept]
-    for role, got in enumerate((traj.a, traj.b, traj.c)):
-        assert got.tolist() == [states[k][role] for k in kept]
+    kept, got, _ = resumed_run(sys, dt, steps, stride, initial=initial, signal_flux=flux)
+    expect = [0, *range(stride, steps + 1, stride)]
+    assert kept == expect + ([steps] if expect[-1] != steps else [])
+    for role in range(3):
+        assert got[:, role].tolist() == [states[k][role] for k in kept]
 
 
 def _toy_system():
@@ -612,7 +603,6 @@ def _toy_system():
                      g0=1.0)
 
 
-@pytest.mark.parametrize("stride", [1, 7, 1500])
 @pytest.mark.parametrize("steps", [450, 999, 1000, 1001, 2500])
 @pytest.mark.parametrize("error, flux, initial, text", [
     # the signal drive alone lifts g|b| past the bound within a few hundred steps
@@ -620,11 +610,11 @@ def _toy_system():
     # with a pump amplitude seeded, the stiff a-c exchange overflows RK4
     (NonFinite, 8e8, (1e-3, 0j, 0j), "amplitudes diverged"),
 ])
-def test_in_loop_guards_name_the_checked_step(error, flux, initial, text, steps, stride):
-    # The guards run at every 1000th step and the last, not at a sample.
+def test_in_loop_guards_name_the_checked_step(error, flux, initial, text, steps):
+    # The guards run at every 1000th step and the last.
     with pytest.raises(error, match=f"{text} at step {min(steps, 1000)}$"):
         evolve_mean_field(_toy_system(), initial=initial, dt=0.05, steps=steps,
-                          signal_flux=flux, sample_stride=stride)
+                          signal_flux=flux)
 
 
 # --- Newton polish of the steady-state oracle --------------------------------
@@ -680,13 +670,11 @@ def test_refused_polish_leaves_the_plain_integration(monkeypatch, refuse):
     for sys in _criterion_3_draws(3, seed=19):
         dt, flux = _oracle_inputs(sys)
         state = (0j, 0j, 0j)
-        while True:
-            traj = evolve_mean_field(sys, initial=state, dt=dt, steps=200,
-                                     signal_flux=flux, sample_stride=200)
-            state = traj.final()
-            if traj.converged:
-                break
-        eta_ex = sys.idler.kappa_ex * abs(complex(state[2])) ** 2 / flux
+        converged = False
+        while not converged:
+            state, converged = evolve_mean_field(sys, initial=state, dt=dt, steps=200,
+                                                 signal_flux=flux)
+        eta_ex = sys.idler.kappa_ex * abs(state[2]) ** 2 / flux
         expect = (eta_ex / (sys.signal.eta * sys.idler.eta), eta_ex)
         assert steady_state_conversion(sys) == expect
     assert refused

@@ -6,6 +6,7 @@ subprocess path.
 """
 
 import contextlib
+import functools
 import io
 import json
 import re
@@ -15,6 +16,7 @@ from collections import Counter
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -25,9 +27,9 @@ from qfcring.config import SCHEMA, apply_overrides, default_config, default_conf
 from qfcring.constants import MAX_GRID_CELLS
 from qfcring.conversion import external_efficiency, steady_state_conversion
 from qfcring.elements import solve_resonance_wavelength
-from qfcring.experiments import EXPERIMENTS, _power_grid_W, run_experiment
+from qfcring.experiments import EXPERIMENTS, _power_grid_W
 
-from conftest import multi_key_draws
+from conftest import assert_outputs_agree, multi_key_draws
 
 FAMILIES = {errors.InputError: 2, errors.Infeasible: 3, errors.NumericalError: 4}
 
@@ -74,6 +76,27 @@ def test_failed_verification_exits_4(monkeypatch, tmp_path):
     record = error_record(code, err)
     assert record["error"] == "StaleResult"
     assert "closed form" in record["message"]
+
+
+def test_cli_records_the_package_warnings_and_leaves_the_rest_to_the_filters(monkeypatch,
+                                                                            tmp_path):
+    # A UserWarning (the package's category) is listed once per location even
+    # where the interpreter makes it an error; a RuntimeWarning set to error
+    # raises through cli.main instead of exiting 0 with the warning listed.
+    def runner(name, cfg, out_dir, divide):
+        for _ in range(2):
+            warnings.warn("planted")
+        return [str(np.float64(1.0) / 0.0)] if divide else []
+
+    args = ["match", "--out-dir", str(tmp_path / "out")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        monkeypatch.setattr(cli, "run_experiment", functools.partial(runner, divide=False))
+        code, out, _ = run_main(args)
+        assert code == 0 and json.loads(out)["warnings"] == ["planted"]
+        monkeypatch.setattr(cli, "run_experiment", functools.partial(runner, divide=True))
+        with pytest.raises(RuntimeWarning, match="divide by zero"):
+            run_main(args)
 
 
 @pytest.mark.parametrize("experiment, override, error, code, message", [
@@ -461,39 +484,28 @@ def test_any_single_extreme_override_exits_with_a_documented_code(tmp_path, key,
         error_record(code, err)
 
 
-@contextlib.contextmanager
-def _warnings_as_the_cli_records_them():
-    """Warnings recorded as cli.main records them, except that a RuntimeWarning raises."""
-    with warnings.catch_warnings(record=True):
-        warnings.simplefilter("default")
-        warnings.simplefilter("error", RuntimeWarning)
-        yield
-
-
-def _outcome(experiment, overrides, out_dir):
-    """(exit code, error class name or None) of one in-process run, as cli.main returns it."""
-    with _warnings_as_the_cli_records_them():
-        try:
-            run_experiment(experiment, apply_overrides(default_config(), overrides), out_dir)
-        except errors.QfcError as exc:
-            return exc.exit_code, type(exc).__name__
-    return 0, None
-
-
 def test_multi_key_draws_exit_with_a_family_code_and_match_the_oracle(tmp_path):
     # Every experiment of every draw ends 0 or with its family's code, and on
     # each matched draw the closed form equals the RK4 steady state within
-    # criterion 3's bound at the first, middle and last grid power.
-    outcomes, worst = Counter(), 0.0
-    for overrides in multi_key_draws():
-        runs = {name: _outcome(name, overrides, str(tmp_path / name)) for name in EXPERIMENTS}
-        assert all(code in {0, 2, 3, 4} for code, _ in runs.values()), (overrides, runs)
-        code, error = runs["convert"]
-        outcomes[error or "matched"] += 1
-        if code != 0:
-            continue
-        cfg = apply_overrides(default_config(), overrides)
-        with _warnings_as_the_cli_records_them():
+    # criterion 3's bound at the first, middle and last grid power, and its
+    # files agree with each other.  A RuntimeWarning raises; the package's own
+    # warnings are recorded.
+    outcomes, identities, worst = Counter(), Counter(), 0.0
+    with warnings.catch_warnings(record=True):
+        warnings.simplefilter("default", UserWarning)
+        warnings.simplefilter("error", RuntimeWarning)
+        for i, overrides in enumerate(multi_key_draws()):
+            args = [arg for o in overrides for arg in ("--override", o)]
+            out_dir = tmp_path / f"draw{i}"
+            runs = {name: run_main([name, *args, "--out-dir", str(out_dir)])
+                    for name in EXPERIMENTS}
+            assert all(code in {0, 2, 3, 4} for code, _, _ in runs.values()), (overrides, runs)
+            code, _, err = runs["convert"]
+            outcomes[json.loads(err)["error"] if code else "matched"] += 1
+            if code != 0:
+                continue
+            identities.update(assert_outputs_agree(out_dir))
+            cfg = apply_overrides(default_config(), overrides)
             system = build_twm_system(cfg, operating_point(cfg)[1][0])
             powers = _power_grid_W(cfg)
             for power in (powers[0], powers[powers.size // 2], powers[-1]):
@@ -503,6 +515,8 @@ def test_multi_key_draws_exit_with_a_family_code_and_match_the_oracle(tmp_path):
     assert worst < 1e-5, worst
     # a change that refuses every draw must not pass as a clean run
     assert outcomes["matched"] >= 20, outcomes
+    assert identities["combs"] == identities["operating point"] == outcomes["matched"]
+    assert min(identities[name] for name in ("convert", "noise", "couplings")) >= 10, identities
 
 
 def test_search_grid_counts_are_exact_until_they_are_huge(tmp_path):
