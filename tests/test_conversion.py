@@ -603,6 +603,7 @@ def _toy_system():
                      g0=1.0)
 
 
+@pytest.mark.parametrize("chunk", [7, 200, 1500, 2500])
 @pytest.mark.parametrize("steps", [450, 999, 1000, 1001, 2500])
 @pytest.mark.parametrize("error, flux, initial, text", [
     # the signal drive alone lifts g|b| past the bound within a few hundred steps
@@ -610,11 +611,13 @@ def _toy_system():
     # with a pump amplitude seeded, the stiff a-c exchange overflows RK4
     (NonFinite, 8e8, (1e-3, 0j, 0j), "amplitudes diverged"),
 ])
-def test_in_loop_guards_name_the_checked_step(error, flux, initial, text, steps):
-    # The guards run at every 1000th step and the last.
-    with pytest.raises(error, match=f"{text} at step {min(steps, 1000)}$"):
-        evolve_mean_field(_toy_system(), initial=initial, dt=0.05, steps=steps,
-                          signal_flux=flux)
+def test_in_loop_guards_name_the_checked_step(error, flux, initial, text, steps, chunk):
+    # The guards run at every 1000th step and the last of each call.  Resumed
+    # in chunks of `chunk` steps, as steady_state_conversion runs it (a chunk of
+    # 2500 is one call), the run is refused by its first chunk: the fault grows
+    # within its first 7 steps.
+    with pytest.raises(error, match=f"{text} at step {min(steps, chunk, 1000)}$"):
+        resumed_run(_toy_system(), 0.05, steps, chunk, initial=initial, signal_flux=flux)
 
 
 # --- Newton polish of the steady-state oracle --------------------------------

@@ -99,6 +99,25 @@ def test_cli_records_the_package_warnings_and_leaves_the_rest_to_the_filters(mon
             run_main(args)
 
 
+@pytest.mark.parametrize("experiment, override, error, code", [
+    # _m_range: n_eff L / lambda overflows before its finite-m refusal
+    ("match", "device.ring_length_um=1e305", "DomainError", 2),
+    # the trade-off's rates: the photon flux P/(hbar w) overflows before snr_report
+    ("tradeoff", "experiment.power_max_mW=1e300", "DomainError", 2),
+    ("tradeoff", "experiment.power_min_mW=1e300", "DomainError", 2),
+    # _m_range starts at m = 1, so the solver seed never divides by m = 0
+    ("match", "device.ring_length_um=1.0e-30", "NoFeasibleMatch", 3),
+], ids=["m-range-overflow", "tradeoff-power-max", "tradeoff-power-min", "m-zero-seed"])
+def test_refusals_raise_no_runtime_warning_on_the_way(tmp_path, experiment, override, error,
+                                                      code):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got, out, err = run_main([experiment, "--override", override,
+                                  "--out-dir", str(tmp_path / "out")])
+    assert (got, out) == (code, "")
+    assert error_record(code, err)["error"] == error
+
+
 @pytest.mark.parametrize("experiment, override, error, code, message", [
     ("tradeoff", "experiment.widths_nm=[]", "ConfigError", 2,
      "config key 'experiment.widths_nm' must list at least one width"),
