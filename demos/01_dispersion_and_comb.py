@@ -12,7 +12,7 @@ import numpy as np
 from qfcring.builders import build_device
 from qfcring.config import default_config
 from qfcring.dispersion import default_model
-from qfcring.elements import resonance_comb
+from qfcring.elements import resonance_combs
 
 
 def header(title):
@@ -44,7 +44,7 @@ def main():
 
     header("3. Pump-band resonance comb at T_ring = 350 K")
     device = build_device(cfg, with_coupler=False)
-    comb = resonance_comb(device, (1613.0, 1633.0), 350.0)
+    comb = resonance_combs(device, [(1613.0, 1633.0)], 350.0)[0]
     print(f"{'m':>6} {'lambda (nm)':>12} {'FSR (GHz)':>10}")
     for m, lam in comb:
         fsr = float(model.fsr_hz(lam, 350.0, width, length_m)) / 1e9

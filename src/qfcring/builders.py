@@ -6,6 +6,7 @@ writes or describes a file.
 
 from __future__ import annotations
 
+import math
 import warnings
 from functools import lru_cache
 
@@ -14,7 +15,7 @@ import numpy as np
 from .config import width_key
 from .constants import TWO_PI
 from .conversion import ModeChannel, TwmSystem, g0_effective
-from .dispersion import DispersionModel, load_dispersion_table
+from .dispersion import U_SCALE_NM, DispersionModel, _polyval, load_dispersion_table
 from .elements import MAX_ARM_PHASE_RAD, Device, DirectionalCoupler, MziCoupler, RingCavity
 from .errors import ConfigError, DomainError, UnmatchedVariant
 from .matching import (MatchResult, SearchConstraints, companion_detuning,
@@ -107,24 +108,34 @@ def build_device(cfg: dict, width_nm=None, with_coupler=True) -> Device:
             width_nm=width,
             t_base_K=float(dev["ambient_temperature_K"]),
         )
-        _check_arm_phase(mzi)
+        _check_arm_phase(mzi, "device.mzi_delta_T_K")
     return Device(dispersion=model, ring=ring, mzi=mzi)
 
 
 # Memoised because every operating_point call builds its device; an error is
 # not memoised, so a refused coupler is refused on every call.
 @lru_cache(maxsize=_SWEEP_MEMO_SIZE)
-def _check_arm_phase(mzi: MziCoupler) -> None:
-    """DomainError when |arm phase| >= MAX_ARM_PHASE_RAD at an edge of the window."""
+def _check_arm_phase(mzi: MziCoupler, drive_key: str) -> None:
+    """DomainError when |arm phase| at the drive mzi.delta_T_K, which the config
+    key drive_key sets, or the couplers' phase pi L_dc / (2 L_c) reaches
+    MAX_ARM_PHASE_RAD at an edge of the window."""
     window = mzi.dispersion.lambda_window_nm
-    with np.errstate(over="ignore", invalid="ignore"):
-        phase = np.abs(mzi.arm_phase(np.array(window)))
+    dc, edges = mzi.dc, np.array(window)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        phase = np.abs(mzi.arm_phase(edges))
+        lc = _polyval(dc.lc_coeffs_um, (edges - dc.lambda_ref_nm) / U_SCALE_NM)
+        coupler = np.abs(math.pi * dc.length_um / (2.0 * lc))
     if not np.all(phase < MAX_ARM_PHASE_RAD):
         raise DomainError(
             f"MZI arm phase of {np.max(phase):.3g} rad at the edges of the {window} nm "
             f"window is beyond float resolution (|phase| >= 2**32 rad): "
-            f"device.mzi_delta_T_K={mzi.delta_T_K:g} K with a {mzi.heater_len_um:g} um "
+            f"{drive_key}={mzi.delta_T_K:g} K with a {mzi.heater_len_um:g} um "
             f"heater and device.mzi_arm_delta_um={mzi.delta_len_um:g}")
+    if not np.all(coupler < MAX_ARM_PHASE_RAD):
+        raise DomainError(
+            f"directional-coupler phase pi L_dc / (2 L_c) of {np.max(coupler):.3g} rad at "
+            f"the edges of the {window} nm window is beyond float resolution (|phase| >= "
+            f"2**32 rad): device.dc_length_um={dc.length_um:g}")
 
 
 def build_constraints(cfg: dict) -> SearchConstraints:

@@ -11,6 +11,10 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
+from .errors import DomainError
+
 C_M_PER_S = 299_792_458.0        # speed of light in vacuum, exact
 HBAR_J_S = 1.054_571_817e-34     # reduced Planck constant (2019 SI)
 
@@ -29,5 +33,11 @@ def freq_hz(lambda_nm) -> float:
 
 
 def db_per_m_to_kappa(alpha_db_per_m: float, group_velocity_m_s: float) -> float:
-    """Propagation loss (dB/m) -> intrinsic energy decay rate kappa_0 (rad/s)."""
-    return alpha_db_per_m * DB_TO_NEPERS_POWER * group_velocity_m_s
+    """Propagation loss (dB/m) -> intrinsic energy decay rate kappa_0 (rad/s);
+    DomainError where it overflows."""
+    with np.errstate(over="ignore"):
+        kappa_0 = alpha_db_per_m * DB_TO_NEPERS_POWER * group_velocity_m_s
+    if not np.isfinite(kappa_0).all():
+        raise DomainError(f"intrinsic decay rate of a {alpha_db_per_m:g} dB/m propagation "
+                          "loss is beyond float range")
+    return kappa_0

@@ -137,13 +137,18 @@ def intracavity_pump(pump_power_W, omega_p, kappa_p, kappa_p_ex, delta_p=0.0):
             f"kappa_p_ex={kappa_p_ex} exceeds kappa_p={kappa_p}; the extrinsic "
             "rate cannot exceed the total"
         )
-    flux = np.asarray(pump_power_W) / (HBAR_J_S * omega_p)
+    flux = _photon_flux(pump_power_W, omega_p)
     return kappa_p_ex * flux / (delta_p**2 + (kappa_p / 2.0) ** 2)
 
 
-def cooperativity(sys: TwmSystem) -> float:
-    """C = 4 g0^2 |alpha|^2 / (kappa_s kappa_i) at the system's pump power."""
-    return float(_efficiencies(sys, sys.pump_power_W)[0])
+def _photon_flux(pump_power_W, omega):
+    """P / (hbar w) in photons/s; DomainError where it overflows."""
+    with np.errstate(over="ignore"):
+        flux = np.asarray(pump_power_W) / (HBAR_J_S * omega)
+    if not np.isfinite(flux).all():
+        raise DomainError(f"photon flux of a {np.max(pump_power_W):.6g} W drive at "
+                          f"{omega:.6g} rad/s is beyond float range")
+    return flux
 
 
 def external_efficiency(sys: TwmSystem):
@@ -164,14 +169,19 @@ def _efficiencies(sys: TwmSystem, powers_W):
     abs(bracket) ** 2 (libm hypot, then libm pow); numpy's ** 2 and x * x
     square exactly and differ from pow in the last bit.
     """
-    n_pump = intracavity_pump(
-        powers_W, sys.pump.omega, sys.pump.kappa_tot, sys.pump.kappa_ex, sys.pump.delta,
-    )
     ks, ki = sys.signal.kappa_tot, sys.idler.kappa_tot
-    C = 4.0 * sys.g0**2 * n_pump / (ks * ki)
     _, d_s, d_c = _detunings(sys)
     bracket = (1.0 + 2j * d_s / ks) * (1.0 + 2j * d_c / ki)
-    eta_int = 4.0 * C / np.float_power(np.hypot(bracket.real + C, bracket.imag), 2.0)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite |bracket|^2 is refused
+        n_pump = intracavity_pump(
+            powers_W, sys.pump.omega, sys.pump.kappa_tot, sys.pump.kappa_ex, sys.pump.delta,
+        )
+        C = 4.0 * sys.g0**2 * n_pump / (ks * ki)
+        square = np.float_power(np.hypot(bracket.real + C, bracket.imag), 2.0)
+    if not np.isfinite(square).all():
+        raise DomainError(f"conversion closed form at a {np.max(powers_W):.6g} W drive "
+                          "is beyond float range")
+    eta_int = 4.0 * C / square
     eta_ex = sys.signal.eta * sys.idler.eta * eta_int
     return C, eta_int, eta_ex
 
@@ -219,6 +229,7 @@ _RESIDUAL_TOL = 1e-9  # relative equilibrium residual of `converged`
 _CHECK_EVERY = 200    # steady-state steps between two convergence tests
 _POLISH_GATE = 1e-3   # relative residual a chunk must reach before a Newton polish
 _NEWTON_ITERATIONS = 4
+_HORIZON = 320.0      # steady-state budget: integration time in units of 1/min(kappa)
 
 
 def _pump_drive(sys: TwmSystem) -> float:
@@ -390,7 +401,7 @@ def _newton_polish(rhs, jacobian, state, kappa_min):
     return None
 
 
-def steady_state_conversion(sys: TwmSystem, steps=None):
+def steady_state_conversion(sys: TwmSystem):
     """Driven steady-state (eta_int, eta_ex) extracted from the integrator.
 
     Drives the signal with a photon flux far below the pump's so the
@@ -407,11 +418,11 @@ def steady_state_conversion(sys: TwmSystem, steps=None):
     Jacobian in (a, b, c, a*, b*, c*) solved in Python complex floats.  The
     polished state is kept only if it passes the same _RESIDUAL_TOL test and
     every eigenvalue of the Jacobian there has Re < 0; otherwise integration
-    goes on.  steps (default 320/slow of time, slow the smallest kappa) is the
-    budget, then NumericalFailure; a steps that is not an integer >= 1 is a
-    DomainError.  A pump power of 0 and a carrier with kappa_ex = 0 are refused
-    up front (DomainError): the probe flux scales with the first and is driven
-    and read through the bus by the second, so no budget could help.
+    goes on.  The budget is _HORIZON / slow of integration time, slow the
+    smallest kappa, then NumericalFailure.  A pump power of 0 and a carrier
+    with kappa_ex = 0 are refused up front (DomainError): the probe flux
+    scales with the first and is driven and read through the bus by the
+    second, so no budget could help.
     """
     if sys.pump_power_W == 0.0:
         raise DomainError("pump power is 0 W: the oracle's probe signal flux scales with it "
@@ -425,7 +436,7 @@ def steady_state_conversion(sys: TwmSystem, steps=None):
     signal_flux = 1e-6 * n_pump * sys.signal.kappa_tot**2 / (4.0 * sys.signal.kappa_ex)
     slow = min(ch.kappa_tot for ch in sys.channels)
     dt = 0.09 / _fastest_rate(sys)
-    steps = int(320.0 / (slow * dt)) + 1 if steps is None else _count("steps", steps)
+    steps = int(_HORIZON / (slow * dt)) + 1
     rhs, jacobian, _ = _mean_field(sys, signal_flux)
     state = (0j, 0j, 0j)
     for _ in range(-(-steps // _CHECK_EVERY)):
@@ -439,7 +450,7 @@ def steady_state_conversion(sys: TwmSystem, steps=None):
                 state = polished
                 break
     else:
-        raise NumericalFailure("steady state not reached; increase steps")
+        raise NumericalFailure(f"steady state not reached in {_HORIZON:g}/min(kappa) of time")
     eta_ex = sys.idler.kappa_ex * abs(state[2]) ** 2 / signal_flux
     eta_int = eta_ex / (sys.signal.eta * sys.idler.eta)
     return eta_int, eta_ex

@@ -114,9 +114,9 @@ class MziCoupler:
         t = np.sqrt(1.0 - k**2)
         return k, t, np.exp(1j * self.arm_phase(lam, delta_T_K))
 
-    def _entries(self, lambda_nm, delta_T_K=None):
+    def _entries(self, lambda_nm):
         """(M00, M01, M10, M11) of C . diag(e^{i dtheta}, 1) . C, each shaped like lambda_nm."""
-        k, t, ph = self._field_terms(lambda_nm, delta_T_K)
+        k, t, ph = self._field_terms(lambda_nm, None)
         m10 = _m10(k, t, ph)  # M01 = M10: the couplers are identical and k t = t k
         return t * t * ph - k * k, m10, m10, -k * k * ph + t * t
 
@@ -215,9 +215,9 @@ def coupling_ratio(device: Device, lambda_nm, t_ring_K, delta_T_K=None):
     return kappa_ex / (kappa_ex + kappa_0)
 
 
-def mode_rates(device: Device, lambda_nm, t_ring_K, delta_T_K=None):
+def mode_rates(device: Device, lambda_nm, t_ring_K):
     """(kappa_ex, kappa_0) in rad/s for a cavity mode at lambda_nm (0.0 kappa_ex bare)."""
-    _, kappa_ex, kappa_0 = _rates(device, lambda_nm, t_ring_K, delta_T_K)
+    _, kappa_ex, kappa_0 = _rates(device, lambda_nm, t_ring_K)
     return float(kappa_ex), float(kappa_0)
 
 
@@ -268,17 +268,12 @@ def _m_range(device: Device, band_nm, t_K) -> range:
     return range(max(1, int(math.floor(m.min()))), int(math.ceil(m.max())) + 1)
 
 
-def resonance_comb(device: Device, band_nm, t_ring_K):
-    """All (m, lambda_m) resonances with lambda_m inside band_nm, sorted by lambda.
-
-    Each pair satisfies m * lambda_m = n_eff(lambda_m, T) * L to machine
-    precision; consecutive azimuthal numbers differ by 1.
-    """
-    return resonance_combs(device, [band_nm], t_ring_K)[0]
-
-
 def resonance_combs(device: Device, bands_nm, t_ring_K):
-    """resonance_comb of each band in bands_nm, with every line root-solved in one call."""
+    """All (m, lambda_m) resonances inside each band of bands_nm, sorted by lambda.
+
+    Every line is root-solved in one call.  Each pair satisfies m * lambda_m =
+    n_eff(lambda_m, T) * L to machine precision; consecutive m differ by 1.
+    """
     model, ring = device.dispersion, device.ring
     bands, ms = [], []
     for band_nm in bands_nm:

@@ -10,17 +10,18 @@ from __future__ import annotations
 
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 
 from . import __version__
-from .builders import build_twm_system, fwm_channel_at, operating_point
+from .builders import _check_arm_phase, build_twm_system, fwm_channel_at, operating_point
 from .calibration import calibrate_config
 from .config import config_hash, emit_config, width_key
 from .constants import C_M_PER_S, TWO_PI, freq_hz
 from .conversion import efficiency_vs_power, pump_power_unity_cooperativity
 from .elements import coupling_ratio, resonance_combs, ring_spectrum
-from .errors import ConfigError, NoFeasibleMatch, UnmatchedVariant
+from .errors import ConfigError, NoFeasibleMatch, OutOfDomain, UnmatchedVariant
 from .matching import sweep_step_K
 from .noise import efficiency_snr_tradeoff, noise_vs_power
 
@@ -248,7 +249,9 @@ def run_couplings(cfg, out):
     out.table("dc_cross", ["wavelength_nm", "cross_coupling"],
               np.column_stack([lam_grid, device.mzi.dc.cross_coupling(lam_grid)]))
 
-    dts = np.linspace(0.0, float(exp["mzi_sweep_max_K"]), int(exp["mzi_sweep_points"]))
+    drive = float(exp["mzi_sweep_max_K"])
+    _check_arm_phase(replace(device.mzi, delta_T_K=drive), "experiment.mzi_sweep_max_K")
+    dts = np.linspace(0.0, drive, int(exp["mzi_sweep_points"]))
     carriers = np.array([[sol.lambda_nm] for _, sol in match.carriers])
     etas = coupling_ratio(device, carriers, match.t_ring_K, delta_T_K=dts)  # (3, n_dT)
     out.table("coupling_ratios", ["delta_T_mzi_K", "eta_pump", "eta_signal", "eta_idler"],
@@ -262,10 +265,14 @@ def run_spectrum(cfg, out):
     device, matches = operating_point(cfg)
     match = matches[0]
     exp = cfg["experiment"]
-    span_hz = float(exp["spectrum_span_GHz"]) * 1e9
+    span_GHz = float(exp["spectrum_span_GHz"])
+    span_hz = span_GHz * 1e9
     points = int(exp["spectrum_points"])
     for label, sol in match.carriers:
         f0 = freq_hz(sol.lambda_nm)
+        if not f0 - span_hz / 2.0 > 0.0:
+            raise OutOfDomain(f"spectrum span of {span_GHz:g} GHz around the {label} "
+                              f"line at {sol.lambda_nm:.6f} nm reaches zero frequency")
         freqs = np.linspace(f0 - span_hz / 2.0, f0 + span_hz / 2.0, points)
         lams = np.sort(C_M_PER_S / freqs * 1e9)
         out.table(f"spectrum_{label}", ["wavelength_nm", "transmission"],

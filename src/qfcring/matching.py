@@ -141,9 +141,11 @@ def _signal_tuning(device: Device, constraints: SearchConstraints):
     rate = constraints.signal_target_hz * abs(model.dn_dT_per_K) / float(ng)
     step = constraints.t_step_K
     if step is None:
-        # Lines that do not move with T: one step spans the range.
-        step = (constraints.t_max_K - constraints.t_min_K if rate == 0.0
-                else max(1e-3, 0.25 * constraints.max_signal_detuning_Hz / rate))
+        # Lines that do not move with T, or a tolerance beyond float range: one step
+        # spans the range.
+        tol = constraints.max_signal_detuning_Hz
+        step = (constraints.t_max_K - constraints.t_min_K if rate == 0.0 or math.isinf(tol)
+                else max(1e-3, 0.25 * tol / rate))
     return ng, rate, step
 
 
@@ -225,7 +227,7 @@ def _scan(device, constraints, t_points, m_s_list, m_p_list, m_i_list, m_offset)
 
     feasible holds every window+QPM pair within the mismatch bound, in
     (hit, pump line, idler line) order.  A hit temperature without one offers
-    its first pair of least |mismatch| / tol_d as a near miss (|signal
+    its first pair of least |mismatch| as a near miss (|signal
     detuning| <= tol_s at every hit, so the mismatch alone sets how near a
     pair is); near is the first least of those, or None.  paired says whether
     any hit has a pump and an idler line inside their windows.  Every signal,
@@ -293,7 +295,7 @@ def _scan(device, constraints, t_points, m_s_list, m_p_list, m_i_list, m_offset)
         miss = base.any(axis=(1, 2)) & ~ok.any(axis=(1, 2))
         if not np.any(miss):
             continue
-        score = np.where(base, np.abs(delta) / tol_d, np.inf).reshape(miss.size, -1)
+        score = np.where(base, np.abs(delta), np.inf).reshape(miss.size, -1)
         pair = np.argmin(score, axis=1)                      # first least per hit
         least = np.where(miss, score[np.arange(miss.size), pair], np.inf)
         k = int(np.argmin(least))                            # first least hit
@@ -326,7 +328,7 @@ def find_triple_resonance(device: Device, constraints: SearchConstraints):
             f"> tolerance/2 = {constraints.max_signal_detuning_Hz / 2e6:.1f} MHz"
         )
     span = constraints.t_max_K - constraints.t_min_K
-    fsr_s = _fsr_hz(ng, device.ring.length_m)
+    fsr_s = _fsr_hz(float(ng), device.ring.length_m)  # inf for a ring too short to resolve
     if rate * span < fsr_s:
         warnings.warn(
             f"sweep range covers {rate * span / 1e9:.1f} GHz of signal shift, "
@@ -334,7 +336,8 @@ def find_triple_resonance(device: Device, constraints: SearchConstraints):
             stacklevel=2,
         )
 
-    n_steps = int(math.floor(span / step + 1e-9)) + 1
+    count = span / step + 1e-9  # inf for a step below ~1e-306 K, which is refused below
+    n_steps = int(math.floor(count)) + 1 if math.isfinite(count) else count
     t_ends = (constraints.t_min_K, constraints.t_max_K)
     target_nm = constraints.signal_wavelength_nm
     m_s_list = _m_range(device, (target_nm, target_nm), t_ends)

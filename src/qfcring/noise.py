@@ -21,8 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import HBAR_J_S
-from .conversion import TwmSystem, _check_rate_powers, efficiency_vs_power
+from .conversion import TwmSystem, _check_rate_powers, _photon_flux, efficiency_vs_power
 from .errors import DomainError
 
 
@@ -59,10 +58,13 @@ def fwm_noise_rate(ch: FwmChannel, pump_power_W):
     if np.any(p < 0.0):
         raise DomainError("pump power must be >= 0")
     pump = ch.system.pump
-    flux = p / (HBAR_J_S * pump.omega)
+    flux = _photon_flux(p, pump.omega)
     k_sum = ch.system.idler.kappa_tot + ch.kappa_comp
     lorentz = k_sum / (4.0 * ch.delta_comp**2 + k_sum**2)
-    out = 64.0 * ch.g_chi3**2 * flux**2 * (pump.kappa_ex**2 / pump.kappa_tot**4) * lorentz
+    with np.errstate(over="ignore"):
+        out = 64.0 * ch.g_chi3**2 * flux**2 * (pump.kappa_ex**2 / pump.kappa_tot**4) * lorentz
+    if not np.isfinite(out).all():
+        raise DomainError(f"FWM noise rate at a {np.max(p):.6g} W drive is beyond float range")
     return float(out) if np.isscalar(pump_power_W) else out
 
 
@@ -115,10 +117,8 @@ def efficiency_snr_tradeoff(channels, powers_W, signal_input_rate_Hz: float):
     rows = np.empty((len(channels) * n, 6))
     best = None
     for i, (width, channel) in enumerate(sorted(channels.items())):
-        # a drive whose photon flux overflows gives an inf rate, which snr_report refuses
-        with np.errstate(over="ignore", invalid="ignore"):
-            rates = fwm_noise_rate(channel, powers)
-            etas = efficiency_vs_power(channel.system, powers)[:, 3]
+        rates = fwm_noise_rate(channel, powers)
+        etas = efficiency_vs_power(channel.system, powers)[:, 3]
         snrs = [snr_report(rate, signal_input_rate_Hz * eta)
                 for eta, rate in zip(etas.tolist(), rates.tolist())]
         block = rows[i * n:(i + 1) * n]

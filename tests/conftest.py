@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import functools
 import json
 import math
@@ -54,11 +55,14 @@ def simple_model(coeffs, dn_dt=3.9e-5, lambda_ref=1200.0, t_ref=350.0,
 
 
 def mzi_transfer(mzi, lambda_nm, delta_T_K=None):
-    """The MZI coupler's composite 2x2 matrix stacked from its entries.
+    """The MZI coupler's composite 2x2 matrix stacked from its entries, at the
+    thermal drive delta_T_K (default: the coupler's own).
 
     Shape (2, 2) for a scalar wavelength, (n, 2, 2) for an n-vector.
     """
-    m00, m01, m10, m11 = mzi._entries(lambda_nm, delta_T_K)
+    if delta_T_K is not None:
+        mzi = dataclasses.replace(mzi, delta_T_K=delta_T_K)
+    m00, m01, m10, m11 = mzi._entries(lambda_nm)
     return np.stack([np.stack([m00, m01], axis=-1), np.stack([m10, m11], axis=-1)], axis=-2)
 
 

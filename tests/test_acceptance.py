@@ -18,7 +18,6 @@ from qfcring.constants import HBAR_J_S, TWO_PI
 from qfcring.conversion import (
     ModeChannel,
     TwmSystem,
-    cooperativity,
     efficiency_vs_power,
     external_efficiency,
     pump_power_unity_cooperativity,
@@ -46,7 +45,7 @@ def test_criterion_1_closed_form_unit_anchors():
     p1 = pump_power_unity_cooperativity(sys0)
     for factor, expect in ((1.0, 1.0), (0.5, 8.0 / 9.0), (4.0, 0.64)):
         s = sys0.with_power(factor * p1)
-        assert cooperativity(s) == pytest.approx(factor, abs=1e-12)
+        assert efficiency_vs_power(s, s.pump_power_W)[0, 1] == pytest.approx(factor, abs=1e-12)
         eta_int, _ = external_efficiency(s)
         assert eta_int == pytest.approx(expect, abs=1e-12)
     _report(1, "eta_int(C=1)=1, eta_int(C=0.5)=8/9, eta_int(C=4)=0.64 to 1e-12")
@@ -72,7 +71,7 @@ def test_criterion_2_pump_power_identity():
                       * sys.signal.kappa_tot * sys.idler.kappa_tot
                       / (16.0 * sys.g0**2 * sys.pump.eta))
         worst_rel = max(worst_rel, abs(p_max / simplified - 1.0))
-        worst_c = max(worst_c, abs(cooperativity(sys.with_power(p_max)) - 1.0))
+        worst_c = max(worst_c, abs(efficiency_vs_power(sys, p_max)[0, 1] - 1.0))
     assert worst_rel < 1e-12
     assert worst_c < 1e-12
     _report(2, f"10^4 draws: identity rel err {worst_rel:.2e}, "

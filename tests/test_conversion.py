@@ -18,7 +18,6 @@ from qfcring.constants import HBAR_J_S, TWO_PI
 from qfcring.conversion import (
     ModeChannel,
     TwmSystem,
-    cooperativity,
     efficiency_vs_power,
     evolve_mean_field,
     external_efficiency,
@@ -109,13 +108,13 @@ def test_intracavity_rejects_nonphysical_rates():
 
 
 def test_cooperativity_zero_without_nonlinearity():
-    assert cooperativity(make_system(g0=0.0, power=1e-3)) == 0.0
+    assert efficiency_vs_power(make_system(g0=0.0), 1e-3)[0, 1] == 0.0
 
 
 def test_cooperativity_linear_in_power():
     sys = make_system()
     powers = np.geomspace(1e-6, 1e-2, 25)
-    cs = np.array([cooperativity(sys.with_power(float(p))) for p in powers])
+    cs = np.array([efficiency_vs_power(sys, float(p))[0, 1] for p in powers])
     slope = np.polyfit(np.log(powers), np.log(cs), 1)[0]
     assert slope == pytest.approx(1.0, abs=1e-9)
 
@@ -190,7 +189,7 @@ def test_pump_power_identity_and_roundtrip():
                       * sys.signal.kappa_tot * sys.idler.kappa_tot
                       / (16.0 * sys.g0**2 * sys.pump.eta))
         assert p_max == pytest.approx(simplified, rel=1e-12)
-        assert cooperativity(sys.with_power(p_max)) == pytest.approx(1.0, abs=1e-12)
+        assert efficiency_vs_power(sys, p_max)[0, 1] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_pump_power_g0_scaling():
@@ -220,7 +219,7 @@ def test_conversion_result_record():
     p_max = pump_power_unity_cooperativity(sys)
     driven = sys.with_power(p_max)
     assert driven.pump_power_W == p_max
-    assert cooperativity(driven) == pytest.approx(1.0, abs=1e-12)
+    assert efficiency_vs_power(driven, driven.pump_power_W)[0, 1] == pytest.approx(1.0, abs=1e-12)
     assert pump_power_unity_cooperativity(driven) == pytest.approx(p_max, rel=1e-15)
     eta_int, eta_ex = external_efficiency(driven)
     assert 0.0 <= eta_ex <= eta_int <= 1.0 + 1e-12
@@ -302,7 +301,7 @@ def test_array_closed_form_matches_scalar_formula_bit_for_bit(
                                             for p in points]))
     for point in points:
         c_ref, eta_int_ref, eta_ex_ref = scalar_efficiencies(point)
-        assert np.array_equal(bits([cooperativity(point), *external_efficiency(point)]),
+        assert np.array_equal(bits([efficiency_vs_power(point, point.pump_power_W)[0, 1], *external_efficiency(point)]),
                               bits([c_ref, eta_int_ref, eta_ex_ref]))
 
 
@@ -456,10 +455,11 @@ def test_resumed_integration_is_bit_identical():
     assert state == whole
 
 
-def test_steady_state_budget_exhausted():
-    sys = make_system(power=5e-4)
-    with pytest.raises(NumericalFailure):
-        steady_state_conversion(sys, steps=200)
+def test_steady_state_budget_exhausted(monkeypatch):
+    # a horizon of 1e-3/min(kappa) is one step, so one chunk of _CHECK_EVERY steps
+    monkeypatch.setattr(conversion, "_HORIZON", 1e-3)
+    with pytest.raises(NumericalFailure, match=r"not reached in 0.001/min\(kappa\) of time"):
+        steady_state_conversion(make_system(power=5e-4))
 
 
 def test_step_size_guard():
@@ -503,17 +503,6 @@ def test_step_counts_must_be_positive_integers(name, value):
     kwargs = {"dt": 1e-12, "steps": 10, name: value}
     with pytest.raises(DomainError, match=f"{name} must be an integer >= 1"):
         evolve_mean_field(make_system(power=1e-3), **kwargs)
-
-
-@pytest.mark.parametrize("steps", [0, -5, 2.5, 10.0, True, "10"])
-def test_steady_state_step_budget_must_be_a_positive_integer(steps):
-    with pytest.raises(DomainError, match="steps must be an integer >= 1"):
-        steady_state_conversion(make_system(power=1e-3), steps=steps)
-
-
-def test_steady_state_accepts_a_numpy_integer_step_budget():
-    sys = make_system(power=1e-3)
-    assert steady_state_conversion(sys, steps=np.int64(10**6)) == steady_state_conversion(sys)
 
 
 @pytest.mark.parametrize("dt", [0.0, -1e-12, math.nan, math.inf, -math.inf, None])

@@ -27,7 +27,6 @@ from qfcring.elements import (
     coupling_ratio,
     mode_rates,
     qpm_mismatch,
-    resonance_comb,
     resonance_combs,
     resonance_residual,
     ring_spectrum,
@@ -238,11 +237,15 @@ def test_couplings_experiment_warns_once_beyond_weak_coupling(cfg, tmp_path):
 
 @pytest.mark.parametrize("delta_T_K", [None, 0.0, 37.5])
 def test_coupling_ratio_is_mode_rates_ratio(cfg, delta_T_K):
-    # one kappa_ex formula: the ratio from mode_rates' rates, bit for bit
+    # one kappa_ex formula: the ratio from the rates at the same drive, bit for bit
     device = build_device(cfg)
     match = find_triple_resonance(device, build_constraints(cfg))[0]
     for sol in (match.pump, match.signal, match.idler):
-        kappa_ex, kappa_0 = mode_rates(device, sol.lambda_nm, match.t_ring_K, delta_T_K)
+        if delta_T_K is None:
+            kappa_ex, kappa_0 = mode_rates(device, sol.lambda_nm, match.t_ring_K)
+        else:
+            _, kappa_ex, kappa_0 = elements._rates(device, sol.lambda_nm, match.t_ring_K,
+                                                   delta_T_K)
         eta = coupling_ratio(device, sol.lambda_nm, match.t_ring_K, delta_T_K)
         assert float(eta) == kappa_ex / (kappa_ex + kappa_0)
 
@@ -273,7 +276,7 @@ def test_spectrum_critical_coupling_extinction():
     K_target = 40.0 * math.log(10.0) / 10.0 * 500e-6
     k2 = 0.5 * (1.0 - math.sqrt(1.0 - K_target))
     mzi = make_mzi(k2=k2, delta_len_um=0.0, model=model)
-    comb = resonance_comb(Device(dispersion=model, ring=ring), (1540.0, 1560.0), 350.0)
+    comb = resonance_combs(Device(dispersion=model, ring=ring), [(1540.0, 1560.0)], 350.0)[0]
     lam0 = comb[0][1]
     lam = np.linspace(lam0 - 0.05, lam0 + 0.05, 40001)
     t = ring_spectrum(coupled(ring, mzi), lam, 350.0)
@@ -303,7 +306,7 @@ def test_spectrum_linewidth_matches_rate_model():
         k2 = rng.uniform(0.002, 0.02)
         mzi = make_mzi(k2=float(k2), delta_len_um=0.0, model=model)
         device = Device(dispersion=model, ring=ring, mzi=mzi)
-        comb = resonance_comb(device, (1540.0, 1560.0), 350.0)
+        comb = resonance_combs(device, [(1540.0, 1560.0)], 350.0)[0]
         lam0 = comb[len(comb) // 2][1]
         vg = float(model.group_velocity(lam0, 350.0, WIDTH))
         kappa_ex = float(mzi.cross_coupling(lam0, delta_T_K=0.0)) * vg / ring.length_m
@@ -345,14 +348,14 @@ def test_comb_dispersionless_closed_form():
     ring = RingCavity(length_um=100.0, width_nm=WIDTH, alpha_prop_dB_per_m=30.0,
                       ppln_fraction=0.0, poling_period_um=5.0)
     device = Device(dispersion=model, ring=ring)
-    comb = resonance_comb(device, (950.0, 1050.0), 350.0)
+    comb = resonance_combs(device, [(950.0, 1050.0)], 350.0)[0]
     ms = dict((m, lam) for m, lam in comb)
     assert ms[200] == pytest.approx(1000.0, abs=1e-9)
 
 
 def test_comb_spacing_matches_fsr(cfg):
     device = build_device(cfg, with_coupler=False)
-    comb = resonance_comb(device, (1600.0, 1646.0), 350.0)
+    comb = resonance_combs(device, [(1600.0, 1646.0)], 350.0)[0]
     lams = np.array([lam for _, lam in comb])
     centers = 0.5 * (lams[1:] + lams[:-1])
     for lam_c, dlam in zip(centers, np.diff(lams)):
@@ -365,8 +368,8 @@ def test_comb_spacing_matches_fsr(cfg):
 def test_comb_thermal_shift_first_order(cfg):
     device = build_device(cfg, with_coupler=False)
     dT = 5.0
-    comb_a = resonance_comb(device, (1615.0, 1631.0), 340.0)
-    comb_b = resonance_comb(device, (1615.0, 1631.0), 340.0 + dT)
+    comb_a = resonance_combs(device, [(1615.0, 1631.0)], 340.0)[0]
+    comb_b = resonance_combs(device, [(1615.0, 1631.0)], 340.0 + dT)[0]
     by_m_a = dict(comb_a)
     model = device.dispersion
     for m, lam_b in comb_b:
@@ -380,7 +383,7 @@ def test_comb_thermal_shift_first_order(cfg):
 
 def test_comb_residual_and_ordering(cfg):
     device = build_device(cfg, with_coupler=False)
-    comb = resonance_comb(device, (1340.0, 1360.0), 372.0)
+    comb = resonance_combs(device, [(1340.0, 1360.0)], 372.0)[0]
     length_nm = device.ring.length_m * 1e9
     for m, lam in comb:
         n = float(device.dispersion.n_eff(lam, 372.0, device.width_nm))
@@ -392,11 +395,11 @@ def test_comb_residual_and_ordering(cfg):
 
 def test_comb_empty_narrow_band_raises(cfg):
     device = build_device(cfg, with_coupler=False)
-    comb = resonance_comb(device, (1610.0, 1640.0), 350.0)
+    comb = resonance_combs(device, [(1610.0, 1640.0)], 350.0)[0]
     lams = np.array([lam for _, lam in comb])
     gap_center = 0.5 * (lams[3] + lams[4])
     with pytest.raises(NoResonance, match="narrower than one FSR"):
-        resonance_comb(device, (gap_center - 0.05, gap_center + 0.05), 350.0)
+        resonance_combs(device, [(gap_center - 0.05, gap_center + 0.05)], 350.0)
 
 
 COMB_BANDS = {"signal": (727.0, 747.0), "pump": (1613.0, 1633.0), "idler": (1340.0, 1360.0)}
@@ -414,7 +417,7 @@ def test_combs_of_three_bands_equal_three_combs_in_one_solve(cfg, width, monkeyp
         return solve_resonance_wavelength(*args)
 
     for t in COMB_TEMPS_K:
-        one_by_one = [resonance_comb(device, band, t) for band in bands]
+        one_by_one = [resonance_combs(device, [band], t)[0] for band in bands]
         with monkeypatch.context() as m:
             m.setattr(elements, "solve_resonance_wavelength", counted)
             assert resonance_combs(device, bands, t) == one_by_one
@@ -424,10 +427,10 @@ def test_combs_of_three_bands_equal_three_combs_in_one_solve(cfg, width, monkeyp
 
 def test_empty_band_raises_the_same_text_through_both_calls(cfg):
     device = build_device(cfg, with_coupler=False)
-    lams = [lam for _, lam in resonance_comb(device, (1610.0, 1640.0), 350.0)]
+    lams = [lam for _, lam in resonance_combs(device, [(1610.0, 1640.0)], 350.0)[0]]
     gap = (0.5 * (lams[3] + lams[4]) - 0.05, 0.5 * (lams[3] + lams[4]) + 0.05)
     with pytest.raises(NoResonance) as one:
-        resonance_comb(device, gap, 350.0)
+        resonance_combs(device, [gap], 350.0)
     with pytest.raises(NoResonance) as many:
         resonance_combs(device, [COMB_BANDS["pump"], gap, COMB_BANDS["idler"]], 350.0)
     assert str(many.value) == str(one.value)
@@ -443,7 +446,7 @@ def test_comb_equals_per_line_scalar_solves(cfg, width, band):
     device = build_device(cfg, width_nm=width, with_coupler=False)
     lo, hi = COMB_BANDS[band]
     for t in COMB_TEMPS_K:
-        comb = resonance_comb(device, (lo, hi), t)
+        comb = resonance_combs(device, [(lo, hi)], t)[0]
         ms = [m for m, _ in comb]
         # a few lines past each end, solved one at a time, must stay outside the band
         lines = _scalar_lines(device, range(min(ms) - 3, max(ms) + 4), t)
@@ -524,7 +527,7 @@ def test_resonance_comb_lines_are_consecutive_roots_on_random_models(device, lo,
     band = (lo, min(lo + span, WINDOW[1]))
     assume(band[0] < band[1])
     try:
-        pairs = resonance_comb(device, band, t_K)
+        pairs = resonance_combs(device, [band], t_K)[0]
     except NoResonance:
         assume(False)
     ms = [m for m, _ in pairs]
@@ -672,10 +675,10 @@ def _cubic_ring_device():
     (lambda: _ring(alpha_prop_dB_per_m=-1.0), DomainError, r"^propagation loss must be >= 0$"),
     (lambda: ring_spectrum(Device(dispersion=simple_model([2.0]), ring=_ring()), [1550.0], 350.0),
      DomainError, r"^spectrum needs at least 2 wavelength samples$"),
-    (lambda: resonance_comb(Device(dispersion=simple_model([2.0]), ring=_ring()),
-                            (1500.0, 1400.0), 350.0),
+    (lambda: resonance_combs(Device(dispersion=simple_model([2.0]), ring=_ring()),
+                             [(1500.0, 1400.0)], 350.0),
      DomainError, r"^empty wavelength band \(1500.0, 1400.0\)$"),
-    (lambda: resonance_comb(_cubic_ring_device(), (1108.0, 1248.5), 350.0),
+    (lambda: resonance_combs(_cubic_ring_device(), [(1108.0, 1248.5)], 350.0),
      NoResonance, r"^band \[1108.0, 1248.5\] nm contains no resonance$"),
 ], ids=["coupler-length", "ppln-fraction", "poling-period", "propagation-loss",
         "one-sample-spectrum", "empty-band", "band-of-one-fsr-without-a-line"])

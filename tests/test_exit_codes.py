@@ -107,7 +107,31 @@ def test_cli_records_the_package_warnings_and_leaves_the_rest_to_the_filters(mon
     ("tradeoff", "experiment.power_min_mW=1e300", "DomainError", 2),
     # _m_range starts at m = 1, so the solver seed never divides by m = 0
     ("match", "device.ring_length_um=1.0e-30", "NoFeasibleMatch", 3),
-], ids=["m-range-overflow", "tradeoff-power-max", "tradeoff-power-min", "m-zero-seed"])
+    # the sweep's step count span / step overflows
+    ("match", "constraints.t_step_mK=1e-305", "DomainError", 2),
+    # a photon flux, a noise rate or a decay rate that overflows where it is computed
+    ("convert", "experiment.power_max_mW=1e300", "DomainError", 2),
+    # a finite flux whose cooperativity or |bracket|^2 overflows in the closed form
+    ("convert", "experiment.power_max_mW=1e200", "DomainError", 2),
+    ("noise", "experiment.power_max_mW=1e300", "DomainError", 2),
+    ("calibrate", "calibration_targets.fwm_rate_power_mW=1e300", "DomainError", 2),
+    ("match", "device.propagation_loss_dB_per_m=1e305", "DomainError", 2),
+    # the arm phase at the sweep's largest drive, and the couplers' pi L_dc / (2 L_c)
+    ("couplings", "experiment.mzi_sweep_max_K=1.7e308", "DomainError", 2),
+    ("couplings", "device.dc_length_um=1.7e308", "DomainError", 2),
+    ("spectrum", "device.dc_length_um=1.7e308", "DomainError", 2),
+    # a span that reaches zero frequency, before its grid is built
+    ("spectrum", "experiment.spectrum_span_GHz=1e300", "OutOfDomain", 2),
+    # the near miss ranks pairs by |mismatch|, not |mismatch| / tol
+    ("match", "constraints.max_mismatch_MHz=1e-305", "NoFeasibleMatch", 3),
+    # an infinite signal tolerance: one step spans the range, so the grid is finite
+    ("match", "constraints.max_signal_detuning_MHz=1e305", "NoFeasibleMatch", 3),
+    # the sweep's coverage check reads an FSR of inf in Python floats
+    ("match", "device.ring_length_um=1e-300", "NoFeasibleMatch", 3),
+], ids=["m-range-overflow", "tradeoff-power-max", "tradeoff-power-min", "m-zero-seed",
+        "sweep-step-count", "convert-power-max", "convert-closed-form", "noise-power-max", "calibrate-fwm-power",
+        "loss-rate", "couplings-sweep-drive", "couplings-dc-length", "spectrum-dc-length",
+        "spectrum-span", "mismatch-score", "signal-tolerance-grid", "short-ring-fsr"])
 def test_refusals_raise_no_runtime_warning_on_the_way(tmp_path, experiment, override, error,
                                                       code):
     with warnings.catch_warnings():
@@ -116,6 +140,8 @@ def test_refusals_raise_no_runtime_warning_on_the_way(tmp_path, experiment, over
                                   "--out-dir", str(tmp_path / "out")])
     assert (got, out) == (code, "")
     assert error_record(code, err)["error"] == error
+    for path in (tmp_path / "out").glob("*"):  # what a runner wrote before it refused
+        assert not re.search(r"\b(nan|inf|NaN|Infinity)\b", path.read_text()), path.name
 
 
 @pytest.mark.parametrize("experiment, override, error, code, message", [
@@ -181,6 +207,9 @@ def test_refusals_raise_no_runtime_warning_on_the_way(tmp_path, experiment, over
      "config key 'device.mzi_heater_length_um' must be finite, got inf"),
     ("match", "constraints.t_step_mK=1.0e-9", "DomainError", 2,
      "search grid of "),
+    # span / step overflows: the grid is refused before its count becomes an int
+    ("match", "constraints.t_step_mK=1e-305", "DomainError", 2,
+     "search grid of 37 comb lines x Infinity temperatures "),
     ("match", "dispersion.fit_order=2", "FitError", 4,
      "fit residual "),
     ("match", "dispersion.fit_order=-1", "DomainError", 2,
@@ -217,9 +246,9 @@ def test_refusals_raise_no_runtime_warning_on_the_way(tmp_path, experiment, over
     ("match", "device.ring_length_um=1e300", "DomainError", 2,
      "search grid of "),
     ("tradeoff", "experiment.power_max_mW=1e300", "DomainError", 2,
-     "SNR of a "),
+     "photon flux of a 1e+297 W drive at "),
     ("tradeoff", "experiment.power_min_mW=1e300", "DomainError", 2,
-     "noise rate must be finite, got inf Hz"),
+     "photon flux of a 1e+297 W drive at "),
     # rates whose powers in the closed forms overflow Python floats
     ("convert", "physics.pump_detuning_MHz=-1e300", "DomainError", 2,
      "pump mode delta=-6.28319e+306 rad/s is beyond float range at power 2"),
@@ -249,7 +278,7 @@ def test_refusals_raise_no_runtime_warning_on_the_way(tmp_path, experiment, over
         "zero-heater", "negative-fwm-rate", "zero-fwm-rate", "zero-g0",
         "zero-fwm-power", "negative-fwm-power", "underflowing-fwm-power", "zero-loss",
         "nan-ring-length", "inf-heater-length",
-        "tiny-sweep-step", "packaged-table-order-2", "negative-fit-order",
+        "tiny-sweep-step", "sweep-step-count-beyond-float", "packaged-table-order-2", "negative-fit-order",
         "int-ring-length-beyond-float", "int-t-max-beyond-float",
         "int-fwm-rate-beyond-float", "int-input-rate-beyond-float",
         "int-power-points-beyond-float", "huge-spectrum-points", "huge-power-points",
