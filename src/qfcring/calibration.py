@@ -27,7 +27,7 @@ from .config import width_key
 from .constants import TWO_PI, db_per_m_to_kappa
 from .dispersion import U_SCALE_NM
 from .elements import MAX_ARM_PHASE_RAD, Device
-from .errors import CalibrationInfeasible, NoFeasibleMatch
+from .errors import CalibrationInfeasible, DomainError, NoFeasibleMatch, OutOfDomain
 from .matching import MatchResult, rated
 from .noise import fwm_noise_rate
 
@@ -66,18 +66,30 @@ def solve_g0_full_over_2pi_MHz(targets: dict, ppln_fraction: float) -> float:
 
 
 def _required_cross_couplings(device: Device, match: MatchResult, targets: dict):
-    """Composite K needed at each carrier for the eta anchors."""
+    """Composite K needed at each carrier for the eta anchors.
+
+    The three carriers' v_g come from one group_velocity call.  When a
+    carrier lies outside the dispersion window, each carrier reads its own
+    v_g instead, so the refusals come in carrier order: its eta target, its
+    window, its loss.
+    """
     model, ring = device.dispersion, device.ring
     t = match.t_ring_K
+    try:
+        vgs = model.group_velocity([sol.lambda_nm for _, sol in match.carriers], t,
+                                   ring.width_nm).tolist()
+    except OutOfDomain:
+        vgs = [None] * len(match.carriers)
     out = {}
-    for label, sol in match.carriers:
+    for (label, sol), vg in zip(match.carriers, vgs):
         eta_key = f"eta_{label}"
         eta = float(targets[eta_key])
         if not 0.0 < eta < 1.0:
             raise CalibrationInfeasible(
                 f"anchor 'coupling ratios': target {eta_key}={eta} must be in (0, 1)"
             )
-        vg = float(model.group_velocity(sol.lambda_nm, t, ring.width_nm))
+        if vg is None:
+            vg = float(model.group_velocity(sol.lambda_nm, t, ring.width_nm))
         kappa_0 = db_per_m_to_kappa(ring.alpha_prop_dB_per_m, vg)
         if kappa_0 <= 0.0:
             raise CalibrationInfeasible(
@@ -188,8 +200,9 @@ def solve_width_couplings(cfg: dict, device: Device, match: MatchResult) -> dict
     nearest the configured base first (ties to the shorter one), and the
     first feasible one is returned; after _MAX_HEATER_CANDIDATES tries the
     search stops with CalibrationInfeasible naming the span it covered.  The
-    arm phase is affine in the heater length, so beta is evaluated once per
-    carrier.
+    arm phase is affine in the heater length, so beta is evaluated once, for
+    the three carriers in one call.  A coupling-length anchor or coefficient
+    beyond float range raises DomainError naming device.dc_length_um.
 
     The grid comes in chunks that grow from 256 to 4096 points
     (_grid_nearest_first).  A numpy screen (_screen) drops from each chunk
@@ -218,8 +231,8 @@ def solve_width_couplings(cfg: dict, device: Device, match: MatchResult) -> dict
     lams = [needed[r][0] for r in order]
     ks = [needed[r][1] for r in order]
     # arm phase = geo + thermal * heater_um * 1e-6, per carrier
-    geos = [float(model.propagation_constant(lam, t_base, width)) * delta_len_um * 1e-6
-            for lam in lams]
+    geos = [beta * delta_len_um * 1e-6
+            for beta in model.propagation_constant(lams, t_base, width).tolist()]
     thermals = [TWO_PI / (lam * 1e-9) * dn_dT * delta_T for lam in lams]
 
     lo, hi = model.lambda_window_nm
@@ -249,6 +262,11 @@ def solve_width_couplings(cfg: dict, device: Device, match: MatchResult) -> dict
                 for lam, xi in zip(lams, x)
             ]
             coeffs = _lc_quadratic(lc_pts, model.lambda_ref_nm)
+            anchors = [lc for _, lc in lc_pts]
+            if not np.isfinite([*anchors, *coeffs]).all():
+                raise DomainError(
+                    f"coupling-length anchors {anchors} um and quadratic {coeffs.tolist()} "
+                    f"are beyond float range: device.dc_length_um={dc_len_um:g}")
             lc_curve = coeffs[0] + coeffs[1] * u + coeffs[2] * u**2
             slope = coeffs[1] + 2.0 * coeffs[2] * u
             if np.any(lc_curve <= 0.0) or np.any(slope > 0.0):

@@ -54,6 +54,24 @@ def _polyder(coeffs: np.ndarray) -> np.ndarray:
     return coeffs[1:] * n
 
 
+def _check_window(quantity: str, values, unit: str, owner: str, window):
+    """OutOfDomain when a value lies outside the closed window; a NaN counts as inside.
+
+    A single value is named as given; of several, the first outside and how
+    many of them are outside.
+    """
+    lo, hi = window
+    x = np.asarray(values, dtype=float)
+    outside = (x < lo) | (x > hi)
+    if outside.any():
+        if x.size == 1:
+            raise OutOfDomain(f"{quantity} {values} {unit} outside {owner} window "
+                              f"[{lo}, {hi}] {unit}")
+        raise OutOfDomain(f"{quantity} {float(x[outside][0])} {unit} outside {owner} window "
+                          f"[{lo}, {hi}] {unit} (the first of {np.count_nonzero(outside)} of "
+                          f"{x.size} values outside it)")
+
+
 def _fsr_hz(ng, ring_length_m: float):
     """Free spectral range c/(n_g L) in ordinary Hz at group index ng."""
     if ring_length_m <= 0.0:
@@ -159,18 +177,8 @@ class DispersionModel:
         )
 
     def _check_domain(self, lambda_nm, t_K):
-        lo, hi = self.lambda_window_nm
-        lam = np.asarray(lambda_nm, dtype=float)
-        if ((lam < lo) | (lam > hi)).any():
-            raise OutOfDomain(
-                f"wavelength {lambda_nm} nm outside validity window [{lo}, {hi}] nm"
-            )
-        tlo, thi = self.temperature_window_K
-        t = np.asarray(t_K, dtype=float)
-        if ((t < tlo) | (t > thi)).any():
-            raise OutOfDomain(
-                f"temperature {t_K} K outside validity window [{tlo}, {thi}] K"
-            )
+        _check_window("wavelength", lambda_nm, "nm", "validity", self.lambda_window_nm)
+        _check_window("temperature", t_K, "K", "validity", self.temperature_window_K)
 
     def _validate_physical(self):
         lo, hi = self.lambda_window_nm
@@ -200,10 +208,20 @@ class DispersionModel:
     def _n_eff_unchecked(self, lambda_nm, t_K, width_nm: float):
         # Internal: resonance root-solvers may probe a whisker outside the
         # window mid-iteration; final results are always domain-masked.
+        return self._n_eff_shifted(lambda_nm, self._thermal_shift(t_K), width_nm)
+
+    def _thermal_shift(self, t_K):
+        """The thermal term dn/dT (T - T_ref) of n_eff."""
+        return self.dn_dT_per_K * (np.asarray(t_K, dtype=float) - self.t_ref_K)
+
+    def _n_eff_shifted(self, lambda_nm, shift, width_nm: float):
+        """n_eff = P_w(u) + shift, given its thermal term shift = _thermal_shift(T).
+
+        A root solve at fixed T computes shift once for all its evaluations.
+        """
         c, _ = self._coeffs(width_nm)
         u = (np.asarray(lambda_nm, dtype=float) - self.lambda_ref_nm) / U_SCALE_NM
-        n = _polyval(c, u)
-        return n + self.dn_dT_per_K * (np.asarray(t_K, dtype=float) - self.t_ref_K)
+        return _polyval(c, u) + shift
 
     def _dn_dlambda_unchecked(self, lambda_nm, t_K, width_nm: float):
         _, dc = self._coeffs(width_nm)

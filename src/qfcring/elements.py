@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import TWO_PI, db_per_m_to_kappa, freq_hz
-from .dispersion import DispersionModel, U_SCALE_NM, _polyval
-from .errors import DomainError, NoResonance, NumericalFailure, OutOfDomain
+from .dispersion import DispersionModel, U_SCALE_NM, _check_window, _polyval
+from .errors import DomainError, NoResonance, NumericalFailure
 
 # kappa_ex = K v_g / L is a weak-coupling correspondence; beyond this K it
 # degrades and we warn rather than fail.
@@ -48,10 +48,7 @@ class DirectionalCoupler:
             raise DomainError("coupler interaction length must be >= 0")
 
     def _check(self, lambda_nm):
-        lo, hi = self.lambda_window_nm
-        lam = np.asarray(lambda_nm, dtype=float)
-        if ((lam < lo) | (lam > hi)).any():
-            raise OutOfDomain(f"wavelength {lambda_nm} nm outside coupler window [{lo}, {hi}] nm")
+        _check_window("wavelength", lambda_nm, "nm", "coupler", self.lambda_window_nm)
 
     def coupling_length_um(self, lambda_nm):
         """Full-transfer beat half-length L_c (um) at the given wavelength."""
@@ -251,21 +248,28 @@ def _length_nm(device: Device) -> float:
     return device.ring.length_m * 1e9
 
 
-def _m_range(device: Device, band_nm, t_K) -> range:
-    """Azimuthal numbers m >= 1 whose resonance can fall inside band_nm at temperatures t_K.
+def _m_range(device: Device, bands_nm, t_K) -> list:
+    """Per band of bands_nm, the azimuthal numbers m >= 1 whose resonance can fall
+    inside it at temperatures t_K, as a range.
 
     m(lambda, T) = n_eff(lambda, T) * L / lambda falls with lambda (n_g > 0)
     and is linear in T, so its values at the band edges and the extreme
-    temperatures bound every line in the band.
+    temperatures bound every line in the band.  All band edges are
+    evaluated in one n_eff call; a band whose m overflows is refused, the
+    first such band in the order given.
     """
-    lam = np.asarray(band_nm, dtype=float)[:, None]
+    lam = np.asarray(bands_nm, dtype=float).reshape(-1, 1)
     t = np.asarray(t_K, dtype=float).reshape(1, -1)
     with np.errstate(over="ignore"):  # a ring too long overflows m to inf, refused below
         m = device.dispersion.n_eff(lam, t, device.width_nm) * _length_nm(device) / lam
-    if not np.isfinite(m).all():
-        raise DomainError(f"mode numbers of a {device.ring.length_um:g} um ring "
-                          f"in band {tuple(band_nm)} nm are beyond float range")
-    return range(max(1, int(math.floor(m.min()))), int(math.ceil(m.max())) + 1)
+    ranges = []
+    for band_nm, m_band in zip(bands_nm, m.reshape(len(bands_nm), -1)):
+        if not np.isfinite(m_band).all():
+            raise DomainError(f"mode numbers of a {device.ring.length_um:g} um ring "
+                              f"in band {tuple(band_nm)} nm are beyond float range")
+        ranges.append(range(max(1, int(math.floor(m_band.min()))),
+                            int(math.ceil(m_band.max())) + 1))
+    return ranges
 
 
 def resonance_combs(device: Device, bands_nm, t_ring_K):
@@ -275,14 +279,14 @@ def resonance_combs(device: Device, bands_nm, t_ring_K):
     n_eff(lambda_m, T) * L to machine precision; consecutive m differ by 1.
     """
     model, ring = device.dispersion, device.ring
-    bands, ms = [], []
+    bands = []
     for band_nm in bands_nm:
         lo, hi = float(band_nm[0]), float(band_nm[1])
         if not lo < hi:
             raise DomainError(f"empty wavelength band {band_nm}")
         model._check_domain(np.array([lo, hi]), t_ring_K)
         bands.append((lo, hi))
-        ms.append(np.asarray(_m_range(device, (lo, hi), t_ring_K)))
+    ms = [np.asarray(r) for r in _m_range(device, bands, t_ring_K)]
     lams = solve_resonance_wavelength(device, np.concatenate(ms), t_ring_K)
     ends = np.cumsum([band_ms.size for band_ms in ms])
     combs = []
@@ -303,8 +307,13 @@ def resonance_combs(device: Device, bands_nm, t_ring_K):
 
 def resonance_residual(device: Device, m, lambda_nm, t_K):
     """(m*lambda - n_eff(lambda, T)*L) / (m*lambda) from raw dispersion, with no solve."""
+    return _residual(device, m, lambda_nm, device.dispersion._thermal_shift(t_K))
+
+
+def _residual(device: Device, m, lambda_nm, shift):
+    """resonance_residual at the thermal term shift = dn/dT (T - T_ref)."""
     m_lam = np.asarray(m, dtype=float) * np.asarray(lambda_nm, dtype=float)
-    n = device.dispersion._n_eff_unchecked(lambda_nm, t_K, device.width_nm)
+    n = device.dispersion._n_eff_shifted(lambda_nm, shift, device.width_nm)
     return (m_lam - n * _length_nm(device)) / m_lam
 
 
@@ -314,22 +323,24 @@ def solve_resonance_wavelength(device: Device, m, t_K):
     Vectorized over t_K (and m when both are arrays of equal shape).
     Fixed-point iterations then two Newton polishes; NumericalFailure names
     the worst (m, T) when a root's |resonance_residual| exceeds RESIDUAL_TOL
-    or is NaN (the fixed point need not contract).
+    or is NaN (the fixed point need not contract).  The thermal term of
+    n_eff is computed once for all 16 n_eff evaluations.
     """
     model, width_nm, length_nm = device.dispersion, device.width_nm, _length_nm(device)
     m_arr = np.asarray(m, dtype=float)
+    shift = model._thermal_shift(t_K)
     lo, hi = model.lambda_window_nm
-    lam = np.full(np.broadcast(m_arr, np.asarray(t_K, dtype=float)).shape, 0.0)
+    lam = np.full(np.broadcast(m_arr, shift).shape, 0.0)
     # crude seed (n ~ 2), clipped into the window so the first n_eff
     # evaluations stay inside the fitted basin
     lam = np.clip(lam + length_nm * 2.0 / m_arr, lo, hi)
     for _ in range(13):
-        lam = model._n_eff_unchecked(lam, t_K, width_nm) * length_nm / m_arr
+        lam = model._n_eff_shifted(lam, shift, width_nm) * length_nm / m_arr
     for _ in range(2):
-        f = m_arr * lam - model._n_eff_unchecked(lam, t_K, width_nm) * length_nm
+        f = m_arr * lam - model._n_eff_shifted(lam, shift, width_nm) * length_nm
         fp = m_arr - model._dn_dlambda_unchecked(lam, t_K, width_nm) * length_nm
         lam = lam - f / fp
-    r = np.abs(resonance_residual(device, m_arr, lam, t_K))
+    r = np.abs(_residual(device, m_arr, lam, shift))
     if not np.all(r <= RESIDUAL_TOL):
         k = np.argmax(np.where(np.isnan(r), np.inf, r))
         m_k, t_k = (np.broadcast_to(x, lam.shape).flat[k] for x in (m_arr, t_K))

@@ -44,7 +44,8 @@ from .errors import (
 class SearchConstraints:
     """Targets and tolerances of the triple-resonance search.
 
-    signal_wavelength_nm fixes the target frequency (the memory transition);
+    signal_wavelength_nm fixes the target frequency (the memory transition),
+    which the signal tolerance must stay below;
     the pump/idler windows are base +- half_window_nm.  t_step_K = None
     picks the step adaptively so one step shifts the signal resonance by a
     quarter of the signal tolerance (floor 1 mK).
@@ -64,6 +65,13 @@ class SearchConstraints:
     def __post_init__(self):
         if self.max_signal_detuning_Hz <= 0.0 or self.max_mismatch_Hz <= 0.0:
             raise ValueError("tolerances must be positive")
+        # A signal line within a tolerance that reaches the target frequency lies
+        # beyond c / (f_t - tol), which is no wavelength.  A target wavelength with
+        # no frequency (lambda * 1e-9 <= 0) is left to the sweep's window check.
+        f_t = self.signal_target_hz if self.signal_wavelength_nm * 1e-9 > 0.0 else math.inf
+        if not self.max_signal_detuning_Hz < f_t:
+            raise ValueError(f"signal tolerance {self.max_signal_detuning_Hz:g} Hz must be "
+                             f"below the target frequency {f_t:g} Hz")
         if self.half_window_nm <= 0.0:
             raise ValueError("window must be positive")
         if not self.t_min_K < self.t_max_K:
@@ -141,11 +149,9 @@ def _signal_tuning(device: Device, constraints: SearchConstraints):
     rate = constraints.signal_target_hz * abs(model.dn_dT_per_K) / float(ng)
     step = constraints.t_step_K
     if step is None:
-        # Lines that do not move with T, or a tolerance beyond float range: one step
-        # spans the range.
-        tol = constraints.max_signal_detuning_Hz
-        step = (constraints.t_max_K - constraints.t_min_K if rate == 0.0 or math.isinf(tol)
-                else max(1e-3, 0.25 * tol / rate))
+        # Lines that do not move with T: one step spans the range.
+        step = (constraints.t_max_K - constraints.t_min_K if rate == 0.0
+                else max(1e-3, 0.25 * constraints.max_signal_detuning_Hz / rate))
     return ng, rate, step
 
 
@@ -202,8 +208,12 @@ def _signal_bracket(device: Device, constraints: SearchConstraints, m_s_list,
 # Mismatches are quantized to 1 Hz in the ordering: the root-solver noise on a
 # ~4e14 Hz difference is ~0.1 Hz, and resolving ties on that noise would
 # defeat the signal-detuning tie-break.
-def _rank(match: MatchResult):
-    return (round(abs(match.mismatch_Hz)), abs(match.signal_detuning_Hz), match.t_ring_K)
+def _rank(mismatch_Hz: float, signal_detuning_Hz: float, t_ring_K: float):
+    return (round(abs(mismatch_Hz)), abs(signal_detuning_Hz), t_ring_K)
+
+
+def _match_rank(match: MatchResult):
+    return _rank(match.mismatch_Hz, match.signal_detuning_Hz, match.t_ring_K)
 
 
 def rated(device: Device, match: MatchResult) -> MatchResult:
@@ -225,11 +235,16 @@ def rated(device: Device, match: MatchResult) -> MatchResult:
 def _scan(device, constraints, t_points, m_s_list, m_p_list, m_i_list, m_offset):
     """Scan the given temperatures; returns (feasible, near, paired), unrated (rates 0.0).
 
-    feasible holds every window+QPM pair within the mismatch bound, in
-    (hit, pump line, idler line) order.  A hit temperature without one offers
+    feasible holds one match per (m_s, m_p, m_i) triple that has a
+    window+QPM pair within the mismatch bound: its first pair of least
+    _rank in (hit, pump line, idler line) order, which is also the order in
+    which the triples first appear.  Only those matches are built; the pairs
+    are walked as Python numbers.  A hit temperature without a pair offers
     its first pair of least |mismatch| as a near miss (|signal
     detuning| <= tol_s at every hit, so the mismatch alone sets how near a
-    pair is); near is the first least of those, or None.  paired says whether
+    pair is); near is the first least of those, or None, and always None
+    when feasible is not empty: the near miss is looked for only until a
+    triple matches.  paired says whether
     any hit has a pump and an idler line inside their windows.  Every signal,
     pump and idler line is root-solved at every temperature in one call; the
     signal rows pick the hits, and the pump and idler rows are read at them.
@@ -279,7 +294,7 @@ def _scan(device, constraints, t_points, m_s_list, m_p_list, m_i_list, m_offset)
             qpm_mismatch=int(qpm), constraints=constraints,
         )
 
-    feasible, near, near_score = [], None, None
+    best, near, near_score = {}, None, None  # triple -> (rank, match arguments)
     chunk = max(1, MAX_GRID_CELLS // m_pi.size)
     for start in range(0, t_hit.size, chunk):
         h = slice(start, start + chunk)
@@ -289,9 +304,19 @@ def _scan(device, constraints, t_points, m_s_list, m_p_list, m_i_list, m_offset)
         if constraints.require_qpm:
             base &= qpm == 0
         ok = base & (np.abs(delta) <= tol_d)
-        for k, jp, ji in zip(*np.nonzero(ok)):
-            feasible.append(match(start + k, jp, ji, delta[k, jp, ji], qpm[k, jp, ji]))
+        hs, jps, jis = np.nonzero(ok)
+        hs += start
+        pairs = zip(m_s_hit[hs].tolist(), m_p_arr[jps].tolist(), m_i_arr[jis].tolist(),
+                    det_hit[hs].tolist(), t_hit[hs].tolist(), hs.tolist(), jps.tolist(),
+                    jis.tolist(), delta[ok].tolist(), qpm[ok].tolist())
+        for m_s, m_p, m_i, det, t, hk, jp, ji, d, q in pairs:
+            rank = _rank(d, det, t)
+            prev = best.get((m_s, m_p, m_i))
+            if prev is None or rank < prev[0]:
+                best[(m_s, m_p, m_i)] = (rank, (hk, jp, ji, d, q))
 
+        if best:  # a near miss is read only when no triple matches
+            continue
         miss = base.any(axis=(1, 2)) & ~ok.any(axis=(1, 2))
         if not np.any(miss):
             continue
@@ -303,7 +328,8 @@ def _scan(device, constraints, t_points, m_s_list, m_p_list, m_i_list, m_offset)
             jp, ji = np.unravel_index(pair[k], m_pi.shape)
             near = match(start + k, jp, ji, delta[k, jp, ji], qpm[k, jp, ji])
             near_score = least[k]
-    return feasible, near, bool((in_p.any(axis=1) & in_i.any(axis=1)).any())
+    feasible = [match(*args) for _, args in best.values()]
+    return feasible, None if best else near, bool((in_p.any(axis=1) & in_i.any(axis=1)).any())
 
 
 def _count(n: int) -> str:
@@ -340,9 +366,9 @@ def find_triple_resonance(device: Device, constraints: SearchConstraints):
     n_steps = int(math.floor(count)) + 1 if math.isfinite(count) else count
     t_ends = (constraints.t_min_K, constraints.t_max_K)
     target_nm = constraints.signal_wavelength_nm
-    m_s_list = _m_range(device, (target_nm, target_nm), t_ends)
-    m_p_list = _m_range(device, constraints.pump_window_nm, t_ends)
-    m_i_list = _m_range(device, constraints.idler_window_nm, t_ends)
+    m_s_list, m_p_list, m_i_list = _m_range(
+        device, [(target_nm, target_nm), constraints.pump_window_nm,
+                 constraints.idler_window_nm], t_ends)
     # stop - start, as len() of a range beyond ssize_t raises OverflowError
     n_s, n_p, n_i = (r.stop - r.start for r in (m_s_list, m_p_list, m_i_list))
     # The first term bounds _scan's one root solve of every line at every kept
@@ -364,9 +390,9 @@ def find_triple_resonance(device: Device, constraints: SearchConstraints):
     for match in feasible:
         key = (match.signal.m, match.pump.m, match.idler.m)
         prev = best_by_triple.get(key)
-        if prev is None or _rank(match) < _rank(prev):
+        if prev is None or _match_rank(match) < _match_rank(prev):
             best_by_triple[key] = match
-    results = sorted(best_by_triple.values(), key=_rank)
+    results = sorted(best_by_triple.values(), key=_match_rank)
     if results:
         return [rated(device, match) for match in results]
 
@@ -441,7 +467,8 @@ def companion_detuning(device: Device, match: MatchResult):
     m_comp = 2 * match.pump.m - match.idler.m
     f_target = 2.0 * match.pump.freq_hz - match.idler.freq_hz
     window = device.dispersion.lambda_window_nm
-    if f_target > 0.0 and m_comp > 0 and m_comp in _m_range(device, window, match.t_ring_K):
+    if (f_target > 0.0 and m_comp > 0
+            and m_comp in _m_range(device, [window], match.t_ring_K)[0]):
         lam = solve_resonance_wavelength(device, m_comp, match.t_ring_K)
         if window[0] <= lam <= window[1]:
             return TWO_PI * (freq_hz(lam) - f_target)

@@ -23,7 +23,7 @@ from qfcring.calibration import _grid_nearest_first, calibrate_config, solve_wid
 from qfcring.config import apply_overrides
 from qfcring.constants import TWO_PI, db_per_m_to_kappa
 from qfcring.dispersion import U_SCALE_NM, DispersionModel
-from qfcring.errors import CalibrationInfeasible
+from qfcring.errors import CalibrationInfeasible, OutOfDomain
 from qfcring.matching import find_triple_resonance
 
 WIDTHS = (1400.0, 1500.0, 1600.0)
@@ -164,7 +164,71 @@ def test_heater_scan_dispersion_budget(cfg, bare_points, monkeypatch, width):
 
     monkeypatch.setattr(DispersionModel, "propagation_constant", counting)
     solve_width_couplings(cfg, device, match)
-    assert len(calls) <= 3
+    assert len(calls) == 1  # the three carriers' beta in one call
+
+
+@pytest.mark.parametrize("width", WIDTHS)
+def test_required_couplings_read_the_carriers_in_one_call(cfg, bare_points, monkeypatch,
+                                                          width):
+    device, match = bare_points[width]
+    model, ring, t = device.dispersion, device.ring, match.t_ring_K
+    targets = cfg["calibration_targets"]
+    expected = {}
+    for label, sol in match.carriers:  # one carrier at a time
+        eta = float(targets[f"eta_{label}"])
+        vg = float(model.group_velocity(sol.lambda_nm, t, width))
+        kappa_ex = db_per_m_to_kappa(ring.alpha_prop_dB_per_m, vg) * eta / (1.0 - eta)
+        expected[label] = (sol.lambda_nm, kappa_ex * ring.length_m / vg)
+    calls = []
+    real = DispersionModel.group_velocity
+
+    def counting(self, *args, **kwargs):
+        calls.append(args)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(DispersionModel, "group_velocity", counting)
+    assert calibration._required_cross_couplings(device, match, targets) == expected
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("bad_eta", [None, "pump", "signal", "idler"])
+@pytest.mark.parametrize("lossless", [False, True])
+@pytest.mark.parametrize("outside", [None, "pump", "signal", "idler"])
+def test_required_couplings_refuse_in_carrier_order(cfg, bare_points, bad_eta, lossless,
+                                                    outside):
+    # A carrier-by-carrier walk checks each carrier's eta target, then its
+    # wavelength against the dispersion window, then its loss.
+    device, match = bare_points[1500.0]
+    targets = dict(cfg["calibration_targets"])
+    if bad_eta:
+        targets[f"eta_{bad_eta}"] = 1.5
+    if lossless:
+        device = dataclasses.replace(device, ring=dataclasses.replace(
+            device.ring, alpha_prop_dB_per_m=0.0))
+    if outside:
+        sol = getattr(match, outside)
+        match = dataclasses.replace(match, **{outside: dataclasses.replace(
+            sol, lambda_nm=640.0 if outside == "signal" else 1710.0)})
+    expected = None
+    for label, sol in match.carriers:
+        if label == bad_eta:
+            expected = (CalibrationInfeasible, f"anchor 'coupling ratios': target "
+                        f"eta_{label}=1.5 must be in (0, 1)")
+        elif label == outside:
+            expected = (OutOfDomain, f"wavelength {sol.lambda_nm} nm outside validity "
+                        "window [650.0, 1700.0] nm")
+        elif lossless:
+            expected = (CalibrationInfeasible, "anchor 'coupling ratios': "
+                        "device.propagation_loss_dB_per_m=0.0 leaves the "
+                        f"{label} mode lossless, so eta_{label} would need kappa_ex = 0")
+        if expected:
+            break
+    if expected is None:
+        assert calibration._required_cross_couplings(device, match, targets)
+        return
+    with pytest.raises(expected[0]) as got:
+        calibration._required_cross_couplings(device, match, targets)
+    assert str(got.value) == expected[1]
 
 
 HUGE_HEATER = "calibration_targets.max_heater_length_um=1.0e+9"
@@ -340,7 +404,7 @@ from test_calibration import BACKEND_DRAWS, WIDTHS, _variant, reference_scan
 from qfcring.builders import build_constraints, build_device
 from qfcring.calibration import solve_width_couplings
 from qfcring.config import default_config
-from qfcring.errors import CalibrationInfeasible
+from qfcring.errors import CalibrationInfeasible, OutOfDomain
 from qfcring.matching import find_triple_resonance
 
 def outcome(solve, *args):

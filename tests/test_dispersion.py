@@ -450,22 +450,34 @@ def test_coupler_with_no_length_coefficients_still_raises():
         dc.cross_coupling(np.array([700.0, 1500.0]))
 
 
+def _named(values, lo, hi):
+    """How a refusal names values: one as given; of several, the first outside and the count."""
+    x = np.asarray(values, dtype=float).ravel()
+    if x.size == 1:
+        return f"{values}", ""
+    bad = [v for v in x.tolist() if v < lo or v > hi]
+    return f"{bad[0]}", f" (the first of {len(bad)} of {x.size} values outside it)"
+
+
 def _model_check_two_any(model, lambda_nm, t_K):
     lo, hi = model.lambda_window_nm
     lam = np.asarray(lambda_nm, dtype=float)
     if np.any(lam < lo) or np.any(lam > hi):
-        raise OutOfDomain(f"wavelength {lambda_nm} nm outside validity window [{lo}, {hi}] nm")
+        value, count = _named(lambda_nm, lo, hi)
+        raise OutOfDomain(f"wavelength {value} nm outside validity window [{lo}, {hi}] nm{count}")
     tlo, thi = model.temperature_window_K
     t = np.asarray(t_K, dtype=float)
     if np.any(t < tlo) or np.any(t > thi):
-        raise OutOfDomain(f"temperature {t_K} K outside validity window [{tlo}, {thi}] K")
+        value, count = _named(t_K, tlo, thi)
+        raise OutOfDomain(f"temperature {value} K outside validity window [{tlo}, {thi}] K{count}")
 
 
 def _coupler_check_two_any(dc, lambda_nm):
     lo, hi = dc.lambda_window_nm
     lam = np.asarray(lambda_nm, dtype=float)
     if np.any(lam < lo) or np.any(lam > hi):
-        raise OutOfDomain(f"wavelength {lambda_nm} nm outside coupler window [{lo}, {hi}] nm")
+        value, count = _named(lambda_nm, lo, hi)
+        raise OutOfDomain(f"wavelength {value} nm outside coupler window [{lo}, {hi}] nm{count}")
 
 
 def _outcome(check, *args):
@@ -523,6 +535,28 @@ def test_domain_windows_are_closed_with_no_tolerance(t_window):
     for t in (tlo_out, thi_out, np.array([tlo, thi_out])):
         with pytest.raises(OutOfDomain, match="temperature .* outside validity window"):
             model.n_eff(lo, t, WIDTH)
+
+
+def test_a_refusal_of_many_values_names_the_first_outside_and_the_count(model):
+    dc = DirectionalCoupler(length_um=10.0, lc_coeffs_um=(25.0,), lambda_ref_nm=1200.0,
+                            lambda_window_nm=(650.0, 1700.0))
+    lam = np.array([[700.0, 1800.0], [600.0, math.nan]])
+    for check, message in (
+            (lambda: model.n_eff(lam, 350.0, WIDTH), "wavelength 1800.0 nm outside validity "
+             "window [650.0, 1700.0] nm (the first of 2 of 4 values outside it)"),
+            (lambda: model.n_eff(700.0, np.linspace(200.0, 350.0, 4), WIDTH),
+             "temperature 200.0 K outside validity window [300.0, 400.0] K (the first of 2 "
+             "of 4 values outside it)"),
+            (lambda: dc.cross_coupling(lam), "wavelength 1800.0 nm outside coupler window "
+             "[650.0, 1700.0] nm (the first of 2 of 4 values outside it)"),
+            # one value is named as given, as it always was
+            (lambda: model.n_eff(1800.0, 350.0, WIDTH),
+             "wavelength 1800.0 nm outside validity window [650.0, 1700.0] nm"),
+            (lambda: model.n_eff(np.array([[1800.0]]), 350.0, WIDTH),
+             "wavelength [[1800.]] nm outside validity window [650.0, 1700.0] nm")):
+        with pytest.raises(OutOfDomain) as got:
+            check()
+        assert str(got.value) == message
 
 
 def test_nan_wavelength_passes_the_domain_checks(model):

@@ -462,7 +462,7 @@ def test_m_range_contains_every_in_band_line(cfg, width, band):
     device = build_device(cfg, width_nm=width, with_coupler=False)
     lo, hi = COMB_BANDS[band]
     for temps in ((300.0,), (347.25,), (300.0, 400.0), (333.0, 366.0)):
-        ms = _m_range(device, (lo, hi), temps)
+        ms = _m_range(device, [(lo, hi)], temps)[0]
         assert len(ms) > 0
         # the range from the extreme temperatures covers every temperature between
         for t in np.linspace(min(temps), max(temps), 5):
@@ -517,7 +517,7 @@ def test_resonance_condition_solves_agree_on_random_models(device, lam0, t_K):
         + 2.0 * EPS * t_K
     assert abs(float(_temperature_at(device, m, lam_s)) - t_K) <= tol_t
 
-    assert m in _m_range(device, (lam_s, lam_s), t_K)
+    assert m in _m_range(device, [(lam_s, lam_s)], t_K)[0]
 
 
 @settings(max_examples=100, derandomize=True, deadline=None, database=None)

@@ -124,14 +124,17 @@ def test_cli_records_the_package_warnings_and_leaves_the_rest_to_the_filters(mon
     ("spectrum", "experiment.spectrum_span_GHz=1e300", "OutOfDomain", 2),
     # the near miss ranks pairs by |mismatch|, not |mismatch| / tol
     ("match", "constraints.max_mismatch_MHz=1e-305", "NoFeasibleMatch", 3),
-    # an infinite signal tolerance: one step spans the range, so the grid is finite
-    ("match", "constraints.max_signal_detuning_MHz=1e305", "NoFeasibleMatch", 3),
+    # a signal tolerance of inf Hz, or one at or above the target frequency, is refused
+    # when the constraints are built
+    ("match", "constraints.max_signal_detuning_MHz=1e305", "ConfigError", 2),
+    ("match", "constraints.max_signal_detuning_MHz=1e9", "ConfigError", 2),
     # the sweep's coverage check reads an FSR of inf in Python floats
     ("match", "device.ring_length_um=1e-300", "NoFeasibleMatch", 3),
 ], ids=["m-range-overflow", "tradeoff-power-max", "tradeoff-power-min", "m-zero-seed",
         "sweep-step-count", "convert-power-max", "convert-closed-form", "noise-power-max", "calibrate-fwm-power",
         "loss-rate", "couplings-sweep-drive", "couplings-dc-length", "spectrum-dc-length",
-        "spectrum-span", "mismatch-score", "signal-tolerance-grid", "short-ring-fsr"])
+        "spectrum-span", "mismatch-score", "signal-tolerance-grid",
+        "signal-tolerance-beyond-target", "short-ring-fsr"])
 def test_refusals_raise_no_runtime_warning_on_the_way(tmp_path, experiment, override, error,
                                                       code):
     with warnings.catch_warnings():
@@ -270,6 +273,16 @@ def test_refusals_raise_no_runtime_warning_on_the_way(tmp_path, experiment, over
     # the mode numbers n_eff L / lambda overflow to inf
     ("match", "device.ring_length_um=1e305", "DomainError", 2,
      "mode numbers of a 1e+305 um ring in band "),
+    # pi L_dc overflows, so the coupling-length anchors are inf and the quadratic NaN
+    ("calibrate", "device.dc_length_um=1.7e308", "DomainError", 2,
+     "coupling-length anchors [inf, inf, inf] um and quadratic [nan, nan, nan] are beyond "
+     "float range: device.dc_length_um=1.7e+308"),
+    ("match", "constraints.max_signal_detuning_MHz=1e9", "ConfigError", 2,
+     "invalid constraints: signal tolerance 1e+15 Hz must be below the target frequency "
+     "4.06774e+14 Hz"),
+    # a refusal of many wavelengths names the first outside, not numpy's array text
+    ("spectrum", "experiment.spectrum_span_GHz=1e5", "OutOfDomain", 2,
+     "wavelength 1700.14879"),
 ], ids=["no-widths", "repeated-width", "width-key-beyond-float", "missing-table",
         "zero-power-max", "match-power-spacing-case", "bool-table-file",
         "bool-power-spacing", "bool-ring-length", "one-lc-coefficient", "five-lc-coefficients",
@@ -286,7 +299,8 @@ def test_refusals_raise_no_runtime_warning_on_the_way(tmp_path, experiment, over
         "coupled-huge-mzi-drive", "huge-ring-length",
         "huge-power-max", "huge-power-min", "huge-pump-detuning", "huge-loss", "huge-g0",
         "huge-g-chi3", "calibrate-huge-pump-detuning", "calibrate-huge-g0-target",
-        "vanishing-g0", "ring-length-beyond-mode-numbers"])
+        "vanishing-g0", "ring-length-beyond-mode-numbers", "calibrate-huge-dc-length",
+        "signal-tolerance-beyond-target", "many-wavelengths-outside"])
 def test_unusable_value_exits_with_its_family_code(tmp_path, experiment, override, error,
                                                   code, message):
     override, message = (s.replace("{tmp}", str(tmp_path)) for s in (override, message))

@@ -106,6 +106,17 @@ def test_a_sweep_that_qpm_alone_refuses_names_qpm(cfg):
     assert find_triple_resonance(build_device(free, with_coupler=False), build_constraints(free))
 
 
+def test_signal_tolerance_must_stay_below_the_target_frequency():
+    f_t = freq_hz(737.0)
+    assert SearchConstraints(max_signal_detuning_Hz=math.nextafter(f_t, 0.0))
+    for tol in (f_t, 1e15, math.inf):
+        with pytest.raises(ValueError, match="must be below the target frequency"):
+            SearchConstraints(max_signal_detuning_Hz=tol)
+    # a target with no frequency is left to the sweep's window check
+    for lam in (0.0, -5.0, 1e-320):
+        assert SearchConstraints(signal_wavelength_nm=lam)
+
+
 def test_accepted_matches_satisfy_all_constraints():
     for device, constraints, _ in oracle_fixtures():
         with partial_sweep():
@@ -285,7 +296,8 @@ def test_verify_match_catches_a_wrong_pump_or_idler_root(monkeypatch, role):
     # signal line, and with it the ring temperature, stays exact.
     device, constraints, _ = planted_fixture_curved()
     t_ends = (constraints.t_min_K, constraints.t_max_K)
-    role_ms = np.asarray(_m_range(device, getattr(constraints, f"{role}_window_nm"), t_ends))
+    role_ms = np.asarray(
+        _m_range(device, [getattr(constraints, f"{role}_window_nm")], t_ends)[0])
 
     def shifted(device, m, t_K):
         return solve_resonance_wavelength(device, m, t_K) + 1e-4 * np.isin(m, role_ms)
@@ -318,7 +330,7 @@ def _bracket_and_full_grid_hits(device, constraints):
     span = constraints.t_max_K - constraints.t_min_K
     t_grid = constraints.t_min_K + step * np.arange(int(math.floor(span / step + 1e-9)) + 1)
     target = constraints.signal_wavelength_nm
-    m_s_list = _m_range(device, (target, target), (constraints.t_min_K, constraints.t_max_K))
+    m_s_list, = _m_range(device, [(target, target)], (constraints.t_min_K, constraints.t_max_K))
     keep = _signal_bracket(device, constraints, m_s_list, t_grid, step)
     lam = np.array([solve_resonance_wavelength(device, float(m), t_grid) for m in m_s_list])
     det = np.abs(C_M_PER_S / (lam * 1e-9) - constraints.signal_target_hz)
@@ -421,8 +433,8 @@ def test_a_sweep_solves_every_line_in_one_call(cfg, monkeypatch, width):
         assert find_triple_resonance(device, constraints)
     t_ends = (constraints.t_min_K, constraints.t_max_K)
     target = constraints.signal_wavelength_nm
-    n_lines = sum(len(_m_range(device, band, t_ends)) for band in (
-        (target, target), constraints.pump_window_nm, constraints.idler_window_nm))
+    n_lines = sum(len(r) for r in _m_range(device, [
+        (target, target), constraints.pump_window_nm, constraints.idler_window_nm], t_ends))
     assert len(calls) == 1
     (m_shape, t_shape), = calls
     assert m_shape == (n_lines, 1) and len(t_shape) == 1 and t_shape[0] > 0
@@ -469,8 +481,8 @@ def test_far_out_companion_falls_back_to_the_table(cfg):
     with pytest.warns(CalibrationDrift, match="pump eta 0.0112 misses its calibration target"):
         device, matches = operating_point(run)
     m_comp = 2 * matches[0].pump.m - matches[0].idler.m
-    assert m_comp not in _m_range(device, device.dispersion.lambda_window_nm,
-                                  matches[0].t_ring_K)
+    assert m_comp not in _m_range(device, [device.dispersion.lambda_window_nm],
+                                  matches[0].t_ring_K)[0]
     assert companion_detuning(device, matches[0]) is None
     channel, source = fwm_channel_at(run, device, matches[0])
     assert source == "table"
@@ -585,19 +597,15 @@ def _assert_pairing_equals_reference(device, constraints, hits_per_chunk=None):
     return expected, sum(hits)
 
 
-@settings(max_examples=120, derandomize=True, deadline=None, database=None)
-@given(device=random_rings(), signal_nm=st.floats(650.0, 700.0),
-       pump_share=st.floats(0.4, 0.6), half_window=st.floats(2.0, 20.0),
-       t_min=st.floats(260.0, 430.0), span=st.floats(0.5, 10.0),
-       tol_s_MHz=st.floats(50.0, 2000.0), log_tol_d=st.floats(4.0, 12.0),
-       require_qpm=st.booleans())
-def test_pairing_equals_the_per_hit_loop_on_random_rings(device, signal_nm, pump_share,
-                                                          half_window, t_min, span,
-                                                          tol_s_MHz, log_tol_d, require_qpm):
-    # The target is a signal line at mid-sweep, so the sweep has hits.  With
-    # f_p = pump_share * f_s and f_i = f_s - f_p both windows sit near energy
-    # conservation, and the poling makes the window centres' lines
-    # quasi-phase matched, so the hits have pairs.
+def _random_sweep(device, signal_nm, pump_share, half_window, t_min, span, tol_s_MHz,
+                  log_tol_d, require_qpm):
+    """(device, constraints) of a sweep with signal hits and pairs on a random ring.
+
+    The target is a signal line at mid-sweep, so the sweep has hits.  With
+    f_p = pump_share * f_s and f_i = f_s - f_p both windows sit near energy
+    conservation, and the poling makes the window centres' lines
+    quasi-phase matched, so the hits have pairs.
+    """
     t_mid = min(t_min + 0.5 * span, 450.0)
 
     def line(lam):
@@ -618,7 +626,25 @@ def test_pairing_equals_the_per_hit_loop_on_random_rings(device, signal_nm, pump
         t_min_K=t_min, t_max_K=min(t_min + span, 450.0),
         max_signal_detuning_Hz=tol_s_MHz * 1e6, max_mismatch_Hz=10.0**log_tol_d,
         require_qpm=require_qpm)
-    _assert_pairing_equals_reference(device, constraints)
+    return device, constraints
+
+
+RANDOM_SWEEPS = dict(
+    device=random_rings(), signal_nm=st.floats(650.0, 700.0),
+    pump_share=st.floats(0.4, 0.6), half_window=st.floats(2.0, 20.0),
+    t_min=st.floats(260.0, 430.0), span=st.floats(0.5, 10.0),
+    tol_s_MHz=st.floats(50.0, 2000.0), log_tol_d=st.floats(4.0, 12.0),
+    require_qpm=st.booleans())
+
+
+@settings(max_examples=120, derandomize=True, deadline=None, database=None)
+@given(**RANDOM_SWEEPS)
+def test_pairing_equals_the_per_hit_loop_on_random_rings(device, signal_nm, pump_share,
+                                                          half_window, t_min, span,
+                                                          tol_s_MHz, log_tol_d, require_qpm):
+    _assert_pairing_equals_reference(*_random_sweep(
+        device, signal_nm, pump_share, half_window, t_min, span, tol_s_MHz, log_tol_d,
+        require_qpm))
 
 
 @pytest.mark.parametrize("hits_per_chunk", [None, 1, 3])
@@ -661,3 +687,52 @@ def test_pairing_breaks_ties_as_the_per_hit_loop(require_qpm, hits_per_chunk):
         assert outcome[2].t_ring_K == constraints.t_min_K
     else:
         assert len(outcome) == 5
+
+
+def _scan_builds(device, constraints):
+    """Per _scan call of a sweep: (MatchResults it built, feasible pairs, their distinct
+    (m_s, m_p, m_i) triples, 1 if it returned a near miss else 0).
+
+    The pairs come from the per-hit reference loop, which builds one match per pair.
+    """
+    scan, real = matching._scan, matching.MatchResult
+    counts = []
+
+    def counting_scan(*args):
+        built = []
+
+        def counted(**fields):
+            built.append(fields)
+            return real(**fields)
+
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(matching, "MatchResult", counted)
+            result = scan(*args)
+        pairs = _reference_scan(*args)[0]
+        triples = {(p.signal.m, p.pump.m, p.idler.m) for p in pairs}
+        counts.append((len(built), len(pairs), len(triples), int(result[1] is not None)))
+        return result
+
+    _sweep_outcome(device, constraints, counting_scan)
+    return counts
+
+
+@pytest.mark.parametrize("bound_MHz", ["1.0e-3", "20", "150", "1.0e+4"])
+def test_scan_builds_one_match_per_triple_on_the_packaged_device(cfg, bound_MHz):
+    narrow = apply_overrides(cfg, [f"constraints.max_mismatch_MHz={bound_MHz}"])
+    (built, pairs, triples, near), = _scan_builds(
+        build_device(narrow, width_nm=1500.0, with_coupler=False), build_constraints(narrow))
+    assert built == triples + near
+    if bound_MHz == "150":  # the packaged bound: one triple, feasible at several hits
+        assert pairs > triples == 1
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(**RANDOM_SWEEPS)
+def test_scan_builds_one_match_per_triple_on_random_rings(device, signal_nm, pump_share,
+                                                          half_window, t_min, span,
+                                                          tol_s_MHz, log_tol_d, require_qpm):
+    for built, pairs, triples, near in _scan_builds(*_random_sweep(
+            device, signal_nm, pump_share, half_window, t_min, span, tol_s_MHz, log_tol_d,
+            require_qpm)):
+        assert built == triples + near
