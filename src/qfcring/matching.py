@@ -189,13 +189,17 @@ def _signal_bracket(device: Device, constraints: SearchConstraints, m_s_list,
     lies between c/(f_t + tol) and c/(f_t - tol).  The resonance wavelength
     is monotonic in T wherever n_g > 0, which the dispersion model
     guarantees, so those edges bound a temperature interval per line; one
-    step of margin on each side absorbs root-solver noise.  When dn/dT is
-    zero the lines do not move with T, and every grid point is kept.
+    step of margin on each side absorbs root-solver noise.  The edges are
+    clipped to the dispersion window, where every line is solved: beyond a
+    clipped edge no line resonates, and n_eff extrapolated there would give
+    meaningless edge temperatures.  When dn/dT is zero the lines do not move
+    with T, and every grid point is kept.
     """
     if device.dispersion.dn_dT_per_K == 0.0:
         return np.ones(t_grid.size, dtype=bool)
     f_t, tol = constraints.signal_target_hz, constraints.max_signal_detuning_Hz
-    edges_nm = C_M_PER_S / (np.array([f_t + tol, f_t - tol]) * 1e-9)
+    edges_nm = np.clip(C_M_PER_S / (np.array([f_t + tol, f_t - tol]) * 1e-9),
+                       *device.dispersion.lambda_window_nm)
     t_edges = _temperature_at(device, np.asarray(m_s_list, dtype=float)[:, None], edges_nm)
     starts = np.searchsorted(t_grid, t_edges.min(axis=1) - step, side="left")
     stops = np.searchsorted(t_grid, t_edges.max(axis=1) + step, side="right")

@@ -552,6 +552,59 @@ def test_fused_stepper_is_rk4_on_rhs(seed, n, exps, phases):
     assert fused == _rk4_on_rhs(rhs, state, dt, n)
 
 
+_PART = st.one_of(st.just(0.0), st.just(-0.0), st.floats(-1e6, 1e6))
+_AMPLITUDE = st.builds(complex, _PART, _PART)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(g=st.floats(0.0, 1e9), ya=_AMPLITUDE, yb=_AMPLITUDE, yc=_AMPLITUDE)
+@example(g=TWO_PI * 0.31e6, ya=0j, yb=0j, yc=0j)
+@example(g=TWO_PI * 0.31e6, ya=complex(-0.0, 0.0), yb=complex(1.5, -0.0), yc=complex(0.0, -2.0))
+@example(g=0.0, ya=1.0 - 2.0j, yb=-3.0j, yc=4.0 + 0j)
+def test_shared_product_gives_the_written_out_terms(g, ya, yb, yc):
+    # rhs writes the signal and idler terms around one product ga = ig*a.  ig
+    # has real part 0.0, so conj(ig*a) is -(ig*conj(a)) exactly, and negation
+    # is exact: both terms equal the written-out -ig*a*c and -ig*conj(a)*b by
+    # ==, which ignores the sign of a zero component.
+    sys = make_system(g0=g, power=1e-3, delta_s=1e8, delta_p=-2e8, mismatch=3e7)
+    flux = 1e6
+    rhs, _, _ = conversion._mean_field(sys, flux)
+    _, d_b, d_c = conversion._detunings(sys)
+    ig = 1j * sys.g0
+    cb = 1j * d_b - 0.5 * sys.signal.kappa_tot
+    cc = 1j * d_c - 0.5 * sys.idler.kappa_tot
+    drive_b = math.sqrt(sys.signal.kappa_ex * flux)
+    _, db, dc = rhs(ya, yb, yc)
+    assert db == cb * yb - ig * ya * yc + drive_b
+    assert dc == cc * yc - ig * ya.conjugate() * yb
+
+
+def _pinned_systems():
+    """Oracle systems that need no dispersion fit, so their results are the
+    same bits on every numpy SIMD dispatch."""
+    yield from _criterion_3_draws(4, seed=303)
+    yield make_system(power=1e-3, delta_s=1e8, delta_p=-2e8, mismatch=3e7)
+    yield make_system(eta_p=0.3, kappa_p=2e9, kappa_s=1e9, kappa_i=5e9, power=2e-3,
+                      delta_s=-5e7)
+
+
+# (eta_int, eta_ex) of each _pinned_systems() system, as float.hex.
+_PINNED_CONVERSION = [
+    ("0x1.f9c8e8e094ed2p-1", "0x1.56e348054b328p-1"),
+    ("0x1.e49501d686ab2p-1", "0x1.353f306389771p-1"),
+    ("0x1.c3fa5f6c90ce8p-1", "0x1.10b1ba8dc2761p-1"),
+    ("0x1.9f0e5574a6174p-1", "0x1.216859c7d5592p-1"),
+    ("0x1.fb87ada97e621p-1", "0x1.c996cb79124e3p-1"),
+    ("0x1.01b13b4029fbdp-3", "0x1.d0abb7d8764dbp-4"),
+]
+
+
+def test_oracle_results_keep_their_bits():
+    # A rewrite of the stepper's arithmetic must keep every bit of the oracle.
+    for sys, pinned in zip(_pinned_systems(), _PINNED_CONVERSION, strict=True):
+        assert steady_state_conversion(sys) == tuple(float.fromhex(x) for x in pinned)
+
+
 _SEGMENT_STEPS = 3000
 
 

@@ -128,13 +128,15 @@ def test_cli_records_the_package_warnings_and_leaves_the_rest_to_the_filters(mon
     # when the constraints are built
     ("match", "constraints.max_signal_detuning_MHz=1e305", "ConfigError", 2),
     ("match", "constraints.max_signal_detuning_MHz=1e9", "ConfigError", 2),
+    # tolerance edges beyond the dispersion window are clipped to it before n_eff
+    ("match", "constraints.max_signal_detuning_MHz=4e8", "NoFeasibleMatch", 3),
     # the sweep's coverage check reads an FSR of inf in Python floats
     ("match", "device.ring_length_um=1e-300", "NoFeasibleMatch", 3),
 ], ids=["m-range-overflow", "tradeoff-power-max", "tradeoff-power-min", "m-zero-seed",
         "sweep-step-count", "convert-power-max", "convert-closed-form", "noise-power-max", "calibrate-fwm-power",
         "loss-rate", "couplings-sweep-drive", "couplings-dc-length", "spectrum-dc-length",
         "spectrum-span", "mismatch-score", "signal-tolerance-grid",
-        "signal-tolerance-beyond-target", "short-ring-fsr"])
+        "signal-tolerance-beyond-target", "signal-tolerance-beyond-window", "short-ring-fsr"])
 def test_refusals_raise_no_runtime_warning_on_the_way(tmp_path, experiment, override, error,
                                                       code):
     with warnings.catch_warnings():
@@ -280,6 +282,11 @@ def test_refusals_raise_no_runtime_warning_on_the_way(tmp_path, experiment, over
     ("match", "constraints.max_signal_detuning_MHz=1e9", "ConfigError", 2,
      "invalid constraints: signal tolerance 1e+15 Hz must be below the target frequency "
      "4.06774e+14 Hz"),
+    # a tolerance whose edges leave the dispersion window keeps the grid
+    # temperatures of the lines inside it, so the sweep names its near miss
+    ("match", "constraints.max_signal_detuning_MHz=4e8", "NoFeasibleMatch", 3,
+     "no mode triple satisfies all constraints; best candidate violates: mismatch "
+     "2261.508 MHz exceeds 150 MHz"),
     # a refusal of many wavelengths names the first outside, not numpy's array text
     ("spectrum", "experiment.spectrum_span_GHz=1e5", "OutOfDomain", 2,
      "wavelength 1700.14879"),
@@ -300,7 +307,8 @@ def test_refusals_raise_no_runtime_warning_on_the_way(tmp_path, experiment, over
         "huge-power-max", "huge-power-min", "huge-pump-detuning", "huge-loss", "huge-g0",
         "huge-g-chi3", "calibrate-huge-pump-detuning", "calibrate-huge-g0-target",
         "vanishing-g0", "ring-length-beyond-mode-numbers", "calibrate-huge-dc-length",
-        "signal-tolerance-beyond-target", "many-wavelengths-outside"])
+        "signal-tolerance-beyond-target", "signal-tolerance-beyond-window",
+        "many-wavelengths-outside"])
 def test_unusable_value_exits_with_its_family_code(tmp_path, experiment, override, error,
                                                   code, message):
     override, message = (s.replace("{tmp}", str(tmp_path)) for s in (override, message))
